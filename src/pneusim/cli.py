@@ -26,6 +26,8 @@ import numpy as np
 from . import __version__
 from . import analysis
 from .components import (
+    VALVE_RATED_INLET_KPA,
+    VENTURI_Q_RATED_SLPM,
     BinaryValveSpec,
     ControlVolume,
     PneumaticNetwork,
@@ -33,18 +35,18 @@ from .components import (
     Reservoir,
     SensorSpec,
     VenturiSpec,
+    default_network,
 )
-from .control import ActuatorCommand, ControllerConfig
-from .gasmodel import GasConstants, alpha
+from .control import ActuatorCommand, ControllerConfig, Mode
+from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA, GasConstants
 from .sim import (
-    MODE_BY_CODE,
-    MODE_CODES,
     PiecewiseCommand,
     Scenario,
     SimulationDivergence,
     SineCommand,
     StepCommand,
     TimeSeries,
+    controller_for_network,
     simulate,
 )
 from .sizing import (
@@ -68,9 +70,164 @@ class ConfigError(ValueError):
     """Input-file validation failure; the message names the offending field."""
 
 
-# ---------------------------------------------------------------- strict JSON
+# ---------------------------------------------------------------- field table
+#
+# Each section of the input schema is a table: (constructor, rows). A row is
+# (JSON key, constructor keyword, check, default). Checks: "num" a finite
+# number, "pos" > 0, "nonneg" >= 0, "int" an integer >= 0, "bool", "str".
+# The keyword is None for keys the constructor does not take. A row written
+# with three items takes its default from the object that owns it: the
+# dataclass default, or the field of the default network. _REQUIRED makes a
+# key mandatory; None leaves an absent key out of the resolved section, for a
+# rule in resolve_* to fill or for the constructor's own default. Keys ending
+# in _slpm reach the constructor in std L/s.
 
-_MISSING = object()
+_REQUIRED = object()
+_NET = default_network()
+
+
+def _table(owner, *rows: tuple, make=None) -> tuple:
+    """(constructor, rows): make, or owner's class; defaults read from owner."""
+    rows = tuple(
+        row if len(row) == 4 else (*row, getattr(owner, row[1], _REQUIRED)) for row in rows
+    )
+    return make or (owner if isinstance(owner, type) else type(owner)), rows
+
+
+GAS = _table(
+    DEFAULT_GAS,
+    ("rho_kg_per_m3", "rho", "pos"),
+    ("R_u_J_per_mol_K", "R_u", "pos"),
+    ("T_K", "T", "pos"),
+    ("M_kg_per_mol", "M", "pos"),
+)
+VALVE = _table(
+    ProportionalValveSpec,
+    ("P_inlet_max_kPa", None, "pos", 690.0),  # rating of a valve given without one
+    ("deadband", "u0", "nonneg"),
+    ("R_vmin_kPa_s_per_L", "r_vmin", "pos", None),  # or derived from flow_max_slpm
+)
+SENSOR_ROWS = (
+    ("range_max_kPa", "range_max", "pos"),
+    ("noise_std_kPa", "noise_std", "nonneg"),
+    ("seed", "seed", "int"),
+)
+NETWORK = {  # in PneumaticNetwork order
+    "reservoir": _table(_NET.reservoir, ("V_r_L", "v_r", "pos"), ("P_r0_kPa", "p_r0", "num")),
+    "control_volume": _table(
+        _NET.control_volume, ("V_cv_L", "v_cv", "pos"), ("P_cv0_kPa", "p_cv", "num")
+    ),
+    "inflation_valve": VALVE,
+    "motive_valve": VALVE,
+    "solenoid": _table(_NET.solenoid, ("R_open_kPa_s_per_L", "r_open", "pos")),
+    "venturi": _table(
+        _NET.venturi,
+        ("P_vac_floor_kPa", "p_vac_floor", "num"),
+        ("Q_motive_rated_slpm", "q_motive_rated", "pos", VENTURI_Q_RATED_SLPM),
+        ("R_motive_kPa_s_per_L", "r_motive", "pos", None),  # default: the motive valve's R_vmin
+    ),
+    "cv_sensor": _table(_NET.cv_sensor, *SENSOR_ROWS),
+    "reservoir_sensor": _table(_NET.reservoir_sensor, *SENSOR_ROWS),
+}
+# the valve sections of the default network, resolved when a scenario omits one
+DEFAULT_VALVES = {
+    name: {
+        "R_vmin_kPa_s_per_L": getattr(_NET, name).r_vmin,
+        "P_inlet_max_kPa": VALVE_RATED_INLET_KPA,
+    }
+    for name in ("inflation_valve", "motive_valve")
+}
+CONTROLLER = _table(
+    ControllerConfig,
+    ("kp_per_kPa", "kp", "nonneg"),
+    ("ki_per_kPa_s", "ki", "nonneg"),
+    ("kd_s_per_kPa", "kd", "nonneg"),
+    ("error_cutoff_kPa", "error_cutoff", "pos"),
+    ("control_rate_Hz", "control_rate", "pos"),
+    ("settle_horizon_s", "settle_horizon", "pos"),
+    ("integrator_limit_kPa_s", "integrator_limit", "nonneg"),
+    ("active_deflation_rate_threshold_kPa_s", "active_deflation_rate_threshold", "nonneg"),
+    make=controller_for_network,
+)
+COMMANDS = {  # "piecewise" has its own rule
+    "step": _table(
+        StepCommand, ("target_kPa", "target_kpa", "nonneg"), ("start_s", "start_s", "nonneg")
+    ),
+    "sine": _table(
+        SineCommand,
+        ("amplitude_kPa", "amplitude_kpa", "nonneg"),
+        ("frequency_Hz", "freq_hz", "pos"),
+        ("offset_kPa", "offset_kpa", "num", None),  # default: amplitude_kPa
+    ),
+}
+RUN = _table(
+    Scenario,
+    ("dt_s", "dt", "pos"),
+    ("duration_s", "duration", "pos"),
+    ("sample_rate_Hz", "sample_rate", "pos"),
+    ("seed", "seed", "int"),
+    ("hold_reservoir", "hold_reservoir", "bool"),
+    ("mode", None, "str", "closed_loop"),
+)
+OPEN_LOOP = _table(
+    ActuatorCommand,
+    ("u_evp", "u_inflate", "nonneg"),
+    ("u_dvp", "u_motive", "nonneg"),
+    ("solenoid_open", "solenoid_open", "bool"),
+)
+REQUIREMENTS = _table(
+    DesignRequirements,
+    ("V_cv_L", "v_cv", "pos"),
+    ("dP_cv_kPa", "dp_cv", "pos"),
+    ("min_cycles", "min_cycles", "nonneg"),
+    ("Pdot_d_kPa_s", "pdot_d", "pos"),
+    ("amplitude_kPa", "amplitude", "pos"),
+    ("frequency_Hz", "freq_hz", "pos"),
+)
+VALVE_OPTION = _table(ValveOption, ("name", "name", "str"), ("mass_g", "mass_g", "pos"))  # + VALVE
+RESERVOIR_OPTION = _table(
+    ReservoirOption,
+    ("name", "name", "str"),
+    ("V_r_L", "v_r", "pos"),
+    ("mass_g", "mass_g", "pos"),
+    ("P_max_kPa", "p_max", "pos"),
+)
+VENTURI_OPTION = _table(
+    VenturiOption,
+    ("name", "name", "str"),
+    ("P_vac_floor_kPa", "p_vac_floor", "num"),
+    ("Q_motive_rated_slpm", "q_motive_rated", "pos"),
+    ("mass_g", "mass_g", "pos"),
+)
+
+# check -> (accepted JSON types, what the error says was expected)
+_EXPECTED = {
+    "bool": (bool, "true or false"),
+    "str": (str, "a string"),
+    "int": (int, "an integer"),
+    **dict.fromkeys(("num", "pos", "nonneg"), ((int, float), "a number")),
+}
+
+
+def _check(value, where: str, check: str):
+    """Validate one JSON value; numbers other than "int" come back as float."""
+    kind, expected = _EXPECTED[check]
+    if not isinstance(value, kind) or (isinstance(value, bool) and check != "bool"):
+        raise ConfigError(f"{where}: expected {expected}")
+    if check in ("bool", "str"):
+        return value
+    if check != "int":
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{where}: must be finite")
+    if check == "pos" and not value > 0.0:
+        raise ConfigError(f"{where}: must be > 0")
+    if check in ("nonneg", "int") and value < 0:
+        raise ConfigError(f"{where}: must be >= 0")
+    return value
 
 
 def _require_obj(value, path: str) -> dict:
@@ -85,61 +242,45 @@ def _reject_unknown(obj: dict, path: str) -> None:
         raise ConfigError(f"{path}: unknown key(s): {keys}")
 
 
-def _pop_number(obj: dict, path: str, key: str, default=_MISSING, positive=False, non_negative=False):
+def _pop(obj: dict, path: str, key: str, check: str):
+    """Pop and check a required key."""
     if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = obj.pop(key)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}.{key}: expected a number")
-    value = float(value)
-    if not math.isfinite(value):
-        raise ConfigError(f"{path}.{key}: must be finite")
-    if positive and not value > 0.0:
-        raise ConfigError(f"{path}.{key}: must be > 0")
-    if non_negative and value < 0.0:
-        raise ConfigError(f"{path}.{key}: must be >= 0")
-    return value
+        raise ConfigError(f"{path}.{key}: required")
+    return _check(obj.pop(key), f"{path}.{key}", check)
 
 
-def _pop_int(obj: dict, path: str, key: str, default=_MISSING, non_negative=True):
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = obj.pop(key)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}.{key}: expected an integer")
-    if non_negative and value < 0:
-        raise ConfigError(f"{path}.{key}: must be >= 0")
-    return value
+def _resolve(obj: dict, path: str, table: tuple) -> dict:
+    """Pop and check each row's key from obj; absent keys take the row's default."""
+    out = {}
+    for key, _kw, check, default in table[1]:
+        if key in obj or default is _REQUIRED:
+            out[key] = _pop(obj, path, key, check)
+        elif default is not None:
+            out[key] = default
+    return out
 
 
-def _pop_bool(obj: dict, path: str, key: str, default=_MISSING):
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = obj.pop(key)
-    if not isinstance(value, bool):
-        raise ConfigError(f"{path}.{key}: expected true or false")
-    return value
+def _object(raw, path: str, table: tuple) -> dict:
+    """Resolve an object that has no rule beyond its rows."""
+    obj = _require_obj(raw, path)
+    out = _resolve(obj, path, table)
+    _reject_unknown(obj, path)
+    return out
 
 
-def _pop_str(obj: dict, path: str, key: str, default=_MISSING):
-    if key not in obj:
-        if default is _MISSING:
-            raise ConfigError(f"{path}.{key}: required")
-        return default
-    value = obj.pop(key)
-    if not isinstance(value, str):
-        raise ConfigError(f"{path}.{key}: expected a string")
-    return value
+def _build(table: tuple, section: dict, **extra):
+    """Call the table's constructor with each resolved value under its row's keyword."""
+    make, rows = table
+    kwargs = {
+        kw: section[key] / 60.0 if key.endswith("_slpm") else section[key]
+        for key, kw, _c, _d in rows
+        if kw and key in section
+    }
+    return make(**kwargs, **extra)
 
 
 def _check_schema_version(obj: dict, path: str) -> None:
-    version = _pop_int(obj, path, "schema_version")
+    version = _pop(obj, path, "schema_version", "int")
     if version != 1:
         raise ConfigError(f"{path}.schema_version: unsupported version {version}")
 
@@ -147,36 +288,59 @@ def _check_schema_version(obj: dict, path: str) -> None:
 # ------------------------------------------------------------ scenario schema
 
 
-def _resolve_valve(raw: dict, path: str) -> dict:
+def _resolve_valve(raw, path: str) -> dict:
+    """VALVE rows, then R_vmin_kPa_s_per_L or flow_max_slpm rated at P_inlet_max_kPa."""
     obj = _require_obj(raw, path)
-    p_inlet = _pop_number(obj, path, "P_inlet_max_kPa", default=690.0, positive=True)
-    deadband = _pop_number(obj, path, "deadband", default=0.0, non_negative=True)
-    if deadband >= 1.0:
+    out = _resolve(obj, path, VALVE)
+    if out["deadband"] >= 1.0:
         raise ConfigError(f"{path}.deadband: must be < 1")
-    has_r = "R_vmin_kPa_s_per_L" in obj
-    has_flow = "flow_max_slpm" in obj
-    if has_r and has_flow:
-        raise ConfigError(f"{path}: give R_vmin_kPa_s_per_L or flow_max_slpm, not both")
-    if has_r:
-        r_vmin = _pop_number(obj, path, "R_vmin_kPa_s_per_L", positive=True)
-    elif has_flow:
-        flow = _pop_number(obj, path, "flow_max_slpm", positive=True)
-        r_vmin = p_inlet / (flow / 60.0)
-    else:
+    if "flow_max_slpm" in obj:
+        if "R_vmin_kPa_s_per_L" in out:
+            raise ConfigError(f"{path}: give R_vmin_kPa_s_per_L or flow_max_slpm, not both")
+        flow = _pop(obj, path, "flow_max_slpm", "pos") / 60.0
+        r_vmin = out["P_inlet_max_kPa"] / flow if flow > 0.0 else math.inf
+        if not math.isfinite(r_vmin):
+            raise ConfigError(f"{path}.flow_max_slpm: too small for P_inlet_max_kPa")
+        out["R_vmin_kPa_s_per_L"] = r_vmin
+    elif "R_vmin_kPa_s_per_L" not in out:
         raise ConfigError(f"{path}: R_vmin_kPa_s_per_L or flow_max_slpm required")
     _reject_unknown(obj, path)
-    return {"R_vmin_kPa_s_per_L": r_vmin, "deadband": deadband, "P_inlet_max_kPa": p_inlet}
-
-
-def _resolve_sensor(raw: dict, path: str, range_default: float, seed_default: int) -> dict:
-    obj = _require_obj(raw, path)
-    out = {
-        "range_max_kPa": _pop_number(obj, path, "range_max_kPa", default=range_default, positive=True),
-        "noise_std_kPa": _pop_number(obj, path, "noise_std_kPa", default=0.0, non_negative=True),
-        "seed": _pop_int(obj, path, "seed", default=seed_default),
-    }
-    _reject_unknown(obj, path)
     return out
+
+
+def _resolve_knots(knots) -> list:
+    path = "scenario.command.knots"
+    if not isinstance(knots, list) or not knots:
+        raise ConfigError(f"{path}: non-empty list required")
+    parsed = []
+    for i, knot in enumerate(knots):
+        where = f"{path}[{i}]"
+        if not isinstance(knot, list) or len(knot) != 2:
+            raise ConfigError(f"{where}: expected [time_s, value_kPa]")
+        t, value = _check(knot[0], where, "num"), _check(knot[1], where, "nonneg")
+        if not parsed and t != 0.0:
+            raise ConfigError(f"{where}: first knot must be at t=0")
+        if parsed and t <= parsed[-1][0]:
+            raise ConfigError(f"{where}: knot times must be strictly increasing")
+        parsed.append([t, value])
+    return parsed
+
+
+def _check_sensor_range(command: dict, range_max: float) -> None:
+    """A closed-loop command above the CV sensor's range saturates the controller."""
+    if command["kind"] == "step":
+        where, peak = "target_kPa", command["target_kPa"]
+    elif command["kind"] == "sine":
+        where = "offset_kPa + amplitude_kPa"
+        peak = command["offset_kPa"] + command["amplitude_kPa"]
+    else:
+        values = [v for _, v in command["knots"]]
+        where, peak = f"knots[{values.index(max(values))}]", max(values)
+    if peak > range_max:
+        raise ConfigError(
+            f"scenario.command.{where}: {peak:g} kPa is above the CV sensor range "
+            f"(scenario.network.cv_sensor.range_max_kPa = {range_max:g})"
+        )
 
 
 def resolve_scenario(raw: dict) -> dict:
@@ -187,163 +351,69 @@ def resolve_scenario(raw: dict) -> dict:
     """
     top = _require_obj(raw, "scenario")
     _check_schema_version(top, "scenario")
-
-    gas_obj = _require_obj(top.pop("gas", {}), "scenario.gas")
-    gas = {
-        "rho_kg_per_m3": _pop_number(gas_obj, "scenario.gas", "rho_kg_per_m3", default=1.2041, positive=True),
-        "R_u_J_per_mol_K": _pop_number(gas_obj, "scenario.gas", "R_u_J_per_mol_K", default=8.314, positive=True),
-        "T_K": _pop_number(gas_obj, "scenario.gas", "T_K", default=293.15, positive=True),
-        "M_kg_per_mol": _pop_number(gas_obj, "scenario.gas", "M_kg_per_mol", default=0.028965, positive=True),
-    }
-    _reject_unknown(gas_obj, "scenario.gas")
+    gas = _object(top.pop("gas", {}), "scenario.gas", GAS)
 
     net_obj = _require_obj(top.pop("network", {}), "scenario.network")
-    res_obj = _require_obj(net_obj.pop("reservoir", {}), "scenario.network.reservoir")
-    reservoir = {
-        "V_r_L": _pop_number(res_obj, "scenario.network.reservoir", "V_r_L", default=2.0, positive=True),
-        "P_r0_kPa": _pop_number(res_obj, "scenario.network.reservoir", "P_r0_kPa", default=689.0),
-    }
-    _reject_unknown(res_obj, "scenario.network.reservoir")
-
-    cv_obj = _require_obj(net_obj.pop("control_volume", {}), "scenario.network.control_volume")
-    control_volume = {
-        "V_cv_L": _pop_number(cv_obj, "scenario.network.control_volume", "V_cv_L", default=0.5, positive=True),
-        "P_cv0_kPa": _pop_number(cv_obj, "scenario.network.control_volume", "P_cv0_kPa", default=0.0),
-    }
-    _reject_unknown(cv_obj, "scenario.network.control_volume")
-
-    inflation = _resolve_valve(
-        net_obj.pop("inflation_valve", {"flow_max_slpm": 23.5, "P_inlet_max_kPa": 689.0}),
-        "scenario.network.inflation_valve",
-    )
-    motive = _resolve_valve(
-        net_obj.pop("motive_valve", {"flow_max_slpm": 67.0, "P_inlet_max_kPa": 689.0}),
-        "scenario.network.motive_valve",
-    )
-
-    sol_obj = _require_obj(net_obj.pop("solenoid", {}), "scenario.network.solenoid")
-    solenoid = {
-        "R_open_kPa_s_per_L": _pop_number(sol_obj, "scenario.network.solenoid", "R_open_kPa_s_per_L", default=100.0, positive=True)
-    }
-    _reject_unknown(sol_obj, "scenario.network.solenoid")
-
-    ven_obj = _require_obj(net_obj.pop("venturi", {}), "scenario.network.venturi")
-    ven_path = "scenario.network.venturi"
-    venturi = {
-        "P_vac_floor_kPa": _pop_number(ven_obj, ven_path, "P_vac_floor_kPa", default=-80.0),
-        "Q_motive_rated_slpm": _pop_number(ven_obj, ven_path, "Q_motive_rated_slpm", default=67.0, positive=True),
-        "R_motive_kPa_s_per_L": _pop_number(ven_obj, ven_path, "R_motive_kPa_s_per_L", default=motive["R_vmin_kPa_s_per_L"], positive=True),
-    }
-    if not -101.325 < venturi["P_vac_floor_kPa"] < 0.0:
-        raise ConfigError(f"{ven_path}.P_vac_floor_kPa: must be in (-101.325, 0)")
-    _reject_unknown(ven_obj, ven_path)
-
-    cv_sensor = _resolve_sensor(net_obj.pop("cv_sensor", {}), "scenario.network.cv_sensor", 207.0, 0)
-    res_sensor = _resolve_sensor(
-        net_obj.pop("reservoir_sensor", {}), "scenario.network.reservoir_sensor", 1500.0, 1
-    )
+    network = {}
+    for name, table in NETWORK.items():
+        path = f"scenario.network.{name}"
+        if table is VALVE:
+            network[name] = _resolve_valve(net_obj.pop(name, DEFAULT_VALVES[name]), path)
+        else:
+            network[name] = _object(net_obj.pop(name, {}), path, table)
     _reject_unknown(net_obj, "scenario.network")
+    venturi = network["venturi"]
+    venturi.setdefault("R_motive_kPa_s_per_L", network["motive_valve"]["R_vmin_kPa_s_per_L"])
+    if not PERFECT_VACUUM_KPA < venturi["P_vac_floor_kPa"] < 0.0:
+        raise ConfigError(
+            f"scenario.network.venturi.P_vac_floor_kPa: must be in ({PERFECT_VACUUM_KPA}, 0)"
+        )
 
-    ctl_obj = _require_obj(top.pop("controller", {}), "scenario.controller")
-    ctl_path = "scenario.controller"
-    controller = {
-        "kp_per_kPa": _pop_number(ctl_obj, ctl_path, "kp_per_kPa", default=0.05, non_negative=True),
-        "ki_per_kPa_s": _pop_number(ctl_obj, ctl_path, "ki_per_kPa_s", default=0.5, non_negative=True),
-        "kd_s_per_kPa": _pop_number(ctl_obj, ctl_path, "kd_s_per_kPa", default=0.0, non_negative=True),
-        "error_cutoff_kPa": _pop_number(ctl_obj, ctl_path, "error_cutoff_kPa", default=1.0, positive=True),
-        "control_rate_Hz": _pop_number(ctl_obj, ctl_path, "control_rate_Hz", default=1000.0, positive=True),
-        "settle_horizon_s": _pop_number(ctl_obj, ctl_path, "settle_horizon_s", default=0.2, positive=True),
-        "integrator_limit_kPa_s": _pop_number(ctl_obj, ctl_path, "integrator_limit_kPa_s", default=2.0, non_negative=True),
-        "active_deflation_rate_threshold_kPa_s": _pop_number(
-            ctl_obj, ctl_path, "active_deflation_rate_threshold_kPa_s", default=0.0, non_negative=True
-        ),
-    }
-    _reject_unknown(ctl_obj, ctl_path)
+    controller = _object(top.pop("controller", {}), "scenario.controller", CONTROLLER)
 
     if "command" not in top:
         raise ConfigError("scenario.command: required")
     cmd_obj = _require_obj(top.pop("command"), "scenario.command")
-    kind = _pop_str(cmd_obj, "scenario.command", "kind")
-    if kind == "step":
-        command = {
-            "kind": "step",
-            "target_kPa": _pop_number(cmd_obj, "scenario.command", "target_kPa", non_negative=True),
-            "start_s": _pop_number(cmd_obj, "scenario.command", "start_s", default=0.0, non_negative=True),
-        }
-    elif kind == "sine":
-        command = {
-            "kind": "sine",
-            "amplitude_kPa": _pop_number(cmd_obj, "scenario.command", "amplitude_kPa", non_negative=True),
-            "frequency_Hz": _pop_number(cmd_obj, "scenario.command", "frequency_Hz", positive=True),
-        }
-        command["offset_kPa"] = _pop_number(
-            cmd_obj, "scenario.command", "offset_kPa", default=command["amplitude_kPa"]
-        )
-        if command["offset_kPa"] < command["amplitude_kPa"]:
-            raise ConfigError("scenario.command.offset_kPa: must be >= amplitude_kPa")
+    kind = _pop(cmd_obj, "scenario.command", "kind", "str")
+    if kind in COMMANDS:
+        command = {"kind": kind, **_resolve(cmd_obj, "scenario.command", COMMANDS[kind])}
+        if kind == "sine":
+            command.setdefault("offset_kPa", command["amplitude_kPa"])
+            if command["offset_kPa"] < command["amplitude_kPa"]:
+                raise ConfigError("scenario.command.offset_kPa: must be >= amplitude_kPa")
     elif kind == "piecewise":
-        knots = cmd_obj.pop("knots", None)
-        if not isinstance(knots, list) or not knots:
-            raise ConfigError("scenario.command.knots: non-empty list required")
-        parsed = []
-        for i, knot in enumerate(knots):
-            if (
-                not isinstance(knot, list)
-                or len(knot) != 2
-                or any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in knot)
-            ):
-                raise ConfigError(f"scenario.command.knots[{i}]: expected [time_s, value_kPa]")
-            parsed.append([float(knot[0]), float(knot[1])])
-        command = {"kind": "piecewise", "knots": parsed}
+        command = {"kind": "piecewise", "knots": _resolve_knots(cmd_obj.pop("knots", None))}
     else:
         raise ConfigError(f"scenario.command.kind: unknown kind {kind!r}")
     _reject_unknown(cmd_obj, "scenario.command")
 
-    run_obj = _require_obj(top.pop("run", {}), "scenario.run")
     run_path = "scenario.run"
-    run = {
-        "dt_s": _pop_number(run_obj, run_path, "dt_s", default=5e-4, positive=True),
-        "duration_s": _pop_number(run_obj, run_path, "duration_s", default=3.0, positive=True),
-        "sample_rate_Hz": _pop_number(run_obj, run_path, "sample_rate_Hz", default=2000.0, positive=True),
-        "seed": _pop_int(run_obj, run_path, "seed", default=0),
-        "hold_reservoir": _pop_bool(run_obj, run_path, "hold_reservoir", default=False),
-        "mode": _pop_str(run_obj, run_path, "mode", default="closed_loop"),
-    }
+    run_obj = _require_obj(top.pop("run", {}), run_path)
+    run = _resolve(run_obj, run_path, RUN)
+    if run["duration_s"] < run["dt_s"]:
+        raise ConfigError(f"{run_path}.duration_s: must be >= dt_s")
     if run["mode"] not in ("closed_loop", "open_loop"):
-        raise ConfigError("scenario.run.mode: expected 'closed_loop' or 'open_loop'")
+        raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
+    olc_path = f"{run_path}.open_loop_command"
     if run["mode"] == "open_loop":
         if "open_loop_command" not in run_obj:
-            raise ConfigError(f"{run_path}.open_loop_command: required for open_loop mode")
-        olc_path = f"{run_path}.open_loop_command"
-        olc_obj = _require_obj(run_obj.pop("open_loop_command"), olc_path)
-        olc = {
-            "u_evp": _pop_number(olc_obj, olc_path, "u_evp", default=0.0, non_negative=True),
-            "u_dvp": _pop_number(olc_obj, olc_path, "u_dvp", default=0.0, non_negative=True),
-            "solenoid_open": _pop_bool(olc_obj, olc_path, "solenoid_open", default=False),
-        }
+            raise ConfigError(f"{olc_path}: required for open_loop mode")
+        olc = _object(run_obj.pop("open_loop_command"), olc_path, OPEN_LOOP)
         for key in ("u_evp", "u_dvp"):
             if olc[key] > 1.0:
                 raise ConfigError(f"{olc_path}.{key}: must be <= 1")
-        _reject_unknown(olc_obj, olc_path)
         run["open_loop_command"] = olc
     elif "open_loop_command" in run_obj:
-        raise ConfigError(f"{run_path}.open_loop_command: only valid with mode 'open_loop'")
+        raise ConfigError(f"{olc_path}: only valid with mode 'open_loop'")
+    else:
+        _check_sensor_range(command, network["cv_sensor"]["range_max_kPa"])
     _reject_unknown(run_obj, run_path)
     _reject_unknown(top, "scenario")
 
     return {
         "schema_version": 1,
         "gas": gas,
-        "network": {
-            "reservoir": reservoir,
-            "control_volume": control_volume,
-            "inflation_valve": inflation,
-            "motive_valve": motive,
-            "solenoid": solenoid,
-            "venturi": venturi,
-            "cv_sensor": cv_sensor,
-            "reservoir_sensor": res_sensor,
-        },
+        "network": network,
         "controller": controller,
         "command": command,
         "run": run,
@@ -351,86 +421,22 @@ def resolve_scenario(raw: dict) -> dict:
 
 
 def scenario_from_resolved(resolved: dict) -> Scenario:
-    gas = GasConstants(
-        rho=resolved["gas"]["rho_kg_per_m3"],
-        R_u=resolved["gas"]["R_u_J_per_mol_K"],
-        T=resolved["gas"]["T_K"],
-        M=resolved["gas"]["M_kg_per_mol"],
-    )
-    net_cfg = resolved["network"]
-    network = PneumaticNetwork(
-        reservoir=Reservoir(
-            v_r=net_cfg["reservoir"]["V_r_L"], p_r0=net_cfg["reservoir"]["P_r0_kPa"]
-        ),
-        control_volume=ControlVolume(
-            v_cv=net_cfg["control_volume"]["V_cv_L"], p_cv=net_cfg["control_volume"]["P_cv0_kPa"]
-        ),
-        inflation_valve=ProportionalValveSpec(
-            r_vmin=net_cfg["inflation_valve"]["R_vmin_kPa_s_per_L"],
-            u0=net_cfg["inflation_valve"]["deadband"],
-            p_inlet_max=net_cfg["inflation_valve"]["P_inlet_max_kPa"],
-        ),
-        motive_valve=ProportionalValveSpec(
-            r_vmin=net_cfg["motive_valve"]["R_vmin_kPa_s_per_L"],
-            u0=net_cfg["motive_valve"]["deadband"],
-            p_inlet_max=net_cfg["motive_valve"]["P_inlet_max_kPa"],
-        ),
-        solenoid=BinaryValveSpec(r_open=net_cfg["solenoid"]["R_open_kPa_s_per_L"]),
-        venturi=VenturiSpec(
-            p_vac_floor=net_cfg["venturi"]["P_vac_floor_kPa"],
-            q_motive_rated=net_cfg["venturi"]["Q_motive_rated_slpm"] / 60.0,
-            r_motive=net_cfg["venturi"]["R_motive_kPa_s_per_L"],
-        ),
-        cv_sensor=SensorSpec(
-            range_max=net_cfg["cv_sensor"]["range_max_kPa"],
-            noise_std=net_cfg["cv_sensor"]["noise_std_kPa"],
-            seed=net_cfg["cv_sensor"]["seed"],
-        ),
-        reservoir_sensor=SensorSpec(
-            range_max=net_cfg["reservoir_sensor"]["range_max_kPa"],
-            noise_std=net_cfg["reservoir_sensor"]["noise_std_kPa"],
-            seed=net_cfg["reservoir_sensor"]["seed"],
-        ),
-    )
-    ctl = resolved["controller"]
-    controller = ControllerConfig(
-        kp=ctl["kp_per_kPa"],
-        ki=ctl["ki_per_kPa_s"],
-        kd=ctl["kd_s_per_kPa"],
-        error_cutoff=ctl["error_cutoff_kPa"],
-        control_rate=ctl["control_rate_Hz"],
-        settle_horizon=ctl["settle_horizon_s"],
-        integrator_limit=ctl["integrator_limit_kPa_s"],
-        active_deflation_rate_threshold=ctl["active_deflation_rate_threshold_kPa_s"],
-        passive_vent_coeff=alpha(gas)
-        / (net_cfg["solenoid"]["R_open_kPa_s_per_L"] * net_cfg["control_volume"]["V_cv_L"]),
-    )
-    cmd_cfg = resolved["command"]
-    if cmd_cfg["kind"] == "step":
-        command = StepCommand(target_kpa=cmd_cfg["target_kPa"], start_s=cmd_cfg["start_s"])
-    elif cmd_cfg["kind"] == "sine":
-        command = SineCommand(
-            amplitude_kpa=cmd_cfg["amplitude_kPa"],
-            freq_hz=cmd_cfg["frequency_Hz"],
-            offset_kpa=cmd_cfg["offset_kPa"],
-        )
+    gas = _build(GAS, resolved["gas"])
+    net = resolved["network"]
+    network = PneumaticNetwork(**{name: _build(NETWORK[name], net[name]) for name in NETWORK})
+    cmd = resolved["command"]
+    if cmd["kind"] == "piecewise":
+        command = PiecewiseCommand(knots=tuple((t, v) for t, v in cmd["knots"]))
     else:
-        command = PiecewiseCommand(knots=tuple((t, v) for t, v in cmd_cfg["knots"]))
-    run = resolved["run"]
-    open_loop = None
-    if run["mode"] == "open_loop":
-        olc = run["open_loop_command"]
-        open_loop = ActuatorCommand(olc["u_evp"], olc["u_dvp"], olc["solenoid_open"])
-    scn = Scenario(
+        command = _build(COMMANDS[cmd["kind"]], cmd)
+    olc = resolved["run"].get("open_loop_command")
+    scn = _build(
+        RUN,
+        resolved["run"],
         network=network,
-        controller=controller,
+        controller=_build(CONTROLLER, resolved["controller"], network=network, gc=gas),
         command=command,
-        dt=run["dt_s"],
-        duration=run["duration_s"],
-        sample_rate=run["sample_rate_Hz"],
-        seed=run["seed"],
-        hold_reservoir=run["hold_reservoir"],
-        open_loop_command=open_loop,
+        open_loop_command=None if olc is None else _build(OPEN_LOOP, olc),
         gas=gas,
     )
     scn.validate()
@@ -438,10 +444,11 @@ def scenario_from_resolved(resolved: dict) -> Scenario:
 
 
 def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, dict]:
+    """Scenario and resolved document; overrides replace keys of the run section."""
     raw = _load_json(path)
+    if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
+        raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
     resolved = resolve_scenario(raw)
-    for key, value in (overrides or {}).items():
-        resolved["run"][key] = value
     return scenario_from_resolved(resolved), resolved
 
 
@@ -451,15 +458,7 @@ def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, 
 def resolve_requirements(raw: dict) -> dict:
     obj = _require_obj(raw, "requirements")
     _check_schema_version(obj, "requirements")
-    out = {
-        "schema_version": 1,
-        "V_cv_L": _pop_number(obj, "requirements", "V_cv_L", positive=True),
-        "dP_cv_kPa": _pop_number(obj, "requirements", "dP_cv_kPa", positive=True),
-        "min_cycles": _pop_number(obj, "requirements", "min_cycles", default=0.0, non_negative=True),
-    }
-    for key in ("Pdot_d_kPa_s", "amplitude_kPa", "frequency_Hz"):
-        if key in obj:
-            out[key] = _pop_number(obj, "requirements", key, positive=True)
+    out = {"schema_version": 1, **_resolve(obj, "requirements", REQUIREMENTS)}
     _reject_unknown(obj, "requirements")
     has_rate = "Pdot_d_kPa_s" in out
     has_pair = "amplitude_kPa" in out and "frequency_Hz" in out
@@ -471,14 +470,7 @@ def resolve_requirements(raw: dict) -> dict:
 
 
 def requirements_from_resolved(resolved: dict) -> DesignRequirements:
-    return DesignRequirements(
-        v_cv=resolved["V_cv_L"],
-        dp_cv=resolved["dP_cv_kPa"],
-        pdot_d=resolved.get("Pdot_d_kPa_s"),
-        amplitude=resolved.get("amplitude_kPa"),
-        freq_hz=resolved.get("frequency_Hz"),
-        min_cycles=resolved["min_cycles"],
-    )
+    return _build(REQUIREMENTS, resolved)
 
 
 def resolve_catalog(raw: dict) -> dict:
@@ -499,79 +491,34 @@ def resolve_catalog(raw: dict) -> dict:
     for i, entry in enumerate(valves_raw):
         path = f"catalog.valves[{i}]"
         v = _require_obj(entry, path)
-        name = _pop_str(v, path, "name")
-        mass = _pop_number(v, path, "mass_g", positive=True)
-        resolved = _resolve_valve(v, path)  # consumes the remaining valve keys
-        valves.append(
-            {
-                "name": name,
-                "R_vmin_kPa_s_per_L": resolved["R_vmin_kPa_s_per_L"],
-                "P_inlet_max_kPa": resolved["P_inlet_max_kPa"],
-                "mass_g": mass,
-            }
-        )
-
-    reservoirs = []
-    for i, entry in enumerate(reservoirs_raw):
-        path = f"catalog.reservoirs[{i}]"
-        r = _require_obj(entry, path)
-        reservoirs.append(
-            {
-                "name": _pop_str(r, path, "name"),
-                "V_r_L": _pop_number(r, path, "V_r_L", positive=True),
-                "mass_g": _pop_number(r, path, "mass_g", positive=True),
-                "P_max_kPa": _pop_number(r, path, "P_max_kPa", positive=True),
-            }
-        )
-        _reject_unknown(r, path)
-
-    venturis = []
-    for i, entry in enumerate(venturis_raw):
-        path = f"catalog.venturis[{i}]"
-        v = _require_obj(entry, path)
-        venturis.append(
-            {
-                "name": _pop_str(v, path, "name"),
-                "P_vac_floor_kPa": _pop_number(v, path, "P_vac_floor_kPa"),
-                "Q_motive_rated_slpm": _pop_number(v, path, "Q_motive_rated_slpm", positive=True),
-                "mass_g": _pop_number(v, path, "mass_g", positive=True),
-            }
-        )
-        _reject_unknown(v, path)
+        valve = _resolve(v, path, VALVE_OPTION)
+        rated = _resolve_valve(v, path)  # consumes the remaining valve keys
+        valve["R_vmin_kPa_s_per_L"] = rated["R_vmin_kPa_s_per_L"]
+        valve["P_inlet_max_kPa"] = rated["P_inlet_max_kPa"]
+        valves.append(valve)
     return {
         "schema_version": 1,
         "valves": valves,
-        "reservoirs": reservoirs,
-        "venturis": venturis,
+        "reservoirs": [
+            _object(r, f"catalog.reservoirs[{i}]", RESERVOIR_OPTION)
+            for i, r in enumerate(reservoirs_raw)
+        ],
+        "venturis": [
+            _object(v, f"catalog.venturis[{i}]", VENTURI_OPTION) for i, v in enumerate(venturis_raw)
+        ],
     }
 
 
 def catalog_from_resolved(resolved: dict) -> ComponentCatalog:
     return ComponentCatalog(
         valves=tuple(
-            ValveOption(
-                name=v["name"],
-                r_vmin=v["R_vmin_kPa_s_per_L"],
-                mass_g=v["mass_g"],
-                p_inlet_max=v["P_inlet_max_kPa"],
+            _build(
+                VALVE_OPTION, v, r_vmin=v["R_vmin_kPa_s_per_L"], p_inlet_max=v["P_inlet_max_kPa"]
             )
             for v in resolved["valves"]
         ),
-        reservoirs=tuple(
-            ReservoirOption(
-                name=r["name"], v_r=r["V_r_L"], mass_g=r["mass_g"], p_max=r["P_max_kPa"]
-            )
-            for r in resolved["reservoirs"]
-        ),
-        venturis=tuple(
-            VenturiOption(
-                name=v["name"],
-                p_vac_floor=v["P_vac_floor_kPa"],
-                q_motive_rated=v["Q_motive_rated_slpm"] / 60.0,
-                mass_g=v["mass_g"],
-            )
-            for v in resolved["venturis"]
-        ),
+        reservoirs=tuple(_build(RESERVOIR_OPTION, r) for r in resolved["reservoirs"]),
+        venturis=tuple(_build(VENTURI_OPTION, v) for v in resolved["venturis"]),
     )
 
 
@@ -604,6 +551,7 @@ def _fmt(x: float) -> str:
 
 def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
     """Fixed-header CSV, 9 significant digits, LF line endings."""
+    mode_names = {mode: mode.name for mode in Mode}
     lines = [CSV_HEADER]
     for i in range(len(ts)):
         lines.append(
@@ -619,7 +567,7 @@ def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
                     _fmt(ts.q_in[i]),
                     _fmt(ts.q_out[i]),
                     _fmt(ts.q_motive[i]),
-                    MODE_BY_CODE[int(ts.mode[i])].value,
+                    mode_names[int(ts.mode[i])],
                 )
             )
         )
@@ -631,7 +579,6 @@ def read_timeseries_csv(path: Path) -> TimeSeries:
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected CSV header")
     cols = [line.split(",") for line in lines[1:] if line]
-    by_mode = {mode.value: code for mode, code in MODE_CODES.items()}
     arr = lambda idx: np.array([float(row[idx]) for row in cols])
     return TimeSeries(
         t=arr(0),
@@ -644,7 +591,7 @@ def read_timeseries_csv(path: Path) -> TimeSeries:
         q_in=arr(7),
         q_out=arr(8),
         q_motive=arr(9),
-        mode=np.array([by_mode[row[10]] for row in cols], dtype=np.uint8),
+        mode=np.array([Mode[row[10]] for row in cols], dtype=np.uint8),
     )
 
 

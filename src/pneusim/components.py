@@ -7,13 +7,13 @@ by a single simulation run at a time.
 
 Default numbers correspond to the reference hardware class this toolkit
 targets: a 2 L bottle reservoir charged to 689 kPa, a 23.5 SLPM inflation
-valve and a 67 SLPM motive valve both rated for 690 kPa inlet, and a Venturi
+valve and a 67 SLPM motive valve both rated at 689 kPa inlet, and a Venturi
 generator that reaches -80 kPa at rated motive flow.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,11 +21,13 @@ from .gasmodel import PERFECT_VACUUM_KPA
 
 # Catalog-derived minimum flow resistances (kPa*s per std L): rated maximum
 # flow assumed at full rated inlet pressure discharging to atmosphere.
-EVP_R_VMIN = 689.0 / (23.5 / 60.0)
-DVP_R_VMIN = 689.0 / (67.0 / 60.0)
+VALVE_RATED_INLET_KPA = 689.0
+EVP_R_VMIN = VALVE_RATED_INLET_KPA / (23.5 / 60.0)
+DVP_R_VMIN = VALVE_RATED_INLET_KPA / (67.0 / 60.0)
 SOLENOID_R_OPEN = 100.0
 VENTURI_FLOOR_KPA = -80.0
-VENTURI_Q_RATED = 67.0 / 60.0
+VENTURI_Q_RATED_SLPM = 67.0
+VENTURI_Q_RATED = VENTURI_Q_RATED_SLPM / 60.0
 
 CV_SENSOR_RANGE_KPA = 207.0
 RESERVOIR_SENSOR_RANGE_KPA = 1500.0
@@ -38,19 +40,15 @@ def _check_gauge(value: float, name: str) -> None:
 
 @dataclass
 class Reservoir:
-    """Rigid air reservoir; p_r is the running state, initialized from p_r0."""
+    """Rigid air reservoir charged to p_r0 at the start of a run."""
 
     v_r: float = 2.0
     p_r0: float = 689.0
-    p_r: float = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
         if not self.v_r > 0.0:
             raise ValueError("Reservoir.v_r must be strictly positive")
         _check_gauge(self.p_r0, "Reservoir.p_r0")
-        if self.p_r is None:
-            self.p_r = self.p_r0
-        _check_gauge(self.p_r, "Reservoir.p_r")
 
 
 @dataclass
@@ -65,12 +63,6 @@ class ControlVolume:
             raise ValueError("ControlVolume.v_cv must be strictly positive")
         _check_gauge(self.p_cv, "ControlVolume.p_cv")
 
-    def moles(self, gc) -> float:
-        """Gas content in mol (1 kPa*L = 1 J, so the ratio is already mol)."""
-        from .gasmodel import ATMOSPHERE_KPA
-
-        return (self.p_cv + ATMOSPHERE_KPA) * self.v_cv / (gc.R_u * gc.T)
-
 
 @dataclass(frozen=True)
 class ProportionalValveSpec:
@@ -78,15 +70,12 @@ class ProportionalValveSpec:
 
     r_vmin: float = EVP_R_VMIN
     u0: float = 0.0
-    p_inlet_max: float = 690.0
 
     def __post_init__(self) -> None:
         if not self.r_vmin > 0.0:
             raise ValueError("ProportionalValveSpec.r_vmin must be strictly positive")
         if not 0.0 <= self.u0 < 1.0:
             raise ValueError("ProportionalValveSpec.u0 must be in [0, 1)")
-        if not self.p_inlet_max > 0.0:
-            raise ValueError("ProportionalValveSpec.p_inlet_max must be strictly positive")
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,14 @@ from dataclasses import dataclass
 from .gasmodel import GasConstants, DEFAULT_GAS, alpha
 
 
-class Mode(enum.Enum):
-    PID = "PID"
-    ON_OFF_INFLATE = "ON_OFF_INFLATE"
-    VENT = "VENT"
-    ACTIVE_DEFLATE = "ACTIVE_DEFLATE"
-    IDLE = "IDLE"
+class Mode(enum.IntEnum):
+    """Controller mode; the value is the code stored in TimeSeries.mode."""
+
+    IDLE = 0
+    PID = 1
+    ON_OFF_INFLATE = 2
+    VENT = 3
+    ACTIVE_DEFLATE = 4
 
 
 @dataclass(frozen=True)

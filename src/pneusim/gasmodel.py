@@ -43,10 +43,6 @@ class GasConstants:
             if not getattr(self, name) > 0.0:
                 raise ValueError(f"GasConstants.{name} must be strictly positive")
 
-    @property
-    def alpha_kpa(self) -> float:
-        return alpha(self)
-
 
 DEFAULT_GAS = GasConstants()
 

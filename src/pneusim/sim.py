@@ -27,19 +27,9 @@ from .control import (
     ControllerConfig,
     ControllerState,
     IDLE_COMMAND,
-    Mode,
     control_step,
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
-
-MODE_CODES = {
-    Mode.IDLE: 0,
-    Mode.PID: 1,
-    Mode.ON_OFF_INFLATE: 2,
-    Mode.VENT: 3,
-    Mode.ACTIVE_DEFLATE: 4,
-}
-MODE_BY_CODE = {code: mode for mode, code in MODE_CODES.items()}
 
 
 class SimulationDivergence(RuntimeError):
@@ -202,7 +192,7 @@ class TimeSeries:
     q_in: np.ndarray
     q_out: np.ndarray
     q_motive: np.ndarray
-    mode: np.ndarray  # MODE_CODES values
+    mode: np.ndarray  # Mode codes
 
     _COLUMNS = (
         "t", "p_cmd", "p_cv", "p_r", "u_inflate", "u_motive",
@@ -263,18 +253,10 @@ def simulate(scn: Scenario) -> TimeSeries:
     inv_vr = a / net.reservoir.v_r
     inv_vcv = a / net.control_volume.v_cv
     hold = scn.hold_reservoir
-    evp, dvp, sol, ven = net.inflation_valve, net.motive_valve, net.solenoid, net.venturi
-
-    def flows(p_r: float, p_cv: float, cmd: ActuatorCommand) -> tuple[float, float, float]:
-        q_in = proportional_valve_flow(cmd.u_inflate, p_r - p_cv, evp)
-        q_motive = max(0.0, proportional_valve_flow(cmd.u_motive, p_r, dvp))
-        p_node = venturi_vacuum_pressure(q_motive, ven)
-        q_out = deflation_flow(p_cv, p_node, cmd.solenoid_open, sol)
-        return q_in, q_out, q_motive
 
     def rk4(p_r: float, p_cv: float, h: float, cmd: ActuatorCommand) -> tuple[float, float]:
         def deriv(pr: float, pcv: float) -> tuple[float, float]:
-            q_in, q_out, q_motive = flows(pr, pcv, cmd)
+            q_in, q_out, q_motive = network_flows(pr, pcv, cmd, net)
             dpr = 0.0 if hold else -(q_in + q_motive) * inv_vr
             return dpr, (q_in - q_out) * inv_vcv
 
@@ -298,7 +280,7 @@ def simulate(scn: Scenario) -> TimeSeries:
     rng_cv = np.random.default_rng([scn.seed, net.cv_sensor.seed])
     cmd = scn.open_loop_command if scn.open_loop_command is not None else IDLE_COMMAND
     ctrl_state = ControllerState()
-    p_r = net.reservoir.p_r
+    p_r = net.reservoir.p_r0
     p_cv = net.control_volume.p_cv
     cmd_value = scn.command.value
     cmd_rate = scn.command.rate
@@ -311,7 +293,7 @@ def simulate(scn: Scenario) -> TimeSeries:
             meas = sensor_read(p_cv, net.cv_sensor, rng_cv)
             cmd, ctrl_state = control_step(cmd_value(t), meas, cmd_rate(t), scn.controller, ctrl_state)
         if k % ss == 0:
-            q_in, q_out, q_motive = flows(p_r, p_cv, cmd)
+            q_in, q_out, q_motive = network_flows(p_r, p_cv, cmd, net)
             cols["t"][row] = t
             cols["p_cmd"][row] = cmd_value(t)
             cols["p_cv"][row] = p_cv
@@ -322,7 +304,7 @@ def simulate(scn: Scenario) -> TimeSeries:
             cols["q_in"][row] = q_in
             cols["q_out"][row] = q_out
             cols["q_motive"][row] = q_motive
-            mode_col[row] = MODE_CODES[ctrl_state.mode]
+            mode_col[row] = ctrl_state.mode
             row += 1
         if k == n:
             break

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gasmodel as gm
-from .gasmodel import DEFAULT_GAS, GasConstants
+from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA, GasConstants
 
 
 @dataclass(frozen=True)
@@ -92,8 +92,8 @@ class VenturiOption:
     mass_g: float
 
     def __post_init__(self) -> None:
-        if not (-101.325 < self.p_vac_floor < 0.0):
-            raise ValueError(f"venturi {self.name!r}: p_vac_floor must be in (-101.325, 0)")
+        if not (PERFECT_VACUUM_KPA < self.p_vac_floor < 0.0):
+            raise ValueError(f"venturi {self.name!r}: p_vac_floor must be in ({PERFECT_VACUUM_KPA}, 0)")
         if min(self.q_motive_rated, self.mass_g) <= 0.0:
             raise ValueError(f"venturi {self.name!r}: all quantities must be positive")
 

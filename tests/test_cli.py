@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from pneusim import cli
 from pneusim.sim import simulate, step_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+README = SCENARIOS.parent / "README.md"
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -343,3 +345,145 @@ class TestSizeCommand:
         )
         assert rc == 2
         assert "color" in capsys.readouterr().err
+
+
+class TestFieldNamedErrors:
+    def test_integer_beyond_float_range(self):
+        raw = minimal_scenario()
+        raw["command"]["target_kPa"] = int("9" * 400)
+        with pytest.raises(cli.ConfigError, match=r"scenario\.command\.target_kPa: must be finite"):
+            cli.resolve_scenario(raw)
+
+    def test_nan_knot_exit_2(self, tmp_path, capsys):
+        scn_file = tmp_path / "nan.json"
+        scn_file.write_text(
+            '{"schema_version": 1, "command": {"kind": "piecewise", "knots": [[0, 10], [0.1, NaN]]},'
+            ' "run": {"duration_s": 0.2}}'
+        )
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert r"scenario.command.knots[1]: must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "knots, where",
+        [([[0.5, 10.0]], "knots[0]"), ([[0.0, 10.0], [0.2, 20.0], [0.2, 5.0]], "knots[2]")],
+    )
+    def test_knot_order_names_knot(self, tmp_path, capsys, knots, where):
+        raw = minimal_scenario()
+        raw["command"] = {"kind": "piecewise", "knots": knots}
+        scn_file = write_json(tmp_path / "knots.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert f"scenario.command.{where}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--duration", "inf", "scenario.run.duration_s: must be finite"),
+            ("--duration", "-1", "scenario.run.duration_s: must be > 0"),
+            ("--duration", "1e-12", "scenario.run.duration_s: must be >= dt_s"),
+            ("--dt", "nan", "scenario.run.dt_s: must be finite"),
+            ("--sample-rate", "0", "scenario.run.sample_rate_Hz: must be > 0"),
+            ("--seed", "-1", "scenario.run.seed: must be >= 0"),
+        ],
+    )
+    def test_run_flags_checked_like_file_keys(self, tmp_path, capsys, flag, value, message):
+        scn_file = write_json(tmp_path / "step.json", minimal_scenario())
+        rc = cli.main(["simulate", str(scn_file), flag, value, "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+
+    def test_duration_below_dt_in_file(self):
+        with pytest.raises(cli.ConfigError, match=r"duration_s: must be >= dt_s"):
+            cli.resolve_scenario(minimal_scenario(duration_s=1e-4))
+
+    def test_flow_rating_too_small_for_a_resistance(self):
+        raw = minimal_scenario()
+        raw["network"] = {"motive_valve": {"flow_max_slpm": 5e-324}}
+        with pytest.raises(cli.ConfigError, match=r"motive_valve\.flow_max_slpm"):
+            cli.resolve_scenario(raw)
+
+
+class TestCommandWithinSensorRange:
+    @pytest.mark.parametrize(
+        "command, where",
+        [
+            ({"kind": "step", "target_kPa": 300.0}, "target_kPa"),
+            ({"kind": "sine", "amplitude_kPa": 60.0, "frequency_Hz": 1.0, "offset_kPa": 150.0},
+             "offset_kPa + amplitude_kPa"),
+            ({"kind": "piecewise", "knots": [[0.0, 50.0], [0.1, 250.0], [0.2, 20.0]]}, "knots[1]"),
+        ],
+    )
+    def test_closed_loop_command_above_range_exit_2(self, tmp_path, capsys, command, where):
+        raw = minimal_scenario()
+        raw["command"] = command
+        scn_file = write_json(tmp_path / "high.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert f"scenario.command.{where}:" in err
+        assert "cv_sensor.range_max_kPa" in err
+
+    def test_range_follows_the_sensor(self):
+        raw = minimal_scenario()
+        raw["command"]["target_kPa"] = 300.0
+        raw["network"] = {"cv_sensor": {"range_max_kPa": 400.0}}
+        assert cli.resolve_scenario(raw)["command"]["target_kPa"] == 300.0
+
+    def test_open_loop_exempt(self):
+        raw = minimal_scenario(
+            mode="open_loop", open_loop_command={"u_evp": 1.0, "u_dvp": 0.0, "solenoid_open": False}
+        )
+        raw["command"]["target_kPa"] = 300.0
+        assert cli.resolve_scenario(raw)["run"]["mode"] == "open_loop"
+
+
+class TestReadmeSchema:
+    CHECK_TEXT = {
+        "num": "number",
+        "pos": "> 0",
+        "nonneg": ">= 0",
+        "int": "integer >= 0",
+        "bool": "true/false",
+        "str": "string",
+    }
+
+    @staticmethod
+    def readme_tables() -> dict:
+        """README table rows by section label: {label: {key: (default, check)}}."""
+        tables, rows = {}, None
+        for line in README.read_text(encoding="utf-8").splitlines():
+            labels = re.findall(r"\*\*`([^`]+)`\*\*", line)
+            if labels:
+                rows = {}
+                tables.update({label: rows for label in labels})
+            row = re.match(r"\| `(\w+)` \| [^|]* \| ([^|]*) \| ([^|]*) \|$", line)
+            if row and rows is not None:
+                rows[row[1]] = (row[2], row[3])
+        return tables
+
+    def test_tables_match_field_table(self):
+        sections = {
+            "gas": cli.GAS,
+            **{f"network.{name}": table for name, table in cli.NETWORK.items()},
+            "controller": cli.CONTROLLER,
+            **cli.COMMANDS,
+            "run": cli.RUN,
+            "run.open_loop_command": cli.OPEN_LOOP,
+            "requirements": cli.REQUIREMENTS,
+            "catalog.valves[i]": cli.VALVE_OPTION,
+            "catalog.reservoirs[i]": cli.RESERVOIR_OPTION,
+            "catalog.venturis[i]": cli.VENTURI_OPTION,
+        }
+        tables = self.readme_tables()
+        for label, (_make, rows) in sections.items():
+            for key, _kw, check, default in rows:
+                text_default, text_check = tables[label][key]
+                assert text_check.startswith(self.CHECK_TEXT[check]), (label, key)
+                if default is None:
+                    assert text_default.startswith("rule"), (label, key)
+                elif default is cli._REQUIRED:
+                    assert text_default == "required", (label, key)
+                elif isinstance(default, bool):
+                    assert text_default == str(default).lower(), (label, key)
+                elif isinstance(default, str):
+                    assert text_default == f"`{default}`", (label, key)
+                else:
+                    assert text_default == f"{default:g}", (label, key)

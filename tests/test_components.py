@@ -7,10 +7,6 @@ from pneusim import gasmodel as gm
 
 
 class TestSpecsValidation:
-    def test_reservoir_initial_state_defaults_to_fill_pressure(self):
-        r = cp.Reservoir(v_r=2.0, p_r0=689.0)
-        assert r.p_r == 689.0
-
     def test_reservoir_rejects_bad_volume(self):
         with pytest.raises(ValueError):
             cp.Reservoir(v_r=0.0, p_r0=689.0)
@@ -32,13 +28,6 @@ class TestSpecsValidation:
             cp.VenturiSpec(p_vac_floor=0.0)
         with pytest.raises(ValueError):
             cp.VenturiSpec(p_vac_floor=-150.0)
-
-    def test_control_volume_moles_accessor(self):
-        cv = cp.ControlVolume(v_cv=0.5, p_cv=0.0)
-        # half a liter of ambient air at 20 C is about 0.0208 mol
-        assert cv.moles(gm.DEFAULT_GAS) == pytest.approx(
-            101.325 * 0.5 / (8.314 * 293.15), rel=1e-12
-        )
 
 
 class TestProportionalValveFlow:

@@ -37,9 +37,6 @@ class TestAlpha:
         with pytest.raises(ValueError):
             gm.GasConstants(T=-1.0)
 
-    def test_accessor_property(self):
-        assert gm.DEFAULT_GAS.alpha_kpa == gm.alpha(gm.DEFAULT_GAS)
-
 
 class TestPressureRateFromFlow:
     def test_zero_flow(self):

@@ -1,0 +1,162 @@
+"""Golden pins of the CLI outputs, and properties of the input schema.
+
+The sha256 values below are what the CLI writes for the shipped scenarios.
+A change that moves any of them changes pneusim's numbers or file format and
+must say why in CHANGES.md. Manifests embed the input path, so only their
+resolved_sha256 is pinned.
+"""
+
+import copy
+import hashlib
+import json
+from dataclasses import fields
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from pneusim import cli
+from pneusim.sim import Scenario, step_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+# case -> (CLI arguments without --out, {output file: sha256 or resolved_sha256})
+PINS = {
+    "simulate_step": (
+        ["simulate", "step_69kpa_half_liter.json"],
+        {
+            "step_69kpa_half_liter_manifest.json": "5017ea42695b6741482e4517b06802a162d3a617ea47065b1dd06a1533674324",
+            "step_69kpa_half_liter_timeseries.csv": "4f4e4e1108ee129aab6d8be252a1c91016924a5af630e4bdf8901c83b08efab4",
+        },
+    ),
+    "simulate_step_flags": (
+        ["simulate", "step_69kpa_half_liter.json", "--duration", "0.25", "--seed", "3"],
+        {
+            "step_69kpa_half_liter_manifest.json": "ebb4a6b3008fe0cdab0f6e16fec47775d0435594100b5eb8e31916139f5271dd",
+            "step_69kpa_half_liter_timeseries.csv": "d3224148de9b4b3f370d443efb11f72939d8caa1c00ac9c2886aebe25da49b5f",
+        },
+    ),
+    "simulate_sine": (
+        ["simulate", "sweep_21kpa_half_liter.json"],
+        {
+            "sweep_21kpa_half_liter_manifest.json": "ccd1f4e59b30517309bbf09374857b58fd3310e75f48e570b0d935405acc2bb2",
+            "sweep_21kpa_half_liter_timeseries.csv": "eafe2d027c0ecacb00c51cc135eacc13d2f6667589e68df12383a81c07f3556d",
+        },
+    ),
+    "sweep": (
+        ["sweep", "sweep_21kpa_half_liter.json", "--omegas", "1.35,2.7,6.75"],
+        {
+            "sweep_21kpa_half_liter_manifest.json": "ccd1f4e59b30517309bbf09374857b58fd3310e75f48e570b0d935405acc2bb2",
+            "sweep_21kpa_half_liter_sweep.csv": "7888efdb5a537d70a56e0cfc909025be660245dd31a0900e6e8e498831b1967c",
+            "sweep_21kpa_half_liter_sweep_fit.json": "11eeef6ead5e06051e45a816e6b1273a0daeb34f3b5aee350869fc410a8809fb",
+        },
+    ),
+    "discharge": (
+        ["discharge", "discharge_2l_bottle.json"],
+        {
+            "discharge_2l_bottle_discharge_fit.json": "b52b80ffa0501bd894607ca619e478a094414cb667d3db6493be0ca701cf8d25",
+            "discharge_2l_bottle_manifest.json": "06b62031f1f72640012118b7559289df7205f23ca959bba0b62732d36af1c58e",
+            "discharge_2l_bottle_timeseries.csv": "56d0e39f52b4ffbeb497d20faa5b29960fc5daef21cf12549385364886fa48f9",
+        },
+    ),
+    "size": (
+        ["size", "demo_requirements.json", "reference_catalog.json"],
+        {
+            "demo_requirements_design_report.json": "ec9427f6510a0d4fd33636d559589b90f1121f0c867010ba0d55aa47213fdc50",
+            "demo_requirements_manifest.json": "900cb1a244ceaa9c2f0c9b7064b6e379f7cba9209b690112dacb5520b676f523",
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINS))
+def test_output_pins(case, tmp_path):
+    argv, pins = PINS[case]
+    args = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
+    assert cli.main([*args, "--out", str(tmp_path)]) == 0
+    got = {}
+    for path in sorted(tmp_path.iterdir()):
+        if path.name.endswith("_manifest.json"):
+            got[path.name] = json.loads(path.read_text())["resolved_sha256"]
+        else:
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert got == pins
+
+
+def test_cli_defaults_equal_python_defaults():
+    raw = {"schema_version": 1, "command": {"kind": "step", "target_kPa": 69.0}}
+    scn = cli.scenario_from_resolved(cli.resolve_scenario(raw))
+    ref = step_scenario(69.0)
+    for f in fields(Scenario):
+        assert getattr(scn, f.name) == getattr(ref, f.name), f.name
+
+
+# ------------------------------------------------------ any JSON, clean error
+
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([10**400, -(10**400), 5e-324])
+    | st.floats()
+    | st.text(max_size=8)
+)
+JSON_VALUES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=12), inner, max_size=4),
+    max_leaves=12,
+)
+PIECEWISE = {
+    "schema_version": 1,
+    "command": {"kind": "piecewise", "knots": [[0.0, 10.0], [0.5, 40.0], [1.0, 5.0]]},
+    "run": {"mode": "closed_loop", "duration_s": 1.5},
+}
+DOCUMENTS = [
+    (cli.resolve_scenario, json.loads((SCENARIOS / f"{name}.json").read_text()))
+    for name in ("step_69kpa_half_liter", "sweep_21kpa_half_liter", "discharge_2l_bottle")
+] + [
+    (cli.resolve_scenario, PIECEWISE),
+    (cli.resolve_requirements, json.loads((SCENARIOS / "demo_requirements.json").read_text())),
+    (cli.resolve_catalog, json.loads((SCENARIOS / "reference_catalog.json").read_text())),
+]
+RESOLVERS = (cli.resolve_scenario, cli.resolve_requirements, cli.resolve_catalog)
+
+
+def _paths(doc, prefix=()):
+    """Every place in a JSON document, as a tuple of keys and indices."""
+    yield prefix
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _paths(value, (*prefix, key))
+
+
+def _resolves_cleanly(resolve, doc) -> None:
+    """Resolve doc: either a ConfigError or a strict-JSON, idempotent result."""
+    try:
+        resolved = resolve(doc)
+    except cli.ConfigError:
+        return
+    text = json.dumps(resolved, allow_nan=False)
+    assert resolve(json.loads(text)) == resolved
+
+
+@settings(deadline=None)
+@given(resolver=st.sampled_from(RESOLVERS), doc=JSON_VALUES)
+def test_any_json_value_resolves_or_raises_config_error(resolver, doc):
+    _resolves_cleanly(resolver, doc)
+
+
+@settings(deadline=None, max_examples=300)
+@given(case=st.sampled_from(DOCUMENTS), data=st.data())
+def test_mutated_document_resolves_or_raises_config_error(case, data):
+    resolve, doc = case
+    doc = copy.deepcopy(doc)
+    path = data.draw(st.sampled_from(list(_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if data.draw(st.booleans()):
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = data.draw(JSON_VALUES)
+    _resolves_cleanly(resolve, doc)

@@ -8,7 +8,6 @@ from pneusim import components as cp
 from pneusim import gasmodel as gm
 from pneusim.control import ActuatorCommand, IDLE_COMMAND, Mode
 from pneusim.sim import (
-    MODE_CODES,
     PiecewiseCommand,
     Scenario,
     SimulationDivergence,
@@ -192,8 +191,8 @@ class TestClosedLoopStep:
 
     def test_modes_visited(self):
         ts = simulate(step_scenario(69.0))
-        assert MODE_CODES[Mode.ON_OFF_INFLATE] in ts.mode
-        assert MODE_CODES[Mode.PID] in ts.mode
+        assert Mode.ON_OFF_INFLATE in ts.mode
+        assert Mode.PID in ts.mode
 
 
 class TestMassBalance:
