@@ -671,6 +671,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--omegas: expected comma-separated numbers")
     if not omegas:
         raise ConfigError("--omegas: at least one frequency required")
+    if any(not math.isfinite(w) for w in omegas):
+        raise ConfigError("--omegas: frequencies must be finite")
     if any(not w > 0 for w in omegas):
         raise ConfigError("--omegas: frequencies must be > 0")
 

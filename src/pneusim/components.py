@@ -162,17 +162,28 @@ def default_network(
     )
 
 
-def proportional_valve_flow(u: float, dp: float, spec: ProportionalValveSpec) -> float:
-    """Standard flow (std L/s) through a proportional valve at command u in [0, 1].
+def valve_fraction(u: float, spec: ProportionalValveSpec) -> float:
+    """Open fraction of a proportional valve's full conductance at command u in [0, 1].
 
-    Conductance is affine in command above the deadband u0 and reaches exactly
-    1/r_vmin at u = 1. Flow follows the pressure difference sign.
+    Affine in command above the deadband u0, exactly 1 at u = 1, and exactly
+    0.0 (closed) at or below u0; an open valve's fraction is never 0.0.
     """
     if not 0.0 <= u <= 1.0:
         raise ValueError(f"valve command must be in [0, 1], got {u}")
     if u <= spec.u0:
         return 0.0
-    frac = (u - spec.u0) / (1.0 - spec.u0)
+    return (u - spec.u0) / (1.0 - spec.u0)
+
+
+def proportional_valve_flow(u: float, dp: float, spec: ProportionalValveSpec) -> float:
+    """Standard flow (std L/s) through a proportional valve at command u in [0, 1].
+
+    Conductance is valve_fraction(u)/r_vmin; flow follows the pressure
+    difference sign, and a closed valve passes 0.0 whatever the difference.
+    """
+    frac = valve_fraction(u, spec)
+    if not frac:
+        return 0.0
     return (frac * dp) / spec.r_vmin
 
 

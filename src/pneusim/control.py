@@ -49,6 +49,10 @@ class ActuatorCommand:
 
 
 IDLE_COMMAND = ActuatorCommand(0.0, 0.0, False)
+# the fixed commands control_step returns, shared rather than rebuilt each tick
+INFLATE_COMMAND = ActuatorCommand(1.0, 0.0, False)
+VENT_COMMAND = ActuatorCommand(0.0, 0.0, True)
+ACTIVE_DEFLATE_COMMAND = ActuatorCommand(0.0, 1.0, True)
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -117,21 +121,21 @@ def control_step(
     time-derivative (0 for steps). The boundary |error| == error_cutoff
     belongs to the PID branch.
     """
-    for name, value in (("p_cmd", p_cmd), ("p_meas", p_meas), ("cmd_rate_hint", cmd_rate_hint)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    if not (math.isfinite(p_cmd) and math.isfinite(p_meas) and math.isfinite(cmd_rate_hint)):
+        for name, value in (("p_cmd", p_cmd), ("p_meas", p_meas), ("cmd_rate_hint", cmd_rate_hint)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
     e = p_cmd - p_meas
 
     if e > cfg.error_cutoff:
-        cmd = ActuatorCommand(1.0, 0.0, False)
-        return cmd, ControllerState(state.integrator, e, Mode.ON_OFF_INFLATE, 0.0)
+        return INFLATE_COMMAND, ControllerState(state.integrator, e, Mode.ON_OFF_INFLATE, 0.0)
 
     if e < -cfg.error_cutoff:
         required = required_deflation_rate(e, cmd_rate_hint, cfg)
         capability = cfg.passive_vent_coeff * max(0.0, p_meas)
         active = required > max(capability, cfg.active_deflation_rate_threshold)
-        cmd = ActuatorCommand(0.0, 1.0 if active else 0.0, True)
+        cmd = ACTIVE_DEFLATE_COMMAND if active else VENT_COMMAND
         mode = Mode.ACTIVE_DEFLATE if active else Mode.VENT
         return cmd, ControllerState(state.integrator, e, mode, 0.0)
 
@@ -157,5 +161,5 @@ def control_step(
     open_now = acc >= 1.0
     if open_now:
         acc -= 1.0
-    cmd = ActuatorCommand(0.0, 0.0, open_now)
+    cmd = VENT_COMMAND if open_now else IDLE_COMMAND
     return cmd, ControllerState(integ, e, Mode.PID, acc)

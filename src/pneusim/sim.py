@@ -20,6 +20,7 @@ from .components import (
     deflation_flow,
     proportional_valve_flow,
     sensor_read,
+    valve_fraction,
     venturi_vacuum_pressure,
 )
 from .control import (
@@ -30,6 +31,10 @@ from .control import (
     control_step,
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
+
+
+# Sample rows one run may hold: 11 columns, 81 bytes a row, about 1.3 GiB at most.
+MAX_ROWS = 2**24
 
 
 class SimulationDivergence(RuntimeError):
@@ -145,36 +150,53 @@ class Scenario:
         return self.open_loop_command is None
 
     def control_stride(self) -> int:
-        return _exact_stride(1.0 / (self.controller.control_rate * self.dt), "control_rate")
+        return _exact_stride(
+            self.controller.control_rate, self.dt, "scenario.controller.control_rate_Hz"
+        )
 
     def sample_stride(self) -> int:
-        return _exact_stride(1.0 / (self.sample_rate * self.dt), "sample_rate")
+        return _exact_stride(self.sample_rate, self.dt, "scenario.run.sample_rate_Hz")
 
     def n_steps(self) -> int:
         return max(1, round(self.duration / self.dt))
 
+    def n_rows(self) -> int:
+        return self.n_steps() // self.sample_stride() + 1
+
     def validate(self) -> None:
+        """Raise ValueError naming the scenario JSON field at fault."""
         if not self.dt > 0.0:
-            raise ValueError("Scenario.dt must be strictly positive")
+            raise ValueError("scenario.run.dt_s: must be > 0")
         if not self.duration > 0.0:
-            raise ValueError("Scenario.duration must be strictly positive")
+            raise ValueError("scenario.run.duration_s: must be > 0")
         if not self.sample_rate > 0.0:
-            raise ValueError("Scenario.sample_rate must be strictly positive")
+            raise ValueError("scenario.run.sample_rate_Hz: must be > 0")
         if self.sample_rate > 1.0 / self.dt * (1 + 1e-9):
-            raise ValueError("Scenario.sample_rate cannot exceed 1/dt")
+            raise ValueError("scenario.run.sample_rate_Hz: cannot exceed 1/dt_s")
         if self.seed < 0:
-            raise ValueError("Scenario.seed must be non-negative")
+            raise ValueError("scenario.run.seed: must be >= 0")
         self.sample_stride()
+        if not math.isfinite(self.duration / self.dt) or self.n_rows() > MAX_ROWS:
+            raise ValueError(
+                f"scenario.run.duration_s: the run would hold more than {MAX_ROWS} sample rows "
+                "(duration_s * sample_rate_Hz)"
+            )
         if self.closed_loop:
             if self.dt > 0.5 / self.controller.control_rate * (1 + 1e-9):
-                raise ValueError("Scenario.dt must be <= 1/(2*control_rate) in closed loop")
+                raise ValueError(
+                    "scenario.run.dt_s: must be <= 1/(2*control_rate_Hz) in closed loop"
+                )
             self.control_stride()
 
 
-def _exact_stride(ratio: float, what: str) -> int:
-    stride = round(ratio)
+def _exact_stride(rate: float, dt: float, where: str) -> int:
+    """Steps per period of ``rate``; ``where`` names the rate's field in errors."""
+    period = rate * dt
+    ratio = 1.0 / period if period > 0.0 else math.inf  # the product may underflow
+    stride = round(ratio) if ratio < math.inf else 0
     if stride < 1 or abs(ratio - stride) > 1e-6:
-        raise ValueError(f"1/({what}*dt) must be a positive integer, got {ratio}")
+        key = where.rsplit(".", 1)[1]
+        raise ValueError(f"{where}: 1/({key}*dt_s) must be a positive integer, got {ratio}")
     return stride
 
 
@@ -237,85 +259,143 @@ def derivatives(
     gc: GasConstants = DEFAULT_GAS,
     hold_reservoir: bool = False,
 ) -> dict:
-    """Pressure rates and flows for the coupled two-volume network."""
+    """Pressure rates and flows for the coupled two-volume network.
+
+    The reference that ``flow_kernel`` reproduces bit for bit.
+    """
     a = alpha(gc)
     q_in, q_out, q_motive = network_flows(p_r, p_cv, cmd, net)
-    dp_r = 0.0 if hold_reservoir else -a * (q_in + q_motive) / net.reservoir.v_r
-    dp_cv = a * (q_in - q_out) / net.control_volume.v_cv
+    dp_r = 0.0 if hold_reservoir else -(q_in + q_motive) * (a / net.reservoir.v_r)
+    dp_cv = (q_in - q_out) * (a / net.control_volume.v_cv)
     return {"dp_r": dp_r, "dp_cv": dp_cv, "q_in": q_in, "q_out": q_out, "q_motive": q_motive}
+
+
+def flow_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False):
+    """``derivatives`` fused into one scalar function of a network, built once per run.
+
+    Returns ``rates(p_r, p_cv, f_in, f_mot, sol) -> (dp_r, dp_cv, q_in, q_out,
+    q_motive)``. ``f_in`` and ``f_mot`` are the valves' ``valve_fraction`` under
+    the held command (0.0 when closed) and ``sol`` is whether the solenoid is
+    open, so the command's range check runs once per control tick, not once
+    per call. Each law keeps the floating-point order of its ``components``
+    helper, and ``max``/``min`` are spelled as the comparisons they make, so
+    the results equal ``derivatives`` bit for bit.
+    """
+    a = alpha(gas)
+    inv_vr = a / net.reservoir.v_r
+    inv_vcv = a / net.control_volume.v_cv
+    r_in = net.inflation_valve.r_vmin
+    r_mot = net.motive_valve.r_vmin
+    r_open = net.solenoid.r_open
+    floor = net.venturi.p_vac_floor
+    q_rated = net.venturi.q_motive_rated
+
+    def rates(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> tuple:
+        q_in = (f_in * (p_r - p_cv)) / r_in if f_in else 0.0
+        q_motive = (f_mot * p_r) / r_mot if f_mot else 0.0
+        if not q_motive > 0.0:
+            q_motive = 0.0
+        if sol:
+            x = q_motive / q_rated
+            q_out = (p_cv - floor * (x if x < 1.0 else 1.0)) / r_open
+            if not q_out > 0.0:
+                q_out = 0.0
+        else:
+            q_out = 0.0
+        dp_r = 0.0 if hold else -(q_in + q_motive) * inv_vr
+        return dp_r, (q_in - q_out) * inv_vcv, q_in, q_out, q_motive
+
+    return rates
 
 
 def simulate(scn: Scenario) -> TimeSeries:
     """Integrate a scenario and return its uniformly sampled trace."""
     scn.validate()
     net = scn.network
-    a = alpha(scn.gas)
-    inv_vr = a / net.reservoir.v_r
-    inv_vcv = a / net.control_volume.v_cv
-    hold = scn.hold_reservoir
+    evp, dvp = net.inflation_valve, net.motive_valve
+    rates = flow_kernel(net, scn.gas, scn.hold_reservoir)
 
-    def rk4(p_r: float, p_cv: float, h: float, cmd: ActuatorCommand) -> tuple[float, float]:
-        def deriv(pr: float, pcv: float) -> tuple[float, float]:
-            q_in, q_out, q_motive = network_flows(pr, pcv, cmd, net)
-            dpr = 0.0 if hold else -(q_in + q_motive) * inv_vr
-            return dpr, (q_in - q_out) * inv_vcv
+    def held(cmd: ActuatorCommand) -> tuple[float, float, bool]:
+        """Valve fractions and solenoid state under a held command."""
+        f_in = valve_fraction(cmd.u_inflate, evp)
+        return f_in, valve_fraction(cmd.u_motive, dvp), cmd.solenoid_open
 
-        k1r, k1c = deriv(p_r, p_cv)
-        k2r, k2c = deriv(p_r + 0.5 * h * k1r, p_cv + 0.5 * h * k1c)
-        k3r, k3c = deriv(p_r + 0.5 * h * k2r, p_cv + 0.5 * h * k2c)
-        k4r, k4c = deriv(p_r + h * k3r, p_cv + h * k3c)
+    def rk4(p_r: float, p_cv: float, h: float, f_in: float, f_mot: float, sol: bool) -> tuple:
+        """New (p_r, p_cv) after one step, and the flows of its first stage."""
+        k1r, k1c, q_in, q_out, q_motive = rates(p_r, p_cv, f_in, f_mot, sol)
+        half = 0.5 * h
+        k2r, k2c, _, _, _ = rates(p_r + half * k1r, p_cv + half * k1c, f_in, f_mot, sol)
+        k3r, k3c, _, _, _ = rates(p_r + half * k2r, p_cv + half * k2c, f_in, f_mot, sol)
+        k4r, k4c, _, _, _ = rates(p_r + h * k3r, p_cv + h * k3c, f_in, f_mot, sol)
+        sixth = h / 6.0
         return (
-            p_r + h / 6.0 * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            p_cv + h / 6.0 * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
+            p_r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+            p_cv + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
+            q_in,
+            q_out,
+            q_motive,
         )
 
     n = scn.n_steps()
     ss = scn.sample_stride()
-    cs = scn.control_stride() if scn.closed_loop else 0
-    n_rows = n // ss + 1
+    closed = scn.closed_loop
+    cs = scn.control_stride() if closed else 0
 
-    cols = {name: np.empty(n_rows) for name in TimeSeries._COLUMNS if name != "mode"}
-    mode_col = np.empty(n_rows, dtype=np.uint8)
+    n_rows = scn.n_rows()
+    columns = {name: np.empty(n_rows) for name in TimeSeries._COLUMNS}
+    columns["mode"] = np.empty(n_rows, dtype=np.uint8)
+    (t_col, p_cmd_col, p_cv_col, p_r_col, u_in_col, u_mot_col, sol_col,
+     q_in_col, q_out_col, q_mot_col, mode_col) = (
+        memoryview(columns[name]) for name in TimeSeries._COLUMNS
+    )
 
     rng_cv = np.random.default_rng([scn.seed, net.cv_sensor.seed])
     cmd = scn.open_loop_command if scn.open_loop_command is not None else IDLE_COMMAND
+    f_in, f_mot, sol = held(cmd)
     ctrl_state = ControllerState()
     p_r = net.reservoir.p_r0
     p_cv = net.control_volume.p_cv
     cmd_value = scn.command.value
     cmd_rate = scn.command.rate
     dt = scn.dt
+    tick = -1  # step of the last control tick, whose p_cmd a sample row may reuse
+    p_cmd = 0.0
     row = 0
 
     for k in range(n + 1):
         t = k * dt
-        if scn.closed_loop and k % cs == 0:
+        if closed and k % cs == 0:
             meas = sensor_read(p_cv, net.cv_sensor, rng_cv)
-            cmd, ctrl_state = control_step(cmd_value(t), meas, cmd_rate(t), scn.controller, ctrl_state)
+            p_cmd = cmd_value(t)
+            cmd, ctrl_state = control_step(p_cmd, meas, cmd_rate(t), scn.controller, ctrl_state)
+            f_in, f_mot, sol = held(cmd)
+            tick = k
+        if k < n:
+            new_r, new_cv, q_in, q_out, q_motive = rk4(p_r, p_cv, dt, f_in, f_mot, sol)
+        else:
+            _, _, q_in, q_out, q_motive = rates(p_r, p_cv, f_in, f_mot, sol)
         if k % ss == 0:
-            q_in, q_out, q_motive = network_flows(p_r, p_cv, cmd, net)
-            cols["t"][row] = t
-            cols["p_cmd"][row] = cmd_value(t)
-            cols["p_cv"][row] = p_cv
-            cols["p_r"][row] = p_r
-            cols["u_inflate"][row] = cmd.u_inflate
-            cols["u_motive"][row] = cmd.u_motive
-            cols["solenoid"][row] = 1.0 if cmd.solenoid_open else 0.0
-            cols["q_in"][row] = q_in
-            cols["q_out"][row] = q_out
-            cols["q_motive"][row] = q_motive
+            t_col[row] = t
+            p_cmd_col[row] = p_cmd if tick == k else cmd_value(t)
+            p_cv_col[row] = p_cv
+            p_r_col[row] = p_r
+            u_in_col[row] = cmd.u_inflate
+            u_mot_col[row] = cmd.u_motive
+            sol_col[row] = 1.0 if sol else 0.0
+            q_in_col[row] = q_in
+            q_out_col[row] = q_out
+            q_mot_col[row] = q_motive
             mode_col[row] = ctrl_state.mode
             row += 1
         if k == n:
             break
-        new_r, new_cv = rk4(p_r, p_cv, dt, cmd)
         if not (math.isfinite(new_r) and math.isfinite(new_cv)):
             raise SimulationDivergence("non-finite state", t)
         if min(new_r, new_cv) < PERFECT_VACUUM_KPA:
             # reject the step and retry at dt/10 before declaring divergence
             sub_r, sub_cv = p_r, p_cv
             for _ in range(10):
-                sub_r, sub_cv = rk4(sub_r, sub_cv, dt / 10.0, cmd)
+                sub_r, sub_cv, _, _, _ = rk4(sub_r, sub_cv, dt / 10.0, f_in, f_mot, sol)
             if not (math.isfinite(sub_r) and math.isfinite(sub_cv)):
                 raise SimulationDivergence("non-finite state", t)
             if min(sub_r, sub_cv) < PERFECT_VACUUM_KPA:
@@ -323,7 +403,7 @@ def simulate(scn: Scenario) -> TimeSeries:
             new_r, new_cv = sub_r, sub_cv
         p_r, p_cv = new_r, new_cv
 
-    ts = TimeSeries(mode=mode_col, **cols)
+    ts = TimeSeries(**columns)
     ts.validate()
     return ts
 
@@ -344,20 +424,22 @@ def mass_balance(ts: TimeSeries, scn: Scenario) -> float:
     if n < 2:
         raise ValueError("mass_balance needs at least two samples")
 
+    # right-end flows: the next sampled state under this interval's command
+    rates = flow_kernel(net, scn.gas, scn.hold_reservoir)
     evp, dvp = net.inflation_valve, net.motive_valve
-    u_in = ts.u_inflate[:-1]
-    u_mot = ts.u_motive[:-1]
-    sol = ts.solenoid[:-1]
-    p_r_next = ts.p_r[1:]
-    p_cv_next = ts.p_cv[1:]
-
-    g_in = np.where(u_in > evp.u0, (u_in - evp.u0) / (1.0 - evp.u0), 0.0) / evp.r_vmin
-    g_mot = np.where(u_mot > dvp.u0, (u_mot - dvp.u0) / (1.0 - dvp.u0), 0.0) / dvp.r_vmin
-
-    right_q_in = g_in * (p_r_next - p_cv_next)
-    right_q_mot = np.maximum(0.0, g_mot * p_r_next)
-    p_node = net.venturi.p_vac_floor * np.minimum(1.0, right_q_mot / net.venturi.q_motive_rated)
-    right_q_out = sol * np.maximum(0.0, p_cv_next - p_node) / net.solenoid.r_open
+    right = np.array(
+        [
+            rates(p_r, p_cv, valve_fraction(u_in, evp), valve_fraction(u_mot, dvp), bool(sol))[2:]
+            for p_r, p_cv, u_in, u_mot, sol in zip(
+                ts.p_r[1:].tolist(),
+                ts.p_cv[1:].tolist(),
+                ts.u_inflate[:-1].tolist(),
+                ts.u_motive[:-1].tolist(),
+                ts.solenoid[:-1].tolist(),
+            )
+        ]
+    )
+    right_q_in, right_q_out, right_q_mot = right.T
 
     h = np.diff(ts.t)
     int_in = float(np.sum(h * (ts.q_in[:-1] + right_q_in)) / 2.0)

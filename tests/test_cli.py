@@ -217,6 +217,11 @@ class TestSweepCommand:
         )
         assert rc == 2
 
+    def test_non_finite_omega_exit_2(self, tmp_path, capsys):
+        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35,inf"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
+        assert "--omegas: frequencies must be finite" in capsys.readouterr().err
+
     def test_non_sine_scenario_exit_2(self, tmp_path):
         scn_file = write_json(tmp_path / "step.json", minimal_scenario())
         rc = cli.main(["sweep", str(scn_file), "--omegas", "0.5", "--out", str(tmp_path)])
@@ -390,6 +395,39 @@ class TestFieldNamedErrors:
         rc = cli.main(["simulate", str(scn_file), flag, value, "--out", str(tmp_path / "out")])
         assert rc == 2
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "run, controller, message",
+        [
+            ({"sample_rate_Hz": 3000.0}, {}, "run.sample_rate_Hz: cannot exceed 1/dt_s"),
+            ({"sample_rate_Hz": 1500.0}, {}, "run.sample_rate_Hz: 1/(sample_rate_Hz*dt_s) must"),
+            # sample_rate_Hz * dt_s underflows to 0
+            ({"sample_rate_Hz": 1e-200, "dt_s": 1e-200}, {}, "run.sample_rate_Hz: 1/(sample_rate"),
+            ({"dt_s": 0.002, "sample_rate_Hz": 500.0}, {}, "run.dt_s: must be <= 1/(2*control"),
+            ({}, {"control_rate_Hz": 800.0}, "controller.control_rate_Hz: 1/(control_rate_Hz*dt"),
+        ],
+    )
+    def test_run_consistency_names_field(self, tmp_path, capsys, run, controller, message):
+        raw = minimal_scenario(**run)
+        raw["controller"] = controller
+        scn_file = write_json(tmp_path / "run.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: scenario.{message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--dt", "1e-9", "--duration", "1e6"],
+            # duration_s / dt_s overflows to inf
+            ["--dt", "1e-300", "--duration", "1e300", "--sample-rate", "1e300"],
+        ],
+    )
+    def test_run_beyond_row_budget_exit_2(self, tmp_path, capsys, flags):
+        scn_file = write_json(tmp_path / "step.json", minimal_scenario())
+        argv = ["simulate", str(scn_file), *flags]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert "scenario.run.duration_s: the run would hold more than" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_duration_below_dt_in_file(self):
         with pytest.raises(cli.ConfigError, match=r"duration_s: must be >= dt_s"):

@@ -1,8 +1,10 @@
+import hashlib
 import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from pneusim import components as cp
 from pneusim import gasmodel as gm
@@ -16,6 +18,7 @@ from pneusim.sim import (
     controller_for_network,
     derivatives,
     discharge_scenario,
+    flow_kernel,
     mass_balance,
     simulate,
     step_scenario,
@@ -106,6 +109,57 @@ class TestDerivatives:
         assert d["dp_cv"] > 0.0
 
 
+class TestFlowKernel:
+    """The fused kernel that ``simulate`` integrates equals ``derivatives`` bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        p_r=st.floats(gm.PERFECT_VACUUM_KPA, 1500.0),
+        p_cv=st.floats(gm.PERFECT_VACUUM_KPA, 300.0),
+        u_in=st.floats(0.0, 1.0),
+        u_mot=st.floats(0.0, 1.0),
+        sol=st.booleans(),
+        hold=st.booleans(),
+        u0_in=st.floats(0.0, 0.9),
+        u0_mot=st.floats(0.0, 0.9),
+        q_rated=st.floats(0.1, 3.0),
+    )
+    # a valve inside and above its deadband
+    @example(689.0, 20.0, 0.2, 0.0, False, False, 0.3, 0.0, cp.VENTURI_Q_RATED)
+    @example(689.0, 20.0, 0.6, 0.0, False, False, 0.3, 0.0, cp.VENTURI_Q_RATED)
+    # Venturi saturated: q_motive > q_rated
+    @example(1000.0, 50.0, 0.0, 1.0, True, False, 0.0, 0.0, cp.VENTURI_Q_RATED)
+    # reservoir below atmosphere: the motive path does not reverse
+    @example(-50.0, -60.0, 0.0, 1.0, True, False, 0.0, 0.0, cp.VENTURI_Q_RATED)
+    # closed solenoid with the Venturi running, held reservoir
+    @example(689.0, 50.0, 0.5, 1.0, False, True, 0.0, 0.0, cp.VENTURI_Q_RATED)
+    # p_cv below the vacuum node: p_cv - p_node < 0, the exhaust does not reverse
+    @example(689.0, -90.0, 0.0, 0.5, True, False, 0.0, 0.0, cp.VENTURI_Q_RATED)
+    @example(689.0, -30.0, 0.0, 0.0, True, True, 0.0, 0.0, cp.VENTURI_Q_RATED)
+    def test_rates_equal_derivatives(
+        self, p_r, p_cv, u_in, u_mot, sol, hold, u0_in, u0_mot, q_rated
+    ):
+        assume(sol or u_in == 0.0 or u_mot == 0.0)  # ActuatorCommand forbids wasted motive air
+        base = cp.default_network()
+        net = replace(
+            base,
+            inflation_valve=replace(base.inflation_valve, u0=u0_in),
+            motive_valve=replace(base.motive_valve, u0=u0_mot),
+            venturi=replace(base.venturi, q_motive_rated=q_rated),
+        )
+        want = derivatives(p_r, p_cv, ActuatorCommand(u_in, u_mot, sol), net, hold_reservoir=hold)
+        got = flow_kernel(net, gm.DEFAULT_GAS, hold)(
+            p_r,
+            p_cv,
+            cp.valve_fraction(u_in, net.inflation_valve),
+            cp.valve_fraction(u_mot, net.motive_valve),
+            sol,
+        )
+        assert got == tuple(want.values())
+        # == treats 0.0 and -0.0 alike; the bytes written to a CSV do not
+        assert [x.hex() for x in got] == [x.hex() for x in want.values()]
+
+
 class TestSimulateBasics:
     def test_sealed_volume_holds_pressure(self):
         net = cp.default_network(v_cv=0.5, p_cv0=50.0)
@@ -149,6 +203,35 @@ class TestSimulateBasics:
         )
         with pytest.raises(SimulationDivergence):
             simulate(scn)
+
+    def test_undershoot_retried_at_tenth_step(self):
+        # r_open puts h*alpha/(r_open*v_cv) = 3.5, beyond RK4's stability limit
+        net = cp.default_network(v_cv=0.1, p_cv0=150.0)
+        r_open = gm.alpha(gm.DEFAULT_GAS) / (0.1 * 3.5 / 5e-4)
+        net = replace(net, solenoid=cp.BinaryValveSpec(r_open=r_open))
+        scn = Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            duration=0.01,
+            open_loop_command=ActuatorCommand(0.0, 0.0, True),
+        )
+        # one full step from the initial state lands below perfect vacuum
+        rates = flow_kernel(net)
+        k1 = rates(689.0, 150.0, 0.0, 0.0, True)[1]
+        k2 = rates(689.0, 150.0 + 0.5 * scn.dt * k1, 0.0, 0.0, True)[1]
+        k3 = rates(689.0, 150.0 + 0.5 * scn.dt * k2, 0.0, 0.0, True)[1]
+        k4 = rates(689.0, 150.0 + scn.dt * k3, 0.0, 0.0, True)[1]
+        assert 150.0 + scn.dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) < gm.PERFECT_VACUUM_KPA
+
+        ts = simulate(scn)
+        # pinned: ten steps of dt/10 give 4.53 kPa, then the exhaust clamp holds -3.40 kPa
+        assert ts.p_cv[1] == 4.532265305845505
+        assert np.all(ts.p_cv[2:] == -3.3991989793841277)
+        h = hashlib.sha256()
+        for name in ts._COLUMNS:
+            h.update(getattr(ts, name).tobytes())
+        assert h.hexdigest() == "80fc3df3dee32c29924d3c7e5864809e661d7b41223940d66f2790cec40d53b0"
 
 
 class TestDischarge:
