@@ -549,29 +549,21 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
+# one time-series row: the solenoid as 0/1 and the mode by name; every other column as _fmt
+_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%.9g,%.9g,%.9g,%s\n"
+_CSV_BLOCK_ROWS = 512  # rows formatted and written at a time; larger blocks raise peak memory
+
+
 def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
     """Fixed-header CSV, 9 significant digits, LF line endings."""
     mode_names = {mode: mode.name for mode in Mode}
-    lines = [CSV_HEADER]
-    for i in range(len(ts)):
-        lines.append(
-            ",".join(
-                (
-                    _fmt(ts.t[i]),
-                    _fmt(ts.p_cmd[i]),
-                    _fmt(ts.p_cv[i]),
-                    _fmt(ts.p_r[i]),
-                    _fmt(ts.u_inflate[i]),
-                    _fmt(ts.u_motive[i]),
-                    str(int(ts.solenoid[i])),
-                    _fmt(ts.q_in[i]),
-                    _fmt(ts.q_out[i]),
-                    _fmt(ts.q_motive[i]),
-                    mode_names[int(ts.mode[i])],
-                )
-            )
-        )
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    columns = [getattr(ts, name) for name in TimeSeries._COLUMNS]
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(CSV_HEADER + "\n")
+        for start in range(0, len(ts), _CSV_BLOCK_ROWS):
+            block = [col[start : start + _CSV_BLOCK_ROWS].tolist() for col in columns]
+            block[-1] = [mode_names[code] for code in block[-1]]
+            out.write("".join(_CSV_ROW % row for row in zip(*block)))
 
 
 def read_timeseries_csv(path: Path) -> TimeSeries:
@@ -629,41 +621,41 @@ def _write_manifest(
 # ------------------------------------------------------------------- commands
 
 
-def _run_overrides(args) -> dict:
-    overrides = {}
-    if args.dt is not None:
-        overrides["dt_s"] = args.dt
-    if args.duration is not None:
-        overrides["duration_s"] = args.duration
-    if args.sample_rate is not None:
-        overrides["sample_rate_Hz"] = args.sample_rate
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    return overrides
+class _Run:
+    """A run subcommand's scenario, its resolved document, the run flags given and its outputs."""
+
+    def __init__(self, args):
+        self.path = Path(args.scenario)
+        flags = {"dt_s": args.dt, "duration_s": args.duration,
+                 "sample_rate_Hz": args.sample_rate, "seed": args.seed}
+        self.overrides = {key: value for key, value in flags.items() if value is not None}
+        self.scn, self.resolved = load_scenario(self.path, self.overrides)
+        self.out_dir = Path(args.out)
+
+    def output(self, suffix: str) -> Path:
+        """``<out>/<scenario stem>_<suffix>``; makes the output directory."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
+        return self.out_dir / f"{self.path.stem}_{suffix}"
+
+    def write_manifest(self, command: str, outputs: list[Path], **extra_overrides) -> None:
+        _write_manifest(
+            self.out_dir, self.path.stem, command, {"scenario": self.path}, self.resolved,
+            {**self.overrides, **extra_overrides}, [p.name for p in outputs],
+        )
 
 
 def cmd_simulate(args) -> int:
-    scenario_path = Path(args.scenario)
-    overrides = _run_overrides(args)
-    scn, resolved = load_scenario(scenario_path, overrides)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = scenario_path.stem
-    ts = simulate(scn)
-    csv_path = out_dir / f"{stem}_timeseries.csv"
-    write_timeseries_csv(ts, csv_path)
-    _write_manifest(
-        out_dir, stem, "simulate", {"scenario": scenario_path}, resolved, overrides, [csv_path.name]
-    )
+    run = _Run(args)
+    csv_path = run.output("timeseries.csv")
+    write_timeseries_csv(simulate(run.scn), csv_path)
+    run.write_manifest("simulate", [csv_path])
     print(f"wrote {csv_path}")
     return EXIT_OK
 
 
 def cmd_sweep(args) -> int:
-    scenario_path = Path(args.scenario)
-    overrides = _run_overrides(args)
-    scn, resolved = load_scenario(scenario_path, overrides)
-    if not isinstance(scn.command, SineCommand):
+    run = _Run(args)
+    if not isinstance(run.scn.command, SineCommand):
         raise ConfigError("scenario.command.kind: sweep needs a sine command")
     try:
         omegas = [float(w) for w in args.omegas.split(",") if w.strip()]
@@ -676,22 +668,19 @@ def cmd_sweep(args) -> int:
     if any(not w > 0 for w in omegas):
         raise ConfigError("--omegas: frequencies must be > 0")
 
-    points = analysis.frequency_sweep(scn, omegas, n_repeat=args.repeats)
+    points = analysis.frequency_sweep(run.scn, omegas, n_repeat=args.repeats)
     ok = [p for p in points if p.error is None]
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = scenario_path.stem
 
     lines = ["omega_Hz,gain,n_periods,error"]
     for p in sorted(points, key=lambda p: p.omega):
         err = (p.error or "").replace(",", ";")
         lines.append(f"{_fmt(p.omega)},{_fmt(p.gain)},{p.n_periods},{err}")
-    table_path = out_dir / f"{stem}_sweep.csv"
+    table_path = run.output("sweep.csv")
     table_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     fit: dict = {
         "schema_version": 1,
-        "input_sha256": _sha256_file(scenario_path),
+        "input_sha256": _sha256_file(run.path),
         "n_points": len(points),
         "n_failed": len(points) - len(ok),
     }
@@ -701,17 +690,9 @@ def cmd_sweep(args) -> int:
         )
         f3db = analysis.first_crossing_3db([p.omega for p in ok], [p.gain for p in ok])
         fit["first_3db_crossing_Hz"] = None if math.isnan(f3db) else f3db
-    fit_path = out_dir / f"{stem}_sweep_fit.json"
+    fit_path = run.output("sweep_fit.json")
     _write_json(fit_path, fit)
-    _write_manifest(
-        out_dir,
-        stem,
-        "sweep",
-        {"scenario": scenario_path},
-        resolved,
-        {**overrides, "omegas_Hz": omegas, "repeats": args.repeats},
-        [table_path.name, fit_path.name],
-    )
+    run.write_manifest("sweep", [table_path, fit_path], omegas_Hz=omegas, repeats=args.repeats)
     print(f"wrote {table_path}")
     if not ok:
         print("error: every sweep point failed", file=sys.stderr)
@@ -720,19 +701,14 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    scenario_path = Path(args.scenario)
-    overrides = _run_overrides(args)
-    scn, resolved = load_scenario(scenario_path, overrides)
-    if scn.closed_loop:
+    run = _Run(args)
+    if run.scn.closed_loop:
         raise ConfigError("scenario.run.mode: discharge needs an open_loop scenario")
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = scenario_path.stem
-    ts = simulate(scn)
-    csv_path = out_dir / f"{stem}_timeseries.csv"
+    csv_path = run.output("timeseries.csv")
+    ts = simulate(run.scn)
     write_timeseries_csv(ts, csv_path)
 
-    report: dict = {"schema_version": 1, "input_sha256": _sha256_file(scenario_path)}
+    report: dict = {"schema_version": 1, "input_sha256": _sha256_file(run.path)}
     try:
         fit = analysis.fit_discharge_tau(ts)
         report.update(
@@ -745,17 +721,9 @@ def cmd_discharge(args) -> int:
         )
     except ValueError as exc:
         report.update({"degenerate": True, "tau_s": None, "reason": str(exc)})
-    fit_path = out_dir / f"{stem}_discharge_fit.json"
+    fit_path = run.output("discharge_fit.json")
     _write_json(fit_path, report)
-    _write_manifest(
-        out_dir,
-        stem,
-        "discharge",
-        {"scenario": scenario_path},
-        resolved,
-        overrides,
-        [csv_path.name, fit_path.name],
-    )
+    run.write_manifest("discharge", [csv_path, fit_path])
     print(f"wrote {csv_path}")
     return EXIT_OK
 

@@ -31,6 +31,7 @@ VENTURI_Q_RATED = VENTURI_Q_RATED_SLPM / 60.0
 
 CV_SENSOR_RANGE_KPA = 207.0
 RESERVOIR_SENSOR_RANGE_KPA = 1500.0
+NOISE_CHUNK = 512  # sensor-noise values a sensor_reader draws at a time
 
 
 def _check_gauge(value: float, name: str) -> None:
@@ -203,9 +204,29 @@ def deflation_flow(
     return max(0.0, (p_cv - p_node) / spec.r_open)
 
 
+def sensor_reader(spec: SensorSpec, rng: np.random.Generator, chunk: int = NOISE_CHUNK):
+    """``read(p_true)``: measured gauge pressure, true value plus seeded noise, clamped to range.
+
+    Built once per run. The noise is drawn ``chunk`` values at a time. numpy's
+    ``Generator.normal`` gives the same values one at a time or many at once,
+    so the readings equal one ``rng.normal(0.0, noise_std)`` draw per call.
+    """
+    lo, hi, std = PERFECT_VACUUM_KPA, spec.range_max, spec.noise_std
+    noise: list[float] = []
+
+    def read(p_true: float) -> float:
+        nonlocal noise
+        value = p_true
+        if std > 0.0:
+            if not noise:
+                noise = rng.normal(0.0, std, size=chunk).tolist()
+                noise.reverse()
+            value += noise.pop()
+        return min(max(value, lo), hi)
+
+    return read
+
+
 def sensor_read(p_true: float, spec: SensorSpec, rng: np.random.Generator) -> float:
-    """Measured gauge pressure: true value plus seeded noise, clamped to range."""
-    value = p_true
-    if spec.noise_std > 0.0:
-        value += rng.normal(0.0, spec.noise_std)
-    return min(max(value, PERFECT_VACUUM_KPA), spec.range_max)
+    """One reading of a ``sensor_reader`` that draws its noise one value at a time."""
+    return sensor_reader(spec, rng, chunk=1)(p_true)

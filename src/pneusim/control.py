@@ -108,6 +108,78 @@ def required_deflation_rate(error: float, cmd_rate_hint: float, cfg: ControllerC
     return abs(cmd_rate_hint) + abs(error) / cfg.settle_horizon
 
 
+def control_kernel(cfg: ControllerConfig, state: ControllerState = ControllerState()):
+    """The control law as one function of a config, built once per run.
+
+    Returns ``tick(p_cmd, p_meas, cmd_rate_hint) -> (u_inflate, u_motive,
+    solenoid_open, mode)``, one fixed-period update a call. The controller
+    state starts from ``state`` and lives in closure cells, so a tick builds
+    no ``ControllerState`` and no ``ActuatorCommand``; ``tick.state()``
+    returns it as a ``ControllerState``. The boundary |error| ==
+    error_cutoff belongs to the PID branch.
+    """
+    cutoff = cfg.error_cutoff
+    dt = 1.0 / cfg.control_rate
+    kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
+    limit = cfg.integrator_limit
+    vent_coeff = cfg.passive_vent_coeff
+    threshold = cfg.active_deflation_rate_threshold
+    isfinite = math.isfinite
+    pid, inflate, vent, deflate = Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE
+    integ, prev, mode, acc = state.integrator, state.prev_error, state.mode, state.duty_acc
+
+    def tick(p_cmd: float, p_meas: float, cmd_rate_hint: float) -> tuple:
+        nonlocal integ, prev, mode, acc
+        if not (isfinite(p_cmd) and isfinite(p_meas) and isfinite(cmd_rate_hint)):
+            for name, value in (("p_cmd", p_cmd), ("p_meas", p_meas), ("cmd_rate_hint", cmd_rate_hint)):
+                if not isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+
+        e = p_cmd - p_meas
+
+        if e > cutoff:
+            prev, mode, acc = e, inflate, 0.0
+            return 1.0, 0.0, False, inflate
+
+        if e < -cutoff:
+            required = required_deflation_rate(e, cmd_rate_hint, cfg)
+            capability = vent_coeff * max(0.0, p_meas)
+            active = required > max(capability, threshold)
+            prev, mode, acc = e, deflate if active else vent, 0.0
+            return 0.0, 1.0 if active else 0.0, True, mode
+
+        # PID band; integrator restarts whenever the band is re-entered
+        if mode is not pid:
+            integ, prev, acc = 0.0, e, 0.0
+        integ = min(max(integ + e * dt, -limit), limit)
+        u = kp * e + ki * integ + kd * (e - prev) / dt
+        prev, mode = e, pid
+
+        if u >= 0.0:
+            acc = 0.0
+            return min(u, 1.0), 0.0, False, pid
+
+        # negative output: vent through the binary solenoid at an equivalent duty
+        acc += min(-u, 1.0)
+        open_now = acc >= 1.0
+        if open_now:
+            acc -= 1.0
+        return 0.0, 0.0, open_now, pid
+
+    def snapshot() -> ControllerState:
+        return ControllerState(integ, prev, mode, acc)
+
+    tick.state = snapshot
+    return tick
+
+
+_MODE_COMMANDS = {
+    Mode.ON_OFF_INFLATE: INFLATE_COMMAND,
+    Mode.VENT: VENT_COMMAND,
+    Mode.ACTIVE_DEFLATE: ACTIVE_DEFLATE_COMMAND,
+}
+
+
 def control_step(
     p_cmd: float,
     p_meas: float,
@@ -118,48 +190,17 @@ def control_step(
     """One fixed-period control update; returns the command and the next state.
 
     Called at cfg.control_rate with cmd_rate_hint the command signal's current
-    time-derivative (0 for steps). The boundary |error| == error_cutoff
-    belongs to the PID branch.
+    time-derivative (0 for steps). One tick of a ``control_kernel`` seeded
+    with ``state``; fixed commands are the shared module constants.
     """
-    if not (math.isfinite(p_cmd) and math.isfinite(p_meas) and math.isfinite(cmd_rate_hint)):
-        for name, value in (("p_cmd", p_cmd), ("p_meas", p_meas), ("cmd_rate_hint", cmd_rate_hint)):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-
-    e = p_cmd - p_meas
-
-    if e > cfg.error_cutoff:
-        return INFLATE_COMMAND, ControllerState(state.integrator, e, Mode.ON_OFF_INFLATE, 0.0)
-
-    if e < -cfg.error_cutoff:
-        required = required_deflation_rate(e, cmd_rate_hint, cfg)
-        capability = cfg.passive_vent_coeff * max(0.0, p_meas)
-        active = required > max(capability, cfg.active_deflation_rate_threshold)
-        cmd = ACTIVE_DEFLATE_COMMAND if active else VENT_COMMAND
-        mode = Mode.ACTIVE_DEFLATE if active else Mode.VENT
-        return cmd, ControllerState(state.integrator, e, mode, 0.0)
-
-    # PID band; integrator restarts whenever the band is re-entered
-    dt = 1.0 / cfg.control_rate
-    if state.mode is Mode.PID:
-        integ = state.integrator
-        prev = state.prev_error
-        acc = state.duty_acc
+    tick = control_kernel(cfg, state)
+    u_inflate, u_motive, solenoid_open, mode = tick(p_cmd, p_meas, cmd_rate_hint)
+    if mode is not Mode.PID:
+        cmd = _MODE_COMMANDS[mode]
+    elif solenoid_open:
+        cmd = VENT_COMMAND
+    elif u_inflate or math.copysign(1.0, u_inflate) < 0.0:  # -0.0 keeps its sign
+        cmd = ActuatorCommand(u_inflate, u_motive, solenoid_open)
     else:
-        integ = 0.0
-        prev = e
-        acc = 0.0
-    integ = min(max(integ + e * dt, -cfg.integrator_limit), cfg.integrator_limit)
-    u = cfg.kp * e + cfg.ki * integ + cfg.kd * (e - prev) / dt
-
-    if u >= 0.0:
-        cmd = ActuatorCommand(min(u, 1.0), 0.0, False)
-        return cmd, ControllerState(integ, e, Mode.PID, 0.0)
-
-    # negative output: vent through the binary solenoid at an equivalent duty
-    acc += min(-u, 1.0)
-    open_now = acc >= 1.0
-    if open_now:
-        acc -= 1.0
-    cmd = VENT_COMMAND if open_now else IDLE_COMMAND
-    return cmd, ControllerState(integ, e, Mode.PID, acc)
+        cmd = IDLE_COMMAND  # a PID output of 0.0, or a negative one with the solenoid shut
+    return cmd, tick.state()

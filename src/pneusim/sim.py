@@ -19,22 +19,26 @@ from .components import (
     default_network,
     deflation_flow,
     proportional_valve_flow,
-    sensor_read,
+    sensor_read,  # noqa: F401 -- still importable from pneusim.sim
+    sensor_reader,
     valve_fraction,
     venturi_vacuum_pressure,
 )
 from .control import (
     ActuatorCommand,
     ControllerConfig,
-    ControllerState,
     IDLE_COMMAND,
-    control_step,
+    Mode,
+    control_kernel,
+    control_step,  # noqa: F401 -- still importable from pneusim.sim
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
 
 
 # Sample rows one run may hold: 11 columns, 81 bytes a row, about 1.3 GiB at most.
 MAX_ROWS = 2**24
+# Integration steps one run may take: over an hour and a half of compute at a few us a step.
+MAX_STEPS = 2**31
 
 
 class SimulationDivergence(RuntimeError):
@@ -181,6 +185,11 @@ class Scenario:
                 f"scenario.run.duration_s: the run would hold more than {MAX_ROWS} sample rows "
                 "(duration_s * sample_rate_Hz)"
             )
+        if self.n_steps() > MAX_STEPS:
+            raise ValueError(
+                f"scenario.run.duration_s: the run would take more than {MAX_STEPS} steps "
+                "(duration_s / dt_s)"
+            )
         if self.closed_loop:
             if self.dt > 0.5 / self.controller.control_rate * (1 + 1e-9):
                 raise ValueError(
@@ -315,11 +324,6 @@ def simulate(scn: Scenario) -> TimeSeries:
     evp, dvp = net.inflation_valve, net.motive_valve
     rates = flow_kernel(net, scn.gas, scn.hold_reservoir)
 
-    def held(cmd: ActuatorCommand) -> tuple[float, float, bool]:
-        """Valve fractions and solenoid state under a held command."""
-        f_in = valve_fraction(cmd.u_inflate, evp)
-        return f_in, valve_fraction(cmd.u_motive, dvp), cmd.solenoid_open
-
     def rk4(p_r: float, p_cv: float, h: float, f_in: float, f_mot: float, sol: bool) -> tuple:
         """New (p_r, p_cv) after one step, and the flows of its first stage."""
         k1r, k1c, q_in, q_out, q_motive = rates(p_r, p_cv, f_in, f_mot, sol)
@@ -349,10 +353,11 @@ def simulate(scn: Scenario) -> TimeSeries:
         memoryview(columns[name]) for name in TimeSeries._COLUMNS
     )
 
-    rng_cv = np.random.default_rng([scn.seed, net.cv_sensor.seed])
+    read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
+    control = control_kernel(scn.controller)
     cmd = scn.open_loop_command if scn.open_loop_command is not None else IDLE_COMMAND
-    f_in, f_mot, sol = held(cmd)
-    ctrl_state = ControllerState()
+    u_in, u_mot, sol, mode = cmd.u_inflate, cmd.u_motive, cmd.solenoid_open, Mode.IDLE
+    f_in, f_mot = valve_fraction(u_in, evp), valve_fraction(u_mot, dvp)
     p_r = net.reservoir.p_r0
     p_cv = net.control_volume.p_cv
     cmd_value = scn.command.value
@@ -365,10 +370,10 @@ def simulate(scn: Scenario) -> TimeSeries:
     for k in range(n + 1):
         t = k * dt
         if closed and k % cs == 0:
-            meas = sensor_read(p_cv, net.cv_sensor, rng_cv)
+            meas = read_cv(p_cv)
             p_cmd = cmd_value(t)
-            cmd, ctrl_state = control_step(p_cmd, meas, cmd_rate(t), scn.controller, ctrl_state)
-            f_in, f_mot, sol = held(cmd)
+            u_in, u_mot, sol, mode = control(p_cmd, meas, cmd_rate(t))
+            f_in, f_mot = valve_fraction(u_in, evp), valve_fraction(u_mot, dvp)
             tick = k
         if k < n:
             new_r, new_cv, q_in, q_out, q_motive = rk4(p_r, p_cv, dt, f_in, f_mot, sol)
@@ -379,13 +384,13 @@ def simulate(scn: Scenario) -> TimeSeries:
             p_cmd_col[row] = p_cmd if tick == k else cmd_value(t)
             p_cv_col[row] = p_cv
             p_r_col[row] = p_r
-            u_in_col[row] = cmd.u_inflate
-            u_mot_col[row] = cmd.u_motive
+            u_in_col[row] = u_in
+            u_mot_col[row] = u_mot
             sol_col[row] = 1.0 if sol else 0.0
             q_in_col[row] = q_in
             q_out_col[row] = q_out
             q_mot_col[row] = q_motive
-            mode_col[row] = ctrl_state.mode
+            mode_col[row] = mode
             row += 1
         if k == n:
             break

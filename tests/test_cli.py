@@ -429,6 +429,15 @@ class TestFieldNamedErrors:
         assert "scenario.run.duration_s: the run would hold more than" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_run_beyond_step_budget_exit_2(self, tmp_path, capsys):
+        # 101 sample rows, but 1e11 steps
+        scn_file = write_json(tmp_path / "step.json", minimal_scenario())
+        argv = ["simulate", str(scn_file), "--dt", "1e-9", "--duration", "100", "--sample-rate", "1"]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "error: scenario.run.duration_s: the run would take more than 2147483648 steps" in err
+        assert not (tmp_path / "out").exists()
+
     def test_duration_below_dt_in_file(self):
         with pytest.raises(cli.ConfigError, match=r"duration_s: must be >= dt_s"):
             cli.resolve_scenario(minimal_scenario(duration_s=1e-4))

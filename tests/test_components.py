@@ -151,3 +151,22 @@ class TestSensorRead:
         seq2 = [cp.sensor_read(50.0, spec, rng2) for _ in range(5)]
         assert seq1 == seq2
         assert a[0] == a[1] == a[2]
+
+    def test_chunked_reader_equals_one_draw_per_read(self):
+        # scalar reference: one rng.normal draw a reading, then the clamp
+        spec = cp.SensorSpec(range_max=207.0, noise_std=0.7, seed=3)
+        n = 10_000
+        assert n > 2 * cp.NOISE_CHUNK
+        p_true = [(-101.0, 0.0, 50.0, 206.8)[i % 4] for i in range(n)]
+        rng = np.random.default_rng(11)
+        expected = [min(max(p + rng.normal(0.0, 0.7), -101.325), 207.0) for p in p_true]
+        read = cp.sensor_reader(spec, np.random.default_rng(11))
+        assert [read(p).hex() for p in p_true] == [float(x).hex() for x in expected]
+        rng = np.random.default_rng(11)
+        assert [cp.sensor_read(p, spec, rng) for p in p_true[:50]] == expected[:50]
+
+    def test_noise_free_reader_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        read = cp.sensor_reader(cp.SensorSpec(range_max=207.0), rng)
+        assert (read(-0.0).hex(), read(300.0), read(-200.0)) == ((-0.0).hex(), 207.0, -101.325)
+        assert rng.random() == np.random.default_rng(0).random()

@@ -1,14 +1,19 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pneusim import gasmodel as gm
 from pneusim.control import (
+    ACTIVE_DEFLATE_COMMAND,
+    IDLE_COMMAND,
+    INFLATE_COMMAND,
+    VENT_COMMAND,
     ActuatorCommand,
     ControllerConfig,
     ControllerState,
     Mode,
+    control_kernel,
     control_step,
     passive_vent_capability,
     required_deflation_rate,
@@ -149,6 +154,13 @@ class TestPidBranch:
             opens += cmd.solenoid_open
         assert opens == pytest.approx(40, abs=1)
 
+    def test_leaving_the_band_clears_duty_and_keeps_integrator(self):
+        cfg = make_cfg()
+        state = ControllerState(integrator=0.5, prev_error=-0.5, mode=Mode.PID, duty_acc=0.75)
+        for p_cmd in (69.0, 0.0):  # far above, then far below the band
+            _, new = control_step(p_cmd, 19.0, 0.0, cfg, state)
+            assert (new.mode is not Mode.PID, new.duty_acc, new.integrator) == (True, 0.0, 0.5)
+
     @given(
         errors=st.lists(
             st.floats(min_value=-0.999, max_value=0.999, allow_nan=False), min_size=1, max_size=200
@@ -184,3 +196,99 @@ class TestActuatorCommand:
         state = ControllerState(integrator=integ, mode=Mode.PID)
         cmd, _ = control_step(40.0 + e, 40.0, hint, cfg, state)
         assert not (cmd.u_inflate > 0 and cmd.u_motive > 0 and not cmd.solenoid_open)
+
+
+def _hex_state(state: ControllerState) -> tuple:
+    return (state.integrator.hex(), state.prev_error.hex(), state.mode, state.duty_acc.hex())
+
+
+def run_kernel_and_steps(cfg: ControllerConfig, ticks) -> list[ControllerState]:
+    """Drive one control_kernel and repeated control_step with the same ticks; both must agree.
+
+    Commands and states are compared by float.hex, so a sign of zero counts.
+    Returns the states the ticks went through.
+    """
+    tick = control_kernel(cfg)
+    state = ControllerState()
+    states = []
+    for p_cmd, p_meas, hint in ticks:
+        u_inflate, u_motive, solenoid_open, mode = tick(p_cmd, p_meas, hint)
+        cmd, state = control_step(p_cmd, p_meas, hint, cfg, state)
+        assert (cmd.u_inflate.hex(), cmd.u_motive.hex(), cmd.solenoid_open) == (
+            u_inflate.hex(), u_motive.hex(), solenoid_open
+        )
+        assert mode is state.mode
+        assert _hex_state(tick.state()) == _hex_state(state)
+        states.append(state)
+    return states
+
+
+CONFIGS = st.builds(
+    ControllerConfig,
+    kp=st.floats(min_value=0.0, max_value=2.0),
+    ki=st.floats(min_value=0.0, max_value=50.0),
+    kd=st.floats(min_value=0.0, max_value=0.01),
+    error_cutoff=st.floats(min_value=0.1, max_value=5.0),
+    control_rate=st.sampled_from([100.0, 500.0, 1000.0]),
+    settle_horizon=st.floats(min_value=0.01, max_value=1.0),
+    integrator_limit=st.floats(min_value=0.0, max_value=0.05),
+    active_deflation_rate_threshold=st.floats(min_value=0.0, max_value=200.0),
+    passive_vent_coeff=st.floats(min_value=0.0, max_value=5.0),
+)
+# errors mostly near the band, so ticks enter and leave it and stay in it for a while
+TICKS = st.lists(
+    st.tuples(
+        st.floats(min_value=0.0, max_value=150.0),
+        st.one_of(st.floats(min_value=-6.0, max_value=6.0), st.floats(min_value=-1.5, max_value=1.5)),
+        st.floats(min_value=-500.0, max_value=500.0),
+    ).map(lambda x: (x[0], x[0] - x[1], x[2])),
+    min_size=1,
+    max_size=80,
+)
+# band entry and exit, duty pulses, and an integrator held at its limit
+BAND_WALK = [(50.0, 50.0 - e, 0.0) for e in (5.0, 0.9, 0.9, -0.9, -0.9, -0.9, -5.0, -0.5, 0.2)] + [
+    (50.0, 49.5, -20.0)
+] * 30
+
+
+class TestControlKernel:
+    def test_band_walk_covers_the_branches(self):
+        cfg = make_cfg(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01)
+        states = run_kernel_and_steps(cfg, BAND_WALK)
+        modes = [s.mode for s in states]
+        assert {Mode.ON_OFF_INFLATE, Mode.PID, Mode.VENT} <= set(modes)
+        assert any(a is not Mode.PID and b is Mode.PID for a, b in zip(modes, modes[1:]))
+        assert any(a is Mode.PID and b is not Mode.PID for a, b in zip(modes, modes[1:]))
+        assert any(s.duty_acc > 0.0 for s in states)
+        assert any(s.integrator == cfg.integrator_limit for s in states)
+
+    @settings(deadline=None, max_examples=300)
+    @example(cfg=make_cfg(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01), ticks=BAND_WALK)
+    # zero gains and a falling error: a PID output of -0.0
+    @example(cfg=make_cfg(kp=0.0, ki=0.0, kd=0.0), ticks=[(0.0, 0.5, 0.0), (0.0, 0.6, 0.0)])
+    @given(cfg=CONFIGS, ticks=TICKS)
+    def test_kernel_equals_repeated_control_step(self, cfg, ticks):
+        run_kernel_and_steps(cfg, ticks)
+
+    def test_seeded_from_a_state(self):
+        cfg = make_cfg(ki=1.0)
+        state = ControllerState(integrator=0.5, prev_error=0.5, mode=Mode.PID, duty_acc=0.25)
+        tick = control_kernel(cfg, state)
+        assert _hex_state(tick.state()) == _hex_state(state)
+        tick(50.5, 50.0, 0.0)
+        assert _hex_state(tick.state()) == _hex_state(control_step(50.5, 50.0, 0.0, cfg, state)[1])
+
+    def test_fixed_commands_are_the_shared_constants(self):
+        cfg = make_cfg(passive_vent_coeff=10.0 / 50.0, settle_horizon=2.0)
+        assert control_step(69.0, 19.0, 0.0, cfg, ControllerState())[0] is INFLATE_COMMAND
+        assert control_step(0.0, 50.0, -15.0, cfg, ControllerState())[0] is ACTIVE_DEFLATE_COMMAND
+        cfg = make_cfg(passive_vent_coeff=100.0 / 50.0, settle_horizon=2.0)
+        assert control_step(0.0, 50.0, -15.0, cfg, ControllerState())[0] is VENT_COMMAND
+        pid = ControllerState(mode=Mode.PID)
+        assert control_step(49.9, 50.0, 0.0, make_cfg(kp=0.5, ki=0.0), pid)[0] is IDLE_COMMAND
+        assert control_step(49.2, 50.0, 0.0, make_cfg(kp=5.0, ki=0.0), pid)[0] is VENT_COMMAND
+
+    def test_non_finite_input_named(self):
+        tick = control_kernel(make_cfg())
+        with pytest.raises(ValueError, match="cmd_rate_hint must be finite"):
+            tick(50.0, 50.0, math.inf)

@@ -69,18 +69,38 @@ PINS = {
 }
 
 
+def _digests(out_dir: Path) -> dict:
+    got = {}
+    for path in sorted(out_dir.iterdir()):
+        if path.name.endswith("_manifest.json"):
+            got[path.name] = json.loads(path.read_text())["resolved_sha256"]
+        else:
+            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+    return got
+
+
 @pytest.mark.parametrize("case", sorted(PINS))
 def test_output_pins(case, tmp_path):
     argv, pins = PINS[case]
     args = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
     assert cli.main([*args, "--out", str(tmp_path)]) == 0
-    got = {}
-    for path in sorted(tmp_path.iterdir()):
-        if path.name.endswith("_manifest.json"):
-            got[path.name] = json.loads(path.read_text())["resolved_sha256"]
-        else:
-            got[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
-    assert got == pins
+    assert _digests(tmp_path) == pins
+
+
+def test_noisy_closed_loop_pin(tmp_path):
+    # No shipped scenario has sensor noise. 12 s at 1 kHz is 12 001 noisy CV
+    # readings, so the noise is drawn across several of simulate's chunks.
+    doc = json.loads((SCENARIOS / "step_69kpa_half_liter.json").read_text())
+    doc["network"]["cv_sensor"] = {"noise_std_kPa": 0.5, "seed": 5}
+    scn_file = tmp_path / "noisy_step.json"
+    scn_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["simulate", str(scn_file), "--duration", "12", "--sample-rate", "200", "--seed", "11"]
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert _digests(out) == {
+        "noisy_step_manifest.json": "09fc8b8dabf1747c05e6140fe7796e244bd5adcaf176e4d09278a20df5d7f3ed",
+        "noisy_step_timeseries.csv": "80ac9d8cf1a6d16945e003ee150647693f79a6d2a3530391bb61cfc7fec5d819",
+    }
 
 
 def test_cli_defaults_equal_python_defaults():

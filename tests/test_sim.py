@@ -10,6 +10,7 @@ from pneusim import components as cp
 from pneusim import gasmodel as gm
 from pneusim.control import ActuatorCommand, IDLE_COMMAND, Mode
 from pneusim.sim import (
+    MAX_STEPS,
     PiecewiseCommand,
     Scenario,
     SimulationDivergence,
@@ -82,6 +83,22 @@ class TestScenarioValidation:
         scn = step_scenario(69.0)
         with pytest.raises(ValueError):
             replace(scn, sample_rate=1700.0).validate()
+
+    def test_step_budget(self):
+        # open loop and two sample rows, so only the step count is at its limit
+        net = cp.default_network()
+        scn = Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            dt=1.0,
+            duration=float(MAX_STEPS),
+            sample_rate=1.0 / MAX_STEPS,
+            open_loop_command=IDLE_COMMAND,
+        )
+        scn.validate()
+        with pytest.raises(ValueError, match=r"^scenario\.run\.duration_s: .* 2147483648 steps"):
+            replace(scn, duration=MAX_STEPS + 1.0).validate()
 
 
 class TestDerivatives:
