@@ -28,17 +28,12 @@ from . import analysis
 from .components import (
     VALVE_RATED_INLET_KPA,
     VENTURI_Q_RATED_SLPM,
-    BinaryValveSpec,
-    ControlVolume,
     PneumaticNetwork,
     ProportionalValveSpec,
-    Reservoir,
-    SensorSpec,
-    VenturiSpec,
     default_network,
 )
 from .control import ActuatorCommand, ControllerConfig, Mode
-from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA, GasConstants
+from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA
 from .sim import (
     PiecewiseCommand,
     Scenario,
@@ -103,14 +98,9 @@ GAS = _table(
 )
 VALVE = _table(
     ProportionalValveSpec,
-    ("P_inlet_max_kPa", None, "pos", 690.0),  # rating of a valve given without one
+    ("P_inlet_max_kPa", None, "pos", VALVE_RATED_INLET_KPA),
     ("deadband", "u0", "nonneg"),
     ("R_vmin_kPa_s_per_L", "r_vmin", "pos", None),  # or derived from flow_max_slpm
-)
-SENSOR_ROWS = (
-    ("range_max_kPa", "range_max", "pos"),
-    ("noise_std_kPa", "noise_std", "nonneg"),
-    ("seed", "seed", "int"),
 )
 NETWORK = {  # in PneumaticNetwork order
     "reservoir": _table(_NET.reservoir, ("V_r_L", "v_r", "pos"), ("P_r0_kPa", "p_r0", "num")),
@@ -124,17 +114,17 @@ NETWORK = {  # in PneumaticNetwork order
         _NET.venturi,
         ("P_vac_floor_kPa", "p_vac_floor", "num"),
         ("Q_motive_rated_slpm", "q_motive_rated", "pos", VENTURI_Q_RATED_SLPM),
-        ("R_motive_kPa_s_per_L", "r_motive", "pos", None),  # default: the motive valve's R_vmin
     ),
-    "cv_sensor": _table(_NET.cv_sensor, *SENSOR_ROWS),
-    "reservoir_sensor": _table(_NET.reservoir_sensor, *SENSOR_ROWS),
+    "cv_sensor": _table(
+        _NET.cv_sensor,
+        ("range_max_kPa", "range_max", "pos"),
+        ("noise_std_kPa", "noise_std", "nonneg"),
+        ("seed", "seed", "int"),
+    ),
 }
 # the valve sections of the default network, resolved when a scenario omits one
 DEFAULT_VALVES = {
-    name: {
-        "R_vmin_kPa_s_per_L": getattr(_NET, name).r_vmin,
-        "P_inlet_max_kPa": VALVE_RATED_INLET_KPA,
-    }
+    name: {"R_vmin_kPa_s_per_L": getattr(_NET, name).r_vmin}
     for name in ("inflation_valve", "motive_valve")
 }
 CONTROLLER = _table(
@@ -362,9 +352,7 @@ def resolve_scenario(raw: dict) -> dict:
         else:
             network[name] = _object(net_obj.pop(name, {}), path, table)
     _reject_unknown(net_obj, "scenario.network")
-    venturi = network["venturi"]
-    venturi.setdefault("R_motive_kPa_s_per_L", network["motive_valve"]["R_vmin_kPa_s_per_L"])
-    if not PERFECT_VACUUM_KPA < venturi["P_vac_floor_kPa"] < 0.0:
+    if not PERFECT_VACUUM_KPA < network["venturi"]["P_vac_floor_kPa"] < 0.0:
         raise ConfigError(
             f"scenario.network.venturi.P_vac_floor_kPa: must be in ({PERFECT_VACUUM_KPA}, 0)"
         )
@@ -567,24 +555,30 @@ def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
 
 
 def read_timeseries_csv(path: Path) -> TimeSeries:
+    """Read a write_timeseries_csv file; a malformed row is a ConfigError naming its line."""
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected CSV header")
-    cols = [line.split(",") for line in lines[1:] if line]
-    arr = lambda idx: np.array([float(row[idx]) for row in cols])
-    return TimeSeries(
-        t=arr(0),
-        p_cmd=arr(1),
-        p_cv=arr(2),
-        p_r=arr(3),
-        u_inflate=arr(4),
-        u_motive=arr(5),
-        solenoid=arr(6),
-        q_in=arr(7),
-        q_out=arr(8),
-        q_motive=arr(9),
-        mode=np.array([Mode[row[10]] for row in cols], dtype=np.uint8),
-    )
+    n_cols = len(TimeSeries._COLUMNS)
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split(",")
+        where = f"{path}: line {lineno}"
+        if len(fields) != n_cols:
+            raise ConfigError(f"{where}: expected {n_cols} fields, got {len(fields)}")
+        try:
+            rows.append([*map(float, fields[:-1]), Mode[fields[-1]]])
+        except KeyError:
+            raise ConfigError(f"{where}: unknown mode {fields[-1]!r}")
+        except ValueError as exc:
+            raise ConfigError(f"{where}: {exc}")
+    columns = zip(*rows) if rows else [()] * n_cols
+    return TimeSeries(**{
+        name: np.array(col, dtype=np.uint8 if name == "mode" else float)
+        for name, col in zip(TimeSeries._COLUMNS, columns)
+    })
 
 
 def _write_json(path: Path, payload: dict) -> None:
@@ -808,10 +802,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationDivergence as exc:

@@ -2,8 +2,8 @@
 
 Reservoir, control volume (the regulated actuator volume), proportional
 valves, the binary exhaust solenoid, the Venturi vacuum generator, and the
-pressure sensors. Component specs are immutable; running pressures are owned
-by a single simulation run at a time.
+control-volume pressure sensor. Component specs are immutable; running
+pressures are owned by a single simulation run at a time.
 
 Default numbers correspond to the reference hardware class this toolkit
 targets: a 2 L bottle reservoir charged to 689 kPa, a 23.5 SLPM inflation
@@ -30,7 +30,6 @@ VENTURI_Q_RATED_SLPM = 67.0
 VENTURI_Q_RATED = VENTURI_Q_RATED_SLPM / 60.0
 
 CV_SENSOR_RANGE_KPA = 207.0
-RESERVOIR_SENSOR_RANGE_KPA = 1500.0
 NOISE_CHUNK = 512  # sensor-noise values a sensor_reader draws at a time
 
 
@@ -92,23 +91,16 @@ class BinaryValveSpec:
 
 @dataclass(frozen=True)
 class VenturiSpec:
-    """Vacuum generator: node pressure ramps linearly with motive flow to a floor.
-
-    r_motive is the fully open motive-path resistance (informational; the
-    dynamic motive flow is computed through the motive valve spec).
-    """
+    """Vacuum generator: node pressure ramps linearly with motive flow to a floor."""
 
     p_vac_floor: float = VENTURI_FLOOR_KPA
     q_motive_rated: float = VENTURI_Q_RATED
-    r_motive: float = DVP_R_VMIN
 
     def __post_init__(self) -> None:
         if not (PERFECT_VACUUM_KPA < self.p_vac_floor < 0.0):
             raise ValueError("VenturiSpec.p_vac_floor must be in (-101.325, 0)")
         if not self.q_motive_rated > 0.0:
             raise ValueError("VenturiSpec.q_motive_rated must be strictly positive")
-        if not self.r_motive > 0.0:
-            raise ValueError("VenturiSpec.r_motive must be strictly positive")
 
 
 @dataclass(frozen=True)
@@ -142,7 +134,6 @@ class PneumaticNetwork:
     solenoid: BinaryValveSpec
     venturi: VenturiSpec
     cv_sensor: SensorSpec
-    reservoir_sensor: SensorSpec
 
 
 def default_network(
@@ -158,8 +149,7 @@ def default_network(
         motive_valve=ProportionalValveSpec(r_vmin=DVP_R_VMIN),
         solenoid=BinaryValveSpec(),
         venturi=VenturiSpec(),
-        cv_sensor=SensorSpec(range_max=CV_SENSOR_RANGE_KPA, seed=0),
-        reservoir_sensor=SensorSpec(range_max=RESERVOIR_SENSOR_RANGE_KPA, seed=1),
+        cv_sensor=SensorSpec(),
     )
 
 

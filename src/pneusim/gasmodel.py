@@ -21,9 +21,6 @@ from dataclasses import dataclass
 # Gauge pressure of a perfect vacuum; no gauge pressure may fall below this.
 PERFECT_VACUUM_KPA = -101.325
 
-# Standard atmosphere, used to convert gauge to absolute pressure.
-ATMOSPHERE_KPA = 101.325
-
 
 @dataclass(frozen=True)
 class GasConstants:

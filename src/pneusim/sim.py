@@ -19,7 +19,7 @@ from .components import (
     default_network,
     deflation_flow,
     proportional_valve_flow,
-    sensor_read,  # noqa: F401 -- still importable from pneusim.sim
+    sensor_read,  # noqa: F401 -- perfbench/tracer.py patches it here by name
     sensor_reader,
     valve_fraction,
     venturi_vacuum_pressure,
@@ -30,7 +30,7 @@ from .control import (
     IDLE_COMMAND,
     Mode,
     control_kernel,
-    control_step,  # noqa: F401 -- still importable from pneusim.sim
+    control_step,  # noqa: F401 -- perfbench/tracer.py patches it here by name
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
 

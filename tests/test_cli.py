@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from pneusim import cli
+from pneusim.components import default_network
 from pneusim.sim import simulate, step_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -111,6 +112,23 @@ class TestCsvRoundTrip:
         path = tmp_path / "trace.csv"
         cli.write_timeseries_csv(ts, path)
         assert b"\r" not in path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("0,1,2", "expected 11 fields, got 3"),
+            ("0,0,0,689,0,0,0,0,0,0,BOGUS", "unknown mode 'BOGUS'"),
+            ("0,0,x,689,0,0,0,0,0,0,IDLE", "could not convert string to float: 'x'"),
+        ],
+        ids=["short_row", "unknown_mode", "not_a_number"],
+    )
+    def test_malformed_row_names_file_and_line(self, tmp_path, row, message):
+        path = tmp_path / "trace.csv"
+        good = "0.001,0,0,689,0,0,0,0,0,0,IDLE"
+        path.write_text(f"{cli.CSV_HEADER}\n{good}\n{row}\n", encoding="utf-8")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.read_timeseries_csv(path)
+        assert str(err.value) == f"{path}: line 3: {message}"
 
 
 class TestSimulateCommand:
@@ -442,6 +460,32 @@ class TestFieldNamedErrors:
         with pytest.raises(cli.ConfigError, match=r"duration_s: must be >= dt_s"):
             cli.resolve_scenario(minimal_scenario(duration_s=1e-4))
 
+    @pytest.mark.parametrize(
+        "network, message",
+        [
+            ({"reservoir_sensor": {}}, "scenario.network: unknown key(s): reservoir_sensor"),
+            (
+                {"venturi": {"R_motive_kPa_s_per_L": 617.0}},
+                "scenario.network.venturi: unknown key(s): R_motive_kPa_s_per_L",
+            ),
+        ],
+        ids=["reservoir_sensor", "R_motive"],
+    )
+    def test_unread_key_exit_2(self, tmp_path, capsys, network, message):
+        raw = minimal_scenario()
+        raw["network"] = network
+        scn_file = write_json(tmp_path / "scn.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name, flow", [("inflation_valve", 23.5), ("motive_valve", 67.0)])
+    def test_valve_without_rating_is_the_default_valve(self, name, flow):
+        raw = minimal_scenario()
+        raw["network"] = {name: {"flow_max_slpm": flow}}
+        resolved = cli.resolve_scenario(raw)["network"][name]
+        assert resolved["R_vmin_kPa_s_per_L"] == getattr(default_network(), name).r_vmin
+        assert resolved["P_inlet_max_kPa"] == 689.0
+
     def test_flow_rating_too_small_for_a_resistance(self):
         raw = minimal_scenario()
         raw["network"] = {"motive_valve": {"flow_max_slpm": 5e-324}}
@@ -520,7 +564,13 @@ class TestReadmeSchema:
             "catalog.venturis[i]": cli.VENTURI_OPTION,
         }
         tables = self.readme_tables()
+        assert {label for label in tables if label.startswith("network.")} == {
+            label for label in sections if label.startswith("network.")
+        }
+        rule_keys = {"flow_max_slpm", "open_loop_command"}  # read by resolve_*, not a row
         for label, (_make, rows) in sections.items():
+            extra = set(tables[label]) - {key for key, *_ in rows} - rule_keys
+            assert not extra, (label, extra)
             for key, _kw, check, default in rows:
                 text_default, text_check = tables[label][key]
                 assert text_check.startswith(self.CHECK_TEXT[check]), (label, key)

@@ -25,28 +25,28 @@ PINS = {
     "simulate_step": (
         ["simulate", "step_69kpa_half_liter.json"],
         {
-            "step_69kpa_half_liter_manifest.json": "5017ea42695b6741482e4517b06802a162d3a617ea47065b1dd06a1533674324",
+            "step_69kpa_half_liter_manifest.json": "f63fcaec613556a9d1d37b98cd131d33133814aa901e6bb8937fb83a78008d92",
             "step_69kpa_half_liter_timeseries.csv": "4f4e4e1108ee129aab6d8be252a1c91016924a5af630e4bdf8901c83b08efab4",
         },
     ),
     "simulate_step_flags": (
         ["simulate", "step_69kpa_half_liter.json", "--duration", "0.25", "--seed", "3"],
         {
-            "step_69kpa_half_liter_manifest.json": "ebb4a6b3008fe0cdab0f6e16fec47775d0435594100b5eb8e31916139f5271dd",
+            "step_69kpa_half_liter_manifest.json": "e89254cfd2245b593e25638109c4ce57749781d8753801432345b89cac6e6c08",
             "step_69kpa_half_liter_timeseries.csv": "d3224148de9b4b3f370d443efb11f72939d8caa1c00ac9c2886aebe25da49b5f",
         },
     ),
     "simulate_sine": (
         ["simulate", "sweep_21kpa_half_liter.json"],
         {
-            "sweep_21kpa_half_liter_manifest.json": "ccd1f4e59b30517309bbf09374857b58fd3310e75f48e570b0d935405acc2bb2",
+            "sweep_21kpa_half_liter_manifest.json": "039fd4eaa657cc0648168eebb4deb1833b486bcb0ade8797b46781a0d3a11caa",
             "sweep_21kpa_half_liter_timeseries.csv": "eafe2d027c0ecacb00c51cc135eacc13d2f6667589e68df12383a81c07f3556d",
         },
     ),
     "sweep": (
         ["sweep", "sweep_21kpa_half_liter.json", "--omegas", "1.35,2.7,6.75"],
         {
-            "sweep_21kpa_half_liter_manifest.json": "ccd1f4e59b30517309bbf09374857b58fd3310e75f48e570b0d935405acc2bb2",
+            "sweep_21kpa_half_liter_manifest.json": "039fd4eaa657cc0648168eebb4deb1833b486bcb0ade8797b46781a0d3a11caa",
             "sweep_21kpa_half_liter_sweep.csv": "7888efdb5a537d70a56e0cfc909025be660245dd31a0900e6e8e498831b1967c",
             "sweep_21kpa_half_liter_sweep_fit.json": "11eeef6ead5e06051e45a816e6b1273a0daeb34f3b5aee350869fc410a8809fb",
         },
@@ -55,7 +55,7 @@ PINS = {
         ["discharge", "discharge_2l_bottle.json"],
         {
             "discharge_2l_bottle_discharge_fit.json": "b52b80ffa0501bd894607ca619e478a094414cb667d3db6493be0ca701cf8d25",
-            "discharge_2l_bottle_manifest.json": "06b62031f1f72640012118b7559289df7205f23ca959bba0b62732d36af1c58e",
+            "discharge_2l_bottle_manifest.json": "f3327ee71c64681fc1463bfee9175b9a04fe3cc9c0bdb95c1cd17d7b47448698",
             "discharge_2l_bottle_timeseries.csv": "56d0e39f52b4ffbeb497d20faa5b29960fc5daef21cf12549385364886fa48f9",
         },
     ),
@@ -98,7 +98,7 @@ def test_noisy_closed_loop_pin(tmp_path):
     argv = ["simulate", str(scn_file), "--duration", "12", "--sample-rate", "200", "--seed", "11"]
     assert cli.main([*argv, "--out", str(out)]) == 0
     assert _digests(out) == {
-        "noisy_step_manifest.json": "09fc8b8dabf1747c05e6140fe7796e244bd5adcaf176e4d09278a20df5d7f3ed",
+        "noisy_step_manifest.json": "67814f3293ea16291f63e9482fb03d9f7b9db57efc774240eebea1ea35adc956",
         "noisy_step_timeseries.csv": "80ac9d8cf1a6d16945e003ee150647693f79a6d2a3530391bb61cfc7fec5d819",
     }
 
