@@ -18,13 +18,11 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import asdict
+from dataclasses import asdict  # noqa: F401 -- perfbench/tracer.py patches it here by name
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from . import analysis
 from .components import (
     VALVE_RATED_INLET_KPA,
     VENTURI_Q_RATED_SLPM,
@@ -46,6 +44,7 @@ from .sim import (
 )
 from .sizing import (
     ComponentCatalog,
+    DesignReport,
     DesignRequirements,
     ReservoirOption,
     ValveOption,
@@ -556,6 +555,8 @@ def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
 
 def read_timeseries_csv(path: Path) -> TimeSeries:
     """Read a write_timeseries_csv file; a malformed row is a ConfigError naming its line."""
+    import numpy as np
+
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected CSV header")
@@ -583,6 +584,75 @@ def read_timeseries_csv(path: Path) -> TimeSeries:
 
 def _write_json(path: Path, payload: dict) -> None:
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+# The design report, laid out as _write_json lays out a payload. json.dumps encodes
+# in pure Python when it indents; with asdict that costs several times this template.
+_REPORT = (
+    '{\n  "feasible": %s,\n  "infeasible": %s,\n  "input_sha256": {\n'
+    '    "catalog": %s,\n    "requirements": %s\n  },\n  "schema_version": 1\n}\n'
+)
+_ENTRY = (  # one DesignEntry, its fields in sorted order
+    "{\n"
+    '      "cutoff_hz_floor": %s,\n'
+    '      "cutoff_hz_full": %s,\n'
+    '      "feasible": %s,\n'
+    '      "limiting": %s,\n'
+    '      "min_p_r": %s,\n'
+    '      "n_cycles": %s,\n'
+    '      "p_r0": %s,\n'
+    '      "pdot_demand": %s,\n'
+    '      "pressure_derated": %s,\n'
+    '      "reservoir": %s,\n'
+    '      "total_mass_g": %s,\n'
+    '      "valve": %s\n'
+    "    }"
+)
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # as json.dumps spells them
+
+
+def _json_float(x: float) -> str:
+    text = float.__repr__(x)
+    return _NON_FINITE.get(text, text)
+
+
+def _json_list(items: list[str], indent: str) -> str:
+    """Encoded items as a list that json.dumps(indent=2) writes at ``indent``."""
+    if not items:
+        return "[]"
+    inner = indent + "  "
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
+
+
+def design_report_json(report: DesignReport, input_sha256: dict[str, str]) -> str:
+    """The design report, as ``_write_json`` writes it from ``asdict`` of each entry.
+
+    ``input_sha256`` maps "catalog" and "requirements" to their digests.
+    """
+    enc, num = encode_basestring_ascii, _json_float
+
+    def entry(e) -> str:
+        return _ENTRY % (
+            num(e.cutoff_hz_floor),
+            num(e.cutoff_hz_full),
+            "true" if e.feasible else "false",
+            _json_list([enc(reason) for reason in e.limiting], "      "),
+            num(e.min_p_r),
+            num(e.n_cycles),
+            num(e.p_r0),
+            num(e.pdot_demand),
+            "true" if e.pressure_derated else "false",
+            enc(e.reservoir),
+            num(e.total_mass_g),
+            enc(e.valve),
+        )
+
+    return _REPORT % (
+        _json_list([entry(e) for e in report.feasible], "  "),
+        _json_list([entry(e) for e in report.infeasible], "  "),
+        enc(input_sha256["catalog"]),
+        enc(input_sha256["requirements"]),
+    )
 
 
 def _write_manifest(
@@ -648,6 +718,8 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import analysis  # here, not at the top: it loads numpy, which `size` never needs
+
     run = _Run(args)
     if not isinstance(run.scn.command, SineCommand):
         raise ConfigError("scenario.command.kind: sweep needs a sine command")
@@ -661,6 +733,8 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--omegas: frequencies must be finite")
     if any(not w > 0 for w in omegas):
         raise ConfigError("--omegas: frequencies must be > 0")
+    if args.repeats < 1:
+        raise ConfigError("--repeats: must be >= 1")
 
     points = analysis.frequency_sweep(run.scn, omegas, n_repeat=args.repeats)
     ok = [p for p in points if p.error is None]
@@ -695,6 +769,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_discharge(args) -> int:
+    from . import analysis  # see cmd_sweep
+
     run = _Run(args)
     if run.scn.closed_loop:
         raise ConfigError("scenario.run.mode: discharge needs an open_loop scenario")
@@ -734,17 +810,9 @@ def cmd_size(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     stem = req_path.stem
-    payload = {
-        "schema_version": 1,
-        "input_sha256": {
-            "requirements": _sha256_file(req_path),
-            "catalog": _sha256_file(cat_path),
-        },
-        "feasible": [asdict(e) for e in report.feasible],
-        "infeasible": [asdict(e) for e in report.infeasible],
-    }
+    input_sha256 = {"requirements": _sha256_file(req_path), "catalog": _sha256_file(cat_path)}
     report_path = out_dir / f"{stem}_design_report.json"
-    _write_json(report_path, payload)
+    report_path.write_text(design_report_json(report, input_sha256), encoding="utf-8")
     _write_manifest(
         out_dir,
         stem,
@@ -804,6 +872,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
+    except OSError as exc:  # _load_json names an input it cannot read, so this is an output
+        path = args.out if exc.filename is None else exc.filename
+        print(f"error: --out: {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except SimulationDivergence as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)

@@ -14,10 +14,12 @@ generator that reaches -80 kPa at rated motive flow.
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .gasmodel import PERFECT_VACUUM_KPA
+
+if TYPE_CHECKING:  # for annotations only: `pneusim size` imports this module without numpy
+    import numpy as np
 
 # Catalog-derived minimum flow resistances (kPa*s per std L): rated maximum
 # flow assumed at full rated inlet pressure discharging to atmosphere.

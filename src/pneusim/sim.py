@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .components import (
     PneumaticNetwork,
@@ -33,6 +32,11 @@ from .control import (
     control_step,  # noqa: F401 -- perfbench/tracer.py patches it here by name
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
+
+# numpy is imported inside the functions that use it, so `pneusim size`, which
+# imports this module for its dataclasses, never loads it
+if TYPE_CHECKING:
+    import numpy as np
 
 
 # Sample rows one run may hold: 11 columns, 81 bytes a row, about 1.3 GiB at most.
@@ -234,6 +238,8 @@ class TimeSeries:
         return len(self.t)
 
     def validate(self) -> None:
+        import numpy as np
+
         n = len(self.t)
         for name in self._COLUMNS:
             col = getattr(self, name)
@@ -319,6 +325,8 @@ def flow_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bo
 
 def simulate(scn: Scenario) -> TimeSeries:
     """Integrate a scenario and return its uniformly sampled trace."""
+    import numpy as np
+
     scn.validate()
     net = scn.network
     evp, dvp = net.inflation_valve, net.motive_valve
@@ -423,6 +431,8 @@ def mass_balance(ts: TimeSeries, scn: Scenario) -> float:
     measures pure integration error. With the reservoir held, the loss is the
     standard volume drawn from the fixed-pressure source.
     """
+    import numpy as np
+
     net = scn.network
     a = alpha(scn.gas)
     n = len(ts)

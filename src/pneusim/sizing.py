@@ -144,13 +144,25 @@ def evaluate_design(
     gc: GasConstants = DEFAULT_GAS,
 ) -> DesignEntry:
     """Score one combination; never raises on infeasibility, only flags it."""
+    rate, amp = req.demanded_rate(), req.reference_amplitude()
+    min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv, gc)
+    return _score(req, valve, reservoir, gc, rate, amp, gm.cutoff_frequency(rate, amp), min_p_r)
+
+
+def _score(
+    req: DesignRequirements,
+    valve: ValveOption,
+    reservoir: ReservoirOption,
+    gc: GasConstants,
+    rate: float,
+    amp: float,
+    cutoff_floor: float,
+    min_p_r: float,
+) -> DesignEntry:
+    """``evaluate_design`` given the terms that do not depend on the reservoir."""
     derated = reservoir.p_max > valve.p_inlet_max
     p_r0 = min(reservoir.p_max, valve.p_inlet_max)
-    rate = req.demanded_rate()
-    min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv, gc)
-    amp = req.reference_amplitude()
     cutoff_full = gm.cutoff_frequency(gm.inflation_rate(p_r0, valve.r_vmin, req.v_cv, gc), amp)
-    cutoff_floor = gm.cutoff_frequency(rate, amp)
     cycles = gm.n_cycles(p_r0, req.v_cv, valve.r_vmin, rate, reservoir.v_r, req.dp_cv, gc)
 
     limiting: list[str] = []
@@ -179,14 +191,20 @@ def enumerate_catalog(
 ) -> DesignReport:
     """Evaluate every valve x reservoir pair and rank the feasible ones.
 
+    Each entry equals ``evaluate_design`` of its pair; the terms that do not
+    depend on the pair are computed once, and ``min_p_r`` once per valve.
     Order: total mass ascending, ties by cycle count descending, then by
     component names; deterministic across reruns.
     """
-    entries = [
-        evaluate_design(req, valve, reservoir, gc)
-        for valve in catalog.valves
-        for reservoir in catalog.reservoirs
-    ]
+    rate, amp = req.demanded_rate(), req.reference_amplitude()
+    cutoff_floor = gm.cutoff_frequency(rate, amp)
+    entries = []
+    for valve in catalog.valves:
+        min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv, gc)
+        entries += [
+            _score(req, valve, reservoir, gc, rate, amp, cutoff_floor, min_p_r)
+            for reservoir in catalog.reservoirs
+        ]
     key = lambda e: (e.total_mass_g, -e.n_cycles, e.valve, e.reservoir)
     feasible = tuple(sorted((e for e in entries if e.feasible), key=key))
     infeasible = tuple(sorted((e for e in entries if not e.feasible), key=key))

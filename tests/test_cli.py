@@ -1,16 +1,24 @@
 import json
+import math
+import os
 import re
+import subprocess
+import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pneusim import cli
 from pneusim.components import default_network
 from pneusim.sim import simulate, step_scenario
+from pneusim.sizing import DesignEntry, DesignReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 README = SCENARIOS.parent / "README.md"
+SRC = SCENARIOS.parent / "src"
 
 
 def write_json(path: Path, payload: dict) -> Path:
@@ -245,6 +253,14 @@ class TestSweepCommand:
         rc = cli.main(["sweep", str(scn_file), "--omegas", "0.5", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_zero_repeats_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch):
+        from pneusim import analysis
+
+        monkeypatch.setattr(analysis, "simulate", lambda scn: pytest.fail("simulated"))
+        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35"]
+        assert cli.main([*argv, "--repeats", "0", "--out", str(tmp_path)]) == 2
+        assert "error: --repeats: must be >= 1" in capsys.readouterr().err
+
 
 class TestDischargeCommand:
     def test_fit_matches_closed_form(self, tmp_path):
@@ -368,6 +384,93 @@ class TestSizeCommand:
         )
         assert rc == 2
         assert "color" in capsys.readouterr().err
+
+
+class TestOutputErrors:
+    """An output directory or file that cannot be made is an exit-2 error naming --out."""
+
+    @pytest.mark.parametrize("where", ["directory", "file"])
+    def test_run_command(self, tmp_path, capsys, where):
+        scn_file = write_json(tmp_path / "step.json", minimal_scenario())
+        (tmp_path / "blocker").write_text("")
+        if where == "directory":  # --out below a regular file
+            out = tmp_path / "blocker" / "x"
+            failed = out
+        else:  # the output's name is taken by a directory
+            out = tmp_path / "out"
+            failed = out / "step_timeseries.csv"
+            failed.mkdir(parents=True)
+        assert cli.main(["simulate", str(scn_file), "--out", str(out)]) == 2
+        assert f"error: --out: {failed}: " in capsys.readouterr().err
+
+    def test_size(self, tmp_path, capsys):
+        (tmp_path / "blocker").write_text("")
+        out = tmp_path / "blocker" / "x"
+        argv = ["size", str(SCENARIOS / "demo_requirements.json"),
+                str(SCENARIOS / "reference_catalog.json")]
+        assert cli.main([*argv, "--out", str(out)]) == 2
+        assert f"error: --out: {out}: " in capsys.readouterr().err
+
+
+# ------------------------------------------------------- design report writer
+
+REPORT_FLOATS = st.floats() | st.sampled_from(
+    [math.inf, -math.inf, math.nan, -0.0, 0.0, 5e-324, 2.225e-308, 1.7976931348623157e308, 1e300]
+)
+REPORT_NAMES = st.text() | st.sampled_from(
+    ["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "Ventil-\u00e9\u20ac", "\U0001f4a8", "\ud800"]
+)
+DESIGN_ENTRIES = st.builds(
+    DesignEntry,
+    valve=REPORT_NAMES,
+    reservoir=REPORT_NAMES,
+    p_r0=REPORT_FLOATS,
+    pressure_derated=st.booleans(),
+    pdot_demand=REPORT_FLOATS,
+    min_p_r=REPORT_FLOATS,
+    cutoff_hz_full=REPORT_FLOATS,
+    cutoff_hz_floor=REPORT_FLOATS,
+    n_cycles=REPORT_FLOATS,
+    total_mass_g=REPORT_FLOATS,
+    feasible=st.booleans(),
+    limiting=st.lists(st.sampled_from(["reservoir pressure", "cycle count"]) | REPORT_NAMES,
+                      max_size=2).map(tuple),
+)
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    feasible=st.lists(DESIGN_ENTRIES, max_size=3),
+    infeasible=st.lists(DESIGN_ENTRIES, max_size=3),
+    sha=st.fixed_dictionaries({"catalog": REPORT_NAMES, "requirements": REPORT_NAMES}),
+)
+def test_design_report_json_equals_json_dumps(feasible, infeasible, sha):
+    payload = {
+        "schema_version": 1,
+        "input_sha256": sha,
+        "feasible": [asdict(e) for e in feasible],
+        "infeasible": [asdict(e) for e in infeasible],
+    }
+    expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    assert cli.design_report_json(DesignReport(tuple(feasible), tuple(infeasible)), sha) == expected
+
+
+def test_size_does_not_import_numpy(tmp_path):
+    code = (
+        "import sys\n"
+        "from pneusim import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "assert 'numpy' not in sys.modules, 'size imported numpy'\n"
+        "sys.exit(rc)\n"
+    )
+    argv = ["size", SCENARIOS / "demo_requirements.json", SCENARIOS / "reference_catalog.json",
+            "--out", tmp_path]
+    paths = [p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "demo_requirements_design_report.json").is_file()
 
 
 class TestFieldNamedErrors:

@@ -1,3 +1,6 @@
+import random
+from dataclasses import astuple
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -144,6 +147,37 @@ class TestEnumerateCatalog:
         r1 = enumerate_catalog(DEMO, cat)
         r2 = enumerate_catalog(DEMO, cat)
         assert r1 == r2
+
+    @pytest.mark.parametrize(
+        "req",
+        [
+            DesignRequirements(v_cv=0.1, dp_cv=20.7, amplitude=60.0, freq_hz=2.0, min_cycles=100.0),
+            DesignRequirements(v_cv=0.3, dp_cv=50.0, pdot_d=120.0, min_cycles=10.0),
+        ],
+    )
+    def test_equals_evaluate_design_of_every_pair(self, req):
+        rng = random.Random(40 * 6)
+        ratings = (345.0, 517.0, 689.0, 1034.0)  # valve and reservoir ratings cross: some derate
+        valves = tuple(
+            ValveOption(name=f"V{i}", r_vmin=rng.uniform(200.0, 4000.0),
+                        mass_g=rng.uniform(20.0, 200.0), p_inlet_max=rng.choice(ratings))
+            for i in range(40)
+        )
+        reservoirs = tuple(
+            ReservoirOption(name=f"R{j}", v_r=rng.uniform(0.1, 5.0),
+                            mass_g=rng.uniform(20.0, 400.0), p_max=rng.choice(ratings))
+            for j in range(6)
+        )
+        report = enumerate_catalog(req, ComponentCatalog(valves=valves, reservoirs=reservoirs))
+        assert report.feasible and report.infeasible
+        got = {(e.valve, e.reservoir): e for e in report.entries}
+        expected = [evaluate_design(req, v, r) for v in valves for r in reservoirs]
+        assert len(got) == len(expected) == 240
+        hexed = lambda e: [float.hex(x) if isinstance(x, float) else x for x in astuple(e)]
+        for ref in expected:
+            entry = got[ref.valve, ref.reservoir]
+            assert entry == ref
+            assert hexed(entry) == hexed(ref)
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):
