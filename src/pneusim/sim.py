@@ -1,17 +1,21 @@
-"""Deterministic fixed-step simulation of the reservoir/valve/volume network.
+"""Deterministic simulation of the reservoir/valve/volume network.
 
 State is the pair of gauge pressures (reservoir, control volume). Flows follow
-the exact pressure differences across each path; a classical 4th-order
-fixed-step integrator advances the state, and the controller runs on its own
-slower clock with zero-order-held commands in between. Identical scenarios
-(including seeds) reproduce bit-identical output.
+the exact pressure differences across each path, so while a command is held
+the network is affine in the state between its kinks, and each span between
+events (a control tick, a sample row, the end of the run) is advanced by the
+exact solution of that affine system. A span whose exact solution would cross
+a kink is redone with classical 4th-order Runge-Kutta steps of dt. The
+controller runs on its own slower clock with zero-order-held commands in
+between. Identical scenarios (including seeds) reproduce bit-identical output.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .components import (
     PneumaticNetwork,
@@ -26,7 +30,6 @@ from .components import (
 from .control import (
     ActuatorCommand,
     ControllerConfig,
-    IDLE_COMMAND,
     Mode,
     control_kernel,
     control_step,  # noqa: F401 -- perfbench/tracer.py patches it here by name
@@ -69,6 +72,12 @@ class StepCommand:
     def value(self, t: float) -> float:
         return self.target_kpa if t >= self.start_s else 0.0
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """``value`` at each time of an array."""
+        import numpy as np
+
+        return np.where(t >= self.start_s, self.target_kpa, 0.0)
+
     def rate(self, t: float) -> float:
         return 0.0
 
@@ -92,6 +101,12 @@ class SineCommand:
     def value(self, t: float) -> float:
         return self.offset_kpa + self.amplitude_kpa * math.sin(2.0 * math.pi * self.freq_hz * t)
 
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """``value`` at each time of an array, to the last bit of numpy's sine."""
+        import numpy as np
+
+        return self.offset_kpa + self.amplitude_kpa * np.sin(2.0 * math.pi * self.freq_hz * t)
+
     def rate(self, t: float) -> float:
         w = 2.0 * math.pi * self.freq_hz
         return self.amplitude_kpa * w * math.cos(w * t)
@@ -113,15 +128,20 @@ class PiecewiseCommand:
             raise ValueError("PiecewiseCommand knot times must be strictly increasing")
         if any(v < 0.0 for _, v in self.knots):
             raise ValueError("PiecewiseCommand values must be non-negative")
+        object.__setattr__(self, "_times", tuple(times))
 
     def value(self, t: float) -> float:
-        out = self.knots[0][1]
-        for knot_t, knot_v in self.knots:
-            if knot_t <= t:
-                out = knot_v
-            else:
-                break
-        return out
+        """The value of the last knot at or before t; the first knot's before t=0 (and at NaN)."""
+        if not t >= 0.0:
+            return self.knots[0][1]
+        return self.knots[bisect_right(self._times, t) - 1][1]
+
+    def values(self, t: np.ndarray) -> np.ndarray:
+        """``value`` at each time of an array."""
+        import numpy as np
+
+        i = np.searchsorted(self._times, t, side="right") - 1
+        return np.array([v for _, v in self.knots])[np.where(t >= 0.0, i, 0)]
 
     def rate(self, t: float) -> float:
         return 0.0
@@ -323,71 +343,485 @@ def flow_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bo
     return rates
 
 
+# Exact propagation. While a command is held the network is affine in (p_r,
+# p_cv) inside each region of its three kinks (the motive clamp, the Venturi
+# saturation and the exhaust clamp): dp/dt = A p + b. A span h then has the
+# exact solution p + h*phi1(A h)*(A p + b), phi1(z) = (e^z - 1)/z, which needs
+# no inverse of A (singular for a held reservoir or shut valves). By
+# Cayley-Hamilton every f(Z) of a 2x2 Z = A t is alpha*I + beta*Z, and only
+# the two scalars need computing (Moler & Van Loan 2003, "Nineteen dubious
+# ways to compute the exponential of a matrix"; Van Loan 1978, "Computing
+# integrals involving the matrix exponential", for the integral phi1).
+
+_INV_FACT = tuple(1.0 / math.factorial(k) for k in range(17))
+# The Taylor remainder of alpha is below 2**-53 from degree k on while the
+# spectral radius of Z is at most _THETA[k]; beta, whose series starts one
+# power lower, takes one degree more
+_THETA = tuple((math.factorial(k + 1) * 2.0**-53) ** (1.0 / (k + 1)) for k in range(15))
+_TAYLOR_MAX = 0.5  # a larger spectral radius goes to the eigenvalue forms
+# A kink functional may read this much (relative to its terms) below zero and
+# still count as inside: where the exact solution settles on a kink, say a
+# vent reaching atmosphere, rounding puts it on either side, and the flows
+# are continuous across every kink.
+_ROUNDING = 2.0**-50
+SEGMENT_ROWS = 2**14  # open-loop rows computed at a time, which bounds the temporaries
+
+
+def _spectrum(a11: float, a12: float, a21: float, a22: float) -> tuple:
+    """(s, delta, det, rho): eigenvalues s +- sqrt(delta), det(A), and rho >= their modulus."""
+    s = 0.5 * (a11 + a22)
+    d = 0.5 * (a11 - a22)
+    delta = d * d + a12 * a21
+    return s, delta, a11 * a22 - a12 * a21, abs(s) + math.sqrt(abs(delta))
+
+
+def _degree(rho_t: float) -> int:
+    """The Taylor degree exact to rounding at spectral radius rho_t <= _TAYLOR_MAX."""
+    return bisect_left(_THETA, rho_t) + 1
+
+
+def _taylor(tz, dz, degree: int) -> tuple:
+    """Horner's rule for the Taylor polynomials of e^Z and phi1(Z), where Z^2 = tz*Z - dz*I."""
+    ea, eb = _INV_FACT[degree], 0.0
+    fa, fb = _INV_FACT[degree + 1], 0.0
+    for k in range(degree - 1, -1, -1):
+        ea, eb = _INV_FACT[k] - eb * dz, ea + eb * tz
+        fa, fb = _INV_FACT[k + 1] - fb * dz, fa + fb * tz
+    return ea, eb, fa, fb
+
+
+def _eigen(s: float, delta: float, det: float, t, xp) -> tuple:
+    """``exp_phi1`` from the eigenvalues, for an eigenvalue of A t of modulus above 1/3.
+
+    With a the eigenvalue of larger modulus and b the other, beta is the
+    divided difference f[a, b] and alpha = f(b) - beta*b. e[a, b] =
+    e^b*phi1(a - b), and phi1[a, b] = (e[a, b] - phi1(b))/a divides only by
+    the larger eigenvalue. ``xp`` is ``math`` for a float ``t``, numpy for an
+    array.
+    """
+    if delta >= 0.0:
+        mu = math.sqrt(delta)
+        lam = s - mu if s <= 0.0 else s + mu
+        lam_b = det / lam  # the other eigenvalue, from the product
+        a, b = lam * t, lam_b * t
+        gap = math.copysign(2.0 * mu, lam) * t  # a - b
+        phi_gap = xp.expm1(gap) / gap if mu else 1.0
+        phi_b = xp.expm1(b) / b if lam_b else 1.0
+        exp_b = xp.exp(b)
+        eb = exp_b * phi_gap
+        fb = (eb - phi_b) / a
+        return exp_b - eb * b, eb, phi_b - fb * b, fb
+    # complex pair x +- iy: phi1 of x - iy, with e^z - 1 written without cancellation
+    x, y = s * t, math.sqrt(-delta) * t
+    m2 = x * x + y * y
+    exp_x, cos_y, sin_y = xp.exp(x), xp.cos(y), xp.sin(y)
+    eb = exp_x * sin_y / y
+    u = xp.expm1(x) * cos_y - 2.0 * xp.sin(0.5 * y) ** 2
+    v = exp_x * sin_y
+    re = (u * x + v * y) / m2
+    fb = ((eb - re) * x - (u * y - v * x) / m2 * y) / m2
+    return exp_x * cos_y - eb * x, eb, re - fb * x, fb
+
+
+def exp_phi1(a11: float, a12: float, a21: float, a22: float, t: float) -> tuple:
+    """Closed forms of e^(A t) and of its integral over [0, t], for a real 2x2 A.
+
+    Returns (ea, eb, fa, fb) with e^(A t) = ea*I + eb*A*t and
+    int_0^t e^(A u) du = t*phi1(A t) = t*(fa*I + fb*A*t). Real, repeated and
+    complex eigenvalues and a singular A take the same two branches: a
+    Taylor polynomial while every eigenvalue of A t is within 1/2 of zero,
+    else the eigenvalue forms of ``_eigen``.
+    """
+    s, delta, det, rho = _spectrum(a11, a12, a21, a22)
+    if rho * t <= _TAYLOR_MAX:
+        return _taylor((a11 + a22) * t, det * t * t, _degree(rho * t))
+    return _eigen(s, delta, det, t, math)
+
+
+def _exp_phi1_grid(a11: float, a12: float, a21: float, a22: float, t: np.ndarray) -> list:
+    """``exp_phi1`` at each time of an increasing array, as four arrays."""
+    import numpy as np
+
+    s, delta, det, rho = _spectrum(a11, a12, a21, a22)
+    split = int(np.searchsorted(t, _TAYLOR_MAX / rho, side="right")) if rho else len(t)
+    parts = []
+    if split:
+        head = t[:split]
+        coeffs = _taylor((a11 + a22) * head, det * head * head, _degree(rho * head[-1]))
+        parts.append([np.broadcast_to(c, head.shape) for c in coeffs])
+    if split < len(t):
+        parts.append(_eigen(s, delta, det, t[split:], np))
+    return [np.concatenate(cs) for cs in zip(*parts)]
+
+
+class Piece(NamedTuple):
+    """The affine laws of the network in one region, under one held command.
+
+    q_in = c_in*(p_r - p_cv), q_motive = c_mot*p_r, the Venturi node sits at
+    n_r*p_r + n_0, and q_out = (p_cv - node)/r_open while ``exhaust`` is set,
+    else 0. Then dp/dt = A p + (0, b2), A = ((a11, a12), (a21, a22)). Each
+    kink (k_r, k_cv, k_0) bounds the region: k_r*p_r + k_cv*p_cv + k_0 >= 0.
+    """
+
+    c_in: float
+    c_mot: float
+    n_r: float
+    n_0: float
+    exhaust: bool
+    a11: float
+    a12: float
+    a21: float
+    a22: float
+    b2: float
+    kinks: tuple
+
+
+def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False):
+    """The affine pieces of ``flow_kernel``'s network, with the same constants.
+
+    Returns ``(classify, piece)``. ``classify(p_r, p_cv, f_in, f_mot, sol)``
+    is the code of the region that holds the state, by the comparisons
+    ``flow_kernel`` makes: 2*motive + exhaust, where motive is 0 without
+    motive flow, 2 with the Venturi saturated and a solenoid to feel it, else
+    1, and exhaust is 1 while the exhaust flows. ``piece(code, f_in, f_mot,
+    sol)`` is that region's ``Piece``.
+    """
+    a = alpha(gas)
+    inv_vr = 0.0 if hold else a / net.reservoir.v_r
+    inv_vcv = a / net.control_volume.v_cv
+    r_in = net.inflation_valve.r_vmin
+    r_mot = net.motive_valve.r_vmin
+    r_open = net.solenoid.r_open
+    floor = net.venturi.p_vac_floor
+    q_rated = net.venturi.q_motive_rated
+
+    def classify(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> int:
+        q_motive = (f_mot * p_r) / r_mot if f_mot else 0.0
+        if not q_motive > 0.0:
+            return 1 if sol and p_cv > 0.0 else 0
+        x = q_motive / q_rated
+        if not sol:
+            return 2
+        if x < 1.0:
+            return 3 if p_cv - floor * x > 0.0 else 2
+        return 5 if p_cv - floor > 0.0 else 4
+
+    def piece(code: int, f_in: float, f_mot: float, sol: bool) -> Piece:
+        c_in = f_in / r_in
+        if not (f_mot or sol):  # inflation alone: no kink
+            return Piece(
+                c_in, 0.0, 0.0, 0.0, False,
+                -c_in * inv_vr, c_in * inv_vr, c_in * inv_vcv, -c_in * inv_vcv, 0.0, (),
+            )
+        motive, exhaust = divmod(code, 2)
+        c_mot = f_mot / r_mot if motive else 0.0
+        n_r = floor * c_mot / q_rated if motive == 1 and sol else 0.0
+        n_0 = floor if motive == 2 else 0.0
+        kinks = []
+        if f_mot:
+            kinks.append((1.0, 0.0, 0.0) if motive else (-1.0, 0.0, 0.0))  # the motive clamp
+            if motive and sol:  # the Venturi saturation
+                kinks.append((-c_mot, 0.0, q_rated) if motive == 1 else (c_mot, 0.0, -q_rated))
+        if sol:  # the exhaust clamp: p_cv against the node
+            kinks.append((-n_r, 1.0, -n_0) if exhaust else (n_r, -1.0, n_0))
+        # q_out = o_r*p_r + o_cv*p_cv + o_0
+        o_r, o_cv, o_0 = (-n_r / r_open, 1.0 / r_open, -n_0 / r_open) if exhaust else (0.0,) * 3
+        return Piece(
+            c_in, c_mot, n_r, n_0, bool(exhaust),
+            -(c_in + c_mot) * inv_vr, c_in * inv_vr,
+            (c_in - o_r) * inv_vcv, -(c_in + o_cv) * inv_vcv, -o_0 * inv_vcv,
+            tuple(kinks),
+        )
+
+    return classify, piece
+
+
+def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
+    """How far below zero rounding may put a kink functional over a span from p to e."""
+    k_r, k_cv, k_0 = kink
+    return _ROUNDING * (
+        abs(k_r) * (abs(p_r) + abs(e_r)) + abs(k_cv) * (abs(p_cv) + abs(e_cv)) + abs(k_0)
+    )
+
+
+def _stays_inside(pc: Piece, g0: float, u: float, v: float, h: float) -> bool:
+    """Whether a kink functional g, falling at the start of a span and rising at
+    its end, stays >= 0 at its minimum inside the span.
+
+    g(0) = g0, g'(0) = u < 0 and v = k.A.r, so g'(t) = e^(st)*(C(t)*u +
+    S(t)*(v - s*u)) with C, S the cosh/sinh (cos/sin) pair of the span's
+    matrix; its one zero inside the span is the minimum.
+    """
+    s, delta, _, _ = _spectrum(pc.a11, pc.a12, pc.a21, pc.a22)
+    w = v - s * u
+    if delta < 0.0:
+        om = math.sqrt(-delta)
+        t = math.atan2(-u * om, w) / om
+    elif not w > 0.0:
+        return False
+    elif delta == 0.0:
+        t = -u / w
+    else:
+        mu = math.sqrt(delta)
+        x = -u * mu / w
+        if not x < 1.0:
+            return False
+        t = math.atanh(x) / mu
+    if not 0.0 < t < h:
+        return False
+    _, _, fa, fb = exp_phi1(pc.a11, pc.a12, pc.a21, pc.a22, t)
+    return g0 + t * (fa * u + fb * t * v) >= 0.0
+
+
+def propagator(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False):
+    """The exact solution under a held command, built once per run.
+
+    Returns ``(span, segment)``.
+
+    ``span(p_r, p_cv, f_in, f_mot, sol, h)`` is the state after h, or None
+    when the exact solution does not provably stay in the region it starts
+    in: its end must be in the region, and no kink functional may reach
+    below zero at a minimum inside the span (both to within ``_ROUNDING``).
+    Only the map of the current command, region and h is kept, and reused
+    until one of them changes.
+
+    ``segment(p_r, p_cv, f_in, f_mot, sol, t)`` is the exact solution at the
+    times t (t[0] == 0) of the leading rows that provably stay in the start
+    region: arrays (p_r, p_cv, q_in, q_out, q_motive), at least one row.
+    """
+    import numpy as np
+
+    classify, piece = region_kernel(net, gas, hold)
+    r_open = net.solenoid.r_open
+    key = pc = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
+
+    def oscillates(p: Piece, h: float) -> bool:
+        """A complex pair turning by pi or more over h: g' may change sign twice."""
+        _, delta, _, _ = _spectrum(p.a11, p.a12, p.a21, p.a22)
+        return delta < 0.0 and math.sqrt(-delta) * h >= math.pi
+
+    def span(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool, h: float):
+        nonlocal key, pc, a11, a12, a21, a22, b2, kinks, coeffs, gain
+        code = classify(p_r, p_cv, f_in, f_mot, sol) if f_mot or sol else 0
+        new_key = (f_in, f_mot, sol, code, h)
+        if new_key != key:
+            key = new_key
+            pc = piece(code, f_in, f_mot, sol)
+            a11, a12, a21, a22, b2, kinks = pc.a11, pc.a12, pc.a21, pc.a22, pc.b2, pc.kinks
+            trace = a11 + a22
+            if a11 * a22 == a12 * a21 and a11 * b2 == 0.0 and a12 * b2 == 0.0:
+                # singular A with b in its range: A r = trace*r, so the state
+                # moves along r by (e^(trace*h) - 1)/trace, and every kink
+                # functional is monotone over the span
+                gain = math.expm1(trace * h) / trace if trace * h else h
+            else:
+                gain = None
+                coeffs = None if kinks and oscillates(pc, h) else exp_phi1(a11, a12, a21, a22, h)
+        r_r = a11 * p_r + a12 * p_cv
+        r_cv = a21 * p_r + a22 * p_cv + b2
+        if gain is not None:
+            e_r = p_r + gain * r_r
+            e_cv = p_cv + gain * r_cv
+        elif coeffs is None:
+            return None
+        else:
+            ea, eb, fa, fb = coeffs
+            ar_r = a11 * r_r + a12 * r_cv
+            ar_cv = a21 * r_r + a22 * r_cv
+            e_r = p_r + h * (fa * r_r + fb * h * ar_r)
+            e_cv = p_cv + h * (fa * r_cv + fb * h * ar_cv)
+        if not (PERFECT_VACUUM_KPA <= e_r < math.inf and PERFECT_VACUUM_KPA <= e_cv < math.inf):
+            return None
+        for kink in kinks:
+            k_r, k_cv, k_0 = kink
+            if k_r * e_r + k_cv * e_cv + k_0 < 0.0 and k_r * e_r + k_cv * e_cv + k_0 < -_slack(
+                kink, p_r, p_cv, e_r, e_cv
+            ):
+                return None
+            u = k_r * r_r + k_cv * r_cv
+            if gain is None and u < 0.0:
+                v = k_r * ar_r + k_cv * ar_cv
+                # g'(h) rising beyond its rounding: a minimum inside the span
+                rising = ea * u + eb * h * v > _ROUNDING * (abs(ea * u) + abs(eb * h * v))
+                if rising and not _stays_inside(
+                    pc, k_r * p_r + k_cv * p_cv + k_0 + _slack(kink, p_r, p_cv, e_r, e_cv), u, v, h
+                ):
+                    return None
+        return e_r, e_cv
+
+    def segment(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool, t: np.ndarray):
+        p = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
+        ea, eb, fa, fb = _exp_phi1_grid(p.a11, p.a12, p.a21, p.a22, t)
+        r_r = p.a11 * p_r + p.a12 * p_cv
+        r_cv = p.a21 * p_r + p.a22 * p_cv + p.b2
+        ar_r = p.a11 * r_r + p.a12 * r_cv
+        ar_cv = p.a21 * r_r + p.a22 * r_cv
+        with np.errstate(invalid="ignore", over="ignore"):
+            rows_r = p_r + t * (fa * r_r + fb * t * ar_r)
+            rows_cv = p_cv + t * (fa * r_cv + fb * t * ar_cv)
+            ok = (rows_r >= PERFECT_VACUUM_KPA) & (rows_r < math.inf)
+            ok &= (rows_cv >= PERFECT_VACUUM_KPA) & (rows_cv < math.inf)
+            if p.kinks and len(t) > 1 and oscillates(p, t[1]):
+                ok[1:] = False
+            for kink in p.kinks:
+                k_r, k_cv, k_0 = kink
+                g = k_r * rows_r + k_cv * rows_cv + k_0
+                ok &= g >= -_slack(kink, p_r, p_cv, rows_r, rows_cv)
+                # g' at each row; a sign change from - to + between rows is a minimum inside
+                u, v = ea * (k_r * r_r + k_cv * r_cv), eb * t * (k_r * ar_r + k_cv * ar_cv)
+                slope, noise = u + v, _ROUNDING * (np.abs(u) + np.abs(v))
+                ok[1:] &= ~((slope[:-1] < 0.0) & (slope[1:] > noise[1:]))
+        ok[0] = True  # the start state itself
+        n = len(t) if ok.all() else int(np.argmin(ok))
+        rows_r, rows_cv = rows_r[:n], rows_cv[:n]
+        q_in = p.c_in * (rows_r - rows_cv)
+        q_motive = p.c_mot * rows_r
+        if p.exhaust:
+            q_out = (rows_cv - (p.n_r * rows_r + p.n_0)) / r_open
+        else:
+            q_out = np.zeros(n)
+        return rows_r, rows_cv, q_in, q_out, q_motive
+
+    return span, segment
+
+
+def _rk4(rates, p_r: float, p_cv: float, h: float, f_in: float, f_mot: float, sol: bool) -> tuple:
+    """One classical 4th-order Runge-Kutta step of ``flow_kernel``'s rates."""
+    k1r, k1c, _, _, _ = rates(p_r, p_cv, f_in, f_mot, sol)
+    half = 0.5 * h
+    k2r, k2c, _, _, _ = rates(p_r + half * k1r, p_cv + half * k1c, f_in, f_mot, sol)
+    k3r, k3c, _, _, _ = rates(p_r + half * k2r, p_cv + half * k2c, f_in, f_mot, sol)
+    k4r, k4c, _, _, _ = rates(p_r + h * k3r, p_cv + h * k3c, f_in, f_mot, sol)
+    sixth = h / 6.0
+    return (
+        p_r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+        p_cv + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
+    )
+
+
+def rk4_steps(
+    rates, p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool, dt: float, k: int, m: int
+) -> tuple:
+    """State after m RK4 steps of dt from step k, the fallback over a span that crosses a kink.
+
+    A step that lands below perfect vacuum is retried as ten steps of dt/10
+    before the run is declared divergent; a divergence names the time of
+    the step it happened in.
+    """
+    for i in range(k, k + m):
+        t = i * dt
+        new_r, new_cv = _rk4(rates, p_r, p_cv, dt, f_in, f_mot, sol)
+        if not (math.isfinite(new_r) and math.isfinite(new_cv)):
+            raise SimulationDivergence("non-finite state", t)
+        if min(new_r, new_cv) < PERFECT_VACUUM_KPA:
+            new_r, new_cv = p_r, p_cv
+            for _ in range(10):
+                new_r, new_cv = _rk4(rates, new_r, new_cv, dt / 10.0, f_in, f_mot, sol)
+            if not (math.isfinite(new_r) and math.isfinite(new_cv)):
+                raise SimulationDivergence("non-finite state", t)
+            if min(new_r, new_cv) < PERFECT_VACUUM_KPA:
+                raise SimulationDivergence("gauge pressure below perfect vacuum", t)
+        p_r, p_cv = new_r, new_cv
+    return p_r, p_cv
+
+
 def simulate(scn: Scenario) -> TimeSeries:
-    """Integrate a scenario and return its uniformly sampled trace."""
+    """Integrate a scenario and return its uniformly sampled trace.
+
+    Each span between events (a control tick, a sample row, the end) is one
+    exact map, or RK4 steps where the span crosses a kink. In open loop the
+    command is held for the whole run, so the rows are computed a segment
+    at a time from one map each.
+    """
     import numpy as np
 
     scn.validate()
-    net = scn.network
-    evp, dvp = net.inflation_valve, net.motive_valve
-    rates = flow_kernel(net, scn.gas, scn.hold_reservoir)
-
-    def rk4(p_r: float, p_cv: float, h: float, f_in: float, f_mot: float, sol: bool) -> tuple:
-        """New (p_r, p_cv) after one step, and the flows of its first stage."""
-        k1r, k1c, q_in, q_out, q_motive = rates(p_r, p_cv, f_in, f_mot, sol)
-        half = 0.5 * h
-        k2r, k2c, _, _, _ = rates(p_r + half * k1r, p_cv + half * k1c, f_in, f_mot, sol)
-        k3r, k3c, _, _, _ = rates(p_r + half * k2r, p_cv + half * k2c, f_in, f_mot, sol)
-        k4r, k4c, _, _, _ = rates(p_r + h * k3r, p_cv + h * k3c, f_in, f_mot, sol)
-        sixth = h / 6.0
-        return (
-            p_r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-            p_cv + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
-            q_in,
-            q_out,
-            q_motive,
-        )
-
-    n = scn.n_steps()
-    ss = scn.sample_stride()
-    closed = scn.closed_loop
-    cs = scn.control_stride() if closed else 0
-
     n_rows = scn.n_rows()
     columns = {name: np.empty(n_rows) for name in TimeSeries._COLUMNS}
     columns["mode"] = np.empty(n_rows, dtype=np.uint8)
+    rates = flow_kernel(scn.network, scn.gas, scn.hold_reservoir)
+    span, segment = propagator(scn.network, scn.gas, scn.hold_reservoir)
+    if scn.closed_loop:
+        _closed_loop(scn, columns, rates, span)
+    else:
+        _open_loop(scn, columns, rates, span, segment)
+    ts = TimeSeries(**columns)
+    ts.validate()
+    return ts
+
+
+def _open_loop(scn: Scenario, columns: dict, rates, span, segment) -> None:
+    """Fill the columns of an open-loop run: segments of rows, one region each."""
+    import numpy as np
+
+    net, cmd, dt = scn.network, scn.open_loop_command, scn.dt
+    n, ss, n_rows = scn.n_steps(), scn.sample_stride(), scn.n_rows()
+    f_in = valve_fraction(cmd.u_inflate, net.inflation_valve)
+    f_mot = valve_fraction(cmd.u_motive, net.motive_valve)
+    sol = cmd.solenoid_open
+
+    def advance(p_r: float, p_cv: float, k: int, m: int) -> tuple:
+        """State m steps after step k."""
+        return span(p_r, p_cv, f_in, f_mot, sol, m * dt) or rk4_steps(
+            rates, p_r, p_cv, f_in, f_mot, sol, dt, k, m
+        )
+
+    columns["t"][:] = (np.arange(n_rows) * ss) * dt
+    columns["p_cmd"][:] = scn.command.values(columns["t"])
+    columns["u_inflate"][:] = cmd.u_inflate
+    columns["u_motive"][:] = cmd.u_motive
+    columns["solenoid"][:] = 1.0 if sol else 0.0
+    columns["mode"][:] = Mode.IDLE
+    trace = [columns[name] for name in ("p_r", "p_cv", "q_in", "q_out", "q_motive")]
+    p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
+    row = 0
+    while True:
+        m = min(n_rows - row, SEGMENT_ROWS)
+        rows = segment(p_r, p_cv, f_in, f_mot, sol, (np.arange(m) * ss) * dt)
+        got = len(rows[0])
+        for col, values in zip(trace, rows):
+            col[row:row + got] = values
+        row += got - 1  # the last row inside, where the next segment starts
+        p_r, p_cv = float(rows[0][-1]), float(rows[1][-1])
+        if row == n_rows - 1:
+            break
+        if got < m:  # the next row is in another region: hand over one span
+            p_r, p_cv = advance(p_r, p_cv, row * ss, ss)
+            row += 1
+    if row * ss < n:  # steps past the last row still face the divergence checks
+        advance(p_r, p_cv, row * ss, n - row * ss)
+
+
+def _closed_loop(scn: Scenario, columns: dict, rates, span) -> None:
+    """Fill the columns of a closed-loop run: one span from each event to the next."""
+    import numpy as np
+
+    net, dt = scn.network, scn.dt
+    n, ss, cs = scn.n_steps(), scn.sample_stride(), scn.control_stride()
+    evp, dvp = net.inflation_valve, net.motive_valve
     (t_col, p_cmd_col, p_cv_col, p_r_col, u_in_col, u_mot_col, sol_col,
      q_in_col, q_out_col, q_mot_col, mode_col) = (
         memoryview(columns[name]) for name in TimeSeries._COLUMNS
     )
-
     read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
     control = control_kernel(scn.controller)
-    cmd = scn.open_loop_command if scn.open_loop_command is not None else IDLE_COMMAND
-    u_in, u_mot, sol, mode = cmd.u_inflate, cmd.u_motive, cmd.solenoid_open, Mode.IDLE
-    f_in, f_mot = valve_fraction(u_in, evp), valve_fraction(u_mot, dvp)
-    p_r = net.reservoir.p_r0
-    p_cv = net.control_volume.p_cv
     cmd_value = scn.command.value
     cmd_rate = scn.command.rate
-    dt = scn.dt
-    tick = -1  # step of the last control tick, whose p_cmd a sample row may reuse
-    p_cmd = 0.0
-    row = 0
-
-    for k in range(n + 1):
+    p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
+    u_in = u_mot = f_in = f_mot = p_cmd = 0.0
+    sol = False
+    mode = Mode.IDLE
+    k = row = tick = next_tick = next_row = 0
+    while True:
         t = k * dt
-        if closed and k % cs == 0:
-            meas = read_cv(p_cv)
+        if k == next_tick:
             p_cmd = cmd_value(t)
-            u_in, u_mot, sol, mode = control(p_cmd, meas, cmd_rate(t))
+            u_in, u_mot, sol, mode = control(p_cmd, read_cv(p_cv), cmd_rate(t))
             f_in, f_mot = valve_fraction(u_in, evp), valve_fraction(u_mot, dvp)
             tick = k
-        if k < n:
-            new_r, new_cv, q_in, q_out, q_motive = rk4(p_r, p_cv, dt, f_in, f_mot, sol)
-        else:
+            next_tick += cs
+        if k == next_row:
             _, _, q_in, q_out, q_motive = rates(p_r, p_cv, f_in, f_mot, sol)
-        if k % ss == 0:
             t_col[row] = t
             p_cmd_col[row] = p_cmd if tick == k else cmd_value(t)
             p_cv_col[row] = p_cv
@@ -400,25 +834,16 @@ def simulate(scn: Scenario) -> TimeSeries:
             q_mot_col[row] = q_motive
             mode_col[row] = mode
             row += 1
+            next_row += ss
         if k == n:
             break
-        if not (math.isfinite(new_r) and math.isfinite(new_cv)):
-            raise SimulationDivergence("non-finite state", t)
-        if min(new_r, new_cv) < PERFECT_VACUUM_KPA:
-            # reject the step and retry at dt/10 before declaring divergence
-            sub_r, sub_cv = p_r, p_cv
-            for _ in range(10):
-                sub_r, sub_cv, _, _, _ = rk4(sub_r, sub_cv, dt / 10.0, f_in, f_mot, sol)
-            if not (math.isfinite(sub_r) and math.isfinite(sub_cv)):
-                raise SimulationDivergence("non-finite state", t)
-            if min(sub_r, sub_cv) < PERFECT_VACUUM_KPA:
-                raise SimulationDivergence("gauge pressure below perfect vacuum", t)
-            new_r, new_cv = sub_r, sub_cv
-        p_r, p_cv = new_r, new_cv
-
-    ts = TimeSeries(**columns)
-    ts.validate()
-    return ts
+        nxt = next_tick if next_tick < next_row else next_row
+        if nxt > n:
+            nxt = n
+        p_r, p_cv = span(p_r, p_cv, f_in, f_mot, sol, (nxt - k) * dt) or rk4_steps(
+            rates, p_r, p_cv, f_in, f_mot, sol, dt, k, nxt - k
+        )
+        k = nxt
 
 
 def mass_balance(ts: TimeSeries, scn: Scenario) -> float:

@@ -198,10 +198,13 @@ class TestSimulateCommand:
         assert cli.main(["simulate", str(tmp_path / "nope.json")]) == 2
 
     def test_divergence_exit_3(self, tmp_path):
+        # a stiff exhaust into the Venturi's rising vacuum node: the span's
+        # RK4 fallback lands below perfect vacuum (see test_sim)
         raw = minimal_scenario(
-            mode="open_loop", open_loop_command={"u_evp": 0.0, "u_dvp": 0.0, "solenoid_open": True}
+            mode="open_loop", open_loop_command={"u_evp": 0.0, "u_dvp": 1.0, "solenoid_open": True}
         )
         raw["network"] = {
+            "reservoir": {"P_r0_kPa": 600.0},
             "control_volume": {"V_cv_L": 0.1, "P_cv0_kPa": 100.0},
             "solenoid": {"R_open_kPa_s_per_L": 0.01},
         }

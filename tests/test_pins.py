@@ -40,7 +40,7 @@ PINS = {
         ["simulate", "sweep_21kpa_half_liter.json"],
         {
             "sweep_21kpa_half_liter_manifest.json": "039fd4eaa657cc0648168eebb4deb1833b486bcb0ade8797b46781a0d3a11caa",
-            "sweep_21kpa_half_liter_timeseries.csv": "eafe2d027c0ecacb00c51cc135eacc13d2f6667589e68df12383a81c07f3556d",
+            "sweep_21kpa_half_liter_timeseries.csv": "4dc586a5b874c89b0d946d6a5a73f6f394b92df9cd81ba9dd172f2c354ee80b4",
         },
     ),
     "sweep": (
@@ -48,13 +48,13 @@ PINS = {
         {
             "sweep_21kpa_half_liter_manifest.json": "039fd4eaa657cc0648168eebb4deb1833b486bcb0ade8797b46781a0d3a11caa",
             "sweep_21kpa_half_liter_sweep.csv": "7888efdb5a537d70a56e0cfc909025be660245dd31a0900e6e8e498831b1967c",
-            "sweep_21kpa_half_liter_sweep_fit.json": "11eeef6ead5e06051e45a816e6b1273a0daeb34f3b5aee350869fc410a8809fb",
+            "sweep_21kpa_half_liter_sweep_fit.json": "6993c5f3c5c7efd57ee6dfeb877eaafc837e326c7264c3a38bda13c0bdfeb544",
         },
     ),
     "discharge": (
         ["discharge", "discharge_2l_bottle.json"],
         {
-            "discharge_2l_bottle_discharge_fit.json": "b52b80ffa0501bd894607ca619e478a094414cb667d3db6493be0ca701cf8d25",
+            "discharge_2l_bottle_discharge_fit.json": "e974e38d18a5c0905cf3a3d79cba9e72c9082af3054a5923debf0aee76f2972c",
             "discharge_2l_bottle_manifest.json": "f3327ee71c64681fc1463bfee9175b9a04fe3cc9c0bdb95c1cd17d7b47448698",
             "discharge_2l_bottle_timeseries.csv": "56d0e39f52b4ffbeb497d20faa5b29960fc5daef21cf12549385364886fa48f9",
         },

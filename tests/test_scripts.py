@@ -8,10 +8,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def run_script(name: str) -> subprocess.CompletedProcess:
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     paths = [p for p in (str(ROOT / "src"), os.environ.get("PYTHONPATH")) if p]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    return subprocess.run([sys.executable, str(ROOT / "scripts" / name)], env=env, cwd=ROOT,
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / name), *args], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
 
 
@@ -21,3 +21,24 @@ def test_predict_demo_cycles():
     rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[1:]}
     assert rows["EVP-2505"][1] == "PET-2L"
     assert rows["DVP-670"][1] == "PET-2L"
+
+
+def test_run_discharge_tests(tmp_path):
+    proc = run_script("run_discharge_tests.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[1:4]}
+    assert set(rows) == {"fast_small_bottle", "nominal_2l_bottle", "slow_high_resistance"}
+    for label, (_, tau_model, tau_fit, nrmse) in rows.items():
+        assert abs(float(tau_fit) - float(tau_model)) <= 0.005 * float(tau_model), label
+        assert float(nrmse) < 1e-6, label
+        assert (tmp_path / f"discharge_{label}.csv").stat().st_size > 0
+
+
+def test_run_step_tests(tmp_path):
+    proc = run_script("run_step_tests.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    rows = {line.split()[0]: line.split() for line in proc.stdout.splitlines()[1:4]}
+    assert set(rows) == {"69kPa_half_liter", "34kPa_one_liter", "21kPa_one_liter_low_supply"}
+    for label, (_, model_rate, avg_rate, _, _, _) in rows.items():
+        assert abs(float(avg_rate) - float(model_rate)) <= 0.05 * float(model_rate), label
+        assert (tmp_path / f"step_{label}.csv").stat().st_size > 0

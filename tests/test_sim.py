@@ -1,4 +1,3 @@
-import hashlib
 import math
 from dataclasses import replace
 
@@ -8,6 +7,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pneusim import components as cp
 from pneusim import gasmodel as gm
+from pneusim import sim
 from pneusim.control import ActuatorCommand, IDLE_COMMAND, Mode
 from pneusim.sim import (
     MAX_STEPS,
@@ -21,6 +21,7 @@ from pneusim.sim import (
     discharge_scenario,
     flow_kernel,
     mass_balance,
+    rk4_steps,
     simulate,
     step_scenario,
 )
@@ -55,6 +56,39 @@ class TestCommandSignals:
         assert c.value(1.0) == 50.0
         assert c.value(1.99) == 50.0
         assert c.value(5.0) == 20.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        times=st.lists(st.floats(1e-9, 1e3), max_size=17, unique=True),
+        values=st.lists(st.floats(0.0, 1e3), min_size=18, max_size=18),
+        data=st.data(),
+    )
+    def test_piecewise_value_equals_linear_scan(self, times, values, data):
+        knots = tuple(zip([0.0, *sorted(times)], values))
+        c = PiecewiseCommand(knots=knots)
+        on_knot = st.sampled_from([k[0] for k in knots] + [-k[0] for k in knots])
+        t = data.draw(st.floats(allow_nan=True, allow_infinity=True) | on_knot)
+
+        out = knots[0][1]  # the rule the knot scan implemented
+        for knot_t, knot_v in knots:
+            if knot_t <= t:
+                out = knot_v
+            else:
+                break
+        assert c.value(t) == out
+        assert c.values(np.array([t]))[0] == out
+
+    def test_values_equal_value(self):
+        t = np.concatenate([np.linspace(-1.0, 3.0, 4001), [0.5, 1.0, 2.0, np.inf]])
+        commands = (
+            StepCommand(target_kpa=69.0, start_s=0.5),
+            PiecewiseCommand(knots=((0.0, 0.0), (1.0, 50.0), (2.0, 20.0))),
+        )
+        for c in commands:
+            assert c.values(t).tolist() == [c.value(x) for x in t.tolist()]
+        sine = SineCommand(amplitude_kpa=21.0, freq_hz=1.35, offset_kpa=21.0)
+        want = [sine.value(x) for x in t[:-1].tolist()]
+        assert np.allclose(sine.values(t[:-1]), want, rtol=1e-15, atol=1e-13)
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
@@ -177,6 +211,295 @@ class TestFlowKernel:
         assert [x.hex() for x in got] == [x.hex() for x in want.values()]
 
 
+# The exact span and the RK4 reference agree to SPAN_TOL kPa per kPa of state:
+# |exact - rk4| <= SPAN_TOL * (1 + |p_r| + |p_cv|).
+SPAN_TOL = 1e-9
+RK4_SUBSTEPS = 1000
+
+
+def _network(v_r=2.0, v_cv=0.5, r_open=100.0, q_rated=cp.VENTURI_Q_RATED, floor=-80.0):
+    base = cp.default_network(v_r=v_r, v_cv=v_cv)
+    return replace(
+        base,
+        solenoid=cp.BinaryValveSpec(r_open=r_open),
+        venturi=cp.VenturiSpec(p_vac_floor=floor, q_motive_rated=q_rated),
+    )
+
+
+def _rk4_reference(net, hold, p_r, p_cv, f_in, f_mot, sol, h):
+    """RK4 of flow_kernel's rates over h in RK4_SUBSTEPS steps."""
+    rates = flow_kernel(net, gm.DEFAULT_GAS, hold)
+    for _ in range(RK4_SUBSTEPS):
+        p_r, p_cv = sim._rk4(rates, p_r, p_cv, h / RK4_SUBSTEPS, f_in, f_mot, sol)
+    return p_r, p_cv
+
+
+def _rk4_run(scn: Scenario) -> tuple:
+    """(p_r, p_cv) rows of an open-loop scenario stepped by RK4 alone: every step one RK4
+    step of dt, retried at dt/10 below perfect vacuum."""
+    net, cmd = scn.network, scn.open_loop_command
+    f_in = cp.valve_fraction(cmd.u_inflate, net.inflation_valve)
+    f_mot = cp.valve_fraction(cmd.u_motive, net.motive_valve)
+    rates = flow_kernel(net, scn.gas, scn.hold_reservoir)
+    p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
+    rows = [(p_r, p_cv)]
+    ss = scn.sample_stride()
+    for k in range(scn.n_steps()):
+        p_r, p_cv = rk4_steps(rates, p_r, p_cv, f_in, f_mot, cmd.solenoid_open, scn.dt, k, 1)
+        if (k + 1) % ss == 0:
+            rows.append((p_r, p_cv))
+    return tuple(np.array(c) for c in zip(*rows))
+
+
+def _expm(m: np.ndarray) -> np.ndarray:
+    """Matrix exponential by scaling and squaring of a 20-term Taylor series."""
+    norm = float(np.abs(m).sum(axis=1).max())
+    squarings = max(0, math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0
+    x = m / 2.0**squarings
+    term = result = np.eye(len(m))
+    for k in range(1, 21):
+        term = term @ x / k
+        result = result + term
+    for _ in range(squarings):
+        result = result @ result
+    return result
+
+
+class TestExpPhi1:
+    """exp_phi1 against Van Loan's block form:
+    expm([[A, I], [0, 0]] t) = [[e^(At), int_0^t e^(Au) du], [0, I]]."""
+
+    ENTRY = st.sampled_from([0.0, 1.0, -1.0]) | st.floats(-10.0, 10.0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a11=ENTRY, a12=ENTRY, a21=ENTRY, a22=ENTRY, t=st.floats(0.0, 1.0))
+    @example(0.0, 0.0, 0.0, 0.0, 0.5)  # zero
+    @example(0.0, 0.0, 5.0, 0.0, 0.5)  # nilpotent
+    @example(-1.0, 0.0, 3.0, -1.0, 0.3)  # repeated eigenvalue, defective
+    @example(-3.0, 0.0, 0.0, -3.0, 0.9)  # repeated eigenvalue, diagonal
+    @example(-2.0, 2.0, 1.0, -1.0, 0.7)  # singular
+    @example(0.0, 1.0, -4.0, 0.0, 0.9)  # complex pair on the imaginary axis
+    @example(-1.0, 1e4, 0.0, -1.0001, 1.0)  # near repeated, far from normal
+    @example(-9.0, 0.0, 0.0, 0.0, 1e-4)  # held reservoir, Taylor branch
+    def test_equals_block_exponential(self, a11, a12, a21, a22, t):
+        a = np.array([[a11, a12], [a21, a22]])
+        block = np.zeros((4, 4))
+        block[:2, :2] = a * t
+        block[:2, 2:] = np.eye(2) * t
+        ref = _expm(block)
+        ea, eb, fa, fb = sim.exp_phi1(a11, a12, a21, a22, t)
+        e = ea * np.eye(2) + eb * a * t
+        f = t * (fa * np.eye(2) + fb * a * t)
+        # the reference's own rounding grows with the block's norm (squarings)
+        tol = 1e-13 * (1.0 + np.abs(block).sum(axis=1).max()) * (1.0 + np.abs(ref).max())
+        assert np.abs(e - ref[:2, :2]).max() <= tol
+        assert np.abs(f - ref[:2, 2:]).max() <= tol
+
+
+class TestExactSpan:
+    """The exact span against RK4 on the same kernel, in every region of the network."""
+
+    # (net kwargs, hold, p_r, p_cv, u_in, u_mot, sol, h)
+    REGIONS = {
+        "held reservoir": ({}, True, 689.0, 20.0, 0.7, 0.0, False, 1e-3),
+        "unheld inflation": ({}, False, 689.0, 20.0, 1.0, 0.0, False, 0.2),
+        "all valves closed": ({}, False, 400.0, 50.0, 0.0, 0.0, False, 0.5),
+        "vent": ({}, False, 400.0, 50.0, 0.0, 0.0, True, 0.3),
+        "Venturi saturated": ({}, False, 800.0, 50.0, 0.0, 1.0, True, 0.5),
+        "Venturi below saturation": ({}, False, 500.0, 50.0, 0.0, 1.0, True, 0.05),
+        "Venturi held reservoir": ({}, True, 500.0, 50.0, 0.0, 0.6, True, 0.2),
+        "complex eigenvalues": ({"v_r": 0.1}, False, 600.0, 40.0, 1.0, 1.0, True, 0.4),
+        "complex, short span": ({"v_r": 0.1}, False, 600.0, 40.0, 1.0, 1.0, True, 5e-4),
+        "motive clamped": ({}, False, -20.0, 10.0, 0.0, 1.0, True, 0.1),
+        # alpha*c_mot/v_r = alpha/(r_open*v_cv): one eigenvalue twice, to rounding
+        "repeated eigenvalues": (
+            {"v_r": 100.0 * 0.5 / cp.DVP_R_VMIN}, False, 2000.0, 50.0, 0.0, 1.0, True, 0.4
+        ),
+    }
+
+    @staticmethod
+    def _span(net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h):
+        net = _network(**net_kw)
+        f_in = cp.valve_fraction(u_in, net.inflation_valve)
+        f_mot = cp.valve_fraction(u_mot, net.motive_valve)
+        span, _ = sim.propagator(net, gm.DEFAULT_GAS, hold)
+        return net, f_in, f_mot, span(p_r, p_cv, f_in, f_mot, sol, h)
+
+    def _check(self, net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h):
+        net, f_in, f_mot, got = self._span(net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h)
+        if got is None:
+            return False
+        want = _rk4_reference(net, hold, p_r, p_cv, f_in, f_mot, sol, h)
+        scale = 1.0 + abs(p_r) + abs(p_cv)
+        assert abs(got[0] - want[0]) <= SPAN_TOL * scale, (got, want)
+        assert abs(got[1] - want[1]) <= SPAN_TOL * scale, (got, want)
+        return True
+
+    @pytest.mark.parametrize("region", sorted(REGIONS))
+    def test_each_region(self, region):
+        net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h = self.REGIONS[region]
+        assert self._check(*self.REGIONS[region]), "span rejected"
+        # the piece's A p + b is the kernel's rate at the state
+        net = _network(**net_kw)
+        f_in = cp.valve_fraction(u_in, net.inflation_valve)
+        f_mot = cp.valve_fraction(u_mot, net.motive_valve)
+        classify, piece = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
+        pc = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
+        dp_r, dp_cv = flow_kernel(net, gm.DEFAULT_GAS, hold)(p_r, p_cv, f_in, f_mot, sol)[:2]
+        assert pc.a11 * p_r + pc.a12 * p_cv == pytest.approx(dp_r, rel=1e-12, abs=1e-12)
+        assert pc.a21 * p_r + pc.a22 * p_cv + pc.b2 == pytest.approx(dp_cv, rel=1e-12, abs=1e-12)
+
+    def test_regions_cover_the_eigenvalue_cases(self):
+        cases = {}
+        for name, (net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h) in self.REGIONS.items():
+            net = _network(**net_kw)
+            f_in = cp.valve_fraction(u_in, net.inflation_valve)
+            f_mot = cp.valve_fraction(u_mot, net.motive_valve)
+            classify, piece = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
+            pc = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
+            s, delta, det, rho = sim._spectrum(pc.a11, pc.a12, pc.a21, pc.a22)
+            cases[name] = (delta < 0.0, det == 0.0, rho * h > sim._TAYLOR_MAX, pc.a12 == 0.0)
+            if name == "repeated eigenvalues":
+                assert abs(delta) < 1e-20 * s * s
+        assert cases["complex eigenvalues"][:3] == (True, False, True)
+        assert cases["complex, short span"][:3] == (True, False, False)
+        assert cases["all valves closed"][1] and cases["held reservoir"][1]
+        assert cases["Venturi saturated"] == (False, False, True, True)  # triangular
+        assert cases["Venturi below saturation"][0] is False
+        assert cases["repeated eigenvalues"][1:] == (False, True, True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        v_r=st.floats(0.05, 4.0),
+        v_cv=st.floats(0.05, 2.0),
+        r_open=st.floats(20.0, 500.0),
+        q_rated=st.floats(0.3, 3.0),
+        floor=st.floats(-95.0, -20.0),
+        hold=st.booleans(),
+        p_r=st.floats(-100.0, 1200.0),
+        p_cv=st.floats(-100.0, 300.0),
+        u_in=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        u_mot=st.sampled_from([0.0, 0.3, 1.0]),
+        sol=st.booleans(),
+        steps=st.sampled_from([1, 2, 20, 200]),
+    )
+    # a Venturi saturated at the start, crossing into its linear range during the span
+    @example(2.0, 0.5, 100.0, cp.VENTURI_Q_RATED, -80.0, False, 700.0, 50.0, 0.0, 1.0, True, 200)
+    def test_span_equals_rk4(
+        self, v_r, v_cv, r_open, q_rated, floor, hold, p_r, p_cv, u_in, u_mot, sol, steps
+    ):
+        assume(sol or u_in == 0.0 or u_mot == 0.0)  # ActuatorCommand forbids wasted motive air
+        net_kw = {"v_r": v_r, "v_cv": v_cv, "r_open": r_open, "q_rated": q_rated, "floor": floor}
+        self._check(net_kw, hold, p_r, p_cv, u_in, u_mot, sol, steps * 5e-4)
+
+    def test_span_across_a_kink_is_rejected(self):
+        # saturated at 700 kPa, the reservoir falls below saturation (689 kPa) within 0.5 s
+        net, f_in, f_mot, got = self._span({}, False, 700.0, 50.0, 0.0, 1.0, True, 0.5)
+        assert got is None
+        net, f_in, f_mot, got = self._span({}, False, 700.0, 50.0, 0.0, 1.0, True, 1e-3)
+        assert got is not None
+
+    def test_span_over_half_an_oscillation_is_not_accepted(self):
+        # a lightly damped complex pair (omega 9.8/s against a decay of 2.2/s):
+        # over 0.75 s, 2.3 half-turns, the region's exact solution swings the
+        # reservoir below atmosphere and back inside, so its end and the slopes
+        # at both ends look inside, while the true state stops at the motive
+        # clamp below atmosphere
+        net = _network(v_r=0.1, v_cv=0.483, q_rated=1.0 / cp.DVP_R_VMIN)
+        p_r, p_cv, h = 0.5231812103833013, 8.95022274417883, 0.7489186248081455
+        classify, piece = sim.region_kernel(net)
+        pc = piece(classify(p_r, p_cv, 1.0, 1.0, True), 1.0, 1.0, True)
+        ea, eb, fa, fb = sim.exp_phi1(pc.a11, pc.a12, pc.a21, pc.a22, h)
+        r_r, r_cv = pc.a11 * p_r + pc.a12 * p_cv, pc.a21 * p_r + pc.a22 * p_cv + pc.b2
+        assert p_r + h * (fa * r_r + fb * h * (pc.a11 * r_r + pc.a12 * r_cv)) > 0.0
+        rates = flow_kernel(net)
+        state = (p_r, p_cv)
+        for _ in range(4000):
+            state = sim._rk4(rates, *state, h / 4000, 1.0, 1.0, True)
+        assert state[0] < -1.0
+        span, _ = sim.propagator(net)
+        assert span(p_r, p_cv, 1.0, 1.0, True, h) is None
+        assert span(p_r, p_cv, 1.0, 1.0, True, 1e-3) is not None
+
+    @staticmethod
+    def _peaking():
+        """A control volume at twice the Venturi's saturation pressure flows back into a
+        reservoir just below it, lifting the reservoir above saturation until the motive
+        flow draws it back below."""
+        net = _network(v_r=0.5)
+        f_mot = cp.valve_fraction(0.1, net.motive_valve)
+        p_sat = net.venturi.q_motive_rated * net.motive_valve.r_vmin / f_mot
+        return net, f_mot, p_sat, 0.999 * p_sat, 2.0 * p_sat
+
+    def test_span_peaking_across_a_kink_is_rejected(self):
+        net, f_mot, p_sat, p_r, p_cv = self._peaking()
+        rates = flow_kernel(net)
+        state, peak = (p_r, p_cv), p_r
+        for _ in range(5000):  # 0.5 s
+            state = sim._rk4(rates, *state, 1e-4, 1.0, f_mot, True)
+            peak = max(peak, state[0])
+        assert peak > p_sat > state[0]  # both ends below saturation
+        span, _ = sim.propagator(net)
+        assert span(p_r, p_cv, 1.0, f_mot, True, 0.5) is None
+        assert span(p_r, p_cv, 1.0, f_mot, True, 1e-3) is not None
+
+    def test_open_loop_rows_around_a_peak_fall_back(self, monkeypatch):
+        # rows 0.5 s apart: the peak between two rows is found from the slopes at the rows
+        net, f_mot, p_sat, p_r, p_cv = self._peaking()
+        net = replace(
+            net,
+            reservoir=replace(net.reservoir, p_r0=p_r),
+            control_volume=replace(net.control_volume, p_cv=p_cv),
+        )
+        scn = Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            duration=2.0,
+            sample_rate=2.0,
+            open_loop_command=ActuatorCommand(1.0, 0.1, True),
+        )
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args[-2])
+            return rk4_steps(*args)
+
+        monkeypatch.setattr(sim, "rk4_steps", counted)
+        ts = simulate(scn)
+        assert fallbacks
+        assert ts.p_r[0] < p_sat and ts.p_r[1] < p_sat
+        want_r, want_cv = _rk4_run(scn)
+        scale = 1.0 + np.abs(want_r) + np.abs(want_cv)
+        assert np.all(np.abs(ts.p_r - want_r) <= SPAN_TOL * scale)
+        assert np.all(np.abs(ts.p_cv - want_cv) <= SPAN_TOL * scale)
+
+    def test_open_loop_crosses_saturation_through_fallback(self, monkeypatch):
+        # the reservoir starts above Venturi saturation (689 kPa) and runs down through it
+        net = cp.default_network(p_r0=800.0)
+        scn = Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            duration=4.0,
+            open_loop_command=ActuatorCommand(0.0, 1.0, True),
+        )
+        fallbacks = []
+
+        def counted(*args):
+            fallbacks.append(args[-2])
+            return rk4_steps(*args)
+
+        monkeypatch.setattr(sim, "rk4_steps", counted)
+        ts = simulate(scn)
+        assert fallbacks, "the kink was not crossed through the RK4 fallback"
+        assert ts.p_r[0] > 689.0 > ts.p_r[-1]
+        want_r, want_cv = _rk4_run(scn)
+        scale = 1.0 + np.abs(want_r) + np.abs(want_cv)
+        assert np.all(np.abs(ts.p_r - want_r) <= SPAN_TOL * scale)
+        assert np.all(np.abs(ts.p_cv - want_cv) <= SPAN_TOL * scale)
+
+
 class TestSimulateBasics:
     def test_sealed_volume_holds_pressure(self):
         net = cp.default_network(v_cv=0.5, p_cv0=50.0)
@@ -208,9 +531,31 @@ class TestSimulateBasics:
         assert np.allclose(np.diff(ts.t), 1.0 / scn.sample_rate, rtol=0, atol=1e-12)
 
     def test_divergence_reported_with_time(self):
-        # stiff exhaust far beyond the stable step size blows up the integrator
-        net = cp.default_network(v_cv=0.1, p_cv0=100.0)
+        # A stiff exhaust (h*alpha/(r_open*v_cv) = 50) into the Venturi's vacuum
+        # node. The node rises as the motive flow runs the reservoir down, so
+        # the exact solution crosses the exhaust clamp within the first span,
+        # and the span's RK4 fallback lands below perfect vacuum even at dt/10.
+        net = cp.default_network(v_cv=0.1, p_cv0=100.0, p_r0=600.0)
         net = replace(net, solenoid=cp.BinaryValveSpec(r_open=0.01))
+        scn = Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            duration=0.5,
+            open_loop_command=ActuatorCommand(0.0, 1.0, True),
+        )
+        below = r"^gauge pressure below perfect vacuum at t=0 s$"
+        with pytest.raises(SimulationDivergence, match=below):
+            simulate(scn)
+
+    @pytest.mark.parametrize("p_cv0", [30.0, 60.0, 100.0])
+    def test_stiff_vent_settles_at_atmosphere(self, p_cv0):
+        # h*alpha/(r_open*v_cv) = 46: the exact map lands on the exhaust clamp
+        # (0 kPa), from 30 and 60 kPa a rounding below it, and stays there,
+        # where RK4 would diverge
+        net = cp.default_network(v_cv=0.1, p_cv0=p_cv0)
+        r_open = gm.alpha(gm.DEFAULT_GAS) / (0.1 * 46.0 / 5e-4)
+        net = replace(net, solenoid=cp.BinaryValveSpec(r_open=r_open))
         scn = Scenario(
             network=net,
             controller=controller_for_network(net),
@@ -218,37 +563,56 @@ class TestSimulateBasics:
             duration=0.5,
             open_loop_command=ActuatorCommand(0.0, 0.0, True),
         )
-        with pytest.raises(SimulationDivergence):
-            simulate(scn)
+        ts = simulate(scn)  # open loop: rows a segment at a time
+        assert ts.p_cv[0] == p_cv0
+        assert np.all(np.abs(ts.p_cv[1:]) <= 1e-12)
+        span, _ = sim.propagator(net)  # and span by span, as in closed loop
+        state = (689.0, p_cv0)
+        for _ in range(10):
+            state = span(*state, 0.0, 0.0, True, scn.dt)
+            assert state is not None and abs(state[1]) <= 1e-12
+
+    def test_stiff_vent_follows_closed_form(self):
+        # r_open puts h*alpha/(r_open*v_cv) = 3.5, beyond RK4's stability limit;
+        # the exact map follows 150*e^(-3.5 k) to within rounding of the start
+        # (1e-12 kPa) and stays above the atmosphere it vents to
+        ts = simulate(self._stiff_vent())
+        k = np.arange(len(ts))
+        assert np.allclose(ts.p_cv, 150.0 * np.exp(-3.5 * k), rtol=1e-12, atol=1e-12)
+        assert ts.p_cv.min() > -1e-12
+        assert np.all(ts.p_r == 689.0)
 
     def test_undershoot_retried_at_tenth_step(self):
-        # r_open puts h*alpha/(r_open*v_cv) = 3.5, beyond RK4's stability limit
-        net = cp.default_network(v_cv=0.1, p_cv0=150.0)
-        r_open = gm.alpha(gm.DEFAULT_GAS) / (0.1 * 3.5 / 5e-4)
-        net = replace(net, solenoid=cp.BinaryValveSpec(r_open=r_open))
-        scn = Scenario(
-            network=net,
-            controller=controller_for_network(net),
-            command=StepCommand(target_kpa=0.0),
-            duration=0.01,
-            open_loop_command=ActuatorCommand(0.0, 0.0, True),
-        )
-        # one full step from the initial state lands below perfect vacuum
+        # the RK4 fallback on the stiff vent: one full step from the initial
+        # state lands below perfect vacuum, so it is retried as ten of dt/10
+        scn = self._stiff_vent()
+        net = scn.network
         rates = flow_kernel(net)
         k1 = rates(689.0, 150.0, 0.0, 0.0, True)[1]
         k2 = rates(689.0, 150.0 + 0.5 * scn.dt * k1, 0.0, 0.0, True)[1]
         k3 = rates(689.0, 150.0 + 0.5 * scn.dt * k2, 0.0, 0.0, True)[1]
         k4 = rates(689.0, 150.0 + scn.dt * k3, 0.0, 0.0, True)[1]
         assert 150.0 + scn.dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) < gm.PERFECT_VACUUM_KPA
+        # pinned: ten steps of dt/10 give 4.53 kPa (the value the RK4 integrator wrote)
+        got = rk4_steps(rates, 689.0, 150.0, 0.0, 0.0, True, scn.dt, 0, 1)
+        assert got == (689.0, 4.532265305845505)
+        # a retry that still lands below perfect vacuum is a divergence at the step's time
+        stiffer = replace(net, solenoid=cp.BinaryValveSpec(r_open=net.solenoid.r_open / 20.0))
+        with pytest.raises(SimulationDivergence, match=r"at t=0\.0035 s$"):
+            rk4_steps(flow_kernel(stiffer), 689.0, 150.0, 0.0, 0.0, True, scn.dt, 7, 1)
 
-        ts = simulate(scn)
-        # pinned: ten steps of dt/10 give 4.53 kPa, then the exhaust clamp holds -3.40 kPa
-        assert ts.p_cv[1] == 4.532265305845505
-        assert np.all(ts.p_cv[2:] == -3.3991989793841277)
-        h = hashlib.sha256()
-        for name in ts._COLUMNS:
-            h.update(getattr(ts, name).tobytes())
-        assert h.hexdigest() == "80fc3df3dee32c29924d3c7e5864809e661d7b41223940d66f2790cec40d53b0"
+    @staticmethod
+    def _stiff_vent() -> Scenario:
+        net = cp.default_network(v_cv=0.1, p_cv0=150.0)
+        r_open = gm.alpha(gm.DEFAULT_GAS) / (0.1 * 3.5 / 5e-4)
+        net = replace(net, solenoid=cp.BinaryValveSpec(r_open=r_open))
+        return Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            duration=0.01,
+            open_loop_command=ActuatorCommand(0.0, 0.0, True),
+        )
 
 
 class TestDischarge:
