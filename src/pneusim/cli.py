@@ -460,40 +460,37 @@ def requirements_from_resolved(resolved: dict) -> DesignRequirements:
     return _build(REQUIREMENTS, resolved)
 
 
+def _valve_option(raw, path: str) -> dict:
+    """VALVE_OPTION rows, then the valve's rating, resolved as a scenario's valve."""
+    obj = _require_obj(raw, path)
+    valve = _resolve(obj, path, VALVE_OPTION)
+    rated = _resolve_valve(obj, path)  # consumes the remaining valve keys
+    valve["R_vmin_kPa_s_per_L"] = rated["R_vmin_kPa_s_per_L"]
+    valve["P_inlet_max_kPa"] = rated["P_inlet_max_kPa"]
+    return valve
+
+
+# catalog list -> (rule for one entry, whether the list is required and non-empty)
+CATALOG = {
+    "valves": (_valve_option, True),
+    "reservoirs": (lambda raw, path: _object(raw, path, RESERVOIR_OPTION), True),
+    "venturis": (lambda raw, path: _object(raw, path, VENTURI_OPTION), False),
+}
+
+
 def resolve_catalog(raw: dict) -> dict:
     obj = _require_obj(raw, "catalog")
     _check_schema_version(obj, "catalog")
-    valves_raw = obj.pop("valves", None)
-    reservoirs_raw = obj.pop("reservoirs", None)
-    venturis_raw = obj.pop("venturis", [])
+    lists = {key: obj.pop(key, None if required else []) for key, (_, required) in CATALOG.items()}
     _reject_unknown(obj, "catalog")
-    if not isinstance(valves_raw, list) or not valves_raw:
-        raise ConfigError("catalog.valves: non-empty list required")
-    if not isinstance(reservoirs_raw, list) or not reservoirs_raw:
-        raise ConfigError("catalog.reservoirs: non-empty list required")
-    if not isinstance(venturis_raw, list):
-        raise ConfigError("catalog.venturis: expected a list")
-
-    valves = []
-    for i, entry in enumerate(valves_raw):
-        path = f"catalog.valves[{i}]"
-        v = _require_obj(entry, path)
-        valve = _resolve(v, path, VALVE_OPTION)
-        rated = _resolve_valve(v, path)  # consumes the remaining valve keys
-        valve["R_vmin_kPa_s_per_L"] = rated["R_vmin_kPa_s_per_L"]
-        valve["P_inlet_max_kPa"] = rated["P_inlet_max_kPa"]
-        valves.append(valve)
-    return {
-        "schema_version": 1,
-        "valves": valves,
-        "reservoirs": [
-            _object(r, f"catalog.reservoirs[{i}]", RESERVOIR_OPTION)
-            for i, r in enumerate(reservoirs_raw)
-        ],
-        "venturis": [
-            _object(v, f"catalog.venturis[{i}]", VENTURI_OPTION) for i, v in enumerate(venturis_raw)
-        ],
-    }
+    for key, (_, required) in CATALOG.items():
+        if not isinstance(lists[key], list) or (required and not lists[key]):
+            expected = "non-empty list required" if required else "expected a list"
+            raise ConfigError(f"catalog.{key}: {expected}")
+    out = {"schema_version": 1}
+    for key, (entry, _) in CATALOG.items():
+        out[key] = [entry(item, f"catalog.{key}[{i}]") for i, item in enumerate(lists[key])]
+    return out
 
 
 def catalog_from_resolved(resolved: dict) -> ComponentCatalog:

@@ -14,25 +14,28 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
+# perfbench/tracer.py patches the names marked noqa here by name; the flow
+# helpers are not called in this module, region_kernel states their laws
 from .components import (
     PneumaticNetwork,
     default_network,
-    deflation_flow,
-    proportional_valve_flow,
-    sensor_read,  # noqa: F401 -- perfbench/tracer.py patches it here by name
+    deflation_flow,  # noqa: F401
+    proportional_valve_flow,  # noqa: F401
+    sensor_read,  # noqa: F401
     sensor_reader,
     valve_fraction,
-    venturi_vacuum_pressure,
+    venturi_vacuum_pressure,  # noqa: F401
 )
 from .control import (
     ActuatorCommand,
     ControllerConfig,
     Mode,
     control_kernel,
-    control_step,  # noqa: F401 -- perfbench/tracer.py patches it here by name
+    control_step,  # noqa: F401
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
 
@@ -271,78 +274,6 @@ class TimeSeries:
             raise ValueError("TimeSeries.t must be strictly increasing")
 
 
-def network_flows(
-    p_r: float, p_cv: float, cmd: ActuatorCommand, net: PneumaticNetwork
-) -> tuple[float, float, float]:
-    """Instantaneous (q_in, q_out, q_motive) in std L/s for one command.
-
-    The motive path exhausts to atmosphere and does not reverse; the vacuum
-    node it drives sits at atmosphere when the motive flow is zero.
-    """
-    q_in = proportional_valve_flow(cmd.u_inflate, p_r - p_cv, net.inflation_valve)
-    q_motive = max(0.0, proportional_valve_flow(cmd.u_motive, p_r, net.motive_valve))
-    p_node = venturi_vacuum_pressure(q_motive, net.venturi)
-    q_out = deflation_flow(p_cv, p_node, cmd.solenoid_open, net.solenoid)
-    return q_in, q_out, q_motive
-
-
-def derivatives(
-    p_r: float,
-    p_cv: float,
-    cmd: ActuatorCommand,
-    net: PneumaticNetwork,
-    gc: GasConstants = DEFAULT_GAS,
-    hold_reservoir: bool = False,
-) -> dict:
-    """Pressure rates and flows for the coupled two-volume network.
-
-    The reference that ``flow_kernel`` reproduces bit for bit.
-    """
-    a = alpha(gc)
-    q_in, q_out, q_motive = network_flows(p_r, p_cv, cmd, net)
-    dp_r = 0.0 if hold_reservoir else -(q_in + q_motive) * (a / net.reservoir.v_r)
-    dp_cv = (q_in - q_out) * (a / net.control_volume.v_cv)
-    return {"dp_r": dp_r, "dp_cv": dp_cv, "q_in": q_in, "q_out": q_out, "q_motive": q_motive}
-
-
-def flow_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False):
-    """``derivatives`` fused into one scalar function of a network, built once per run.
-
-    Returns ``rates(p_r, p_cv, f_in, f_mot, sol) -> (dp_r, dp_cv, q_in, q_out,
-    q_motive)``. ``f_in`` and ``f_mot`` are the valves' ``valve_fraction`` under
-    the held command (0.0 when closed) and ``sol`` is whether the solenoid is
-    open, so the command's range check runs once per control tick, not once
-    per call. Each law keeps the floating-point order of its ``components``
-    helper, and ``max``/``min`` are spelled as the comparisons they make, so
-    the results equal ``derivatives`` bit for bit.
-    """
-    a = alpha(gas)
-    inv_vr = a / net.reservoir.v_r
-    inv_vcv = a / net.control_volume.v_cv
-    r_in = net.inflation_valve.r_vmin
-    r_mot = net.motive_valve.r_vmin
-    r_open = net.solenoid.r_open
-    floor = net.venturi.p_vac_floor
-    q_rated = net.venturi.q_motive_rated
-
-    def rates(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> tuple:
-        q_in = (f_in * (p_r - p_cv)) / r_in if f_in else 0.0
-        q_motive = (f_mot * p_r) / r_mot if f_mot else 0.0
-        if not q_motive > 0.0:
-            q_motive = 0.0
-        if sol:
-            x = q_motive / q_rated
-            q_out = (p_cv - floor * (x if x < 1.0 else 1.0)) / r_open
-            if not q_out > 0.0:
-                q_out = 0.0
-        else:
-            q_out = 0.0
-        dp_r = 0.0 if hold else -(q_in + q_motive) * inv_vr
-        return dp_r, (q_in - q_out) * inv_vcv, q_in, q_out, q_motive
-
-    return rates
-
-
 # Exact propagation. While a command is held the network is affine in (p_r,
 # p_cv) inside each region of its three kinks (the motive clamp, the Venturi
 # saturation and the exhaust clamp): dp/dt = A p + b. A span h then has the
@@ -406,7 +337,8 @@ def _eigen(s: float, delta: float, det: float, t, xp) -> tuple:
         a, b = lam * t, lam_b * t
         gap = math.copysign(2.0 * mu, lam) * t  # a - b
         phi_gap = xp.expm1(gap) / gap if mu else 1.0
-        phi_b = xp.expm1(b) / b if lam_b else 1.0
+        # a subnormal lam_b*t may round to 0, and phi1 of it is 1 to rounding
+        phi_b = xp.expm1(b) / b if abs(lam_b) >= 2.0**-1022 else 1.0
         exp_b = xp.exp(b)
         eb = exp_b * phi_gap
         fb = (eb - phi_b) / a
@@ -477,14 +409,19 @@ class Piece(NamedTuple):
 
 
 def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False):
-    """The affine pieces of ``flow_kernel``'s network, with the same constants.
+    """The network's laws, one affine piece per region, built once per run.
 
-    Returns ``(classify, piece)``. ``classify(p_r, p_cv, f_in, f_mot, sol)``
-    is the code of the region that holds the state, by the comparisons
-    ``flow_kernel`` makes: 2*motive + exhaust, where motive is 0 without
-    motive flow, 2 with the Venturi saturated and a solenoid to feel it, else
-    1, and exhaust is 1 while the exhaust flows. ``piece(code, f_in, f_mot,
-    sol)`` is that region's ``Piece``.
+    Returns ``(classify, piece, flows, rates)``. ``f_in`` and ``f_mot`` are the
+    valves' ``valve_fraction`` under the held command (0.0 when shut) and
+    ``sol`` is whether the solenoid is open. ``classify(p_r, p_cv, f_in,
+    f_mot, sol)`` is the code of the region that holds the state, by the
+    comparisons the ``components`` flow helpers make: 2*motive + exhaust,
+    where motive is 0 without motive flow, 2 with the Venturi saturated and
+    a solenoid to feel it, else 1, and exhaust is 1 while the exhaust flows.
+    ``piece(code, f_in, f_mot, sol)`` is that region's ``Piece``.
+    ``flows(pc, p_r, p_cv)`` is ``(q_in, q_out, q_motive)`` at states (floats
+    or arrays) in the region of ``pc``; a shut or clamped path gives the float
+    +0.0. ``rates(pc, p_r, p_cv)`` puts ``(dp_r, dp_cv)`` in front of them.
     """
     a = alpha(gas)
     inv_vr = 0.0 if hold else a / net.reservoir.v_r
@@ -533,7 +470,17 @@ def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: 
             tuple(kinks),
         )
 
-    return classify, piece
+    def flows(pc: Piece, p_r, p_cv) -> tuple:
+        q_in = pc.c_in * (p_r - p_cv) if pc.c_in else 0.0
+        q_motive = pc.c_mot * p_r if pc.c_mot else 0.0
+        q_out = (p_cv - (pc.n_r * p_r + pc.n_0)) / r_open if pc.exhaust else 0.0
+        return q_in, q_out, q_motive
+
+    def rates(pc: Piece, p_r: float, p_cv: float) -> tuple:
+        q_in, q_out, q_motive = flows(pc, p_r, p_cv)
+        return -(q_in + q_motive) * inv_vr, (q_in - q_out) * inv_vcv, q_in, q_out, q_motive
+
+    return classify, piece, flows, rates
 
 
 def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
@@ -573,40 +520,60 @@ def _stays_inside(pc: Piece, g0: float, u: float, v: float, h: float) -> bool:
     return g0 + t * (fa * u + fb * t * v) >= 0.0
 
 
-def propagator(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False):
-    """The exact solution under a held command, built once per run.
+Propagator = namedtuple("Propagator", "region flows rates span segment")  # see propagator
 
-    Returns ``(span, segment)``.
 
-    ``span(p_r, p_cv, f_in, f_mot, sol, h)`` is the state after h, or None
-    when the exact solution does not provably stay in the region it starts
-    in: its end must be in the region, and no kink functional may reach
-    below zero at a minimum inside the span (both to within ``_ROUNDING``).
-    Only the map of the current command, region and h is kept, and reused
-    until one of them changes.
+def propagator(
+    net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False
+) -> Propagator:
+    """The pieces of ``region_kernel`` and the exact solution under a held command.
 
-    ``segment(p_r, p_cv, f_in, f_mot, sol, t)`` is the exact solution at the
-    times t (t[0] == 0) of the leading rows that provably stay in the start
-    region: arrays (p_r, p_cv, q_in, q_out, q_motive), at least one row.
+    ``region(p_r, p_cv, f_in, f_mot, sol)`` is the ``Piece`` that holds the
+    state. The current command's pieces are kept by region code, so rows,
+    spans and RK4 stages read the same piece. ``flows`` is
+    ``region_kernel``'s, and ``rates(p_r, p_cv, f_in, f_mot, sol)`` is
+    ``region_kernel``'s rates at the state's own piece.
+
+    ``span(pc, p_r, p_cv, h)`` is the state after h from a state in the region
+    of ``pc``, or None when the exact solution does not provably stay in it:
+    its end must be in the region, and no kink functional may reach below
+    zero at a minimum inside the span (both to within ``_ROUNDING``). The map
+    of the last piece and h is kept until one of them changes.
+
+    ``segment(pc, p_r, p_cv, t)`` is the exact solution at the times t (t[0]
+    == 0) of the leading rows that provably stay in the region of ``pc``:
+    arrays (p_r, p_cv), at least one row, then their ``flows``.
     """
     import numpy as np
 
-    classify, piece = region_kernel(net, gas, hold)
-    r_open = net.solenoid.r_open
-    key = pc = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
+    classify, piece, flows, piece_rates = region_kernel(net, gas, hold)
+    pieces = [None] * 6  # by region code, for the command (held_in, held_mot, held_sol)
+    held_in = held_mot = held_sol = None
+    last = last_h = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
+
+    def region(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> Piece:
+        nonlocal held_in, held_mot, held_sol
+        if f_in != held_in or f_mot != held_mot or sol != held_sol:
+            held_in, held_mot, held_sol = f_in, f_mot, sol
+            pieces[:] = (None,) * 6
+        code = classify(p_r, p_cv, f_in, f_mot, sol) if f_mot or sol else 0
+        pc = pieces[code]
+        if pc is None:
+            pc = pieces[code] = piece(code, f_in, f_mot, sol)
+        return pc
+
+    def rates(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> tuple:
+        return piece_rates(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv)
 
     def oscillates(p: Piece, h: float) -> bool:
         """A complex pair turning by pi or more over h: g' may change sign twice."""
         _, delta, _, _ = _spectrum(p.a11, p.a12, p.a21, p.a22)
         return delta < 0.0 and math.sqrt(-delta) * h >= math.pi
 
-    def span(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool, h: float):
-        nonlocal key, pc, a11, a12, a21, a22, b2, kinks, coeffs, gain
-        code = classify(p_r, p_cv, f_in, f_mot, sol) if f_mot or sol else 0
-        new_key = (f_in, f_mot, sol, code, h)
-        if new_key != key:
-            key = new_key
-            pc = piece(code, f_in, f_mot, sol)
+    def span(pc: Piece, p_r: float, p_cv: float, h: float):
+        nonlocal last, last_h, a11, a12, a21, a22, b2, kinks, coeffs, gain
+        if last is not pc or last_h != h:
+            last, last_h = pc, h
             a11, a12, a21, a22, b2, kinks = pc.a11, pc.a12, pc.a21, pc.a22, pc.b2, pc.kinks
             trace = a11 + a22
             if a11 * a22 == a12 * a21 and a11 * b2 == 0.0 and a12 * b2 == 0.0:
@@ -634,9 +601,8 @@ def propagator(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: boo
             return None
         for kink in kinks:
             k_r, k_cv, k_0 = kink
-            if k_r * e_r + k_cv * e_cv + k_0 < 0.0 and k_r * e_r + k_cv * e_cv + k_0 < -_slack(
-                kink, p_r, p_cv, e_r, e_cv
-            ):
+            g = k_r * e_r + k_cv * e_cv + k_0
+            if g < 0.0 and g < -_slack(kink, p_r, p_cv, e_r, e_cv):
                 return None
             u = k_r * r_r + k_cv * r_cv
             if gain is None and u < 0.0:
@@ -649,8 +615,7 @@ def propagator(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: boo
                     return None
         return e_r, e_cv
 
-    def segment(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool, t: np.ndarray):
-        p = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
+    def segment(p: Piece, p_r: float, p_cv: float, t: np.ndarray):
         ea, eb, fa, fb = _exp_phi1_grid(p.a11, p.a12, p.a21, p.a22, t)
         r_r = p.a11 * p_r + p.a12 * p_cv
         r_cv = p.a21 * p_r + p.a22 * p_cv + p.b2
@@ -674,19 +639,13 @@ def propagator(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: boo
         ok[0] = True  # the start state itself
         n = len(t) if ok.all() else int(np.argmin(ok))
         rows_r, rows_cv = rows_r[:n], rows_cv[:n]
-        q_in = p.c_in * (rows_r - rows_cv)
-        q_motive = p.c_mot * rows_r
-        if p.exhaust:
-            q_out = (rows_cv - (p.n_r * rows_r + p.n_0)) / r_open
-        else:
-            q_out = np.zeros(n)
-        return rows_r, rows_cv, q_in, q_out, q_motive
+        return rows_r, rows_cv, *flows(p, rows_r, rows_cv)
 
-    return span, segment
+    return Propagator(region, flows, rates, span, segment)
 
 
 def _rk4(rates, p_r: float, p_cv: float, h: float, f_in: float, f_mot: float, sol: bool) -> tuple:
-    """One classical 4th-order Runge-Kutta step of ``flow_kernel``'s rates."""
+    """One classical 4th-order Runge-Kutta step of ``rates``, such as ``Propagator.rates``."""
     k1r, k1c, _, _, _ = rates(p_r, p_cv, f_in, f_mot, sol)
     half = 0.5 * h
     k2r, k2c, _, _, _ = rates(p_r + half * k1r, p_cv + half * k1c, f_in, f_mot, sol)
@@ -739,18 +698,17 @@ def simulate(scn: Scenario) -> TimeSeries:
     n_rows = scn.n_rows()
     columns = {name: np.empty(n_rows) for name in TimeSeries._COLUMNS}
     columns["mode"] = np.empty(n_rows, dtype=np.uint8)
-    rates = flow_kernel(scn.network, scn.gas, scn.hold_reservoir)
-    span, segment = propagator(scn.network, scn.gas, scn.hold_reservoir)
+    prop = propagator(scn.network, scn.gas, scn.hold_reservoir)
     if scn.closed_loop:
-        _closed_loop(scn, columns, rates, span)
+        _closed_loop(scn, columns, prop)
     else:
-        _open_loop(scn, columns, rates, span, segment)
+        _open_loop(scn, columns, prop)
     ts = TimeSeries(**columns)
     ts.validate()
     return ts
 
 
-def _open_loop(scn: Scenario, columns: dict, rates, span, segment) -> None:
+def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """Fill the columns of an open-loop run: segments of rows, one region each."""
     import numpy as np
 
@@ -759,11 +717,12 @@ def _open_loop(scn: Scenario, columns: dict, rates, span, segment) -> None:
     f_in = valve_fraction(cmd.u_inflate, net.inflation_valve)
     f_mot = valve_fraction(cmd.u_motive, net.motive_valve)
     sol = cmd.solenoid_open
+    region, span, segment = prop.region, prop.span, prop.segment
 
     def advance(p_r: float, p_cv: float, k: int, m: int) -> tuple:
         """State m steps after step k."""
-        return span(p_r, p_cv, f_in, f_mot, sol, m * dt) or rk4_steps(
-            rates, p_r, p_cv, f_in, f_mot, sol, dt, k, m
+        return span(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, m * dt) or rk4_steps(
+            prop.rates, p_r, p_cv, f_in, f_mot, sol, dt, k, m
         )
 
     columns["t"][:] = (np.arange(n_rows) * ss) * dt
@@ -777,7 +736,7 @@ def _open_loop(scn: Scenario, columns: dict, rates, span, segment) -> None:
     row = 0
     while True:
         m = min(n_rows - row, SEGMENT_ROWS)
-        rows = segment(p_r, p_cv, f_in, f_mot, sol, (np.arange(m) * ss) * dt)
+        rows = segment(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, (np.arange(m) * ss) * dt)
         got = len(rows[0])
         for col, values in zip(trace, rows):
             col[row:row + got] = values
@@ -792,8 +751,8 @@ def _open_loop(scn: Scenario, columns: dict, rates, span, segment) -> None:
         advance(p_r, p_cv, row * ss, n - row * ss)
 
 
-def _closed_loop(scn: Scenario, columns: dict, rates, span) -> None:
-    """Fill the columns of a closed-loop run: one span from each event to the next."""
+def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
+    """Fill the columns of a closed-loop run: per event, one piece for the row and the span."""
     import numpy as np
 
     net, dt = scn.network, scn.dt
@@ -807,6 +766,7 @@ def _closed_loop(scn: Scenario, columns: dict, rates, span) -> None:
     control = control_kernel(scn.controller)
     cmd_value = scn.command.value
     cmd_rate = scn.command.rate
+    region, flows, rates, span = prop.region, prop.flows, prop.rates, prop.span
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     u_in = u_mot = f_in = f_mot = p_cmd = 0.0
     sol = False
@@ -820,8 +780,9 @@ def _closed_loop(scn: Scenario, columns: dict, rates, span) -> None:
             f_in, f_mot = valve_fraction(u_in, evp), valve_fraction(u_mot, dvp)
             tick = k
             next_tick += cs
+        pc = region(p_r, p_cv, f_in, f_mot, sol)
         if k == next_row:
-            _, _, q_in, q_out, q_motive = rates(p_r, p_cv, f_in, f_mot, sol)
+            q_in, q_out, q_motive = flows(pc, p_r, p_cv)
             t_col[row] = t
             p_cmd_col[row] = p_cmd if tick == k else cmd_value(t)
             p_cv_col[row] = p_cv
@@ -840,7 +801,7 @@ def _closed_loop(scn: Scenario, columns: dict, rates, span) -> None:
         nxt = next_tick if next_tick < next_row else next_row
         if nxt > n:
             nxt = n
-        p_r, p_cv = span(p_r, p_cv, f_in, f_mot, sol, (nxt - k) * dt) or rk4_steps(
+        p_r, p_cv = span(pc, p_r, p_cv, (nxt - k) * dt) or rk4_steps(
             rates, p_r, p_cv, f_in, f_mot, sol, dt, k, nxt - k
         )
         k = nxt
@@ -865,26 +826,18 @@ def mass_balance(ts: TimeSeries, scn: Scenario) -> float:
         raise ValueError("mass_balance needs at least two samples")
 
     # right-end flows: the next sampled state under this interval's command
-    rates = flow_kernel(net, scn.gas, scn.hold_reservoir)
+    rates = propagator(net, scn.gas, scn.hold_reservoir).rates
     evp, dvp = net.inflation_valve, net.motive_valve
-    right = np.array(
-        [
-            rates(p_r, p_cv, valve_fraction(u_in, evp), valve_fraction(u_mot, dvp), bool(sol))[2:]
-            for p_r, p_cv, u_in, u_mot, sol in zip(
-                ts.p_r[1:].tolist(),
-                ts.p_cv[1:].tolist(),
-                ts.u_inflate[:-1].tolist(),
-                ts.u_motive[:-1].tolist(),
-                ts.solenoid[:-1].tolist(),
-            )
-        ]
-    )
-    right_q_in, right_q_out, right_q_mot = right.T
-
+    states = (ts.p_r[1:], ts.p_cv[1:], ts.u_inflate[:-1], ts.u_motive[:-1], ts.solenoid[:-1])
+    right = np.array([
+        rates(p_r, p_cv, valve_fraction(u_in, evp), valve_fraction(u_mot, dvp), bool(sol))[2:]
+        for p_r, p_cv, u_in, u_mot, sol in zip(*(col.tolist() for col in states))
+    ])
     h = np.diff(ts.t)
-    int_in = float(np.sum(h * (ts.q_in[:-1] + right_q_in)) / 2.0)
-    int_out = float(np.sum(h * (ts.q_out[:-1] + right_q_out)) / 2.0)
-    int_mot = float(np.sum(h * (ts.q_motive[:-1] + right_q_mot)) / 2.0)
+    int_in, int_out, int_mot = (
+        float(np.sum(h * (q[:-1] + q_right)) / 2.0)
+        for q, q_right in zip((ts.q_in, ts.q_out, ts.q_motive), right.T)
+    )
 
     gain = net.control_volume.v_cv * (ts.p_cv[-1] - ts.p_cv[0]) / a
     if scn.hold_reservoir:

@@ -303,6 +303,21 @@ class TestDischargeCommand:
         scn_file = write_json(tmp_path / "step.json", minimal_scenario())
         assert cli.main(["discharge", str(scn_file), "--out", str(tmp_path)]) == 2
 
+    def test_shut_and_clamped_paths_write_plus_zero(self, tmp_path):
+        # the shipped rig with the reservoir below atmosphere and a fuller
+        # control volume: the inflation valve is shut against p_cv > p_r and
+        # the motive path is clamped, so every flow is 0, never -0
+        raw = json.loads((SCENARIOS / "discharge_2l_bottle.json").read_text())
+        raw["network"]["reservoir"]["P_r0_kPa"] = -50.0
+        raw["network"]["control_volume"]["P_cv0_kPa"] = 100.0
+        raw["run"]["duration_s"] = 0.01
+        scn_file = write_json(tmp_path / "below.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path)]) == 0
+        times = ("0", "0.002", "0.004", "0.006", "0.008", "0.01")
+        rows = "".join(f"{t},0,100,-50,0,1,0,0,0,0,IDLE\n" for t in times)
+        want = f"{cli.CSV_HEADER}\n{rows}".encode()
+        assert (tmp_path / "below_timeseries.csv").read_bytes() == want
+
 
 class TestSizeCommand:
     def test_demo_requirements(self, tmp_path):

@@ -6,17 +6,24 @@ must say why in CHANGES.md. Manifests embed the input path, so only their
 resolved_sha256 is pinned.
 """
 
+import contextlib
 import copy
 import hashlib
+import io
 import json
+import math
+import re
+import tempfile
 from dataclasses import fields
 from pathlib import Path
+from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pneusim import cli
-from pneusim.sim import Scenario, step_scenario
+from pneusim.sim import Scenario, TimeSeries, step_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -180,3 +187,52 @@ def test_mutated_document_resolves_or_raises_config_error(case, data):
     else:
         parent[path[-1]] = data.draw(JSON_VALUES)
     _resolves_cleanly(resolve, doc)
+
+
+# ---------------------------------------------------- any run flag, clean error
+
+FLAG_FLOATS = (
+    st.floats()  # nan, +-inf, negatives and subnormals included
+    | st.sampled_from([5e-324, -5e-324, 1e-300, 1e300, 10**400, -(10**400)])
+    | st.integers()
+)
+FLAG_INTS = st.integers() | st.sampled_from([2**63, 10**400, -(10**400)])
+RUN_FLAGS = st.fixed_dictionaries(
+    {},
+    optional={"--dt": FLAG_FLOATS, "--duration": FLAG_FLOATS, "--sample-rate": FLAG_FLOATS,
+              "--seed": FLAG_INTS},
+)
+# the fields a run flag can reach: its own, and the checks that read dt_s
+FIELD_ERROR = re.compile(
+    r"error: scenario\.(run\.(dt_s|duration_s|sample_rate_Hz|seed)|controller\.control_rate_Hz): "
+)
+
+
+def _stub_run(scn: Scenario):
+    """What cli.simulate returns in the run-flag property: a valid two-row trace."""
+    scn.validate()
+    columns = {name: np.zeros(2) for name in TimeSeries._COLUMNS}
+    columns["t"] = np.array([0.0, scn.dt])
+    columns["mode"] = np.zeros(2, dtype=np.uint8)
+    return TimeSeries(**columns)
+
+
+@settings(deadline=None, max_examples=300)
+@given(flags=RUN_FLAGS)
+@example(flags={"--dt": math.nan})
+@example(flags={"--duration": -math.inf, "--sample-rate": 5e-324})
+@example(flags={"--dt": 1e-300, "--duration": 1e300})  # duration_s / dt_s overflows
+@example(flags={"--seed": 10**400, "--duration": 0.002})
+def test_any_run_flag_runs_or_names_a_field(flags):
+    # simulate is stubbed: no example integrates, nor allocates MAX_ROWS rows
+    scn_file = SCENARIOS / "step_69kpa_half_liter.json"
+    argv = ["simulate", str(scn_file), *(f"{flag}={value!r}" for flag, value in flags.items())]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as out, mock.patch.object(cli, "simulate", _stub_run), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = cli.main([*argv, "--out", out])
+    if rc == 0:
+        assert err.getvalue() == ""
+    else:
+        assert rc == 2 and FIELD_ERROR.match(err.getvalue()), err.getvalue()
+

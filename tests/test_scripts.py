@@ -42,3 +42,15 @@ def test_run_step_tests(tmp_path):
     for label, (_, model_rate, avg_rate, _, _, _) in rows.items():
         assert abs(float(avg_rate) - float(model_rate)) <= 0.05 * float(model_rate), label
         assert (tmp_path / f"step_{label}.csv").stat().st_size > 0
+
+
+def test_benchmark_tracer_installs():
+    # perfbench/tracer.py wraps pneusim functions by name (sim.control_step,
+    # sim.proportional_valve_flow, cli.asdict, ...); a renamed or deleted one
+    # fails here rather than in a traced benchmark run
+    code = "import tracer\ntracer.install(tracer.Tracer())\n"
+    paths = [str(ROOT / "perfbench"), str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

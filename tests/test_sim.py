@@ -17,9 +17,7 @@ from pneusim.sim import (
     SineCommand,
     StepCommand,
     controller_for_network,
-    derivatives,
     discharge_scenario,
-    flow_kernel,
     mass_balance,
     rk4_steps,
     simulate,
@@ -135,33 +133,88 @@ class TestScenarioValidation:
             replace(scn, duration=MAX_STEPS + 1.0).validate()
 
 
+RATE_KEYS = ("dp_r", "dp_cv", "q_in", "q_out", "q_motive")
+
+
+def _rates(p_r, p_cv, cmd, net, hold=False) -> dict:
+    """The rates and flows that ``simulate`` integrates and writes, at one state and command."""
+    f_in = cp.valve_fraction(cmd.u_inflate, net.inflation_valve)
+    f_mot = cp.valve_fraction(cmd.u_motive, net.motive_valve)
+    got = sim.propagator(net, gm.DEFAULT_GAS, hold).rates(p_r, p_cv, f_in, f_mot, cmd.solenoid_open)
+    return dict(zip(RATE_KEYS, got))
+
+
+def _reference_rates(net, hold=False, gas=gm.DEFAULT_GAS):
+    """``rates(p_r, p_cv, u_in, u_mot, sol)``: the network composed from the ``components``
+    flow helpers, independent of ``sim.region_kernel``. It takes the valve commands where
+    ``sim``'s rates take their ``valve_fraction``, and returns the same five values."""
+    a = gm.alpha(gas)
+
+    def rates(p_r, p_cv, u_in, u_mot, sol):
+        q_in = cp.proportional_valve_flow(u_in, p_r - p_cv, net.inflation_valve)
+        # the motive path exhausts to atmosphere and does not reverse
+        q_motive = max(0.0, cp.proportional_valve_flow(u_mot, p_r, net.motive_valve))
+        p_node = cp.venturi_vacuum_pressure(q_motive, net.venturi)
+        q_out = cp.deflation_flow(p_cv, p_node, sol, net.solenoid)
+        dp_r = 0.0 if hold else -(q_in + q_motive) * (a / net.reservoir.v_r)
+        return dp_r, (q_in - q_out) * (a / net.control_volume.v_cv), q_in, q_out, q_motive
+
+    return rates
+
+
 class TestDerivatives:
     def test_all_closed_is_equilibrium(self):
         net = cp.default_network()
-        d = derivatives(689.0, 50.0, IDLE_COMMAND, net)
+        d = _rates(689.0, 50.0, IDLE_COMMAND, net)
         assert d == {"dp_r": 0.0, "dp_cv": 0.0, "q_in": 0.0, "q_out": 0.0, "q_motive": 0.0}
 
     def test_full_inflation_from_empty_cv(self):
         net = cp.default_network(v_cv=0.5)
-        d = derivatives(689.0, 0.0, ActuatorCommand(1.0, 0.0, False), net)
+        d = _rates(689.0, 0.0, ActuatorCommand(1.0, 0.0, False), net)
         assert d["dp_cv"] == pytest.approx(79.366, abs=0.005)
         assert d["dp_r"] < 0.0
 
     def test_no_flow_at_equal_pressures(self):
         net = cp.default_network()
-        d = derivatives(345.0, 345.0, ActuatorCommand(1.0, 0.0, False), net)
+        d = _rates(345.0, 345.0, ActuatorCommand(1.0, 0.0, False), net)
         assert d["q_in"] == 0.0
         assert d["dp_cv"] == 0.0
 
     def test_held_reservoir_has_zero_reservoir_rate(self):
         net = cp.default_network()
-        d = derivatives(689.0, 0.0, ActuatorCommand(1.0, 0.0, False), net, hold_reservoir=True)
+        d = _rates(689.0, 0.0, ActuatorCommand(1.0, 0.0, False), net, hold=True)
         assert d["dp_r"] == 0.0
         assert d["dp_cv"] > 0.0
 
+    @pytest.mark.parametrize(
+        "p_r, p_cv, u_mot",
+        [(400.0, 450.0, 0.0), (-50.0, 100.0, 1.0)],
+        ids=["shut inflation valve, p_cv > p_r", "motive clamp, p_r < 0"],
+    )
+    def test_shut_and_clamped_paths_give_plus_zero(self, p_r, p_cv, u_mot):
+        # 0.0 * (a negative difference) is -0.0, which a CSV writes as "-0"
+        net = cp.default_network()
+        d = _rates(p_r, p_cv, ActuatorCommand(0.0, u_mot, False), net)
+        assert [d[k].hex() for k in ("q_in", "q_out", "q_motive")] == [(0.0).hex()] * 3
+        # the open-loop rows of the same state and command
+        prop = sim.propagator(net)
+        pc = prop.region(p_r, p_cv, 0.0, u_mot, False)
+        rows = prop.segment(pc, p_r, p_cv, np.array([0.0, 0.01]))
+        assert [np.broadcast_to(q, 2).tobytes() for q in rows[2:]] == [np.zeros(2).tobytes()] * 3
 
-class TestFlowKernel:
-    """The fused kernel that ``simulate`` integrates equals ``derivatives`` bit for bit."""
+
+# |sim - reference| per kPa of state, |p_r| + |p_cv| + 1: flows are state / R,
+# rates flows * alpha / V. 150k random states of these networks gave 2.5e-18 and
+# 6.2e-16 at most.
+FLOW_TOL = 1e-17
+RATE_TOL = 4e-15
+
+
+class TestRatesEqualHelpers:
+    """The pieces of ``region_kernel`` against the ``components`` flow helpers: the same
+    flows to rounding, and +0.0 wherever a helper gives +0.0 (a shut or clamped path,
+    or no pressure difference). An open valve across p_r = -0.0, p_cv = 0.0 gives -0.0
+    in both."""
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -187,7 +240,9 @@ class TestFlowKernel:
     # p_cv below the vacuum node: p_cv - p_node < 0, the exhaust does not reverse
     @example(689.0, -90.0, 0.0, 0.5, True, False, 0.0, 0.0, cp.VENTURI_Q_RATED)
     @example(689.0, -30.0, 0.0, 0.0, True, True, 0.0, 0.0, cp.VENTURI_Q_RATED)
-    def test_rates_equal_derivatives(
+    # an open valve across -0.0 kPa
+    @example(-0.0, 0.0, 1.0, 0.0, False, False, 0.0, 0.0, 1.0)
+    def test_rates_equal_helpers(
         self, p_r, p_cv, u_in, u_mot, sol, hold, u0_in, u0_mot, q_rated
     ):
         assume(sol or u_in == 0.0 or u_mot == 0.0)  # ActuatorCommand forbids wasted motive air
@@ -198,17 +253,14 @@ class TestFlowKernel:
             motive_valve=replace(base.motive_valve, u0=u0_mot),
             venturi=replace(base.venturi, q_motive_rated=q_rated),
         )
-        want = derivatives(p_r, p_cv, ActuatorCommand(u_in, u_mot, sol), net, hold_reservoir=hold)
-        got = flow_kernel(net, gm.DEFAULT_GAS, hold)(
-            p_r,
-            p_cv,
-            cp.valve_fraction(u_in, net.inflation_valve),
-            cp.valve_fraction(u_mot, net.motive_valve),
-            sol,
-        )
-        assert got == tuple(want.values())
-        # == treats 0.0 and -0.0 alike; the bytes written to a CSV do not
-        assert [x.hex() for x in got] == [x.hex() for x in want.values()]
+        want = _reference_rates(net, hold)(p_r, p_cv, u_in, u_mot, sol)
+        got = tuple(_rates(p_r, p_cv, ActuatorCommand(u_in, u_mot, sol), net, hold).values())
+        scale = 1.0 + abs(p_r) + abs(p_cv)
+        for key, g, w in zip(RATE_KEYS, got, want):
+            assert abs(g - w) <= (RATE_TOL if key.startswith("dp") else FLOW_TOL) * scale, key
+            if w.hex() == (0.0).hex() and key.startswith("q"):
+                # == treats 0.0 and -0.0 alike; the bytes written to a CSV do not
+                assert g.hex() == w.hex(), key
 
 
 # The exact span and the RK4 reference agree to SPAN_TOL kPa per kPa of state:
@@ -226,26 +278,26 @@ def _network(v_r=2.0, v_cv=0.5, r_open=100.0, q_rated=cp.VENTURI_Q_RATED, floor=
     )
 
 
-def _rk4_reference(net, hold, p_r, p_cv, f_in, f_mot, sol, h):
-    """RK4 of flow_kernel's rates over h in RK4_SUBSTEPS steps."""
-    rates = flow_kernel(net, gm.DEFAULT_GAS, hold)
-    for _ in range(RK4_SUBSTEPS):
-        p_r, p_cv = sim._rk4(rates, p_r, p_cv, h / RK4_SUBSTEPS, f_in, f_mot, sol)
+def _rk4_reference(net, hold, p_r, p_cv, u_in, u_mot, sol, h, steps=RK4_SUBSTEPS):
+    """RK4 of the helpers' rates over h in ``steps`` steps."""
+    rates = _reference_rates(net, hold)
+    for _ in range(steps):
+        p_r, p_cv = sim._rk4(rates, p_r, p_cv, h / steps, u_in, u_mot, sol)
     return p_r, p_cv
 
 
 def _rk4_run(scn: Scenario) -> tuple:
     """(p_r, p_cv) rows of an open-loop scenario stepped by RK4 alone: every step one RK4
-    step of dt, retried at dt/10 below perfect vacuum."""
+    step of the helpers' rates over dt, retried at dt/10 below perfect vacuum."""
     net, cmd = scn.network, scn.open_loop_command
-    f_in = cp.valve_fraction(cmd.u_inflate, net.inflation_valve)
-    f_mot = cp.valve_fraction(cmd.u_motive, net.motive_valve)
-    rates = flow_kernel(net, scn.gas, scn.hold_reservoir)
+    rates = _reference_rates(net, scn.hold_reservoir, scn.gas)
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     rows = [(p_r, p_cv)]
     ss = scn.sample_stride()
     for k in range(scn.n_steps()):
-        p_r, p_cv = rk4_steps(rates, p_r, p_cv, f_in, f_mot, cmd.solenoid_open, scn.dt, k, 1)
+        p_r, p_cv = rk4_steps(
+            rates, p_r, p_cv, cmd.u_inflate, cmd.u_motive, cmd.solenoid_open, scn.dt, k, 1
+        )
         if (k + 1) % ss == 0:
             rows.append((p_r, p_cv))
     return tuple(np.array(c) for c in zip(*rows))
@@ -281,6 +333,7 @@ class TestExpPhi1:
     @example(0.0, 1.0, -4.0, 0.0, 0.9)  # complex pair on the imaginary axis
     @example(-1.0, 1e4, 0.0, -1.0001, 1.0)  # near repeated, far from normal
     @example(-9.0, 0.0, 0.0, 0.0, 1e-4)  # held reservoir, Taylor branch
+    @example(5e-324, 0.0, 0.0, 2.0, 0.5)  # a subnormal eigenvalue: lam*t rounds to 0
     def test_equals_block_exponential(self, a11, a12, a21, a22, t):
         a = np.array([[a11, a12], [a21, a22]])
         block = np.zeros((4, 4))
@@ -296,8 +349,14 @@ class TestExpPhi1:
         assert np.abs(f - ref[:2, 2:]).max() <= tol
 
 
+def _span(net, p_r, p_cv, f_in, f_mot, sol, h, hold=False):
+    """``propagator``'s span from a state, in the region that holds it."""
+    prop = sim.propagator(net, gm.DEFAULT_GAS, hold)
+    return prop.span(prop.region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, h)
+
+
 class TestExactSpan:
-    """The exact span against RK4 on the same kernel, in every region of the network."""
+    """The exact span against RK4 of the helpers' rates, in every region of the network."""
 
     # (net kwargs, hold, p_r, p_cv, u_in, u_mot, sol, h)
     REGIONS = {
@@ -322,14 +381,13 @@ class TestExactSpan:
         net = _network(**net_kw)
         f_in = cp.valve_fraction(u_in, net.inflation_valve)
         f_mot = cp.valve_fraction(u_mot, net.motive_valve)
-        span, _ = sim.propagator(net, gm.DEFAULT_GAS, hold)
-        return net, f_in, f_mot, span(p_r, p_cv, f_in, f_mot, sol, h)
+        return net, _span(net, p_r, p_cv, f_in, f_mot, sol, h, hold)
 
     def _check(self, net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h):
-        net, f_in, f_mot, got = self._span(net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h)
+        net, got = self._span(net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h)
         if got is None:
             return False
-        want = _rk4_reference(net, hold, p_r, p_cv, f_in, f_mot, sol, h)
+        want = _rk4_reference(net, hold, p_r, p_cv, u_in, u_mot, sol, h)
         scale = 1.0 + abs(p_r) + abs(p_cv)
         assert abs(got[0] - want[0]) <= SPAN_TOL * scale, (got, want)
         assert abs(got[1] - want[1]) <= SPAN_TOL * scale, (got, want)
@@ -339,13 +397,13 @@ class TestExactSpan:
     def test_each_region(self, region):
         net_kw, hold, p_r, p_cv, u_in, u_mot, sol, h = self.REGIONS[region]
         assert self._check(*self.REGIONS[region]), "span rejected"
-        # the piece's A p + b is the kernel's rate at the state
+        # the piece's A p + b is the helpers' rate at the state
         net = _network(**net_kw)
         f_in = cp.valve_fraction(u_in, net.inflation_valve)
         f_mot = cp.valve_fraction(u_mot, net.motive_valve)
-        classify, piece = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
+        classify, piece, *_ = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
         pc = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
-        dp_r, dp_cv = flow_kernel(net, gm.DEFAULT_GAS, hold)(p_r, p_cv, f_in, f_mot, sol)[:2]
+        dp_r, dp_cv = _reference_rates(net, hold)(p_r, p_cv, u_in, u_mot, sol)[:2]
         assert pc.a11 * p_r + pc.a12 * p_cv == pytest.approx(dp_r, rel=1e-12, abs=1e-12)
         assert pc.a21 * p_r + pc.a22 * p_cv + pc.b2 == pytest.approx(dp_cv, rel=1e-12, abs=1e-12)
 
@@ -355,7 +413,7 @@ class TestExactSpan:
             net = _network(**net_kw)
             f_in = cp.valve_fraction(u_in, net.inflation_valve)
             f_mot = cp.valve_fraction(u_mot, net.motive_valve)
-            classify, piece = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
+            classify, piece, *_ = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
             pc = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
             s, delta, det, rho = sim._spectrum(pc.a11, pc.a12, pc.a21, pc.a22)
             cases[name] = (delta < 0.0, det == 0.0, rho * h > sim._TAYLOR_MAX, pc.a12 == 0.0)
@@ -394,10 +452,8 @@ class TestExactSpan:
 
     def test_span_across_a_kink_is_rejected(self):
         # saturated at 700 kPa, the reservoir falls below saturation (689 kPa) within 0.5 s
-        net, f_in, f_mot, got = self._span({}, False, 700.0, 50.0, 0.0, 1.0, True, 0.5)
-        assert got is None
-        net, f_in, f_mot, got = self._span({}, False, 700.0, 50.0, 0.0, 1.0, True, 1e-3)
-        assert got is not None
+        assert self._span({}, False, 700.0, 50.0, 0.0, 1.0, True, 0.5)[1] is None
+        assert self._span({}, False, 700.0, 50.0, 0.0, 1.0, True, 1e-3)[1] is not None
 
     def test_span_over_half_an_oscillation_is_not_accepted(self):
         # a lightly damped complex pair (omega 9.8/s against a decay of 2.2/s):
@@ -407,19 +463,14 @@ class TestExactSpan:
         # clamp below atmosphere
         net = _network(v_r=0.1, v_cv=0.483, q_rated=1.0 / cp.DVP_R_VMIN)
         p_r, p_cv, h = 0.5231812103833013, 8.95022274417883, 0.7489186248081455
-        classify, piece = sim.region_kernel(net)
+        classify, piece, *_ = sim.region_kernel(net)
         pc = piece(classify(p_r, p_cv, 1.0, 1.0, True), 1.0, 1.0, True)
         ea, eb, fa, fb = sim.exp_phi1(pc.a11, pc.a12, pc.a21, pc.a22, h)
         r_r, r_cv = pc.a11 * p_r + pc.a12 * p_cv, pc.a21 * p_r + pc.a22 * p_cv + pc.b2
         assert p_r + h * (fa * r_r + fb * h * (pc.a11 * r_r + pc.a12 * r_cv)) > 0.0
-        rates = flow_kernel(net)
-        state = (p_r, p_cv)
-        for _ in range(4000):
-            state = sim._rk4(rates, *state, h / 4000, 1.0, 1.0, True)
-        assert state[0] < -1.0
-        span, _ = sim.propagator(net)
-        assert span(p_r, p_cv, 1.0, 1.0, True, h) is None
-        assert span(p_r, p_cv, 1.0, 1.0, True, 1e-3) is not None
+        assert _rk4_reference(net, False, p_r, p_cv, 1.0, 1.0, True, h, steps=4000)[0] < -1.0
+        assert _span(net, p_r, p_cv, 1.0, 1.0, True, h) is None
+        assert _span(net, p_r, p_cv, 1.0, 1.0, True, 1e-3) is not None
 
     @staticmethod
     def _peaking():
@@ -427,25 +478,24 @@ class TestExactSpan:
         reservoir just below it, lifting the reservoir above saturation until the motive
         flow draws it back below."""
         net = _network(v_r=0.5)
-        f_mot = cp.valve_fraction(0.1, net.motive_valve)
-        p_sat = net.venturi.q_motive_rated * net.motive_valve.r_vmin / f_mot
-        return net, f_mot, p_sat, 0.999 * p_sat, 2.0 * p_sat
+        u_mot = 0.1  # the valve has no deadband, so its fraction is the command
+        p_sat = net.venturi.q_motive_rated * net.motive_valve.r_vmin / u_mot
+        return net, u_mot, p_sat, 0.999 * p_sat, 2.0 * p_sat
 
     def test_span_peaking_across_a_kink_is_rejected(self):
-        net, f_mot, p_sat, p_r, p_cv = self._peaking()
-        rates = flow_kernel(net)
+        net, u_mot, p_sat, p_r, p_cv = self._peaking()
+        rates = _reference_rates(net)
         state, peak = (p_r, p_cv), p_r
         for _ in range(5000):  # 0.5 s
-            state = sim._rk4(rates, *state, 1e-4, 1.0, f_mot, True)
+            state = sim._rk4(rates, *state, 1e-4, 1.0, u_mot, True)
             peak = max(peak, state[0])
         assert peak > p_sat > state[0]  # both ends below saturation
-        span, _ = sim.propagator(net)
-        assert span(p_r, p_cv, 1.0, f_mot, True, 0.5) is None
-        assert span(p_r, p_cv, 1.0, f_mot, True, 1e-3) is not None
+        assert _span(net, p_r, p_cv, 1.0, u_mot, True, 0.5) is None
+        assert _span(net, p_r, p_cv, 1.0, u_mot, True, 1e-3) is not None
 
     def test_open_loop_rows_around_a_peak_fall_back(self, monkeypatch):
         # rows 0.5 s apart: the peak between two rows is found from the slopes at the rows
-        net, f_mot, p_sat, p_r, p_cv = self._peaking()
+        net, u_mot, p_sat, p_r, p_cv = self._peaking()
         net = replace(
             net,
             reservoir=replace(net.reservoir, p_r0=p_r),
@@ -457,7 +507,7 @@ class TestExactSpan:
             command=StepCommand(target_kpa=0.0),
             duration=2.0,
             sample_rate=2.0,
-            open_loop_command=ActuatorCommand(1.0, 0.1, True),
+            open_loop_command=ActuatorCommand(1.0, u_mot, True),
         )
         fallbacks = []
 
@@ -566,10 +616,10 @@ class TestSimulateBasics:
         ts = simulate(scn)  # open loop: rows a segment at a time
         assert ts.p_cv[0] == p_cv0
         assert np.all(np.abs(ts.p_cv[1:]) <= 1e-12)
-        span, _ = sim.propagator(net)  # and span by span, as in closed loop
+        prop = sim.propagator(net)  # and span by span, as in closed loop
         state = (689.0, p_cv0)
         for _ in range(10):
-            state = span(*state, 0.0, 0.0, True, scn.dt)
+            state = prop.span(prop.region(*state, 0.0, 0.0, True), *state, scn.dt)
             assert state is not None and abs(state[1]) <= 1e-12
 
     def test_stiff_vent_follows_closed_form(self):
@@ -587,7 +637,7 @@ class TestSimulateBasics:
         # state lands below perfect vacuum, so it is retried as ten of dt/10
         scn = self._stiff_vent()
         net = scn.network
-        rates = flow_kernel(net)
+        rates = sim.propagator(net).rates
         k1 = rates(689.0, 150.0, 0.0, 0.0, True)[1]
         k2 = rates(689.0, 150.0 + 0.5 * scn.dt * k1, 0.0, 0.0, True)[1]
         k3 = rates(689.0, 150.0 + 0.5 * scn.dt * k2, 0.0, 0.0, True)[1]
@@ -599,7 +649,7 @@ class TestSimulateBasics:
         # a retry that still lands below perfect vacuum is a divergence at the step's time
         stiffer = replace(net, solenoid=cp.BinaryValveSpec(r_open=net.solenoid.r_open / 20.0))
         with pytest.raises(SimulationDivergence, match=r"at t=0\.0035 s$"):
-            rk4_steps(flow_kernel(stiffer), 689.0, 150.0, 0.0, 0.0, True, scn.dt, 7, 1)
+            rk4_steps(sim.propagator(stiffer).rates, 689.0, 150.0, 0.0, 0.0, True, scn.dt, 7, 1)
 
     @staticmethod
     def _stiff_vent() -> Scenario:
