@@ -533,21 +533,39 @@ def _fmt(x: float) -> str:
     return format(float(x), ".9g")
 
 
-# one time-series row: the solenoid as 0/1 and the mode by name; every other column as _fmt
-_CSV_ROW = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%.9g,%.9g,%.9g,%s\n"
+# the fields of one time-series row: the solenoid as 0/1 and the mode by name; every other as _fmt
+_CSV_FIELDS = ("%.9g",) * 6 + ("%d",) + ("%.9g",) * 3 + ("%s",)
 _CSV_BLOCK_ROWS = 512  # rows formatted and written at a time; larger blocks raise peak memory
 
 
 def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
-    """Fixed-header CSV, 9 significant digits, LF line endings."""
+    """Fixed-header CSV, 9 significant digits, LF line endings.
+
+    A column whose values are bit for bit the same over a block of rows is
+    formatted once, into that block's row template; the others row by row.
+    """
     mode_names = {mode: mode.name for mode in Mode}
     columns = [getattr(ts, name) for name in TimeSeries._COLUMNS]
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(CSV_HEADER + "\n")
         for start in range(0, len(ts), _CSV_BLOCK_ROWS):
-            block = [col[start : start + _CSV_BLOCK_ROWS].tolist() for col in columns]
-            block[-1] = [mode_names[code] for code in block[-1]]
-            out.write("".join(_CSV_ROW % row for row in zip(*block)))
+            fields, varying = [], []
+            for spec, col in zip(_CSV_FIELDS, columns):
+                block = col[start : start + _CSV_BLOCK_ROWS]
+                raw, width = block.tobytes(), block.itemsize
+                if raw[width:] == raw[:-width]:  # every value equals the first, sign bit too
+                    value = block[0].item()
+                    text = spec % (mode_names[value] if spec == "%s" else value)
+                    fields.append(text.replace("%", "%%"))
+                else:
+                    values = block.tolist()
+                    varying.append([mode_names[c] for c in values] if spec == "%s" else values)
+                    fields.append(spec)
+            row = ",".join(fields) + "\n"
+            if varying:
+                out.write("".join(row % values for values in zip(*varying)))
+            else:
+                out.write((row % ()) * len(block))
 
 
 def read_timeseries_csv(path: Path) -> TimeSeries:

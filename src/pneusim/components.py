@@ -214,7 +214,12 @@ def sensor_reader(spec: SensorSpec, rng: np.random.Generator, chunk: int = NOISE
                 noise = rng.normal(0.0, std, size=chunk).tolist()
                 noise.reverse()
             value += noise.pop()
-        return min(max(value, lo), hi)
+        # min(max(value, lo), hi), as its comparisons
+        if value < lo:
+            value = lo
+        if value > hi:
+            value = hi
+        return value
 
     return read
 

@@ -116,12 +116,15 @@ def control_kernel(cfg: ControllerConfig, state: ControllerState = ControllerSta
     state starts from ``state`` and lives in closure cells, so a tick builds
     no ``ControllerState`` and no ``ActuatorCommand``; ``tick.state()``
     returns it as a ``ControllerState``. The boundary |error| ==
-    error_cutoff belongs to the PID branch.
+    error_cutoff belongs to the PID branch. Each clamp is written as the
+    comparison ``min``/``max`` would make (the first argument wins unless the
+    other is strictly smaller or larger), so -0.0 and NaN come out as theirs.
     """
     cutoff = cfg.error_cutoff
     dt = 1.0 / cfg.control_rate
     kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
     limit = cfg.integrator_limit
+    neg_limit = -limit
     vent_coeff = cfg.passive_vent_coeff
     threshold = cfg.active_deflation_rate_threshold
     isfinite = math.isfinite
@@ -143,24 +146,28 @@ def control_kernel(cfg: ControllerConfig, state: ControllerState = ControllerSta
 
         if e < -cutoff:
             required = required_deflation_rate(e, cmd_rate_hint, cfg)
-            capability = vent_coeff * max(0.0, p_meas)
-            active = required > max(capability, threshold)
+            capability = vent_coeff * (p_meas if p_meas > 0.0 else 0.0)
+            active = required > (threshold if threshold > capability else capability)
             prev, mode, acc = e, deflate if active else vent, 0.0
             return 0.0, 1.0 if active else 0.0, True, mode
 
         # PID band; integrator restarts whenever the band is re-entered
         if mode is not pid:
             integ, prev, acc = 0.0, e, 0.0
-        integ = min(max(integ + e * dt, -limit), limit)
+        integ += e * dt
+        if integ < neg_limit:
+            integ = neg_limit
+        if integ > limit:
+            integ = limit
         u = kp * e + ki * integ + kd * (e - prev) / dt
         prev, mode = e, pid
 
         if u >= 0.0:
             acc = 0.0
-            return min(u, 1.0), 0.0, False, pid
+            return 1.0 if u > 1.0 else u, 0.0, False, pid
 
         # negative output: vent through the binary solenoid at an equivalent duty
-        acc += min(-u, 1.0)
+        acc += 1.0 if -u > 1.0 else -u
         open_now = acc >= 1.0
         if open_now:
             acc -= 1.0

@@ -431,6 +431,7 @@ def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: 
     r_open = net.solenoid.r_open
     floor = net.venturi.p_vac_floor
     q_rated = net.venturi.q_motive_rated
+    new_piece = tuple.__new__  # a Piece from its 11 fields, without NamedTuple's Python __new__
 
     def classify(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> int:
         q_motive = (f_mot * p_r) / r_mot if f_mot else 0.0
@@ -446,10 +447,10 @@ def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: 
     def piece(code: int, f_in: float, f_mot: float, sol: bool) -> Piece:
         c_in = f_in / r_in
         if not (f_mot or sol):  # inflation alone: no kink
-            return Piece(
+            return new_piece(Piece, (
                 c_in, 0.0, 0.0, 0.0, False,
                 -c_in * inv_vr, c_in * inv_vr, c_in * inv_vcv, -c_in * inv_vcv, 0.0, (),
-            )
+            ))
         motive, exhaust = divmod(code, 2)
         c_mot = f_mot / r_mot if motive else 0.0
         n_r = floor * c_mot / q_rated if motive == 1 and sol else 0.0
@@ -463,12 +464,12 @@ def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: 
             kinks.append((-n_r, 1.0, -n_0) if exhaust else (n_r, -1.0, n_0))
         # q_out = o_r*p_r + o_cv*p_cv + o_0
         o_r, o_cv, o_0 = (-n_r / r_open, 1.0 / r_open, -n_0 / r_open) if exhaust else (0.0,) * 3
-        return Piece(
+        return new_piece(Piece, (
             c_in, c_mot, n_r, n_0, bool(exhaust),
             -(c_in + c_mot) * inv_vr, c_in * inv_vr,
             (c_in - o_r) * inv_vcv, -(c_in + o_cv) * inv_vcv, -o_0 * inv_vcv,
             tuple(kinks),
-        )
+        ))
 
     def flows(pc: Piece, p_r, p_cv) -> tuple:
         q_in = pc.c_in * (p_r - p_cv) if pc.c_in else 0.0
@@ -776,11 +777,18 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         t = k * dt
         if k == next_tick:
             p_cmd = cmd_value(t)
-            u_in, u_mot, sol, mode = control(p_cmd, read_cv(p_cv), cmd_rate(t))
-            f_in, f_mot = valve_fraction(u_in, evp), valve_fraction(u_mot, dvp)
+            new_in, new_mot, sol, mode = control(p_cmd, read_cv(p_cv), cmd_rate(t))
+            # a fraction changes only with its command, and a new command is range-checked
+            if new_in != u_in:
+                f_in = valve_fraction(new_in, evp)
+            if new_mot != u_mot:
+                f_mot = valve_fraction(new_mot, dvp)
+            u_in, u_mot = new_in, new_mot  # the columns keep each tick's own value, -0.0 too
             tick = k
             next_tick += cs
-        pc = region(p_r, p_cv, f_in, f_mot, sol)
+            pc = region(p_r, p_cv, f_in, f_mot, sol)
+        elif pc.kinks:  # a kinkless piece (no motive flow, solenoid shut) holds everywhere
+            pc = region(p_r, p_cv, f_in, f_mot, sol)
         if k == next_row:
             q_in, q_out, q_motive = flows(pc, p_r, p_cv)
             t_col[row] = t

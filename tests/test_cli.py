@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import tempfile
 from dataclasses import asdict
 from pathlib import Path
 
@@ -13,7 +14,8 @@ from hypothesis import given, settings, strategies as st
 
 from pneusim import cli
 from pneusim.components import default_network
-from pneusim.sim import simulate, step_scenario
+from pneusim.control import Mode
+from pneusim.sim import TimeSeries, simulate, step_scenario
 from pneusim.sizing import DesignEntry, DesignReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -137,6 +139,86 @@ class TestCsvRoundTrip:
         with pytest.raises(cli.ConfigError) as err:
             cli.read_timeseries_csv(path)
         assert str(err.value) == f"{path}: line 3: {message}"
+
+
+def _reference_csv(ts: TimeSeries, path: Path) -> None:
+    """The writer before constant columns were formatted once: each row through the full template."""
+    row_template = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%.9g,%.9g,%.9g,%s\n"
+    mode_names = {mode: mode.name for mode in Mode}
+    columns = [getattr(ts, name) for name in TimeSeries._COLUMNS]
+    with path.open("w", encoding="utf-8", newline="\n") as out:
+        out.write(cli.CSV_HEADER + "\n")
+        for start in range(0, len(ts), 512):
+            block = [col[start : start + 512].tolist() for col in columns]
+            block[-1] = [mode_names[code] for code in block[-1]]
+            out.write("".join(row_template % row for row in zip(*block)))
+
+
+def _assert_csv_equals_reference(ts: TimeSeries) -> None:
+    with tempfile.TemporaryDirectory() as d:
+        got, want = Path(d) / "got.csv", Path(d) / "want.csv"
+        cli.write_timeseries_csv(ts, got)
+        _reference_csv(ts, want)
+        assert got.read_bytes() == want.read_bytes()
+
+
+def _trace(n: int, **columns) -> TimeSeries:
+    """n rows, 0 in every column not given; a given column is a value or a sequence."""
+    out = {}
+    for name in TimeSeries._COLUMNS:
+        value = columns.get(name, 0)
+        col = np.empty(n, dtype=np.uint8 if name == "mode" else float)
+        col[:] = value
+        out[name] = col
+    return TimeSeries(**out)
+
+
+CSV_VALUES = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 689.0, 1e-9, 123456789.5]
+)
+COLUMN_VALUES = {"solenoid": st.sampled_from([0.0, -0.0, 1.0]), "mode": st.sampled_from(list(Mode))}
+
+
+@st.composite
+def csv_traces(draw) -> TimeSeries:
+    """Columns constant, constant but for one row, a mix of +-0.0, or drawn from a few values."""
+    n = draw(st.sampled_from([1, 2, 511, 512, 513, 1024, 1100]) | st.integers(1, 1100))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    columns = {}
+    for name in TimeSeries._COLUMNS:
+        values = COLUMN_VALUES.get(name, CSV_VALUES)
+        kind = draw(st.sampled_from(["constant", "one_differs", "signed_zeros", "mixed"]))
+        if kind == "signed_zeros" and name != "mode":
+            col = rng.choice([0.0, -0.0], n)
+        elif kind == "mixed":
+            col = rng.choice(np.array(draw(st.lists(values, min_size=1, max_size=4)), dtype=float), n)
+        else:
+            col = np.full(n, draw(values), dtype=float)
+            if kind == "one_differs":
+                col[draw(st.integers(0, n - 1))] = draw(values)
+        columns[name] = col
+    return _trace(n, **columns)
+
+
+class TestCsvConstantColumns:
+    @settings(deadline=None, max_examples=150)
+    @given(ts=csv_traces())
+    def test_equals_per_row_writer(self, ts):
+        _assert_csv_equals_reference(ts)
+
+    @pytest.mark.parametrize(
+        "n, columns",
+        [
+            (1100, {"p_cmd": 69.0, "p_r": 689.0, "mode": Mode.PID}),  # every block constant, short last block
+            (1100, {"p_cv": [0.0] * 700 + [1e-9] + [0.0] * 399}),  # one row differs in the second block
+            (1024, {"q_out": [0.0, -0.0] * 512, "q_in": [-0.0] * 1024}),  # mixed and all -0.0
+            (600, {"t": math.inf, "q_motive": [-math.inf] * 599 + [math.inf], "solenoid": 1.0}),
+            (513, {"mode": [Mode.IDLE] * 512 + [Mode.VENT], "u_inflate": 0.5}),  # a last block of one row
+        ],
+        ids=["all_constant", "one_differs", "signed_zeros", "infinities", "one_row_block"],
+    )
+    def test_cases(self, n, columns):
+        _assert_csv_equals_reference(_trace(n, **columns))
 
 
 class TestSimulateCommand:

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pneusim import components as cp
 from pneusim import gasmodel as gm
@@ -170,3 +172,26 @@ class TestSensorRead:
         read = cp.sensor_reader(cp.SensorSpec(range_max=207.0), rng)
         assert (read(-0.0).hex(), read(300.0), read(-200.0)) == ((-0.0).hex(), 207.0, -101.325)
         assert rng.random() == np.random.default_rng(0).random()
+
+
+ALL_FLOATS = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324, -101.325, 207.0]
+)
+
+
+@settings(max_examples=300)
+@given(
+    value=ALL_FLOATS,
+    range_max=st.floats(min_value=0.0, exclude_min=True) | st.sampled_from([5e-324, math.inf]),
+    noise_std=st.sampled_from([0.0, 0.7]),
+)
+@example(value=-0.0, range_max=207.0, noise_std=0.0)
+@example(value=math.nan, range_max=207.0, noise_std=0.7)
+@example(value=-101.325, range_max=math.inf, noise_std=0.0)
+def test_reader_clamp_equals_min_max(value, range_max, noise_std):
+    # the reader's clamp, written as comparisons, against the builtins it replaces
+    spec = cp.SensorSpec(range_max=range_max, noise_std=noise_std)
+    read = cp.sensor_reader(spec, np.random.default_rng(5))
+    noisy = value + np.random.default_rng(5).normal(0.0, noise_std) if noise_std else value
+    expected = min(max(noisy, gm.PERFECT_VACUUM_KPA), range_max)
+    assert read(value).hex() == expected.hex()

@@ -292,3 +292,102 @@ class TestControlKernel:
         tick = control_kernel(make_cfg())
         with pytest.raises(ValueError, match="cmd_rate_hint must be finite"):
             tick(50.0, 50.0, math.inf)
+
+
+def _builtin_kernel(cfg: ControllerConfig):
+    """The tick law with its clamps written as min/max: the reference the kernel's comparisons must equal."""
+    cutoff = cfg.error_cutoff
+    dt = 1.0 / cfg.control_rate
+    kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
+    limit = cfg.integrator_limit
+    vent_coeff = cfg.passive_vent_coeff
+    threshold = cfg.active_deflation_rate_threshold
+    isfinite = math.isfinite
+    pid, inflate, vent, deflate = Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE
+    integ, prev, mode, acc = 0.0, 0.0, Mode.IDLE, 0.0
+
+    def tick(p_cmd: float, p_meas: float, cmd_rate_hint: float) -> tuple:
+        nonlocal integ, prev, mode, acc
+        if not (isfinite(p_cmd) and isfinite(p_meas) and isfinite(cmd_rate_hint)):
+            for name, value in (("p_cmd", p_cmd), ("p_meas", p_meas), ("cmd_rate_hint", cmd_rate_hint)):
+                if not isfinite(value):
+                    raise ValueError(f"{name} must be finite, got {value}")
+        e = p_cmd - p_meas
+        if e > cutoff:
+            prev, mode, acc = e, inflate, 0.0
+            return 1.0, 0.0, False, inflate
+        if e < -cutoff:
+            required = required_deflation_rate(e, cmd_rate_hint, cfg)
+            capability = vent_coeff * max(0.0, p_meas)
+            active = required > max(capability, threshold)
+            prev, mode, acc = e, deflate if active else vent, 0.0
+            return 0.0, 1.0 if active else 0.0, True, mode
+        if mode is not pid:
+            integ, prev, acc = 0.0, e, 0.0
+        integ = min(max(integ + e * dt, -limit), limit)
+        u = kp * e + ki * integ + kd * (e - prev) / dt
+        prev, mode = e, pid
+        if u >= 0.0:
+            acc = 0.0
+            return min(u, 1.0), 0.0, False, pid
+        acc += min(-u, 1.0)
+        open_now = acc >= 1.0
+        if open_now:
+            acc -= 1.0
+        return 0.0, 0.0, open_now, pid
+
+    tick.state = lambda: ControllerState(integ, prev, mode, acc)
+    return tick
+
+
+def _outcome(tick, args) -> tuple:
+    """A tick's outputs by float.hex, or the exception it raised, then the state it left."""
+    try:
+        u_in, u_mot, sol, mode = tick(*args)
+        result = (u_in.hex(), u_mot.hex(), sol, mode)
+    except (ValueError, ZeroDivisionError) as exc:
+        result = (type(exc), str(exc))
+    return result, _hex_state(tick.state())
+
+
+SPECIAL = st.sampled_from([0.0, -0.0, math.inf, 5e-324, 2.2250738585072014e-308, 1.0, 1e308])
+NONNEG = st.floats(min_value=0.0) | st.sampled_from([-0.0, 5e-324, math.inf])
+POSITIVE = st.floats(min_value=0.0, exclude_min=True) | st.sampled_from([5e-324, math.inf])
+ANY_FLOAT = st.floats() | st.sampled_from([-0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan])
+WIDE_CONFIGS = st.builds(
+    ControllerConfig,
+    kp=NONNEG | SPECIAL,
+    ki=NONNEG | SPECIAL,
+    kd=NONNEG | SPECIAL,
+    error_cutoff=POSITIVE,
+    control_rate=POSITIVE,
+    settle_horizon=POSITIVE,
+    integrator_limit=NONNEG,
+    active_deflation_rate_threshold=ANY_FLOAT,
+    passive_vent_coeff=NONNEG,
+)
+# any floats, and pairs within a few cutoffs of each other so the PID band is reached
+WIDE_TICKS = st.lists(
+    st.tuples(ANY_FLOAT, ANY_FLOAT, ANY_FLOAT)
+    | st.tuples(st.floats(-300.0, 300.0), ANY_FLOAT | st.floats(-3.0, 3.0), ANY_FLOAT).map(
+        lambda x: (x[0], x[0] - x[1], x[2])
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestClampComparisons:
+    @settings(deadline=None, max_examples=300)
+    @example(cfg=make_cfg(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01), ticks=BAND_WALK)
+    @example(cfg=make_cfg(kp=0.0, ki=0.0, kd=0.0), ticks=[(0.0, 0.5, 0.0), (0.0, 0.6, 0.0)])
+    # a -0.0 integrator limit, a NaN threshold and an infinite gain
+    @example(
+        cfg=make_cfg(integrator_limit=-0.0, active_deflation_rate_threshold=math.nan, kd=math.inf),
+        ticks=[(10.0, 10.5, 0.0), (0.0, -0.0, 0.0), (0.0, 30.0, -0.0), (5.0, 5.0, 1e308)],
+    )
+    @given(cfg=WIDE_CONFIGS, ticks=WIDE_TICKS)
+    def test_kernel_equals_builtin_clamps(self, cfg, ticks):
+        kernel, reference = control_kernel(cfg), _builtin_kernel(cfg)
+        for args in ticks:
+            assert _outcome(kernel, args) == _outcome(reference, args), args

@@ -9,10 +9,12 @@ resolved_sha256 is pinned.
 import contextlib
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import math
 import re
+import sys
 import tempfile
 from dataclasses import fields
 from pathlib import Path
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pneusim import cli
+from pneusim.control import Mode
 from pneusim.sim import Scenario, TimeSeries, step_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -109,6 +112,65 @@ def test_noisy_closed_loop_pin(tmp_path):
         "noisy_step_timeseries.csv": "80ac9d8cf1a6d16945e003ee150647693f79a6d2a3530391bb61cfc7fec5d819",
     }
 
+
+def test_closed_loop_staircase_pin(tmp_path):
+    # A noisy staircase with a row every step and a control tick every two:
+    # rises (ON_OFF_INFLATE), drops inside the error band (PID duty pulses),
+    # a small drop (VENT) and a large one (ACTIVE_DEFLATE). Every other row
+    # falls between ticks, on a piece with kinks (solenoid open) or without.
+    doc = json.loads((SCENARIOS / "step_69kpa_half_liter.json").read_text())
+    doc["network"]["cv_sensor"] = {"noise_std_kPa": 0.2, "seed": 17}
+    doc["controller"] = {"control_rate_Hz": 1000.0}
+    doc["command"] = {"kind": "piecewise", "knots": [
+        [0.0, 40.0], [1.5, 70.0], [2.5, 69.3], [3.0, 68.6], [3.5, 62.0], [5.0, 15.0], [6.5, 30.0],
+        [7.2, 29.4],
+    ]}
+    doc["run"] = {"dt_s": 0.0005, "duration_s": 8.0, "sample_rate_Hz": 2000.0,
+                  "hold_reservoir": False, "seed": 3}
+    scn_file = tmp_path / "staircase.json"
+    scn_file.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", str(scn_file), "--out", str(out)]) == 0
+    assert _digests(out) == {
+        "staircase_manifest.json": "e0bf8b573aed443f7580d66d96a1bf9436a157ac5ada40b61ab262a9e98da4a2",
+        "staircase_timeseries.csv": "c001d29ea00ddc2c2fe2f364b1ebdd47401baf2047dde9fcc7de0380097dac07",
+    }
+    ts = cli.read_timeseries_csv(out / "staircase_timeseries.csv")
+    assert {Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE} <= set(ts.mode.tolist())
+    assert np.any((ts.mode == Mode.PID) & (ts.solenoid == 1.0))  # duty pulses
+    between = slice(1, None, 2)  # rows between control ticks
+    assert np.any(ts.solenoid[between] == 1.0)
+    assert np.any((ts.solenoid[between] == 0.0) & (ts.u_motive[between] == 0.0))
+
+
+# perfbench/workloads.py at seed 1, each workload run through the CLI. The
+# manifests record the input paths, so the runs use fixed relative paths.
+WORKLOAD_DIGESTS = {
+    "discharge_blowdown": "4e0469de5d3136fe39689f3de6371e5e870fd4ed5bf473c4d713a6d1b0d9f8d1",
+    "freq_sweep": "b5a1160d6376e74ee0c7e304333a1a9ce10b3dc5d9d804adc12e33c6a354f2e2",
+    "size_catalog": "2c8d7c52182c8ede58901cb1417ec31e1df94dd8f25687f6f23b9ffdc48d23d6",
+    "step_cycle": "32cf48b80291967bfd1d616e159901c17e2d3ce8f811e23781684c606923cd81",
+}
+
+
+def _benchmark_workloads():
+    """perfbench/workloads.py, imported once; its dataclasses need it in sys.modules."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        path = SCENARIOS.parent / "perfbench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location(name, path)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
+def test_benchmark_workload_pins(name, tmp_path, monkeypatch):
+    workloads = _benchmark_workloads()
+    monkeypatch.chdir(tmp_path)
+    wl = workloads.build(name, 1, Path("in"))
+    assert cli.main(wl.cli_args(Path("out"))) == 0
+    assert workloads.digest(wl, Path("out")) == WORKLOAD_DIGESTS[name]
 
 def test_cli_defaults_equal_python_defaults():
     raw = {"schema_version": 1, "command": {"kind": "step", "target_kPa": 69.0}}

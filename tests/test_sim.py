@@ -708,6 +708,27 @@ class TestClosedLoopStep:
         assert Mode.ON_OFF_INFLATE in ts.mode
         assert Mode.PID in ts.mode
 
+    def test_rows_between_ticks_read_their_own_region(self):
+        # A small reservoir above the Venturi's saturation pressure (689 kPa for
+        # the default valve) under ACTIVE_DEFLATE falls through it within a few
+        # steps. With a tick every 4 rows, it crosses between ticks, and each
+        # row's flows must follow the laws of the region the row's state is in.
+        net = cp.default_network(v_r=0.05, p_r0=800.0, p_cv0=150.0)
+        saturation = net.venturi.q_motive_rated * net.motive_valve.r_vmin
+        scn = Scenario(network=net, controller=controller_for_network(net, control_rate=500.0),
+                       command=StepCommand(0.0), duration=0.05, sample_rate=2000.0)
+        ts = simulate(scn)
+        cs = scn.control_stride()
+        assert cs == 4 and set(ts.mode.tolist()) == {Mode.ACTIVE_DEFLATE}
+        above = ts.p_r > saturation
+        assert any(i % cs and above[i - i % cs] and not above[i] for i in range(len(ts)))
+        rates = _reference_rates(net)
+        for i in range(len(ts)):
+            want = rates(ts.p_r[i], ts.p_cv[i], ts.u_inflate[i], ts.u_motive[i], bool(ts.solenoid[i]))
+            scale = 1.0 + abs(ts.p_r[i]) + abs(ts.p_cv[i])
+            for got, w in zip((ts.q_in[i], ts.q_out[i], ts.q_motive[i]), want[2:]):
+                assert abs(got - w) <= FLOW_TOL * scale, i
+
 
 class TestMassBalance:
     def test_sealed_scenario_balances_exactly(self):
