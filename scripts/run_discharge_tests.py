@@ -13,12 +13,13 @@ import numpy as np
 
 from pneusim import analysis, gasmodel
 from pneusim.cli import write_timeseries_csv
+from pneusim.components import EVP_R_VMIN
 from pneusim.sim import discharge_scenario, simulate
 
 CONDITIONS = [
     # label, P_r0 kPa, V_r L, R_v kPa*s/L
     ("fast_small_bottle", 345.0, 1.0, 600.0),
-    ("nominal_2l_bottle", 689.0, 2.0, 689.0 / (23.5 / 60.0)),
+    ("nominal_2l_bottle", 689.0, 2.0, EVP_R_VMIN),
     ("slow_high_resistance", 689.0, 2.0, 5000.0),
 ]
 

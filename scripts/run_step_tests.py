@@ -13,9 +13,8 @@ from pathlib import Path
 
 from pneusim import analysis, gasmodel
 from pneusim.cli import write_timeseries_csv
+from pneusim.components import EVP_R_VMIN
 from pneusim.sim import simulate, step_scenario
-
-R_VALVE = 689.0 / (23.5 / 60.0)
 
 CONDITIONS = [
     # label, step kPa, V_cv L, P_r kPa
@@ -35,7 +34,7 @@ def main() -> None:
     header = f"{'condition':<28} {'model kPa/s':>11} {'avg kPa/s':>10} {'nRMSE %':>8} {'overshoot':>10} {'settle s':>9}"
     print(header)
     for label, target, v_cv, p_r in CONDITIONS:
-        model_rate = gasmodel.inflation_rate(p_r, R_VALVE, v_cv)
+        model_rate = gasmodel.inflation_rate(p_r, EVP_R_VMIN, v_cv)
         duration = max(3.0, 4.0 * target / model_rate + 3.0)
         scn = step_scenario(target, v_cv=v_cv, p_r0=p_r, duration=duration, hold_reservoir=True)
         ts = simulate(scn)

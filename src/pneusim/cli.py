@@ -68,7 +68,9 @@ class ConfigError(ValueError):
 #
 # Each section of the input schema is a table: (constructor, rows). A row is
 # (JSON key, constructor keyword, check, default). Checks: "num" a finite
-# number, "pos" > 0, "nonneg" >= 0, "int" an integer >= 0, "bool", "str".
+# number, "pos" > 0, "nonneg" >= 0, "slpm" > 0 also once in std L/s, "gauge"
+# at or above perfect vacuum, "floor" a Venturi floor in (-101.325, 0), "int"
+# an integer >= 0, "bool", "str".
 # The keyword is None for keys the constructor does not take. A row written
 # with three items takes its default from the object that owns it: the
 # dataclass default, or the field of the default network. _REQUIRED makes a
@@ -102,17 +104,17 @@ VALVE = _table(
     ("R_vmin_kPa_s_per_L", "r_vmin", "pos", None),  # or derived from flow_max_slpm
 )
 NETWORK = {  # in PneumaticNetwork order
-    "reservoir": _table(_NET.reservoir, ("V_r_L", "v_r", "pos"), ("P_r0_kPa", "p_r0", "num")),
+    "reservoir": _table(_NET.reservoir, ("V_r_L", "v_r", "pos"), ("P_r0_kPa", "p_r0", "gauge")),
     "control_volume": _table(
-        _NET.control_volume, ("V_cv_L", "v_cv", "pos"), ("P_cv0_kPa", "p_cv", "num")
+        _NET.control_volume, ("V_cv_L", "v_cv", "pos"), ("P_cv0_kPa", "p_cv", "gauge")
     ),
     "inflation_valve": VALVE,
     "motive_valve": VALVE,
     "solenoid": _table(_NET.solenoid, ("R_open_kPa_s_per_L", "r_open", "pos")),
     "venturi": _table(
         _NET.venturi,
-        ("P_vac_floor_kPa", "p_vac_floor", "num"),
-        ("Q_motive_rated_slpm", "q_motive_rated", "pos", VENTURI_Q_RATED_SLPM),
+        ("P_vac_floor_kPa", "p_vac_floor", "floor"),
+        ("Q_motive_rated_slpm", "q_motive_rated", "slpm", VENTURI_Q_RATED_SLPM),
     ),
     "cv_sensor": _table(
         _NET.cv_sensor,
@@ -184,8 +186,8 @@ RESERVOIR_OPTION = _table(
 VENTURI_OPTION = _table(
     VenturiOption,
     ("name", "name", "str"),
-    ("P_vac_floor_kPa", "p_vac_floor", "num"),
-    ("Q_motive_rated_slpm", "q_motive_rated", "pos"),
+    ("P_vac_floor_kPa", "p_vac_floor", "floor"),
+    ("Q_motive_rated_slpm", "q_motive_rated", "slpm"),
     ("mass_g", "mass_g", "pos"),
 )
 
@@ -194,7 +196,16 @@ _EXPECTED = {
     "bool": (bool, "true or false"),
     "str": (str, "a string"),
     "int": (int, "an integer"),
-    **dict.fromkeys(("num", "pos", "nonneg"), ((int, float), "a number")),
+    **dict.fromkeys(("num", "pos", "nonneg", "slpm", "gauge", "floor"), ((int, float), "a number")),
+}
+# check -> (whether a checked number is in range, what the error says it must be)
+_BOUNDS = {
+    "pos": (lambda v: v > 0.0, "> 0"),
+    "nonneg": (lambda v: v >= 0, ">= 0"),
+    "int": (lambda v: v >= 0, ">= 0"),
+    "slpm": (lambda v: v / 60.0 > 0.0, "> 0 in std L/s (SLPM / 60)"),
+    "gauge": (lambda v: v >= PERFECT_VACUUM_KPA, f">= {PERFECT_VACUUM_KPA} (perfect vacuum)"),
+    "floor": (lambda v: PERFECT_VACUUM_KPA < v < 0.0, f"in ({PERFECT_VACUUM_KPA}, 0)"),
 }
 
 
@@ -212,10 +223,9 @@ def _check(value, where: str, check: str):
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{where}: must be finite")
-    if check == "pos" and not value > 0.0:
-        raise ConfigError(f"{where}: must be > 0")
-    if check in ("nonneg", "int") and value < 0:
-        raise ConfigError(f"{where}: must be >= 0")
+    in_range, bound = _BOUNDS.get(check, (None, None))
+    if in_range and not in_range(value):
+        raise ConfigError(f"{where}: must be {bound}")
     return value
 
 
@@ -286,10 +296,10 @@ def _resolve_valve(raw, path: str) -> dict:
     if "flow_max_slpm" in obj:
         if "R_vmin_kPa_s_per_L" in out:
             raise ConfigError(f"{path}: give R_vmin_kPa_s_per_L or flow_max_slpm, not both")
-        flow = _pop(obj, path, "flow_max_slpm", "pos") / 60.0
-        r_vmin = out["P_inlet_max_kPa"] / flow if flow > 0.0 else math.inf
-        if not math.isfinite(r_vmin):
-            raise ConfigError(f"{path}.flow_max_slpm: too small for P_inlet_max_kPa")
+        r_vmin = out["P_inlet_max_kPa"] / (_pop(obj, path, "flow_max_slpm", "slpm") / 60.0)
+        if not 0.0 < r_vmin < math.inf:
+            size = "large" if r_vmin == 0.0 else "small"
+            raise ConfigError(f"{path}.flow_max_slpm: too {size} for P_inlet_max_kPa")
         out["R_vmin_kPa_s_per_L"] = r_vmin
     elif "R_vmin_kPa_s_per_L" not in out:
         raise ConfigError(f"{path}: R_vmin_kPa_s_per_L or flow_max_slpm required")
@@ -351,9 +361,10 @@ def resolve_scenario(raw: dict) -> dict:
         else:
             network[name] = _object(net_obj.pop(name, {}), path, table)
     _reject_unknown(net_obj, "scenario.network")
-    if not PERFECT_VACUUM_KPA < network["venturi"]["P_vac_floor_kPa"] < 0.0:
+    # controller_for_network divides by the product
+    if not network["solenoid"]["R_open_kPa_s_per_L"] * network["control_volume"]["V_cv_L"] > 0.0:
         raise ConfigError(
-            f"scenario.network.venturi.P_vac_floor_kPa: must be in ({PERFECT_VACUUM_KPA}, 0)"
+            "scenario.network.solenoid.R_open_kPa_s_per_L: too small for control_volume.V_cv_L"
         )
 
     controller = _object(top.pop("controller", {}), "scenario.controller", CONTROLLER)
@@ -389,6 +400,11 @@ def resolve_scenario(raw: dict) -> dict:
         for key in ("u_evp", "u_dvp"):
             if olc[key] > 1.0:
                 raise ConfigError(f"{olc_path}.{key}: must be <= 1")
+        if olc["u_evp"] > 0.0 and olc["u_dvp"] > 0.0 and not olc["solenoid_open"]:
+            raise ConfigError(
+                f"{olc_path}.u_evp: must be 0 while u_dvp > 0 and solenoid_open is false "
+                "(the motive air would be wasted)"
+            )
         run["open_loop_command"] = olc
     elif "open_loop_command" in run_obj:
         raise ConfigError(f"{olc_path}: only valid with mode 'open_loop'")
@@ -453,6 +469,8 @@ def resolve_requirements(raw: dict) -> dict:
         raise ConfigError(
             "requirements: Pdot_d_kPa_s or both amplitude_kPa and frequency_Hz required"
         )
+    if "amplitude_kPa" not in out and not out["dP_cv_kPa"] / 2.0 > 0.0:
+        raise ConfigError("requirements.dP_cv_kPa: too small to halve into a reference amplitude")
     return out
 
 
@@ -820,6 +838,12 @@ def cmd_size(args) -> int:
     cat_resolved = resolve_catalog(_load_json(cat_path))
     req = requirements_from_resolved(req_resolved)
     catalog = catalog_from_resolved(cat_resolved)
+    for i, valve in enumerate(catalog.valves):  # gasmodel.inflation_rate divides by the product
+        if not valve.r_vmin * req.v_cv > 0.0:
+            raise ConfigError(
+                f"catalog.valves[{i}].R_vmin_kPa_s_per_L: too small for requirements.V_cv_L "
+                "(a flow rating gives P_inlet_max_kPa / (flow_max_slpm / 60))"
+            )
     report = enumerate_catalog(req, catalog)
 
     out_dir = Path(args.out)

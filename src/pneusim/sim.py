@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 # perfbench/tracer.py patches the names marked noqa here by name; the flow
-# helpers are not called in this module, region_kernel states their laws
+# helpers are not called in this module, propagator states their laws
 from .components import (
     PneumaticNetwork,
     default_network,
@@ -207,12 +207,13 @@ class Scenario:
         if self.seed < 0:
             raise ValueError("scenario.run.seed: must be >= 0")
         self.sample_stride()
-        if not math.isfinite(self.duration / self.dt) or self.n_rows() > MAX_ROWS:
+        finite = math.isfinite(self.duration / self.dt)  # else n_steps() cannot round it
+        if (self.n_rows() if finite else self.duration * self.sample_rate) > MAX_ROWS:
             raise ValueError(
                 f"scenario.run.duration_s: the run would hold more than {MAX_ROWS} sample rows "
                 "(duration_s * sample_rate_Hz)"
             )
-        if self.n_steps() > MAX_STEPS:
+        if not finite or self.n_steps() > MAX_STEPS:
             raise ValueError(
                 f"scenario.run.duration_s: the run would take more than {MAX_STEPS} steps "
                 "(duration_s / dt_s)"
@@ -408,21 +409,45 @@ class Piece(NamedTuple):
     kinks: tuple
 
 
-def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False):
-    """The network's laws, one affine piece per region, built once per run.
+def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
+    """How far below zero rounding may put a kink functional over a span from p to e."""
+    k_r, k_cv, k_0 = kink
+    return _ROUNDING * (
+        abs(k_r) * (abs(p_r) + abs(e_r)) + abs(k_cv) * (abs(p_cv) + abs(e_cv)) + abs(k_0)
+    )
 
-    Returns ``(classify, piece, flows, rates)``. ``f_in`` and ``f_mot`` are the
-    valves' ``valve_fraction`` under the held command (0.0 when shut) and
-    ``sol`` is whether the solenoid is open. ``classify(p_r, p_cv, f_in,
-    f_mot, sol)`` is the code of the region that holds the state, by the
-    comparisons the ``components`` flow helpers make: 2*motive + exhaust,
-    where motive is 0 without motive flow, 2 with the Venturi saturated and
-    a solenoid to feel it, else 1, and exhaust is 1 while the exhaust flows.
-    ``piece(code, f_in, f_mot, sol)`` is that region's ``Piece``.
-    ``flows(pc, p_r, p_cv)`` is ``(q_in, q_out, q_motive)`` at states (floats
-    or arrays) in the region of ``pc``; a shut or clamped path gives the float
-    +0.0. ``rates(pc, p_r, p_cv)`` puts ``(dp_r, dp_cv)`` in front of them.
+
+Propagator = namedtuple("Propagator", "region flows rates span segment")  # see propagator
+
+
+def propagator(
+    net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False
+) -> Propagator:
+    """The network's laws, one affine piece per region, and their exact solution.
+
+    Built once per run. ``f_in`` and ``f_mot`` are the valves' ``valve_fraction``
+    under the held command (0.0 when shut); ``sol`` is whether the solenoid is open.
+    ``region(p_r, p_cv, f_in, f_mot, sol)`` is the ``Piece`` that holds the state,
+    by the comparisons the ``components`` flow helpers make. Its code is 2*motive
+    + exhaust: motive is 0 without motive flow, 2 with the Venturi saturated and a
+    solenoid to feel it, else 1; exhaust is 1 while the exhaust flows. The held
+    command's pieces are kept by code, so rows, spans and RK4 stages read the same
+    piece. ``flows(pc, p_r, p_cv)`` is ``(q_in, q_out, q_motive)`` at states (floats
+    or arrays) in the region of ``pc``, +0.0 on a shut or clamped path, and
+    ``rates(p_r, p_cv, f_in, f_mot, sol)`` is ``(dp_r, dp_cv)`` from the flows of
+    the state's own piece.
+
+    ``span(pc, p_r, p_cv, h)`` is the state after h from a state in the region of
+    ``pc``, or None. ``segment(pc, p_r, p_cv, t)`` is the exact solution at the
+    times t (t[0] == 0) of the leading rows in it: arrays (p_r, p_cv), at least
+    one row, then their ``flows``. Both take a state only while it is in the
+    region (to within ``_ROUNDING``) and no kink functional's slope has turned
+    from falling to rising since the state before; after ``oscillates``, that is
+    the one shape that can hide a minimum. The map of the last piece and h is
+    kept until one of them changes.
     """
+    import numpy as np
+
     a = alpha(gas)
     inv_vr = 0.0 if hold else a / net.reservoir.v_r
     inv_vcv = a / net.control_volume.v_cv
@@ -432,17 +457,9 @@ def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: 
     floor = net.venturi.p_vac_floor
     q_rated = net.venturi.q_motive_rated
     new_piece = tuple.__new__  # a Piece from its 11 fields, without NamedTuple's Python __new__
-
-    def classify(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> int:
-        q_motive = (f_mot * p_r) / r_mot if f_mot else 0.0
-        if not q_motive > 0.0:
-            return 1 if sol and p_cv > 0.0 else 0
-        x = q_motive / q_rated
-        if not sol:
-            return 2
-        if x < 1.0:
-            return 3 if p_cv - floor * x > 0.0 else 2
-        return 5 if p_cv - floor > 0.0 else 4
+    pieces = [None] * 6  # by region code, for the command (held_in, held_mot, held_sol)
+    held_in = held_mot = held_sol = None
+    last = last_h = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
 
     def piece(code: int, f_in: float, f_mot: float, sol: bool) -> Piece:
         c_in = f_in / r_in
@@ -471,100 +488,38 @@ def region_kernel(net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: 
             tuple(kinks),
         ))
 
+    def region(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> Piece:
+        nonlocal held_in, held_mot, held_sol
+        if f_in != held_in or f_mot != held_mot or sol != held_sol:
+            held_in, held_mot, held_sol = f_in, f_mot, sol
+            pieces[:] = (None,) * 6
+        code = 0
+        if f_mot or sol:
+            q_motive = (f_mot * p_r) / r_mot if f_mot else 0.0
+            if not q_motive > 0.0:
+                code = 1 if sol and p_cv > 0.0 else 0
+            elif not sol:
+                code = 2
+            else:
+                x = q_motive / q_rated
+                if x < 1.0:
+                    code = 3 if p_cv - floor * x > 0.0 else 2
+                else:
+                    code = 5 if p_cv - floor > 0.0 else 4
+        pc = pieces[code]
+        if pc is None:
+            pc = pieces[code] = piece(code, f_in, f_mot, sol)
+        return pc
+
     def flows(pc: Piece, p_r, p_cv) -> tuple:
         q_in = pc.c_in * (p_r - p_cv) if pc.c_in else 0.0
         q_motive = pc.c_mot * p_r if pc.c_mot else 0.0
         q_out = (p_cv - (pc.n_r * p_r + pc.n_0)) / r_open if pc.exhaust else 0.0
         return q_in, q_out, q_motive
 
-    def rates(pc: Piece, p_r: float, p_cv: float) -> tuple:
-        q_in, q_out, q_motive = flows(pc, p_r, p_cv)
-        return -(q_in + q_motive) * inv_vr, (q_in - q_out) * inv_vcv, q_in, q_out, q_motive
-
-    return classify, piece, flows, rates
-
-
-def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
-    """How far below zero rounding may put a kink functional over a span from p to e."""
-    k_r, k_cv, k_0 = kink
-    return _ROUNDING * (
-        abs(k_r) * (abs(p_r) + abs(e_r)) + abs(k_cv) * (abs(p_cv) + abs(e_cv)) + abs(k_0)
-    )
-
-
-def _stays_inside(pc: Piece, g0: float, u: float, v: float, h: float) -> bool:
-    """Whether a kink functional g, falling at the start of a span and rising at
-    its end, stays >= 0 at its minimum inside the span.
-
-    g(0) = g0, g'(0) = u < 0 and v = k.A.r, so g'(t) = e^(st)*(C(t)*u +
-    S(t)*(v - s*u)) with C, S the cosh/sinh (cos/sin) pair of the span's
-    matrix; its one zero inside the span is the minimum.
-    """
-    s, delta, _, _ = _spectrum(pc.a11, pc.a12, pc.a21, pc.a22)
-    w = v - s * u
-    if delta < 0.0:
-        om = math.sqrt(-delta)
-        t = math.atan2(-u * om, w) / om
-    elif not w > 0.0:
-        return False
-    elif delta == 0.0:
-        t = -u / w
-    else:
-        mu = math.sqrt(delta)
-        x = -u * mu / w
-        if not x < 1.0:
-            return False
-        t = math.atanh(x) / mu
-    if not 0.0 < t < h:
-        return False
-    _, _, fa, fb = exp_phi1(pc.a11, pc.a12, pc.a21, pc.a22, t)
-    return g0 + t * (fa * u + fb * t * v) >= 0.0
-
-
-Propagator = namedtuple("Propagator", "region flows rates span segment")  # see propagator
-
-
-def propagator(
-    net: PneumaticNetwork, gas: GasConstants = DEFAULT_GAS, hold: bool = False
-) -> Propagator:
-    """The pieces of ``region_kernel`` and the exact solution under a held command.
-
-    ``region(p_r, p_cv, f_in, f_mot, sol)`` is the ``Piece`` that holds the
-    state. The current command's pieces are kept by region code, so rows,
-    spans and RK4 stages read the same piece. ``flows`` is
-    ``region_kernel``'s, and ``rates(p_r, p_cv, f_in, f_mot, sol)`` is
-    ``region_kernel``'s rates at the state's own piece.
-
-    ``span(pc, p_r, p_cv, h)`` is the state after h from a state in the region
-    of ``pc``, or None when the exact solution does not provably stay in it:
-    its end must be in the region, and no kink functional may reach below
-    zero at a minimum inside the span (both to within ``_ROUNDING``). The map
-    of the last piece and h is kept until one of them changes.
-
-    ``segment(pc, p_r, p_cv, t)`` is the exact solution at the times t (t[0]
-    == 0) of the leading rows that provably stay in the region of ``pc``:
-    arrays (p_r, p_cv), at least one row, then their ``flows``.
-    """
-    import numpy as np
-
-    classify, piece, flows, piece_rates = region_kernel(net, gas, hold)
-    pieces = [None] * 6  # by region code, for the command (held_in, held_mot, held_sol)
-    held_in = held_mot = held_sol = None
-    last = last_h = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
-
-    def region(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> Piece:
-        nonlocal held_in, held_mot, held_sol
-        if f_in != held_in or f_mot != held_mot or sol != held_sol:
-            held_in, held_mot, held_sol = f_in, f_mot, sol
-            pieces[:] = (None,) * 6
-        code = classify(p_r, p_cv, f_in, f_mot, sol) if f_mot or sol else 0
-        pc = pieces[code]
-        if pc is None:
-            pc = pieces[code] = piece(code, f_in, f_mot, sol)
-        return pc
-
     def rates(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> tuple:
-        return piece_rates(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv)
+        q_in, q_out, q_motive = flows(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv)
+        return -(q_in + q_motive) * inv_vr, (q_in - q_out) * inv_vcv
 
     def oscillates(p: Piece, h: float) -> bool:
         """A complex pair turning by pi or more over h: g' may change sign twice."""
@@ -607,12 +562,9 @@ def propagator(
                 return None
             u = k_r * r_r + k_cv * r_cv
             if gain is None and u < 0.0:
-                v = k_r * ar_r + k_cv * ar_cv
-                # g'(h) rising beyond its rounding: a minimum inside the span
-                rising = ea * u + eb * h * v > _ROUNDING * (abs(ea * u) + abs(eb * h * v))
-                if rising and not _stays_inside(
-                    pc, k_r * p_r + k_cv * p_cv + k_0 + _slack(kink, p_r, p_cv, e_r, e_cv), u, v, h
-                ):
+                # g' falling at the start and rising beyond its rounding at the end
+                u, v = ea * u, eb * h * (k_r * ar_r + k_cv * ar_cv)
+                if u + v > _ROUNDING * (abs(u) + abs(v)):
                     return None
         return e_r, e_cv
 
@@ -647,11 +599,11 @@ def propagator(
 
 def _rk4(rates, p_r: float, p_cv: float, h: float, f_in: float, f_mot: float, sol: bool) -> tuple:
     """One classical 4th-order Runge-Kutta step of ``rates``, such as ``Propagator.rates``."""
-    k1r, k1c, _, _, _ = rates(p_r, p_cv, f_in, f_mot, sol)
+    k1r, k1c = rates(p_r, p_cv, f_in, f_mot, sol)
     half = 0.5 * h
-    k2r, k2c, _, _, _ = rates(p_r + half * k1r, p_cv + half * k1c, f_in, f_mot, sol)
-    k3r, k3c, _, _, _ = rates(p_r + half * k2r, p_cv + half * k2c, f_in, f_mot, sol)
-    k4r, k4c, _, _, _ = rates(p_r + h * k3r, p_cv + h * k3c, f_in, f_mot, sol)
+    k2r, k2c = rates(p_r + half * k1r, p_cv + half * k1c, f_in, f_mot, sol)
+    k3r, k3c = rates(p_r + half * k2r, p_cv + half * k2c, f_in, f_mot, sol)
+    k4r, k4c = rates(p_r + h * k3r, p_cv + h * k3c, f_in, f_mot, sol)
     sixth = h / 6.0
     return (
         p_r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
@@ -834,11 +786,13 @@ def mass_balance(ts: TimeSeries, scn: Scenario) -> float:
         raise ValueError("mass_balance needs at least two samples")
 
     # right-end flows: the next sampled state under this interval's command
-    rates = propagator(net, scn.gas, scn.hold_reservoir).rates
+    prop = propagator(net, scn.gas, scn.hold_reservoir)
+    region, flows = prop.region, prop.flows
     evp, dvp = net.inflation_valve, net.motive_valve
     states = (ts.p_r[1:], ts.p_cv[1:], ts.u_inflate[:-1], ts.u_motive[:-1], ts.solenoid[:-1])
     right = np.array([
-        rates(p_r, p_cv, valve_fraction(u_in, evp), valve_fraction(u_mot, dvp), bool(sol))[2:]
+        flows(region(p_r, p_cv, valve_fraction(u_in, evp), valve_fraction(u_mot, dvp), bool(sol)),
+              p_r, p_cv)
         for p_r, p_cv, u_in, u_mot, sol in zip(*(col.tolist() for col in states))
     ])
     h = np.diff(ts.t)

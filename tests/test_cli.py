@@ -734,6 +734,9 @@ class TestReadmeSchema:
         "num": "number",
         "pos": "> 0",
         "nonneg": ">= 0",
+        "slpm": "> 0 in std L/s",
+        "gauge": ">= -101.325",
+        "floor": "in (-101.325, 0)",
         "int": "integer >= 0",
         "bool": "true/false",
         "str": "string",

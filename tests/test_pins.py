@@ -298,3 +298,109 @@ def test_any_run_flag_runs_or_names_a_field(flags):
     else:
         assert rc == 2 and FIELD_ERROR.match(err.getvalue()), err.getvalue()
 
+
+
+# ------------------------------------------------ any field value, clean error
+
+FIELD_NUMBERS = (
+    st.floats()  # nan, +-inf, +-0, negatives and subnormals included
+    | st.sampled_from([-0.0, 5e-324, -5e-324, -101.325, -101.33, -1e300, 1e300, 1.7e308])
+    | st.integers()
+    | st.sampled_from([2**63, 10**400, -(10**400)])
+)
+NUMERIC_CHECKS = {"num", "pos", "nonneg", "slpm", "gauge", "floor", "int"}
+BASES = {
+    name: json.loads((SCENARIOS / f"{name}.json").read_text())
+    for name in ("step_69kpa_half_liter", "sweep_21kpa_half_liter", "discharge_2l_bottle",
+                 "demo_requirements", "reference_catalog")
+}
+# requirements that give the demanded rate, so the reference amplitude is half of dP_cv_kPa
+BASES["rate_requirements"] = {"schema_version": 1, "V_cv_L": 0.1, "dP_cv_kPa": 20.7,
+                              "Pdot_d_kPa_s": 35.8, "min_cycles": 30}
+# the first part of every error path, by document; the others are scenarios
+TOPS = {"demo_requirements": "requirements", "rate_requirements": "requirements",
+        "reference_catalog": "catalog"}
+# a valve is rated by exactly one of these keys; drawing one drops the other
+VALVE_RATING = ("R_vmin_kPa_s_per_L", "flow_max_slpm")
+
+
+def _field_cases() -> list:
+    """(base document, path of keys to a section, JSON key) for every numeric row of every
+    table, in each shipped document that has the section."""
+    def rows(table, *extra):
+        return [key for key, _kw, check, _d in table[1] if check in NUMERIC_CHECKS] + list(extra)
+
+    scenario = {("gas",): rows(cli.GAS), ("controller",): rows(cli.CONTROLLER),
+                ("run",): rows(cli.RUN)}
+    for name, table in cli.NETWORK.items():
+        extra = ("flow_max_slpm",) if table is cli.VALVE else ()
+        scenario[("network", name)] = rows(table, *extra)
+    cases = []
+    for doc in ("step_69kpa_half_liter", "sweep_21kpa_half_liter", "discharge_2l_bottle"):
+        kind = BASES[doc]["command"]["kind"]
+        sections = {**scenario, ("command",): rows(cli.COMMANDS[kind])}
+        if BASES[doc]["run"].get("mode") == "open_loop":
+            sections[("run", "open_loop_command")] = rows(cli.OPEN_LOOP)
+        cases += [(doc, path, key) for path, keys in sections.items() for key in keys]
+    cases += [(doc, (), key) for doc in ("demo_requirements", "rate_requirements")
+              for key in rows(cli.REQUIREMENTS)]
+    entry_rows = {"valves": rows(cli.VALVE_OPTION) + rows(cli.VALVE, "flow_max_slpm"),
+                  "reservoirs": rows(cli.RESERVOIR_OPTION), "venturis": rows(cli.VENTURI_OPTION)}
+    for name, keys in entry_rows.items():
+        for i in range(len(BASES["reference_catalog"][name])):
+            cases += [("reference_catalog", (name, i), key) for key in keys]
+    return cases
+
+
+FIELD_CASES = _field_cases()
+
+
+@settings(deadline=None, max_examples=400)
+@given(case=st.sampled_from(FIELD_CASES), value=FIELD_NUMBERS)
+@example(case=("step_69kpa_half_liter", ("network", "solenoid"), "R_open_kPa_s_per_L"), value=5e-324)
+@example(case=("reference_catalog", ("valves", 0), "R_vmin_kPa_s_per_L"), value=5e-324)
+@example(case=("sweep_21kpa_half_liter", ("network", "reservoir"), "P_r0_kPa"), value=-101.33)
+@example(case=("step_69kpa_half_liter", ("network", "control_volume"), "P_cv0_kPa"), value=-1e300)
+@example(case=("sweep_21kpa_half_liter", ("network", "venturi"), "Q_motive_rated_slpm"), value=5e-324)
+@example(case=("reference_catalog", ("venturis", 0), "P_vac_floor_kPa"), value=0.0)
+@example(case=("reference_catalog", ("venturis", 0), "Q_motive_rated_slpm"), value=5e-324)
+@example(case=("discharge_2l_bottle", ("run", "open_loop_command"), "u_evp"), value=1.0)
+@example(case=("step_69kpa_half_liter", ("run",), "dt_s"), value=1e-310)  # duration_s / dt_s is inf
+@example(case=("rate_requirements", (), "dP_cv_kPa"), value=5e-324)  # half of it is 0
+def test_any_field_value_runs_or_names_the_field(case, value):
+    # simulate is stubbed, so a scenario resolves and builds but never integrates;
+    # size runs whole
+    doc, path, key = case
+    mutated = copy.deepcopy(BASES[doc])
+    section = mutated
+    for part in path:
+        section = section.setdefault(part, {}) if isinstance(part, str) else section[part]
+    if key in VALVE_RATING:
+        section.pop(VALVE_RATING[1 - VALVE_RATING.index(key)], None)
+    section[key] = value
+    top = TOPS.get(doc, "scenario")
+    # the path an error gives the field: scenario.network.venturi.P_vac_floor_kPa,
+    # requirements.V_cv_L, catalog.valves[0].mass_g
+    field = "".join([top, *(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path), f".{key}"])
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "simulate", _stub_run), \
+            contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        def write(name, payload):
+            Path(tmp, f"{name}.json").write_text(json.dumps(payload))
+            return str(Path(tmp, f"{name}.json"))
+
+        if top == "scenario":
+            argv = ["simulate", write(doc, mutated)]
+        else:
+            req = mutated if top == "requirements" else BASES["demo_requirements"]
+            cat = mutated if top == "catalog" else BASES["reference_catalog"]
+            argv = ["size", write("requirements", req), write("catalog", cat)]
+        rc = cli.main([*argv, "--out", str(Path(tmp, "out"))])
+    message = err.getvalue()
+    if rc == 0 or (rc == 4 and argv[0] == "size"):  # 4: no feasible design
+        assert message in ("", "error: no feasible configuration\n")
+    else:
+        # a rule between two fields (dt_s and sample_rate_Hz, say) may put the other's path
+        # first; the message still names the drawn field
+        other = message.startswith(f"error: {top}.") and re.search(rf"\b{key}\b", message)
+        assert rc == 2 and (message.startswith(f"error: {field}: ") or other), message

@@ -1,6 +1,8 @@
 """Smoke tests of the example scripts: each runs against the shipped inputs."""
 
+import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -32,6 +34,17 @@ def test_run_discharge_tests(tmp_path):
         assert abs(float(tau_fit) - float(tau_model)) <= 0.005 * float(tau_model), label
         assert float(nrmse) < 1e-6, label
         assert (tmp_path / f"discharge_{label}.csv").stat().st_size > 0
+
+
+def test_run_frequency_sweep():
+    proc = run_script("run_frequency_sweep.py")
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    gains = [line.split() for line in lines[1:13]]
+    assert len(gains) == 12 and all(len(row) == 3 for row in gains), proc.stdout
+    assert "failed" not in proc.stdout
+    knee, f3db = map(float, re.findall(r"[-+\w.]+(?= Hz)", lines[-1]))
+    assert math.isfinite(knee) and math.isfinite(f3db), lines[-1]
 
 
 def test_run_step_tests(tmp_path):

@@ -140,14 +140,16 @@ def _rates(p_r, p_cv, cmd, net, hold=False) -> dict:
     """The rates and flows that ``simulate`` integrates and writes, at one state and command."""
     f_in = cp.valve_fraction(cmd.u_inflate, net.inflation_valve)
     f_mot = cp.valve_fraction(cmd.u_motive, net.motive_valve)
-    got = sim.propagator(net, gm.DEFAULT_GAS, hold).rates(p_r, p_cv, f_in, f_mot, cmd.solenoid_open)
+    prop = sim.propagator(net, gm.DEFAULT_GAS, hold)
+    got = prop.rates(p_r, p_cv, f_in, f_mot, cmd.solenoid_open)
+    got += prop.flows(prop.region(p_r, p_cv, f_in, f_mot, cmd.solenoid_open), p_r, p_cv)
     return dict(zip(RATE_KEYS, got))
 
 
 def _reference_rates(net, hold=False, gas=gm.DEFAULT_GAS):
     """``rates(p_r, p_cv, u_in, u_mot, sol)``: the network composed from the ``components``
-    flow helpers, independent of ``sim.region_kernel``. It takes the valve commands where
-    ``sim``'s rates take their ``valve_fraction``, and returns the same five values."""
+    flow helpers, independent of ``sim.propagator``. It takes the valve commands where
+    ``sim``'s rates take their ``valve_fraction``, and returns the rates, then the flows."""
     a = gm.alpha(gas)
 
     def rates(p_r, p_cv, u_in, u_mot, sol):
@@ -160,6 +162,12 @@ def _reference_rates(net, hold=False, gas=gm.DEFAULT_GAS):
         return dp_r, (q_in - q_out) * (a / net.control_volume.v_cv), q_in, q_out, q_motive
 
     return rates
+
+
+def _reference_dp(net, hold=False, gas=gm.DEFAULT_GAS):
+    """``_reference_rates`` without the flows, as ``sim._rk4`` and ``rk4_steps`` take them."""
+    rates = _reference_rates(net, hold, gas)
+    return lambda *state: rates(*state)[:2]
 
 
 class TestDerivatives:
@@ -211,7 +219,7 @@ RATE_TOL = 4e-15
 
 
 class TestRatesEqualHelpers:
-    """The pieces of ``region_kernel`` against the ``components`` flow helpers: the same
+    """The pieces of ``propagator`` against the ``components`` flow helpers: the same
     flows to rounding, and +0.0 wherever a helper gives +0.0 (a shut or clamped path,
     or no pressure difference). An open valve across p_r = -0.0, p_cv = 0.0 gives -0.0
     in both."""
@@ -280,7 +288,7 @@ def _network(v_r=2.0, v_cv=0.5, r_open=100.0, q_rated=cp.VENTURI_Q_RATED, floor=
 
 def _rk4_reference(net, hold, p_r, p_cv, u_in, u_mot, sol, h, steps=RK4_SUBSTEPS):
     """RK4 of the helpers' rates over h in ``steps`` steps."""
-    rates = _reference_rates(net, hold)
+    rates = _reference_dp(net, hold)
     for _ in range(steps):
         p_r, p_cv = sim._rk4(rates, p_r, p_cv, h / steps, u_in, u_mot, sol)
     return p_r, p_cv
@@ -290,7 +298,7 @@ def _rk4_run(scn: Scenario) -> tuple:
     """(p_r, p_cv) rows of an open-loop scenario stepped by RK4 alone: every step one RK4
     step of the helpers' rates over dt, retried at dt/10 below perfect vacuum."""
     net, cmd = scn.network, scn.open_loop_command
-    rates = _reference_rates(net, scn.hold_reservoir, scn.gas)
+    rates = _reference_dp(net, scn.hold_reservoir, scn.gas)
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     rows = [(p_r, p_cv)]
     ss = scn.sample_stride()
@@ -401,9 +409,8 @@ class TestExactSpan:
         net = _network(**net_kw)
         f_in = cp.valve_fraction(u_in, net.inflation_valve)
         f_mot = cp.valve_fraction(u_mot, net.motive_valve)
-        classify, piece, *_ = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
-        pc = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
-        dp_r, dp_cv = _reference_rates(net, hold)(p_r, p_cv, u_in, u_mot, sol)[:2]
+        pc = sim.propagator(net, gm.DEFAULT_GAS, hold).region(p_r, p_cv, f_in, f_mot, sol)
+        dp_r, dp_cv = _reference_dp(net, hold)(p_r, p_cv, u_in, u_mot, sol)
         assert pc.a11 * p_r + pc.a12 * p_cv == pytest.approx(dp_r, rel=1e-12, abs=1e-12)
         assert pc.a21 * p_r + pc.a22 * p_cv + pc.b2 == pytest.approx(dp_cv, rel=1e-12, abs=1e-12)
 
@@ -413,8 +420,7 @@ class TestExactSpan:
             net = _network(**net_kw)
             f_in = cp.valve_fraction(u_in, net.inflation_valve)
             f_mot = cp.valve_fraction(u_mot, net.motive_valve)
-            classify, piece, *_ = sim.region_kernel(net, gm.DEFAULT_GAS, hold)
-            pc = piece(classify(p_r, p_cv, f_in, f_mot, sol), f_in, f_mot, sol)
+            pc = sim.propagator(net, gm.DEFAULT_GAS, hold).region(p_r, p_cv, f_in, f_mot, sol)
             s, delta, det, rho = sim._spectrum(pc.a11, pc.a12, pc.a21, pc.a22)
             cases[name] = (delta < 0.0, det == 0.0, rho * h > sim._TAYLOR_MAX, pc.a12 == 0.0)
             if name == "repeated eigenvalues":
@@ -463,8 +469,7 @@ class TestExactSpan:
         # clamp below atmosphere
         net = _network(v_r=0.1, v_cv=0.483, q_rated=1.0 / cp.DVP_R_VMIN)
         p_r, p_cv, h = 0.5231812103833013, 8.95022274417883, 0.7489186248081455
-        classify, piece, *_ = sim.region_kernel(net)
-        pc = piece(classify(p_r, p_cv, 1.0, 1.0, True), 1.0, 1.0, True)
+        pc = sim.propagator(net).region(p_r, p_cv, 1.0, 1.0, True)
         ea, eb, fa, fb = sim.exp_phi1(pc.a11, pc.a12, pc.a21, pc.a22, h)
         r_r, r_cv = pc.a11 * p_r + pc.a12 * p_cv, pc.a21 * p_r + pc.a22 * p_cv + pc.b2
         assert p_r + h * (fa * r_r + fb * h * (pc.a11 * r_r + pc.a12 * r_cv)) > 0.0
@@ -484,7 +489,7 @@ class TestExactSpan:
 
     def test_span_peaking_across_a_kink_is_rejected(self):
         net, u_mot, p_sat, p_r, p_cv = self._peaking()
-        rates = _reference_rates(net)
+        rates = _reference_dp(net)
         state, peak = (p_r, p_cv), p_r
         for _ in range(5000):  # 0.5 s
             state = sim._rk4(rates, *state, 1e-4, 1.0, u_mot, True)
