@@ -31,7 +31,7 @@ from .components import (
     default_network,
 )
 from .control import ActuatorCommand, ControllerConfig, Mode
-from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA
+from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA, alpha
 from .sim import (
     PiecewiseCommand,
     Scenario,
@@ -361,12 +361,6 @@ def resolve_scenario(raw: dict) -> dict:
         else:
             network[name] = _object(net_obj.pop(name, {}), path, table)
     _reject_unknown(net_obj, "scenario.network")
-    # controller_for_network divides by the product
-    if not network["solenoid"]["R_open_kPa_s_per_L"] * network["control_volume"]["V_cv_L"] > 0.0:
-        raise ConfigError(
-            "scenario.network.solenoid.R_open_kPa_s_per_L: too small for control_volume.V_cv_L"
-        )
-
     controller = _object(top.pop("controller", {}), "scenario.controller", CONTROLLER)
 
     if "command" not in top:
@@ -390,6 +384,15 @@ def resolve_scenario(raw: dict) -> dict:
     run = _resolve(run_obj, run_path, RUN)
     if run["duration_s"] < run["dt_s"]:
         raise ConfigError(f"{run_path}.duration_s: must be >= dt_s")
+    # the rates are flows times alpha / V; controller_for_network divides alpha by R_open * V_cv
+    a, v_cv = alpha(_build(GAS, gas)), network["control_volume"]["V_cv_L"]
+    r_open_v_cv = network["solenoid"]["R_open_kPa_s_per_L"] * v_cv
+    v_r = math.inf if run["hold_reservoir"] else network["reservoir"]["V_r_L"]
+    if not max(a / v_cv, a / v_r, a / r_open_v_cv if r_open_v_cv else math.inf) < math.inf:
+        raise _overflow(
+            "alpha / V_cv_L, alpha / V_r_L or alpha / (R_open_kPa_s_per_L * V_cv_L)",
+            scenario={"gas": gas, "network": network},
+        )
     if run["mode"] not in ("closed_loop", "open_loop"):
         raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
     olc_path = f"{run_path}.open_loop_command"
@@ -472,6 +475,22 @@ def resolve_requirements(raw: dict) -> dict:
     if "amplitude_kPa" not in out and not out["dP_cv_kPa"] / 2.0 > 0.0:
         raise ConfigError("requirements.dP_cv_kPa: too small to halve into a reference amplitude")
     return out
+
+
+def _overflow(what: str, **docs) -> ConfigError:
+    """The error for an infinite ``what`` computed from resolved documents, ``docs`` by the
+    first part of their paths. It names their positive number furthest from 1."""
+    path, x = max(_numbers(docs, ""), key=lambda item: abs(math.log2(item[1])))
+    return ConfigError(f"{path}: too {'large' if x > 1.0 else 'small'}: {what} overflows")
+
+
+def _numbers(doc, path: str):
+    """(path, value) of every positive float in a resolved document."""
+    if isinstance(doc, (dict, list)):
+        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
+            yield from _numbers(value, path + (f"[{key}]" if isinstance(key, int) else f".{key}"))
+    elif isinstance(doc, float) and doc > 0.0:
+        yield path[1:], doc
 
 
 def requirements_from_resolved(resolved: dict) -> DesignRequirements:
@@ -845,6 +864,14 @@ def cmd_size(args) -> int:
                 "(a flow rating gives P_inlet_max_kPa / (flow_max_slpm / 60))"
             )
     report = enumerate_catalog(req, catalog)
+    # the report is strict JSON, which has no Infinity (and none of these can be NaN)
+    if not all(max(e.pdot_demand, e.min_p_r, e.cutoff_hz_floor, e.cutoff_hz_full, e.n_cycles,
+                   e.total_mass_g) < math.inf for e in report.entries):
+        raise _overflow(
+            "a number of the design report (a flow rating gives R_vmin_kPa_s_per_L = "
+            "P_inlet_max_kPa / (flow_max_slpm / 60))",
+            requirements=req_resolved, catalog=cat_resolved,
+        )
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

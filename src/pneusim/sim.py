@@ -4,10 +4,12 @@ State is the pair of gauge pressures (reservoir, control volume). Flows follow
 the exact pressure differences across each path, so while a command is held
 the network is affine in the state between its kinks, and each span between
 events (a control tick, a sample row, the end of the run) is advanced by the
-exact solution of that affine system. A span whose exact solution would cross
-a kink is redone with classical 4th-order Runge-Kutta steps of dt. The
-controller runs on its own slower clock with zero-order-held commands in
-between. Identical scenarios (including seeds) reproduce bit-identical output.
+exact solution of that affine system. Every flow law is a clamp, so the
+vector field is continuous across each kink: a span whose exact solution
+would leave its region is followed to the first crossing, found by bisection
+on the same map, and goes on in the next region. The controller runs on its
+own slower clock with zero-order-held commands in between. Identical
+scenarios (including seeds) reproduce bit-identical output.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ MAX_STEPS = 2**31
 
 
 class SimulationDivergence(RuntimeError):
-    """Non-finite state or a pressure below perfect vacuum during integration."""
+    """A non-finite state during integration."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.6g} s")
@@ -417,7 +419,7 @@ def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
     )
 
 
-Propagator = namedtuple("Propagator", "region flows rates span segment")  # see propagator
+Propagator = namedtuple("Propagator", "region flows span cross segment")  # see propagator
 
 
 def propagator(
@@ -431,11 +433,9 @@ def propagator(
     by the comparisons the ``components`` flow helpers make. Its code is 2*motive
     + exhaust: motive is 0 without motive flow, 2 with the Venturi saturated and a
     solenoid to feel it, else 1; exhaust is 1 while the exhaust flows. The held
-    command's pieces are kept by code, so rows, spans and RK4 stages read the same
-    piece. ``flows(pc, p_r, p_cv)`` is ``(q_in, q_out, q_motive)`` at states (floats
-    or arrays) in the region of ``pc``, +0.0 on a shut or clamped path, and
-    ``rates(p_r, p_cv, f_in, f_mot, sol)`` is ``(dp_r, dp_cv)`` from the flows of
-    the state's own piece.
+    command's pieces are kept by code, so rows and spans read the same piece.
+    ``flows(pc, p_r, p_cv)`` is ``(q_in, q_out, q_motive)`` at states (floats or
+    arrays) in the region of ``pc``, +0.0 on a shut or clamped path.
 
     ``span(pc, p_r, p_cv, h)`` is the state after h from a state in the region of
     ``pc``, or None. ``segment(pc, p_r, p_cv, t)`` is the exact solution at the
@@ -444,7 +444,11 @@ def propagator(
     region (to within ``_ROUNDING``) and no kink functional's slope has turned
     from falling to rising since the state before; after ``oscillates``, that is
     the one shape that can hide a minimum. The map of the last piece and h is
-    kept until one of them changes.
+    kept until one of them changes. ``cross(pc, p_r, p_cv, h, t)`` is the state
+    after h across kinks: it maps the piece to the first length ``span``
+    rejects, found by bisection, just past a kink, then goes on from the
+    region there. ``t`` is the time at the start, for the
+    ``SimulationDivergence`` of a non-finite state.
     """
     import numpy as np
 
@@ -517,10 +521,6 @@ def propagator(
         q_out = (p_cv - (pc.n_r * p_r + pc.n_0)) / r_open if pc.exhaust else 0.0
         return q_in, q_out, q_motive
 
-    def rates(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> tuple:
-        q_in, q_out, q_motive = flows(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv)
-        return -(q_in + q_motive) * inv_vr, (q_in - q_out) * inv_vcv
-
     def oscillates(p: Piece, h: float) -> bool:
         """A complex pair turning by pi or more over h: g' may change sign twice."""
         _, delta, _, _ = _spectrum(p.a11, p.a12, p.a21, p.a22)
@@ -568,6 +568,23 @@ def propagator(
                     return None
         return e_r, e_cv
 
+    def cross(pc: Piece, p_r: float, p_cv: float, h: float, t: float) -> tuple:
+        while True:
+            lo, hi = 0.0, h
+            for _ in range(60):  # to a 2**-60 part of the span
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if span(pc, p_r, p_cv, mid) else (lo, mid)
+            # the piece's own map to hi, past its region by at most 2**-60 of
+            # the span; without kinks, span rejects only a non-finite end here
+            end = span(pc._replace(kinks=()), p_r, p_cv, hi)
+            if end is None:
+                raise SimulationDivergence("non-finite state", t)
+            if hi == h:
+                return end
+            p_r, p_cv = end
+            t, h = t + hi, h - hi
+            pc = region(p_r, p_cv, held_in, held_mot, held_sol)
+
     def segment(p: Piece, p_r: float, p_cv: float, t: np.ndarray):
         ea, eb, fa, fb = _exp_phi1_grid(p.a11, p.a12, p.a21, p.a22, t)
         r_r = p.a11 * p_r + p.a12 * p_cv
@@ -594,56 +611,17 @@ def propagator(
         rows_r, rows_cv = rows_r[:n], rows_cv[:n]
         return rows_r, rows_cv, *flows(p, rows_r, rows_cv)
 
-    return Propagator(region, flows, rates, span, segment)
-
-
-def _rk4(rates, p_r: float, p_cv: float, h: float, f_in: float, f_mot: float, sol: bool) -> tuple:
-    """One classical 4th-order Runge-Kutta step of ``rates``, such as ``Propagator.rates``."""
-    k1r, k1c = rates(p_r, p_cv, f_in, f_mot, sol)
-    half = 0.5 * h
-    k2r, k2c = rates(p_r + half * k1r, p_cv + half * k1c, f_in, f_mot, sol)
-    k3r, k3c = rates(p_r + half * k2r, p_cv + half * k2c, f_in, f_mot, sol)
-    k4r, k4c = rates(p_r + h * k3r, p_cv + h * k3c, f_in, f_mot, sol)
-    sixth = h / 6.0
-    return (
-        p_r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
-        p_cv + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
-    )
-
-
-def rk4_steps(
-    rates, p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool, dt: float, k: int, m: int
-) -> tuple:
-    """State after m RK4 steps of dt from step k, the fallback over a span that crosses a kink.
-
-    A step that lands below perfect vacuum is retried as ten steps of dt/10
-    before the run is declared divergent; a divergence names the time of
-    the step it happened in.
-    """
-    for i in range(k, k + m):
-        t = i * dt
-        new_r, new_cv = _rk4(rates, p_r, p_cv, dt, f_in, f_mot, sol)
-        if not (math.isfinite(new_r) and math.isfinite(new_cv)):
-            raise SimulationDivergence("non-finite state", t)
-        if min(new_r, new_cv) < PERFECT_VACUUM_KPA:
-            new_r, new_cv = p_r, p_cv
-            for _ in range(10):
-                new_r, new_cv = _rk4(rates, new_r, new_cv, dt / 10.0, f_in, f_mot, sol)
-            if not (math.isfinite(new_r) and math.isfinite(new_cv)):
-                raise SimulationDivergence("non-finite state", t)
-            if min(new_r, new_cv) < PERFECT_VACUUM_KPA:
-                raise SimulationDivergence("gauge pressure below perfect vacuum", t)
-        p_r, p_cv = new_r, new_cv
-    return p_r, p_cv
+    return Propagator(region, flows, span, cross, segment)
 
 
 def simulate(scn: Scenario) -> TimeSeries:
     """Integrate a scenario and return its uniformly sampled trace.
 
     Each span between events (a control tick, a sample row, the end) is one
-    exact map, or RK4 steps where the span crosses a kink. In open loop the
-    command is held for the whole run, so the rows are computed a segment
-    at a time from one map each.
+    exact map, or, where the span crosses a kink, one map per region up to
+    each located crossing. In open loop the command is held for the whole
+    run, so the rows are computed a segment at a time from one map each.
+    Raises ``SimulationDivergence`` if the state becomes non-finite.
     """
     import numpy as np
 
@@ -666,18 +644,11 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     import numpy as np
 
     net, cmd, dt = scn.network, scn.open_loop_command, scn.dt
-    n, ss, n_rows = scn.n_steps(), scn.sample_stride(), scn.n_rows()
+    ss, n_rows = scn.sample_stride(), scn.n_rows()
     f_in = valve_fraction(cmd.u_inflate, net.inflation_valve)
     f_mot = valve_fraction(cmd.u_motive, net.motive_valve)
     sol = cmd.solenoid_open
-    region, span, segment = prop.region, prop.span, prop.segment
-
-    def advance(p_r: float, p_cv: float, k: int, m: int) -> tuple:
-        """State m steps after step k."""
-        return span(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, m * dt) or rk4_steps(
-            prop.rates, p_r, p_cv, f_in, f_mot, sol, dt, k, m
-        )
-
+    region, cross, segment = prop.region, prop.cross, prop.segment
     columns["t"][:] = (np.arange(n_rows) * ss) * dt
     columns["p_cmd"][:] = scn.command.values(columns["t"])
     columns["u_inflate"][:] = cmd.u_inflate
@@ -698,10 +669,9 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         if row == n_rows - 1:
             break
         if got < m:  # the next row is in another region: hand over one span
-            p_r, p_cv = advance(p_r, p_cv, row * ss, ss)
+            pc = region(p_r, p_cv, f_in, f_mot, sol)
+            p_r, p_cv = cross(pc, p_r, p_cv, ss * dt, row * ss * dt)
             row += 1
-    if row * ss < n:  # steps past the last row still face the divergence checks
-        advance(p_r, p_cv, row * ss, n - row * ss)
 
 
 def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
@@ -719,7 +689,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     control = control_kernel(scn.controller)
     cmd_value = scn.command.value
     cmd_rate = scn.command.rate
-    region, flows, rates, span = prop.region, prop.flows, prop.rates, prop.span
+    region, flows, span, cross = prop.region, prop.flows, prop.span, prop.cross
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     u_in = u_mot = f_in = f_mot = p_cmd = 0.0
     sol = False
@@ -761,9 +731,8 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         nxt = next_tick if next_tick < next_row else next_row
         if nxt > n:
             nxt = n
-        p_r, p_cv = span(pc, p_r, p_cv, (nxt - k) * dt) or rk4_steps(
-            rates, p_r, p_cv, f_in, f_mot, sol, dt, k, nxt - k
-        )
+        h = (nxt - k) * dt
+        p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, t)
         k = nxt
 
 
@@ -771,11 +740,11 @@ def mass_balance(ts: TimeSeries, scn: Scenario) -> float:
     """Relative standard-volume imbalance of a trace produced by ``simulate``.
 
     Reservoir loss must equal control-volume gain plus everything vented
-    (exhaust and motive air). Flow integrals are rebuilt per sample interval
-    from the sampled states under the interval's held command, so command
-    switches at sample nodes do not smear across intervals; the residual then
-    measures pure integration error. With the reservoir held, the loss is the
-    standard volume drawn from the fixed-pressure source.
+    (exhaust and motive air), with flows integrated by the trapezoid rule per
+    sample interval under its held command. The residual is that rule's error
+    on the trace's sampled flows: it grows as the square of the interval, and
+    jumps once rows are sparser than control ticks. With the reservoir held,
+    the loss is the standard volume drawn from the fixed-pressure source.
     """
     import numpy as np
 

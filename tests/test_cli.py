@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pneusim import cli
 from pneusim.components import default_network
 from pneusim.control import Mode
-from pneusim.sim import TimeSeries, simulate, step_scenario
+from pneusim.sim import SimulationDivergence, TimeSeries, simulate, step_scenario
 from pneusim.sizing import DesignEntry, DesignReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -279,11 +279,13 @@ class TestSimulateCommand:
     def test_missing_file_exit_2(self, tmp_path):
         assert cli.main(["simulate", str(tmp_path / "nope.json")]) == 2
 
-    def test_divergence_exit_3(self, tmp_path):
-        # a stiff exhaust into the Venturi's rising vacuum node: the span's
-        # RK4 fallback lands below perfect vacuum (see test_sim)
+    def test_stiff_exhaust_into_the_venturi_runs(self, tmp_path):
+        # a stiff exhaust into the Venturi's vacuum node, which rises as the motive
+        # flow runs the reservoir down: the control volume meets the node within the
+        # first row, and the exhaust shuts there and stays shut
         raw = minimal_scenario(
-            mode="open_loop", open_loop_command={"u_evp": 0.0, "u_dvp": 1.0, "solenoid_open": True}
+            mode="open_loop", duration_s=0.05,
+            open_loop_command={"u_evp": 0.0, "u_dvp": 1.0, "solenoid_open": True},
         )
         raw["network"] = {
             "reservoir": {"P_r0_kPa": 600.0},
@@ -291,7 +293,49 @@ class TestSimulateCommand:
             "solenoid": {"R_open_kPa_s_per_L": 0.01},
         }
         scn_file = write_json(tmp_path / "stiff.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 0
+        ts = cli.read_timeseries_csv(tmp_path / "out" / "stiff_timeseries.csv")
+        assert len(ts) == 51 and ts.p_cv[0] == 100.0 and ts.q_out[0] > 0.0
+        assert np.all(ts.q_out[1:] == 0.0)
+        assert np.all(ts.p_cv[1:] == ts.p_cv[1]) and -80.0 < ts.p_cv[1] < 0.0
+        assert np.all(np.diff(ts.p_r) < 0.0) and np.all(ts.q_motive > 0.0)
+
+    def test_divergence_exit_3(self, tmp_path, capsys, monkeypatch):
+        # simulate raises SimulationDivergence only for a non-finite state
+        def diverge(scn):
+            raise SimulationDivergence("non-finite state", 0.25)
+
+        monkeypatch.setattr(cli, "simulate", diverge)
+        scn_file = write_json(tmp_path / "step.json", minimal_scenario())
         assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == "error: simulation diverged: non-finite state at t=0.25 s\n"
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("gas", "M_kg_per_mol", 1e-310),
+            ("network.reservoir", "V_r_L", 5e-324),
+            ("network.control_volume", "V_cv_L", 5e-324),
+            ("network.solenoid", "R_open_kPa_s_per_L", 1e-320),
+        ],
+    )
+    def test_overflowing_rate_constant_exit_2(self, tmp_path, capsys, section, key, value):
+        # alpha = rho*R_u*T/M, alpha / V_r_L, alpha / V_cv_L or the controller's
+        # alpha / (R_open * V_cv) is infinite, and with it the first state or command
+        raw = minimal_scenario()
+        outer, _, inner = section.partition(".")
+        raw[outer] = {inner: {key: value}} if inner else {key: value}
+        scn_file = write_json(tmp_path / "scn.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: scenario.{section}.{key}: too small: ") and err.count("\n") == 1
+
+    def test_tiny_held_reservoir_runs(self, tmp_path):
+        # a held reservoir's volume is not in the rates
+        raw = minimal_scenario(duration_s=0.01, hold_reservoir=True)
+        raw["network"] = {"reservoir": {"V_r_L": 5e-324}}
+        scn_file = write_json(tmp_path / "scn.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 0
 
 
 class TestSweepCommand:
@@ -441,6 +485,21 @@ class TestSizeCommand:
         report = json.loads((tmp_path / "req_design_report.json").read_text())
         assert not report["feasible"]
         assert report["infeasible"][0]["limiting"] == ["cycle count"]
+
+    @pytest.mark.parametrize(
+        "demand, message",
+        [
+            ({"amplitude_kPa": 10.35, "frequency_Hz": 1e308}, "requirements.frequency_Hz: too large"),
+            ({"Pdot_d_kPa_s": 1e308}, "requirements.Pdot_d_kPa_s: too large"),
+        ],
+    )
+    def test_overflowing_demand_exit_2(self, tmp_path, capsys, demand, message):
+        req = {"schema_version": 1, "V_cv_L": 0.1, "dP_cv_kPa": 20.7, "min_cycles": 30, **demand}
+        req_file = write_json(tmp_path / "req.json", req)
+        cat = str(SCENARIOS / "reference_catalog.json")
+        assert cli.main(["size", str(req_file), cat, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {message}: ")
+        assert not (tmp_path / "out").exists()
 
     def test_single_entry_catalog_single_row(self, tmp_path):
         cat = {

@@ -355,6 +355,11 @@ def _field_cases() -> list:
 FIELD_CASES = _field_cases()
 
 
+def _reject_constant(name: str):
+    """``parse_constant`` for json.loads: strict JSON has no NaN or Infinity."""
+    raise ValueError(f"non-finite number {name} in JSON")
+
+
 @settings(deadline=None, max_examples=400)
 @given(case=st.sampled_from(FIELD_CASES), value=FIELD_NUMBERS)
 @example(case=("step_69kpa_half_liter", ("network", "solenoid"), "R_open_kPa_s_per_L"), value=5e-324)
@@ -367,6 +372,10 @@ FIELD_CASES = _field_cases()
 @example(case=("discharge_2l_bottle", ("run", "open_loop_command"), "u_evp"), value=1.0)
 @example(case=("step_69kpa_half_liter", ("run",), "dt_s"), value=1e-310)  # duration_s / dt_s is inf
 @example(case=("rate_requirements", (), "dP_cv_kPa"), value=5e-324)  # half of it is 0
+@example(case=("step_69kpa_half_liter", ("gas",), "M_kg_per_mol"), value=1e-310)  # alpha is inf
+@example(case=("discharge_2l_bottle", ("network", "reservoir"), "V_r_L"), value=5e-324)
+@example(case=("demo_requirements", (), "frequency_Hz"), value=1e308)  # the demanded rate is inf
+@example(case=("demo_requirements", (), "V_cv_L"), value=5e-324)  # cutoff_hz_full is inf
 def test_any_field_value_runs_or_names_the_field(case, value):
     # simulate is stubbed, so a scenario resolves and builds but never integrates;
     # size runs whole
@@ -396,6 +405,9 @@ def test_any_field_value_runs_or_names_the_field(case, value):
             cat = mutated if top == "catalog" else BASES["reference_catalog"]
             argv = ["size", write("requirements", req), write("catalog", cat)]
         rc = cli.main([*argv, "--out", str(Path(tmp, "out"))])
+        report = Path(tmp, "out", "requirements_design_report.json")
+        if report.exists():  # strict JSON: a NaN or Infinity raises
+            json.loads(report.read_text(), parse_constant=_reject_constant)
     message = err.getvalue()
     if rc == 0 or (rc == 4 and argv[0] == "size"):  # 4: no feasible design
         assert message in ("", "error: no feasible configuration\n")

@@ -19,7 +19,6 @@ from pneusim.sim import (
     controller_for_network,
     discharge_scenario,
     mass_balance,
-    rk4_steps,
     simulate,
     step_scenario,
 )
@@ -137,19 +136,20 @@ RATE_KEYS = ("dp_r", "dp_cv", "q_in", "q_out", "q_motive")
 
 
 def _rates(p_r, p_cv, cmd, net, hold=False) -> dict:
-    """The rates and flows that ``simulate`` integrates and writes, at one state and command."""
+    """The rates and flows that ``simulate`` integrates and writes, at one state and command:
+    A p + b and the flows of the state's piece."""
     f_in = cp.valve_fraction(cmd.u_inflate, net.inflation_valve)
     f_mot = cp.valve_fraction(cmd.u_motive, net.motive_valve)
     prop = sim.propagator(net, gm.DEFAULT_GAS, hold)
-    got = prop.rates(p_r, p_cv, f_in, f_mot, cmd.solenoid_open)
-    got += prop.flows(prop.region(p_r, p_cv, f_in, f_mot, cmd.solenoid_open), p_r, p_cv)
-    return dict(zip(RATE_KEYS, got))
+    pc = prop.region(p_r, p_cv, f_in, f_mot, cmd.solenoid_open)
+    got = (pc.a11 * p_r + pc.a12 * p_cv, pc.a21 * p_r + pc.a22 * p_cv + pc.b2)
+    return dict(zip(RATE_KEYS, got + prop.flows(pc, p_r, p_cv)))
 
 
 def _reference_rates(net, hold=False, gas=gm.DEFAULT_GAS):
     """``rates(p_r, p_cv, u_in, u_mot, sol)``: the network composed from the ``components``
     flow helpers, independent of ``sim.propagator``. It takes the valve commands where
-    ``sim``'s rates take their ``valve_fraction``, and returns the rates, then the flows."""
+    ``sim``'s pieces take their ``valve_fraction``, and returns the rates, then the flows."""
     a = gm.alpha(gas)
 
     def rates(p_r, p_cv, u_in, u_mot, sol):
@@ -165,9 +165,23 @@ def _reference_rates(net, hold=False, gas=gm.DEFAULT_GAS):
 
 
 def _reference_dp(net, hold=False, gas=gm.DEFAULT_GAS):
-    """``_reference_rates`` without the flows, as ``sim._rk4`` and ``rk4_steps`` take them."""
+    """``_reference_rates`` without the flows, as ``_rk4`` takes them."""
     rates = _reference_rates(net, hold, gas)
     return lambda *state: rates(*state)[:2]
+
+
+def _rk4(rates, p_r, p_cv, h, u_in, u_mot, sol) -> tuple:
+    """One classical 4th-order Runge-Kutta step of ``rates`` over h."""
+    k1r, k1c = rates(p_r, p_cv, u_in, u_mot, sol)
+    half = 0.5 * h
+    k2r, k2c = rates(p_r + half * k1r, p_cv + half * k1c, u_in, u_mot, sol)
+    k3r, k3c = rates(p_r + half * k2r, p_cv + half * k2c, u_in, u_mot, sol)
+    k4r, k4c = rates(p_r + h * k3r, p_cv + h * k3c, u_in, u_mot, sol)
+    sixth = h / 6.0
+    return (
+        p_r + sixth * (k1r + 2.0 * k2r + 2.0 * k3r + k4r),
+        p_cv + sixth * (k1c + 2.0 * k2c + 2.0 * k3c + k4c),
+    )
 
 
 class TestDerivatives:
@@ -212,8 +226,8 @@ class TestDerivatives:
 
 
 # |sim - reference| per kPa of state, |p_r| + |p_cv| + 1: flows are state / R,
-# rates flows * alpha / V. 150k random states of these networks gave 2.5e-18 and
-# 6.2e-16 at most.
+# rates A p + b. 150k random states of these networks gave 3.0e-18 and 8.6e-16
+# at most.
 FLOW_TOL = 1e-17
 RATE_TOL = 4e-15
 
@@ -290,25 +304,50 @@ def _rk4_reference(net, hold, p_r, p_cv, u_in, u_mot, sol, h, steps=RK4_SUBSTEPS
     """RK4 of the helpers' rates over h in ``steps`` steps."""
     rates = _reference_dp(net, hold)
     for _ in range(steps):
-        p_r, p_cv = sim._rk4(rates, p_r, p_cv, h / steps, u_in, u_mot, sol)
+        p_r, p_cv = _rk4(rates, p_r, p_cv, h / steps, u_in, u_mot, sol)
     return p_r, p_cv
 
 
-def _rk4_run(scn: Scenario) -> tuple:
-    """(p_r, p_cv) rows of an open-loop scenario stepped by RK4 alone: every step one RK4
-    step of the helpers' rates over dt, retried at dt/10 below perfect vacuum."""
+def _rk4_run(scn: Scenario, substeps: int = 1) -> tuple:
+    """(p_r, p_cv) rows of an open-loop scenario stepped by RK4 alone: every step of dt
+    ``substeps`` RK4 steps of the helpers' rates."""
     net, cmd = scn.network, scn.open_loop_command
     rates = _reference_dp(net, scn.hold_reservoir, scn.gas)
+    command = (cmd.u_inflate, cmd.u_motive, cmd.solenoid_open)
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     rows = [(p_r, p_cv)]
     ss = scn.sample_stride()
     for k in range(scn.n_steps()):
-        p_r, p_cv = rk4_steps(
-            rates, p_r, p_cv, cmd.u_inflate, cmd.u_motive, cmd.solenoid_open, scn.dt, k, 1
-        )
+        for _ in range(substeps):
+            p_r, p_cv = _rk4(rates, p_r, p_cv, scn.dt / substeps, *command)
         if (k + 1) % ss == 0:
             rows.append((p_r, p_cv))
     return tuple(np.array(c) for c in zip(*rows))
+
+
+def _assert_follows(ts, want_r, want_cv) -> None:
+    """Rows within SPAN_TOL of the reference's, per kPa of state."""
+    scale = 1.0 + np.abs(want_r) + np.abs(want_cv)
+    assert np.all(np.abs(ts.p_r - want_r) <= SPAN_TOL * scale)
+    assert np.all(np.abs(ts.p_cv - want_cv) <= SPAN_TOL * scale)
+
+
+def _counting_crossings(monkeypatch) -> list:
+    """Make ``simulate``'s propagators record the length of every span ``cross`` takes."""
+    crossings = []
+    build = sim.propagator
+
+    def counted(*args):
+        prop = build(*args)
+
+        def cross(pc, p_r, p_cv, h, t):
+            crossings.append(h)
+            return prop.cross(pc, p_r, p_cv, h, t)
+
+        return prop._replace(cross=cross)
+
+    monkeypatch.setattr(sim, "propagator", counted)
+    return crossings
 
 
 def _expm(m: np.ndarray) -> np.ndarray:
@@ -492,14 +531,15 @@ class TestExactSpan:
         rates = _reference_dp(net)
         state, peak = (p_r, p_cv), p_r
         for _ in range(5000):  # 0.5 s
-            state = sim._rk4(rates, *state, 1e-4, 1.0, u_mot, True)
+            state = _rk4(rates, *state, 1e-4, 1.0, u_mot, True)
             peak = max(peak, state[0])
         assert peak > p_sat > state[0]  # both ends below saturation
         assert _span(net, p_r, p_cv, 1.0, u_mot, True, 0.5) is None
         assert _span(net, p_r, p_cv, 1.0, u_mot, True, 1e-3) is not None
 
     def test_open_loop_rows_around_a_peak_fall_back(self, monkeypatch):
-        # rows 0.5 s apart: the peak between two rows is found from the slopes at the rows
+        # rows 0.5 s apart: the peak between two rows is found from the slopes at the
+        # rows, and the span between them goes to the crossings located on the map
         net, u_mot, p_sat, p_r, p_cv = self._peaking()
         net = replace(
             net,
@@ -514,20 +554,35 @@ class TestExactSpan:
             sample_rate=2.0,
             open_loop_command=ActuatorCommand(1.0, u_mot, True),
         )
-        fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(args[-2])
-            return rk4_steps(*args)
-
-        monkeypatch.setattr(sim, "rk4_steps", counted)
+        crossings = _counting_crossings(monkeypatch)
         ts = simulate(scn)
-        assert fallbacks
+        assert crossings
         assert ts.p_r[0] < p_sat and ts.p_r[1] < p_sat
+        _assert_follows(ts, *_rk4_run(scn))
+
+    def test_open_loop_run_touching_a_kink_follows_reference(self, monkeypatch):
+        # the control volume of the peaking network set, by bisection on the exact
+        # map, so that the reservoir's peak touches saturation: the slopes reject
+        # the span over the peak, and the crossing meets a tangency
+        net, u_mot, p_sat, p_r, _ = self._peaking()
+        p_cv = 1.5121438304788626 * p_sat
+        net = replace(
+            net,
+            reservoir=replace(net.reservoir, p_r0=p_r),
+            control_volume=replace(net.control_volume, p_cv=p_cv),
+        )
+        scn = Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            duration=2.0,
+            open_loop_command=ActuatorCommand(1.0, u_mot, True),
+        )
+        crossings = _counting_crossings(monkeypatch)
+        ts = simulate(scn)
         want_r, want_cv = _rk4_run(scn)
-        scale = 1.0 + np.abs(want_r) + np.abs(want_cv)
-        assert np.all(np.abs(ts.p_r - want_r) <= SPAN_TOL * scale)
-        assert np.all(np.abs(ts.p_cv - want_cv) <= SPAN_TOL * scale)
+        assert crossings and abs(want_r.max() - p_sat) <= 1e-8 * p_sat  # sampled at the rows
+        _assert_follows(ts, want_r, want_cv)
 
     def test_open_loop_crosses_saturation_through_fallback(self, monkeypatch):
         # the reservoir starts above Venturi saturation (689 kPa) and runs down through it
@@ -539,20 +594,56 @@ class TestExactSpan:
             duration=4.0,
             open_loop_command=ActuatorCommand(0.0, 1.0, True),
         )
-        fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(args[-2])
-            return rk4_steps(*args)
-
-        monkeypatch.setattr(sim, "rk4_steps", counted)
+        crossings = _counting_crossings(monkeypatch)
         ts = simulate(scn)
-        assert fallbacks, "the kink was not crossed through the RK4 fallback"
+        assert crossings, "the kink was not crossed by a located crossing"
         assert ts.p_r[0] > 689.0 > ts.p_r[-1]
-        want_r, want_cv = _rk4_run(scn)
-        scale = 1.0 + np.abs(want_r) + np.abs(want_cv)
-        assert np.all(np.abs(ts.p_r - want_r) <= SPAN_TOL * scale)
-        assert np.all(np.abs(ts.p_cv - want_cv) <= SPAN_TOL * scale)
+        _assert_follows(ts, *_rk4_run(scn))
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kink=st.sampled_from(["exhaust clamp", "Venturi saturation", "motive clamp"]),
+        v_r=st.floats(0.05, 0.3),
+        v_cv=st.floats(0.2, 1.0),
+        r_open=st.floats(5.0, 300.0),
+        q_rated=st.floats(0.3, 3.0),
+        floor=st.floats(-95.0, -20.0),
+        u=st.floats(0.3, 1.0),
+        start=st.floats(0.0, 1.0),
+        sample_rate=st.sampled_from([2000.0, 500.0]),
+    )
+    def test_open_loop_run_crossing_a_kink_follows_reference(
+        self, kink, v_r, v_cv, r_open, q_rated, floor, u, start, sample_rate
+    ):
+        # a state that reaches the kink at about t_x into a 40 ms run
+        net = _network(v_r=v_r, v_cv=v_cv, r_open=r_open, q_rated=q_rated, floor=floor)
+        t_x, a = 0.0021 + 0.0278 * start, gm.alpha(gm.DEFAULT_GAS)  # between rows
+        r_in, r_mot = net.inflation_valve.r_vmin, net.motive_valve.r_vmin
+        if kink == "exhaust clamp":  # inflation lifts p_cv through atmosphere into the vent
+            state, command = (600.0, -t_x * u * 600.0 * a / (r_in * v_cv)), (u, 0.0, True)
+        elif kink == "Venturi saturation":  # the motive flow runs p_r down below saturation
+            p_sat, tau = q_rated * r_mot / u, v_r * r_mot / (a * u)
+            state, command = (p_sat * math.exp(t_x / tau), 0.0), (0.0, u, True)
+        else:  # the motive clamp: a control volume under vacuum draws p_r below atmosphere
+            state, command = (t_x * u * 60.0 * a / (r_in * v_r), -60.0), (u, u, True)
+        net = replace(
+            net,
+            reservoir=replace(net.reservoir, p_r0=state[0]),
+            control_volume=replace(net.control_volume, p_cv=state[1]),
+        )
+        scn = Scenario(
+            network=net,
+            controller=controller_for_network(net),
+            command=StepCommand(target_kpa=0.0),
+            duration=0.04,
+            sample_rate=sample_rate,
+            open_loop_command=ActuatorCommand(*command),
+        )
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            crossings = _counting_crossings(monkeypatch)
+            ts = simulate(scn)
+        assert crossings, kink
+        _assert_follows(ts, *_rk4_run(scn, 100))
 
 
 class TestSimulateBasics:
@@ -585,22 +676,32 @@ class TestSimulateBasics:
         assert ts.t[-1] == pytest.approx(0.5, abs=1e-12)
         assert np.allclose(np.diff(ts.t), 1.0 / scn.sample_rate, rtol=0, atol=1e-12)
 
-    def test_divergence_reported_with_time(self):
+    def test_stiff_exhaust_follows_reference(self, monkeypatch):
         # A stiff exhaust (h*alpha/(r_open*v_cv) = 50) into the Venturi's vacuum
         # node. The node rises as the motive flow runs the reservoir down, so
-        # the exact solution crosses the exhaust clamp within the first span,
-        # and the span's RK4 fallback lands below perfect vacuum even at dt/10.
+        # the exact solution meets the node within the first span, and the
+        # exhaust shuts there. RK4 needs about dt/1000 to follow it.
         net = cp.default_network(v_cv=0.1, p_cv0=100.0, p_r0=600.0)
         net = replace(net, solenoid=cp.BinaryValveSpec(r_open=0.01))
         scn = Scenario(
             network=net,
             controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
-            duration=0.5,
+            duration=0.02,
             open_loop_command=ActuatorCommand(0.0, 1.0, True),
         )
-        below = r"^gauge pressure below perfect vacuum at t=0 s$"
-        with pytest.raises(SimulationDivergence, match=below):
+        crossings = _counting_crossings(monkeypatch)
+        ts = simulate(scn)
+        assert crossings == [scn.dt]  # the first row's span; the rows after it hold one region
+        assert np.all(ts.q_out[1:] == 0.0) and ts.p_cv[1] < 0.0
+        _assert_follows(ts, *_rk4_run(scn, RK4_SUBSTEPS))
+
+    def test_non_finite_state_diverges(self):
+        # an inflation valve of 1e-310 kPa s/L conducts an infinite flow
+        net = cp.default_network()
+        net = replace(net, inflation_valve=replace(net.inflation_valve, r_vmin=1e-310))
+        scn = replace(step_scenario(69.0, duration=0.01), network=net)
+        with pytest.raises(SimulationDivergence, match=r"^non-finite state at t=0 s$"):
             simulate(scn)
 
     @pytest.mark.parametrize("p_cv0", [30.0, 60.0, 100.0])
@@ -636,25 +737,6 @@ class TestSimulateBasics:
         assert np.allclose(ts.p_cv, 150.0 * np.exp(-3.5 * k), rtol=1e-12, atol=1e-12)
         assert ts.p_cv.min() > -1e-12
         assert np.all(ts.p_r == 689.0)
-
-    def test_undershoot_retried_at_tenth_step(self):
-        # the RK4 fallback on the stiff vent: one full step from the initial
-        # state lands below perfect vacuum, so it is retried as ten of dt/10
-        scn = self._stiff_vent()
-        net = scn.network
-        rates = sim.propagator(net).rates
-        k1 = rates(689.0, 150.0, 0.0, 0.0, True)[1]
-        k2 = rates(689.0, 150.0 + 0.5 * scn.dt * k1, 0.0, 0.0, True)[1]
-        k3 = rates(689.0, 150.0 + 0.5 * scn.dt * k2, 0.0, 0.0, True)[1]
-        k4 = rates(689.0, 150.0 + scn.dt * k3, 0.0, 0.0, True)[1]
-        assert 150.0 + scn.dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4) < gm.PERFECT_VACUUM_KPA
-        # pinned: ten steps of dt/10 give 4.53 kPa (the value the RK4 integrator wrote)
-        got = rk4_steps(rates, 689.0, 150.0, 0.0, 0.0, True, scn.dt, 0, 1)
-        assert got == (689.0, 4.532265305845505)
-        # a retry that still lands below perfect vacuum is a divergence at the step's time
-        stiffer = replace(net, solenoid=cp.BinaryValveSpec(r_open=net.solenoid.r_open / 20.0))
-        with pytest.raises(SimulationDivergence, match=r"at t=0\.0035 s$"):
-            rk4_steps(sim.propagator(stiffer).rates, 689.0, 150.0, 0.0, 0.0, True, scn.dt, 7, 1)
 
     @staticmethod
     def _stiff_vent() -> Scenario:
