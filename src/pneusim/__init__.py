@@ -1,58 +1,3 @@
 """Simulator and sizing toolkit for portable high-flow pneumatic supply/regulation."""
 
 __version__ = "0.1.0"
-
-from .gasmodel import GasConstants, DEFAULT_GAS, alpha
-from .components import (
-    BinaryValveSpec,
-    ControlVolume,
-    PneumaticNetwork,
-    ProportionalValveSpec,
-    Reservoir,
-    SensorSpec,
-    VenturiSpec,
-    default_network,
-)
-from .control import ActuatorCommand, ControllerConfig, ControllerState, Mode
-from .sim import (
-    PiecewiseCommand,
-    Scenario,
-    SimulationDivergence,
-    SineCommand,
-    StepCommand,
-    TimeSeries,
-    controller_for_network,
-    discharge_scenario,
-    mass_balance,
-    simulate,
-    step_scenario,
-)
-
-__all__ = [
-    "GasConstants",
-    "DEFAULT_GAS",
-    "alpha",
-    "BinaryValveSpec",
-    "ControlVolume",
-    "PneumaticNetwork",
-    "ProportionalValveSpec",
-    "Reservoir",
-    "SensorSpec",
-    "VenturiSpec",
-    "default_network",
-    "ActuatorCommand",
-    "ControllerConfig",
-    "ControllerState",
-    "Mode",
-    "PiecewiseCommand",
-    "Scenario",
-    "SimulationDivergence",
-    "SineCommand",
-    "StepCommand",
-    "TimeSeries",
-    "controller_for_network",
-    "discharge_scenario",
-    "mass_balance",
-    "simulate",
-    "step_scenario",
-]

@@ -57,7 +57,12 @@ def nrmse(measured, reference, normalizer: float) -> float:
         raise ValueError("traces must have equal length >= 2")
     if not normalizer > 0.0:
         raise ValueError("normalizer must be strictly positive")
-    return float(np.sqrt(np.mean((measured - reference) ** 2))) / normalizer
+    diff, scale = measured - reference, 1.0
+    # the mean square overflows once a difference passes about 2**500; scaled, it cannot
+    if float(np.max(np.abs(diff))) > 2.0**480:
+        scale = float(np.max(np.abs(diff)))
+        diff = diff / scale
+    return float(scale * np.sqrt(np.mean(diff**2))) / normalizer
 
 
 def _first_crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:

@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import math
+import re
 import sys
 from dataclasses import asdict  # noqa: F401 -- perfbench/tracer.py patches it here by name
 from json.encoder import encode_basestring_ascii
@@ -31,7 +32,7 @@ from .components import (
     default_network,
 )
 from .control import ActuatorCommand, ControllerConfig, Mode
-from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA, alpha
+from .gasmodel import BOUNDS, DEFAULT_GAS, PERFECT_VACUUM_KPA, FieldError, alpha
 from .sim import (
     PiecewiseCommand,
     Scenario,
@@ -67,60 +68,62 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- field table
 #
 # Each section of the input schema is a table: (constructor, rows). A row is
-# (JSON key, constructor keyword, check, default). Checks: "num" a finite
-# number, "pos" > 0, "nonneg" >= 0, "slpm" > 0 also once in std L/s, "gauge"
-# at or above perfect vacuum, "floor" a Venturi floor in (-101.325, 0), "int"
-# an integer >= 0, "bool", "str".
-# The keyword is None for keys the constructor does not take. A row written
-# with three items takes its default from the object that owns it: the
-# dataclass default, or the field of the default network. _REQUIRED makes a
-# key mandatory; None leaves an absent key out of the resolved section, for a
-# rule in resolve_* to fill or for the constructor's own default. Keys ending
-# in _slpm reach the constructor in std L/s.
+# (JSON key, constructor keyword, check, default). A row written as (key,
+# keyword) checks the kind its record declares for the field (gasmodel.BOUNDS)
+# and takes the record's default: the dataclass default, or the field of the
+# default network. A row names its own check only where the record declares
+# none: "num" a finite number, "bool", "str", "list", or a kind of BOUNDS for a
+# key the constructor does not take (keyword None); a check None is the
+# record's. A key ending in _slpm is bounded, and reaches the constructor, in
+# std L/s. _REQUIRED makes a key mandatory; a default None leaves an absent key
+# out of the resolved section, for a rule in resolve_* to fill or for the
+# constructor's own default.
 
 _REQUIRED = object()
 _NET = default_network()
 
 
 def _table(owner, *rows: tuple, make=None) -> tuple:
-    """(constructor, rows): make, or owner's class; defaults read from owner."""
-    rows = tuple(
-        row if len(row) == 4 else (*row, getattr(owner, row[1], _REQUIRED)) for row in rows
-    )
-    return make or (owner if isinstance(owner, type) else type(owner)), rows
+    """(constructor, rows): make, or owner's class; checks and defaults read from owner."""
+    cls = owner if isinstance(owner, type) else type(owner)
+
+    def row(key, kw, check=None, default=_REQUIRED) -> tuple:
+        if default is _REQUIRED:  # not given: the owner's, else required
+            default = getattr(owner, kw, _REQUIRED)
+        return key, kw, check or cls.KINDS.get(kw, "num"), default
+
+    return make or cls, tuple(row(*r) for r in rows)
 
 
 GAS = _table(
     DEFAULT_GAS,
-    ("rho_kg_per_m3", "rho", "pos"),
-    ("R_u_J_per_mol_K", "R_u", "pos"),
-    ("T_K", "T", "pos"),
-    ("M_kg_per_mol", "M", "pos"),
+    ("rho_kg_per_m3", "rho"),
+    ("R_u_J_per_mol_K", "R_u"),
+    ("T_K", "T"),
+    ("M_kg_per_mol", "M"),
 )
 VALVE = _table(
     ProportionalValveSpec,
     ("P_inlet_max_kPa", None, "pos", VALVE_RATED_INLET_KPA),
-    ("deadband", "u0", "nonneg"),
-    ("R_vmin_kPa_s_per_L", "r_vmin", "pos", None),  # or derived from flow_max_slpm
+    ("deadband", "u0"),
+    ("R_vmin_kPa_s_per_L", "r_vmin", None, None),  # or derived from flow_max_slpm
 )
 NETWORK = {  # in PneumaticNetwork order
-    "reservoir": _table(_NET.reservoir, ("V_r_L", "v_r", "pos"), ("P_r0_kPa", "p_r0", "gauge")),
-    "control_volume": _table(
-        _NET.control_volume, ("V_cv_L", "v_cv", "pos"), ("P_cv0_kPa", "p_cv", "gauge")
-    ),
+    "reservoir": _table(_NET.reservoir, ("V_r_L", "v_r"), ("P_r0_kPa", "p_r0")),
+    "control_volume": _table(_NET.control_volume, ("V_cv_L", "v_cv"), ("P_cv0_kPa", "p_cv")),
     "inflation_valve": VALVE,
     "motive_valve": VALVE,
-    "solenoid": _table(_NET.solenoid, ("R_open_kPa_s_per_L", "r_open", "pos")),
+    "solenoid": _table(_NET.solenoid, ("R_open_kPa_s_per_L", "r_open")),
     "venturi": _table(
         _NET.venturi,
-        ("P_vac_floor_kPa", "p_vac_floor", "floor"),
-        ("Q_motive_rated_slpm", "q_motive_rated", "slpm", VENTURI_Q_RATED_SLPM),
+        ("P_vac_floor_kPa", "p_vac_floor"),
+        ("Q_motive_rated_slpm", "q_motive_rated", None, VENTURI_Q_RATED_SLPM),
     ),
     "cv_sensor": _table(
         _NET.cv_sensor,
-        ("range_max_kPa", "range_max", "pos"),
-        ("noise_std_kPa", "noise_std", "nonneg"),
-        ("seed", "seed", "int"),
+        ("range_max_kPa", "range_max"),
+        ("noise_std_kPa", "noise_std"),
+        ("seed", "seed"),
     ),
 }
 # the valve sections of the default network, resolved when a scenario omits one
@@ -130,102 +133,93 @@ DEFAULT_VALVES = {
 }
 CONTROLLER = _table(
     ControllerConfig,
-    ("kp_per_kPa", "kp", "nonneg"),
-    ("ki_per_kPa_s", "ki", "nonneg"),
-    ("kd_s_per_kPa", "kd", "nonneg"),
-    ("error_cutoff_kPa", "error_cutoff", "pos"),
-    ("control_rate_Hz", "control_rate", "pos"),
-    ("settle_horizon_s", "settle_horizon", "pos"),
-    ("integrator_limit_kPa_s", "integrator_limit", "nonneg"),
+    ("kp_per_kPa", "kp"),
+    ("ki_per_kPa_s", "ki"),
+    ("kd_s_per_kPa", "kd"),
+    ("error_cutoff_kPa", "error_cutoff"),
+    ("control_rate_Hz", "control_rate"),
+    ("settle_horizon_s", "settle_horizon"),
+    ("integrator_limit_kPa_s", "integrator_limit"),
+    # the record takes any threshold: the control law compares against it as it is
     ("active_deflation_rate_threshold_kPa_s", "active_deflation_rate_threshold", "nonneg"),
     make=controller_for_network,
 )
-COMMANDS = {  # "piecewise" has its own rule
-    "step": _table(
-        StepCommand, ("target_kPa", "target_kpa", "nonneg"), ("start_s", "start_s", "nonneg")
-    ),
+COMMANDS = {
+    "step": _table(StepCommand, ("target_kPa", "target_kpa"), ("start_s", "start_s")),
     "sine": _table(
         SineCommand,
-        ("amplitude_kPa", "amplitude_kpa", "nonneg"),
-        ("frequency_Hz", "freq_hz", "pos"),
+        ("amplitude_kPa", "amplitude_kpa"),
+        ("frequency_Hz", "freq_hz"),
         ("offset_kPa", "offset_kpa", "num", None),  # default: amplitude_kPa
     ),
+    "piecewise": _table(PiecewiseCommand, ("knots", "knots")),  # each knot: _resolve_knots
 }
 RUN = _table(
     Scenario,
-    ("dt_s", "dt", "pos"),
-    ("duration_s", "duration", "pos"),
-    ("sample_rate_Hz", "sample_rate", "pos"),
-    ("seed", "seed", "int"),
+    ("dt_s", "dt"),
+    ("duration_s", "duration"),
+    ("sample_rate_Hz", "sample_rate"),
+    ("seed", "seed"),
     ("hold_reservoir", "hold_reservoir", "bool"),
     ("mode", None, "str", "closed_loop"),
 )
 OPEN_LOOP = _table(
     ActuatorCommand,
-    ("u_evp", "u_inflate", "nonneg"),
-    ("u_dvp", "u_motive", "nonneg"),
+    ("u_evp", "u_inflate"),
+    ("u_dvp", "u_motive"),
     ("solenoid_open", "solenoid_open", "bool"),
 )
 REQUIREMENTS = _table(
     DesignRequirements,
-    ("V_cv_L", "v_cv", "pos"),
-    ("dP_cv_kPa", "dp_cv", "pos"),
-    ("min_cycles", "min_cycles", "nonneg"),
-    ("Pdot_d_kPa_s", "pdot_d", "pos"),
-    ("amplitude_kPa", "amplitude", "pos"),
-    ("frequency_Hz", "freq_hz", "pos"),
+    ("V_cv_L", "v_cv"),
+    ("dP_cv_kPa", "dp_cv"),
+    ("min_cycles", "min_cycles"),
+    ("Pdot_d_kPa_s", "pdot_d"),
+    ("amplitude_kPa", "amplitude"),
+    ("frequency_Hz", "freq_hz"),
 )
-VALVE_OPTION = _table(ValveOption, ("name", "name", "str"), ("mass_g", "mass_g", "pos"))  # + VALVE
+VALVE_OPTION = _table(ValveOption, ("name", "name", "str"), ("mass_g", "mass_g"))  # + VALVE
 RESERVOIR_OPTION = _table(
     ReservoirOption,
     ("name", "name", "str"),
-    ("V_r_L", "v_r", "pos"),
-    ("mass_g", "mass_g", "pos"),
-    ("P_max_kPa", "p_max", "pos"),
+    ("V_r_L", "v_r"),
+    ("mass_g", "mass_g"),
+    ("P_max_kPa", "p_max"),
 )
 VENTURI_OPTION = _table(
     VenturiOption,
     ("name", "name", "str"),
-    ("P_vac_floor_kPa", "p_vac_floor", "floor"),
-    ("Q_motive_rated_slpm", "q_motive_rated", "slpm"),
-    ("mass_g", "mass_g", "pos"),
+    ("P_vac_floor_kPa", "p_vac_floor"),
+    ("Q_motive_rated_slpm", "q_motive_rated"),
+    ("mass_g", "mass_g"),
 )
 
-# check -> (accepted JSON types, what the error says was expected)
+# check -> (accepted JSON types, what the error says was expected); any other check is a number
 _EXPECTED = {
     "bool": (bool, "true or false"),
     "str": (str, "a string"),
     "int": (int, "an integer"),
-    **dict.fromkeys(("num", "pos", "nonneg", "slpm", "gauge", "floor"), ((int, float), "a number")),
+    **dict.fromkeys(("list", "nonempty"), (list, "a list")),
 }
-# check -> (whether a checked number is in range, what the error says it must be)
-_BOUNDS = {
-    "pos": (lambda v: v > 0.0, "> 0"),
-    "nonneg": (lambda v: v >= 0, ">= 0"),
-    "int": (lambda v: v >= 0, ">= 0"),
-    "slpm": (lambda v: v / 60.0 > 0.0, "> 0 in std L/s (SLPM / 60)"),
-    "gauge": (lambda v: v >= PERFECT_VACUUM_KPA, f">= {PERFECT_VACUUM_KPA} (perfect vacuum)"),
-    "floor": (lambda v: PERFECT_VACUUM_KPA < v < 0.0, f"in ({PERFECT_VACUUM_KPA}, 0)"),
-}
+_NUMBER = ((int, float), "a number")
 
 
 def _check(value, where: str, check: str):
     """Validate one JSON value; numbers other than "int" come back as float."""
-    kind, expected = _EXPECTED[check]
+    kind, expected = _EXPECTED.get(check, _NUMBER)
     if not isinstance(value, kind) or (isinstance(value, bool) and check != "bool"):
         raise ConfigError(f"{where}: expected {expected}")
-    if check in ("bool", "str"):
-        return value
-    if check != "int":
+    if check not in _EXPECTED:
         try:
             value = float(value)
         except OverflowError:  # an integer beyond the float range
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{where}: must be finite")
-    in_range, bound = _BOUNDS.get(check, (None, None))
-    if in_range and not in_range(value):
-        raise ConfigError(f"{where}: must be {bound}")
+    slpm = where.endswith("_slpm")
+    for in_range, bound in BOUNDS.get(check, ()):
+        if not in_range(value / 60.0 if slpm else value):
+            raise ConfigError(f"{where}: must be {bound}" + " in std L/s (SLPM / 60)" * slpm)
     return value
 
 
@@ -267,15 +261,22 @@ def _object(raw, path: str, table: tuple) -> dict:
     return out
 
 
-def _build(table: tuple, section: dict, **extra):
-    """Call the table's constructor with each resolved value under its row's keyword."""
+def _build(table: tuple, section: dict, path: str = "", **extra):
+    """Call the table's constructor with each resolved value under its row's keyword; a
+    record's ``FieldError`` becomes a ConfigError at ``path``, each keyword named by its key."""
     make, rows = table
     kwargs = {
         kw: section[key] / 60.0 if key.endswith("_slpm") else section[key]
         for key, kw, _c, _d in rows
         if kw and key in section
     }
-    return make(**kwargs, **extra)
+    try:
+        return make(**kwargs, **extra)
+    except FieldError as exc:
+        keys = {kw: key for key, kw, _c, _d in rows}
+        field = re.sub(r"^\w+", lambda m: keys.get(m[0], m[0]), exc.field)
+        text = re.sub(r"\{(\w+)\}", lambda m: keys.get(m[1], m[1]), exc.text)
+        raise ConfigError(f"{path}.{field}: {text}" if field else f"{path}: {text}") from None
 
 
 def _check_schema_version(obj: dict, path: str) -> None:
@@ -291,12 +292,10 @@ def _resolve_valve(raw, path: str) -> dict:
     """VALVE rows, then R_vmin_kPa_s_per_L or flow_max_slpm rated at P_inlet_max_kPa."""
     obj = _require_obj(raw, path)
     out = _resolve(obj, path, VALVE)
-    if out["deadband"] >= 1.0:
-        raise ConfigError(f"{path}.deadband: must be < 1")
     if "flow_max_slpm" in obj:
         if "R_vmin_kPa_s_per_L" in out:
             raise ConfigError(f"{path}: give R_vmin_kPa_s_per_L or flow_max_slpm, not both")
-        r_vmin = out["P_inlet_max_kPa"] / (_pop(obj, path, "flow_max_slpm", "slpm") / 60.0)
+        r_vmin = out["P_inlet_max_kPa"] / (_pop(obj, path, "flow_max_slpm", "pos") / 60.0)
         if not 0.0 < r_vmin < math.inf:
             size = "large" if r_vmin == 0.0 else "small"
             raise ConfigError(f"{path}.flow_max_slpm: too {size} for P_inlet_max_kPa")
@@ -307,21 +306,14 @@ def _resolve_valve(raw, path: str) -> dict:
     return out
 
 
-def _resolve_knots(knots) -> list:
-    path = "scenario.command.knots"
-    if not isinstance(knots, list) or not knots:
-        raise ConfigError(f"{path}: non-empty list required")
+def _resolve_knots(knots: list) -> list:
+    """Each knot as [time_s, value_kPa] in numbers; PiecewiseCommand checks the rest."""
     parsed = []
     for i, knot in enumerate(knots):
-        where = f"{path}[{i}]"
+        where = f"scenario.command.knots[{i}]"
         if not isinstance(knot, list) or len(knot) != 2:
             raise ConfigError(f"{where}: expected [time_s, value_kPa]")
-        t, value = _check(knot[0], where, "num"), _check(knot[1], where, "nonneg")
-        if not parsed and t != 0.0:
-            raise ConfigError(f"{where}: first knot must be at t=0")
-        if parsed and t <= parsed[-1][0]:
-            raise ConfigError(f"{where}: knot times must be strictly increasing")
-        parsed.append([t, value])
+        parsed.append([_check(knot[0], where, "num"), _check(knot[1], where, "num")])
     return parsed
 
 
@@ -367,32 +359,43 @@ def resolve_scenario(raw: dict) -> dict:
         raise ConfigError("scenario.command: required")
     cmd_obj = _require_obj(top.pop("command"), "scenario.command")
     kind = _pop(cmd_obj, "scenario.command", "kind", "str")
-    if kind in COMMANDS:
-        command = {"kind": kind, **_resolve(cmd_obj, "scenario.command", COMMANDS[kind])}
-        if kind == "sine":
-            command.setdefault("offset_kPa", command["amplitude_kPa"])
-            if command["offset_kPa"] < command["amplitude_kPa"]:
-                raise ConfigError("scenario.command.offset_kPa: must be >= amplitude_kPa")
-    elif kind == "piecewise":
-        command = {"kind": "piecewise", "knots": _resolve_knots(cmd_obj.pop("knots", None))}
-    else:
+    if kind not in COMMANDS:
         raise ConfigError(f"scenario.command.kind: unknown kind {kind!r}")
+    command = {"kind": kind, **_resolve(cmd_obj, "scenario.command", COMMANDS[kind])}
     _reject_unknown(cmd_obj, "scenario.command")
+    if kind == "sine":
+        command.setdefault("offset_kPa", command["amplitude_kPa"])
+    elif kind == "piecewise":
+        command["knots"] = _resolve_knots(command["knots"])
+    _build(COMMANDS[kind], command, "scenario.command")  # the rules between its fields
 
     run_path = "scenario.run"
     run_obj = _require_obj(top.pop("run", {}), run_path)
     run = _resolve(run_obj, run_path, RUN)
     if run["duration_s"] < run["dt_s"]:
         raise ConfigError(f"{run_path}.duration_s: must be >= dt_s")
-    # the rates are flows times alpha / V; controller_for_network divides alpha by R_open * V_cv
-    a, v_cv = alpha(_build(GAS, gas)), network["control_volume"]["V_cv_L"]
-    r_open_v_cv = network["solenoid"]["R_open_kPa_s_per_L"] * v_cv
-    v_r = math.inf if run["hold_reservoir"] else network["reservoir"]["V_r_L"]
-    if not max(a / v_cv, a / v_r, a / r_open_v_cv if r_open_v_cv else math.inf) < math.inf:
+    # The rates are flows times alpha / V, and the propagator forms A (A p + b). So each
+    # coefficient (a conductance 1 / R, the Venturi node's slope through the solenoid, alpha / V
+    # times them), squared, times the largest pressure of the run must stay finite.
+    res, cv, venturi = network["reservoir"], network["control_volume"], network["venturi"]
+    a, r_mot = alpha(_build(GAS, gas)), network["motive_valve"]["R_vmin_kPa_s_per_L"]
+    slope = -venturi["P_vac_floor_kPa"] / r_mot / (venturi["Q_motive_rated_slpm"] / 60.0)
+    g = 1.0 / network["inflation_valve"]["R_vmin_kPa_s_per_L"] + 1.0 / r_mot
+    g += (1.0 + slope) / network["solenoid"]["R_open_kPa_s_per_L"]
+    inv_v = max(a / cv["V_cv_L"], 0.0 if run["hold_reservoir"] else a / res["V_r_L"])
+    coeff = max(1.0, slope, g, 2.0 * g * inv_v)
+    p = max(res["P_r0_kPa"], cv["P_cv0_kPa"], -PERFECT_VACUUM_KPA)
+    if not 4.0 * coeff * coeff * p < math.inf:
         raise _overflow(
-            "alpha / V_cv_L, alpha / V_r_L or alpha / (R_open_kPa_s_per_L * V_cv_L)",
+            "a rate constant alpha / V times a conductance 1 / R, times a pressure (a flow "
+            "rating gives R_vmin_kPa_s_per_L = P_inlet_max_kPa / (flow_max_slpm / 60))",
             scenario={"gas": gas, "network": network},
         )
+    if kind == "sine":  # its phase 2 pi f t and its rate 2 pi f A
+        span = max(1.0, run["duration_s"], command["amplitude_kPa"])
+        if not 2.0 * math.pi * command["frequency_Hz"] * span < math.inf:
+            raise _overflow("2 pi frequency_Hz times duration_s or amplitude_kPa",
+                            scenario={"command": command, "run": run})
     if run["mode"] not in ("closed_loop", "open_loop"):
         raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
     olc_path = f"{run_path}.open_loop_command"
@@ -400,14 +403,7 @@ def resolve_scenario(raw: dict) -> dict:
         if "open_loop_command" not in run_obj:
             raise ConfigError(f"{olc_path}: required for open_loop mode")
         olc = _object(run_obj.pop("open_loop_command"), olc_path, OPEN_LOOP)
-        for key in ("u_evp", "u_dvp"):
-            if olc[key] > 1.0:
-                raise ConfigError(f"{olc_path}.{key}: must be <= 1")
-        if olc["u_evp"] > 0.0 and olc["u_dvp"] > 0.0 and not olc["solenoid_open"]:
-            raise ConfigError(
-                f"{olc_path}.u_evp: must be 0 while u_dvp > 0 and solenoid_open is false "
-                "(the motive air would be wasted)"
-            )
+        _build(OPEN_LOOP, olc, olc_path)
         run["open_loop_command"] = olc
     elif "open_loop_command" in run_obj:
         raise ConfigError(f"{olc_path}: only valid with mode 'open_loop'")
@@ -431,17 +427,13 @@ def scenario_from_resolved(resolved: dict) -> Scenario:
     net = resolved["network"]
     network = PneumaticNetwork(**{name: _build(NETWORK[name], net[name]) for name in NETWORK})
     cmd = resolved["command"]
-    if cmd["kind"] == "piecewise":
-        command = PiecewiseCommand(knots=tuple((t, v) for t, v in cmd["knots"]))
-    else:
-        command = _build(COMMANDS[cmd["kind"]], cmd)
     olc = resolved["run"].get("open_loop_command")
     scn = _build(
         RUN,
         resolved["run"],
         network=network,
         controller=_build(CONTROLLER, resolved["controller"], network=network, gc=gas),
-        command=command,
+        command=_build(COMMANDS[cmd["kind"]], cmd),
         open_loop_command=None if olc is None else _build(OPEN_LOOP, olc),
         gas=gas,
     )
@@ -466,14 +458,7 @@ def resolve_requirements(raw: dict) -> dict:
     _check_schema_version(obj, "requirements")
     out = {"schema_version": 1, **_resolve(obj, "requirements", REQUIREMENTS)}
     _reject_unknown(obj, "requirements")
-    has_rate = "Pdot_d_kPa_s" in out
-    has_pair = "amplitude_kPa" in out and "frequency_Hz" in out
-    if not has_rate and not has_pair:
-        raise ConfigError(
-            "requirements: Pdot_d_kPa_s or both amplitude_kPa and frequency_Hz required"
-        )
-    if "amplitude_kPa" not in out and not out["dP_cv_kPa"] / 2.0 > 0.0:
-        raise ConfigError("requirements.dP_cv_kPa: too small to halve into a reference amplitude")
+    _build(REQUIREMENTS, out, "requirements")  # the rules between its fields
     return out
 
 
@@ -507,26 +492,22 @@ def _valve_option(raw, path: str) -> dict:
     return valve
 
 
-# catalog list -> (rule for one entry, whether the list is required and non-empty)
+# catalog list -> the rule for one entry; ComponentCatalog declares which must be non-empty
 CATALOG = {
-    "valves": (_valve_option, True),
-    "reservoirs": (lambda raw, path: _object(raw, path, RESERVOIR_OPTION), True),
-    "venturis": (lambda raw, path: _object(raw, path, VENTURI_OPTION), False),
+    "valves": _valve_option,
+    "reservoirs": lambda raw, path: _object(raw, path, RESERVOIR_OPTION),
+    "venturis": lambda raw, path: _object(raw, path, VENTURI_OPTION),
 }
 
 
 def resolve_catalog(raw: dict) -> dict:
     obj = _require_obj(raw, "catalog")
     _check_schema_version(obj, "catalog")
-    lists = {key: obj.pop(key, None if required else []) for key, (_, required) in CATALOG.items()}
-    _reject_unknown(obj, "catalog")
-    for key, (_, required) in CATALOG.items():
-        if not isinstance(lists[key], list) or (required and not lists[key]):
-            expected = "non-empty list required" if required else "expected a list"
-            raise ConfigError(f"catalog.{key}: {expected}")
     out = {"schema_version": 1}
-    for key, (entry, _) in CATALOG.items():
-        out[key] = [entry(item, f"catalog.{key}[{i}]") for i, item in enumerate(lists[key])]
+    for key, entry in CATALOG.items():
+        items = _check(obj.pop(key, []), f"catalog.{key}", ComponentCatalog.KINDS.get(key, "list"))
+        out[key] = [entry(item, f"catalog.{key}[{i}]") for i, item in enumerate(items)]
+    _reject_unknown(obj, "catalog")
     return out
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .gasmodel import PERFECT_VACUUM_KPA
+from .gasmodel import PERFECT_VACUUM_KPA, record
 
 if TYPE_CHECKING:  # for annotations only: `pneusim size` imports this module without numpy
     import numpy as np
@@ -26,98 +26,57 @@ if TYPE_CHECKING:  # for annotations only: `pneusim size` imports this module wi
 VALVE_RATED_INLET_KPA = 689.0
 EVP_R_VMIN = VALVE_RATED_INLET_KPA / (23.5 / 60.0)
 DVP_R_VMIN = VALVE_RATED_INLET_KPA / (67.0 / 60.0)
-SOLENOID_R_OPEN = 100.0
-VENTURI_FLOOR_KPA = -80.0
 VENTURI_Q_RATED_SLPM = 67.0
 VENTURI_Q_RATED = VENTURI_Q_RATED_SLPM / 60.0
-
-CV_SENSOR_RANGE_KPA = 207.0
 NOISE_CHUNK = 512  # sensor-noise values a sensor_reader draws at a time
 
 
-def _check_gauge(value: float, name: str) -> None:
-    if value < PERFECT_VACUUM_KPA:
-        raise ValueError(f"{name} below perfect vacuum ({value} kPa)")
-
-
-@dataclass
+@record(v_r="pos", p_r0="gauge")
 class Reservoir:
     """Rigid air reservoir charged to p_r0 at the start of a run."""
 
     v_r: float = 2.0
     p_r0: float = 689.0
 
-    def __post_init__(self) -> None:
-        if not self.v_r > 0.0:
-            raise ValueError("Reservoir.v_r must be strictly positive")
-        _check_gauge(self.p_r0, "Reservoir.p_r0")
 
-
-@dataclass
+@record(v_cv="pos", p_cv="gauge")
 class ControlVolume:
     """Rigid regulated volume (v_cv constant during a run)."""
 
     v_cv: float = 0.5
     p_cv: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not self.v_cv > 0.0:
-            raise ValueError("ControlVolume.v_cv must be strictly positive")
-        _check_gauge(self.p_cv, "ControlVolume.p_cv")
 
-
-@dataclass(frozen=True)
+@record(r_vmin="pos", u0="deadband")
 class ProportionalValveSpec:
     """Proportional valve with conductance affine in command above a deadband."""
 
     r_vmin: float = EVP_R_VMIN
     u0: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not self.r_vmin > 0.0:
-            raise ValueError("ProportionalValveSpec.r_vmin must be strictly positive")
-        if not 0.0 <= self.u0 < 1.0:
-            raise ValueError("ProportionalValveSpec.u0 must be in [0, 1)")
 
-
-@dataclass(frozen=True)
+@record(r_open="pos")
 class BinaryValveSpec:
     """On/off exhaust solenoid."""
 
-    r_open: float = SOLENOID_R_OPEN
-
-    def __post_init__(self) -> None:
-        if not self.r_open > 0.0:
-            raise ValueError("BinaryValveSpec.r_open must be strictly positive")
+    r_open: float = 100.0
 
 
-@dataclass(frozen=True)
+@record(p_vac_floor="floor", q_motive_rated="pos")
 class VenturiSpec:
     """Vacuum generator: node pressure ramps linearly with motive flow to a floor."""
 
-    p_vac_floor: float = VENTURI_FLOOR_KPA
+    p_vac_floor: float = -80.0
     q_motive_rated: float = VENTURI_Q_RATED
 
-    def __post_init__(self) -> None:
-        if not (PERFECT_VACUUM_KPA < self.p_vac_floor < 0.0):
-            raise ValueError("VenturiSpec.p_vac_floor must be in (-101.325, 0)")
-        if not self.q_motive_rated > 0.0:
-            raise ValueError("VenturiSpec.q_motive_rated must be strictly positive")
 
-
-@dataclass(frozen=True)
+@record(range_max="pos", noise_std="nonneg", seed="int")
 class SensorSpec:
     """Gauge pressure sensor with optional gaussian noise and a saturation ceiling."""
 
-    range_max: float = CV_SENSOR_RANGE_KPA
+    range_max: float = 207.0
     noise_std: float = 0.0
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not self.range_max > 0.0:
-            raise ValueError("SensorSpec.range_max must be strictly positive")
-        if self.noise_std < 0.0:
-            raise ValueError("SensorSpec.noise_std must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -139,10 +98,10 @@ class PneumaticNetwork:
 
 
 def default_network(
-    v_r: float = 2.0,
-    p_r0: float = 689.0,
-    v_cv: float = 0.5,
-    p_cv0: float = 0.0,
+    v_r: float = Reservoir.v_r,
+    p_r0: float = Reservoir.p_r0,
+    v_cv: float = ControlVolume.v_cv,
+    p_cv0: float = ControlVolume.p_cv,
 ) -> PneumaticNetwork:
     return PneumaticNetwork(
         reservoir=Reservoir(v_r=v_r, p_r0=p_r0),

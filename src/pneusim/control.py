@@ -14,7 +14,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .gasmodel import GasConstants, DEFAULT_GAS, alpha
+from .gasmodel import DEFAULT_GAS, FieldError, GasConstants, alpha, record
 
 
 class Mode(enum.IntEnum):
@@ -27,7 +27,7 @@ class Mode(enum.IntEnum):
     ACTIVE_DEFLATE = 4
 
 
-@dataclass(frozen=True)
+@record(u_inflate="unit", u_motive="unit")
 class ActuatorCommand:
     """Valve commands for one control period.
 
@@ -39,13 +39,12 @@ class ActuatorCommand:
     u_motive: float = 0.0
     solenoid_open: bool = False
 
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.u_inflate <= 1.0:
-            raise ValueError("u_inflate must be in [0, 1]")
-        if not 0.0 <= self.u_motive <= 1.0:
-            raise ValueError("u_motive must be in [0, 1]")
+    def rule(self) -> None:
         if self.u_inflate > 0.0 and self.u_motive > 0.0 and not self.solenoid_open:
-            raise ValueError("motive flow with closed solenoid while inflating is wasted air")
+            raise FieldError(
+                self, "u_inflate", "must be 0 while {u_motive} > 0 and {solenoid_open} is false "
+                "(the motive air would be wasted)",
+            )
 
 
 IDLE_COMMAND = ActuatorCommand(0.0, 0.0, False)
@@ -55,10 +54,14 @@ VENT_COMMAND = ActuatorCommand(0.0, 0.0, True)
 ACTIVE_DEFLATE_COMMAND = ActuatorCommand(0.0, 1.0, True)
 
 
-@dataclass(frozen=True, kw_only=True)
+@record(
+    passive_vent_coeff="nonneg", kp="nonneg", ki="nonneg", kd="nonneg", error_cutoff="pos",
+    control_rate="pos", settle_horizon="pos", integrator_limit="nonneg",
+)
 class ControllerConfig:
     """Gains and thresholds; passive_vent_coeff is alpha/(r_open*v_cv)."""
 
+    passive_vent_coeff: float  # (kPa/s) per kPa of CV gauge pressure
     kp: float = 0.05  # per kPa
     ki: float = 0.5  # per (kPa*s)
     kd: float = 0.0  # s per kPa... command per (kPa/s)
@@ -67,21 +70,6 @@ class ControllerConfig:
     settle_horizon: float = 0.2  # s, error-recovery urgency for deflation sizing
     integrator_limit: float = 2.0  # kPa*s
     active_deflation_rate_threshold: float = 0.0  # kPa/s
-    passive_vent_coeff: float  # (kPa/s) per kPa of CV gauge pressure
-
-    def __post_init__(self) -> None:
-        if not self.error_cutoff > 0.0:
-            raise ValueError("error_cutoff must be strictly positive")
-        if not self.control_rate > 0.0:
-            raise ValueError("control_rate must be strictly positive")
-        if min(self.kp, self.ki, self.kd) < 0.0:
-            raise ValueError("PID gains must be non-negative")
-        if not self.settle_horizon > 0.0:
-            raise ValueError("settle_horizon must be strictly positive")
-        if self.integrator_limit < 0.0:
-            raise ValueError("integrator_limit must be non-negative")
-        if self.passive_vent_coeff < 0.0:
-            raise ValueError("passive_vent_coeff must be non-negative")
 
 
 @dataclass(frozen=True)

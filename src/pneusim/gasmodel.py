@@ -21,8 +21,69 @@ from dataclasses import dataclass
 # Gauge pressure of a perfect vacuum; no gauge pressure may fall below this.
 PERFECT_VACUUM_KPA = -101.325
 
+_AT_LEAST_0 = (lambda v: v >= 0.0, ">= 0")
+# The bounds a record declares on its fields, by kind: (whether a value is in range, what
+# it must be), tested in order. The records check them when built and the command line
+# when it reads a file, so each bound is stated here once.
+BOUNDS = {
+    "pos": ((lambda v: v > 0.0, "> 0"),),
+    "nonneg": (_AT_LEAST_0,),
+    "int": (_AT_LEAST_0,),  # a count or seed, an integer in a file
+    "gauge": ((lambda v: v >= PERFECT_VACUUM_KPA, f">= {PERFECT_VACUUM_KPA} (perfect vacuum)"),),
+    "floor": ((lambda v: PERFECT_VACUUM_KPA < v < 0.0, f"in ({PERFECT_VACUUM_KPA}, 0)"),),
+    "unit": (_AT_LEAST_0, (lambda v: v <= 1.0, "<= 1")),  # a valve command
+    "deadband": (_AT_LEAST_0, (lambda v: v < 1.0, "< 1")),
+    "nonempty": ((len, "non-empty"),),  # a list in a file
+}
 
-@dataclass(frozen=True)
+
+class FieldError(ValueError):
+    """A record's field out of range, or a rule between its fields broken.
+
+    ``field`` is the keyword ("" for the record as a whole) and ``text`` what is
+    wrong, with any other field written as {keyword}; the command line names
+    each field by its key in the input file.
+    """
+
+    def __init__(self, record, field: str, text: str):
+        owner, plain = type(record).__name__, text.replace("{", "").replace("}", "")
+        super().__init__(f"{owner}.{field}: {plain}" if field else f"{owner}: {plain}")
+        self.field, self.text = field, text
+
+
+def check(record, field: str, kind: str, value) -> None:
+    """Raise ``FieldError`` unless ``value`` is within each bound of ``kind``."""
+    for in_range, bound in BOUNDS[kind]:
+        if not in_range(value):
+            raise FieldError(record, field, f"must be {bound}")
+
+
+def record(**kinds: str):
+    """A frozen ``dataclass`` whose instances check each field of ``kinds`` against its kind.
+
+    A field left None is absent and not checked. After the bounds, the class's
+    own ``rule`` method, if it has one, checks the rules between its fields.
+    ``KINDS`` keeps the declaration for the command line to read.
+    """
+
+    def make(cls):
+        rule = getattr(cls, "rule", None)
+
+        def __post_init__(self) -> None:
+            for field, kind in kinds.items():
+                value = getattr(self, field)
+                if value is not None:
+                    check(self, field, kind, value)
+            if rule:
+                rule(self)
+
+        cls.__post_init__, cls.KINDS = __post_init__, kinds
+        return dataclass(frozen=True)(cls)
+
+    return make
+
+
+@record(rho="pos", R_u="pos", T="pos", M="pos")
 class GasConstants:
     """Air properties at standard conditions (20 C convention by default).
 
@@ -34,11 +95,6 @@ class GasConstants:
     R_u: float = 8.314
     T: float = 293.15
     M: float = 0.028965
-
-    def __post_init__(self) -> None:
-        for name in ("rho", "R_u", "T", "M"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"GasConstants.{name} must be strictly positive")
 
 
 DEFAULT_GAS = GasConstants()

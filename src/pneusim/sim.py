@@ -40,6 +40,7 @@ from .control import (
     control_step,  # noqa: F401
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
+from .gasmodel import FieldError, check, record
 
 # numpy is imported inside the functions that use it, so `pneusim size`, which
 # imports this module for its dataclasses, never loads it
@@ -61,18 +62,12 @@ class SimulationDivergence(RuntimeError):
         self.t = t
 
 
-@dataclass(frozen=True)
+@record(target_kpa="nonneg", start_s="nonneg")
 class StepCommand:
     """Command 0 before start_s, then target_kpa (gauge)."""
 
     target_kpa: float
     start_s: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.target_kpa < 0.0:
-            raise ValueError("StepCommand.target_kpa must be non-negative")
-        if self.start_s < 0.0:
-            raise ValueError("StepCommand.start_s must be non-negative")
 
     def value(self, t: float) -> float:
         return self.target_kpa if t >= self.start_s else 0.0
@@ -87,7 +82,7 @@ class StepCommand:
         return 0.0
 
 
-@dataclass(frozen=True)
+@record(amplitude_kpa="nonneg", freq_hz="pos")
 class SineCommand:
     """offset + amplitude*sin(2*pi*f*t); offset >= amplitude keeps it non-negative."""
 
@@ -95,13 +90,9 @@ class SineCommand:
     freq_hz: float
     offset_kpa: float
 
-    def __post_init__(self) -> None:
-        if self.amplitude_kpa < 0.0:
-            raise ValueError("SineCommand.amplitude_kpa must be non-negative")
-        if not self.freq_hz > 0.0:
-            raise ValueError("SineCommand.freq_hz must be strictly positive")
+    def rule(self) -> None:
         if self.offset_kpa < self.amplitude_kpa:
-            raise ValueError("SineCommand.offset_kpa must be >= amplitude (commands stay >= 0)")
+            raise FieldError(self, "offset_kpa", "must be >= {amplitude_kpa}")
 
     def value(self, t: float) -> float:
         return self.offset_kpa + self.amplitude_kpa * math.sin(2.0 * math.pi * self.freq_hz * t)
@@ -117,23 +108,22 @@ class SineCommand:
         return self.amplitude_kpa * w * math.cos(w * t)
 
 
-@dataclass(frozen=True)
+@record(knots="nonempty")
 class PiecewiseCommand:
     """Hold-interpolated (time, value) knots; first knot at t=0."""
 
     knots: tuple[tuple[float, float], ...]
 
-    def __post_init__(self) -> None:
-        if not self.knots:
-            raise ValueError("PiecewiseCommand needs at least one knot")
-        if self.knots[0][0] != 0.0:
-            raise ValueError("PiecewiseCommand first knot must be at t=0")
-        times = [k[0] for k in self.knots]
-        if any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError("PiecewiseCommand knot times must be strictly increasing")
-        if any(v < 0.0 for _, v in self.knots):
-            raise ValueError("PiecewiseCommand values must be non-negative")
-        object.__setattr__(self, "_times", tuple(times))
+    def rule(self) -> None:
+        knots = tuple((t, value) for t, value in self.knots)  # pairs of any sequence type
+        for i, (t, value) in enumerate(knots):
+            check(self, f"knots[{i}]", "nonneg", value)
+            if i == 0 and t != 0.0:
+                raise FieldError(self, "knots[0]", "first knot must be at t=0")
+            if i and not t > knots[i - 1][0]:
+                raise FieldError(self, f"knots[{i}]", "knot times must be strictly increasing")
+        object.__setattr__(self, "knots", knots)
+        object.__setattr__(self, "_times", tuple(t for t, _ in knots))
 
     def value(self, t: float) -> float:
         """The value of the last knot at or before t; the first knot's before t=0 (and at NaN)."""
@@ -163,7 +153,7 @@ def controller_for_network(
     return ControllerConfig(passive_vent_coeff=coeff, **overrides)
 
 
-@dataclass(frozen=True)
+@record(dt="pos", duration="pos", sample_rate="pos", seed="int")
 class Scenario:
     """Everything that determines one run; identical scenarios give identical output."""
 
@@ -197,17 +187,9 @@ class Scenario:
         return self.n_steps() // self.sample_stride() + 1
 
     def validate(self) -> None:
-        """Raise ValueError naming the scenario JSON field at fault."""
-        if not self.dt > 0.0:
-            raise ValueError("scenario.run.dt_s: must be > 0")
-        if not self.duration > 0.0:
-            raise ValueError("scenario.run.duration_s: must be > 0")
-        if not self.sample_rate > 0.0:
-            raise ValueError("scenario.run.sample_rate_Hz: must be > 0")
+        """Check the strides and the run budget; raise ValueError naming the JSON field at fault."""
         if self.sample_rate > 1.0 / self.dt * (1 + 1e-9):
             raise ValueError("scenario.run.sample_rate_Hz: cannot exceed 1/dt_s")
-        if self.seed < 0:
-            raise ValueError("scenario.run.seed: must be >= 0")
         self.sample_stride()
         finite = math.isfinite(self.duration / self.dt)  # else n_steps() cannot round it
         if (self.n_rows() if finite else self.duration * self.sample_rate) > MAX_ROWS:
@@ -499,13 +481,14 @@ def propagator(
             pieces[:] = (None,) * 6
         code = 0
         if f_mot or sol:
-            q_motive = (f_mot * p_r) / r_mot if f_mot else 0.0
-            if not q_motive > 0.0:
+            # motive flow by the motive clamp's own kink, p_r > 0: the flow
+            # (f_mot * p_r) / r_mot may underflow to 0 where the kink holds
+            if not (f_mot and p_r > 0.0):
                 code = 1 if sol and p_cv > 0.0 else 0
             elif not sol:
                 code = 2
             else:
-                x = q_motive / q_rated
+                x = (f_mot * p_r) / r_mot / q_rated
                 if x < 1.0:
                     code = 3 if p_cv - floor * x > 0.0 else 2
                 else:

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gasmodel as gm
-from .gasmodel import DEFAULT_GAS, PERFECT_VACUUM_KPA, GasConstants
+from .gasmodel import DEFAULT_GAS, FieldError, GasConstants, record
 
 
-@dataclass(frozen=True)
+@record(v_cv="pos", dp_cv="pos", pdot_d="pos", amplitude="pos", freq_hz="pos", min_cycles="nonneg")
 class DesignRequirements:
     """What the actuator needs from the supply/regulator.
 
@@ -30,25 +30,11 @@ class DesignRequirements:
     freq_hz: float | None = None  # Hz
     min_cycles: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not self.v_cv > 0.0:
-            raise ValueError("DesignRequirements.v_cv must be strictly positive")
-        if not self.dp_cv > 0.0:
-            raise ValueError("DesignRequirements.dp_cv must be strictly positive")
-        if self.min_cycles < 0.0:
-            raise ValueError("DesignRequirements.min_cycles must be non-negative")
-        has_rate = self.pdot_d is not None
-        has_pair = self.amplitude is not None and self.freq_hz is not None
-        if not has_rate and not has_pair:
-            raise ValueError(
-                "DesignRequirements needs pdot_d or both amplitude and freq_hz"
-            )
-        if has_rate and not self.pdot_d > 0.0:
-            raise ValueError("DesignRequirements.pdot_d must be strictly positive")
-        if self.amplitude is not None and not self.amplitude > 0.0:
-            raise ValueError("DesignRequirements.amplitude must be strictly positive")
-        if self.freq_hz is not None and not self.freq_hz > 0.0:
-            raise ValueError("DesignRequirements.freq_hz must be strictly positive")
+    def rule(self) -> None:
+        if self.pdot_d is None and (self.amplitude is None or self.freq_hz is None):
+            raise FieldError(self, "", "{pdot_d} or both {amplitude} and {freq_hz} required")
+        if self.amplitude is None and not self.dp_cv / 2.0 > 0.0:
+            raise FieldError(self, "dp_cv", "too small to halve into a reference amplitude")
 
     def demanded_rate(self) -> float:
         if self.pdot_d is not None:
@@ -60,53 +46,35 @@ class DesignRequirements:
         return self.amplitude if self.amplitude is not None else self.dp_cv / 2.0
 
 
-@dataclass(frozen=True)
+@record(r_vmin="pos", mass_g="pos", p_inlet_max="pos")
 class ValveOption:
     name: str
     r_vmin: float
     mass_g: float
     p_inlet_max: float
 
-    def __post_init__(self) -> None:
-        if min(self.r_vmin, self.mass_g, self.p_inlet_max) <= 0.0:
-            raise ValueError(f"valve {self.name!r}: all quantities must be positive")
 
-
-@dataclass(frozen=True)
+@record(v_r="pos", mass_g="pos", p_max="pos")
 class ReservoirOption:
     name: str
     v_r: float
     mass_g: float
     p_max: float
 
-    def __post_init__(self) -> None:
-        if min(self.v_r, self.mass_g, self.p_max) <= 0.0:
-            raise ValueError(f"reservoir {self.name!r}: all quantities must be positive")
 
-
-@dataclass(frozen=True)
+@record(p_vac_floor="floor", q_motive_rated="pos", mass_g="pos")
 class VenturiOption:
     name: str
     p_vac_floor: float
     q_motive_rated: float
     mass_g: float
 
-    def __post_init__(self) -> None:
-        if not (PERFECT_VACUUM_KPA < self.p_vac_floor < 0.0):
-            raise ValueError(f"venturi {self.name!r}: p_vac_floor must be in ({PERFECT_VACUUM_KPA}, 0)")
-        if min(self.q_motive_rated, self.mass_g) <= 0.0:
-            raise ValueError(f"venturi {self.name!r}: all quantities must be positive")
 
-
-@dataclass(frozen=True)
+@record(valves="nonempty", reservoirs="nonempty")
 class ComponentCatalog:
     valves: tuple[ValveOption, ...]
     reservoirs: tuple[ReservoirOption, ...]
     venturis: tuple[VenturiOption, ...] = ()
-
-    def __post_init__(self) -> None:
-        if not self.valves or not self.reservoirs:
-            raise ValueError("catalog needs at least one valve and one reservoir")
 
 
 @dataclass(frozen=True)

@@ -632,6 +632,42 @@ def test_size_does_not_import_numpy(tmp_path):
     assert (tmp_path / "demo_requirements_design_report.json").is_file()
 
 
+def _subnormal_discharge(section: str, key: str) -> dict:
+    doc = json.loads((SCENARIOS / "discharge_2l_bottle.json").read_text())
+    target = doc["run"] if section == "open_loop_command" else doc["network"]
+    target[section][key] = 5e-324
+    return doc
+
+
+@pytest.mark.parametrize(
+    "command, doc, duration",
+    [
+        ("discharge", _subnormal_discharge("reservoir", "P_r0_kPa"), "0.02"),
+        ("discharge", _subnormal_discharge("open_loop_command", "u_dvp"), "0.02"),
+        (
+            "simulate",  # a step to 0 from 150 kPa: active deflation
+            {
+                "schema_version": 1,
+                "network": {"reservoir": {"P_r0_kPa": 5e-324}, "control_volume": {"P_cv0_kPa": 150.0}},
+                "command": {"kind": "step", "target_kPa": 0.0},
+            },
+            "0.05",
+        ),
+    ],
+    ids=["reservoir_pressure", "motive_command", "active_deflation"],
+)
+def test_underflowing_motive_flow_finishes(tmp_path, command, doc, duration):
+    # the motive flow (f_mot * p_r) / r_mot underflows to 0 while p_r > 0; a state classified
+    # by that flow broke its region's motive kink, and every span was rejected without end
+    scn_file = write_json(tmp_path / "scn.json", doc)
+    paths = [p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    argv = [command, str(scn_file), "--duration", duration, "--out", str(tmp_path / "out")]
+    proc = subprocess.run([sys.executable, "-m", "pneusim.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0 and proc.stderr == "", proc.stderr
+
+
 class TestFieldNamedErrors:
     def test_integer_beyond_float_range(self):
         raw = minimal_scenario()
@@ -789,14 +825,17 @@ class TestCommandWithinSensorRange:
 
 
 class TestReadmeSchema:
+    # a row's check: its own, or the kind its record declares for the keyword
     CHECK_TEXT = {
         "num": "number",
         "pos": "> 0",
         "nonneg": ">= 0",
-        "slpm": "> 0 in std L/s",
         "gauge": ">= -101.325",
         "floor": "in (-101.325, 0)",
+        "unit": ">= 0, <= 1",
+        "deadband": ">= 0, < 1",
         "int": "integer >= 0",
+        "nonempty": "non-empty list",
         "bool": "true/false",
         "str": "string",
     }
@@ -839,6 +878,8 @@ class TestReadmeSchema:
             for key, _kw, check, default in rows:
                 text_default, text_check = tables[label][key]
                 assert text_check.startswith(self.CHECK_TEXT[check]), (label, key)
+                if key.endswith("_slpm"):  # bounded once divided by 60
+                    assert text_check.startswith(f"{self.CHECK_TEXT[check]} in std L/s"), key
                 if default is None:
                     assert text_default.startswith("rule"), (label, key)
                 elif default is cli._REQUIRED:

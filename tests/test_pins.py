@@ -16,6 +16,7 @@ import math
 import re
 import sys
 import tempfile
+import warnings
 from dataclasses import fields
 from pathlib import Path
 from unittest import mock
@@ -308,7 +309,7 @@ FIELD_NUMBERS = (
     | st.integers()
     | st.sampled_from([2**63, 10**400, -(10**400)])
 )
-NUMERIC_CHECKS = {"num", "pos", "nonneg", "slpm", "gauge", "floor", "int"}
+NUMERIC_CHECKS = {"num", "pos", "nonneg", "gauge", "floor", "unit", "deadband", "int"}
 BASES = {
     name: json.loads((SCENARIOS / f"{name}.json").read_text())
     for name in ("step_69kpa_half_liter", "sweep_21kpa_half_liter", "discharge_2l_bottle",
@@ -379,6 +380,14 @@ def _reject_constant(name: str):
 def test_any_field_value_runs_or_names_the_field(case, value):
     # simulate is stubbed, so a scenario resolves and builds but never integrates;
     # size runs whole
+    with mock.patch.object(cli, "simulate", _stub_run):
+        _assert_runs_or_names_the_field(case, value)
+
+
+def _assert_runs_or_names_the_field(case, value, *run_flags, discharge=False) -> None:
+    """Run the document of ``case`` with its field set to value: exit 0 (4: no feasible
+    design) and nothing on stderr, or exit 2 with an error that names the field. With
+    ``discharge``, an open-loop scenario runs through ``discharge``, else ``simulate``."""
     doc, path, key = case
     mutated = copy.deepcopy(BASES[doc])
     section = mutated
@@ -392,14 +401,16 @@ def test_any_field_value_runs_or_names_the_field(case, value):
     # requirements.V_cv_L, catalog.valves[0].mass_g
     field = "".join([top, *(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path), f".{key}"])
     err = io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "simulate", _stub_run), \
+    with tempfile.TemporaryDirectory() as tmp, \
             contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         def write(name, payload):
             Path(tmp, f"{name}.json").write_text(json.dumps(payload))
             return str(Path(tmp, f"{name}.json"))
 
         if top == "scenario":
-            argv = ["simulate", write(doc, mutated)]
+            open_loop = mutated["run"].get("mode") == "open_loop"
+            command = "discharge" if discharge and open_loop else "simulate"
+            argv = [command, write(doc, mutated), *run_flags]
         else:
             req = mutated if top == "requirements" else BASES["demo_requirements"]
             cat = mutated if top == "catalog" else BASES["reference_catalog"]
@@ -416,3 +427,17 @@ def test_any_field_value_runs_or_names_the_field(case, value):
         # first; the message still names the drawn field
         other = message.startswith(f"error: {top}.") and re.search(rf"\b{key}\b", message)
         assert rc == 2 and (message.startswith(f"error: {field}: ") or other), message
+
+
+# the three run scenarios, each numeric field at the edges of the float range
+RUN_FIELD_CASES = [case for case in FIELD_CASES if TOPS.get(case[0], "scenario") == "scenario"]
+
+
+@pytest.mark.parametrize("value", [5e-324, 1e-310, 1e300, 1.7e308])
+@pytest.mark.parametrize("case", RUN_FIELD_CASES, ids=lambda case: "-".join(map(str, case)))
+def test_extreme_field_value_integrates_or_names_the_field(case, value):
+    # the real simulate and discharge: a rate that overflows is a field-named exit 2,
+    # never a divergence (exit 3) or a numpy warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _assert_runs_or_names_the_field(case, value, "--duration", "0.02", discharge=True)
