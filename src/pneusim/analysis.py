@@ -255,7 +255,8 @@ def fit_discharge_tau(ts: TimeSeries) -> DischargeFit:
         raise ValueError("discharge fit needs at least two samples")
     slope, intercept = np.polyfit(ts.t, np.log(p), 1)
     p0 = float(math.exp(intercept))
-    if slope >= -1e-12:
+    # every row equal is no decay, whatever slope the fit's rounding gives at a tiny p
+    if slope >= -1e-12 or (p == p[0]).all():
         fitted = np.full_like(p, p0)
         return DischargeFit(math.inf, p0, nrmse(p, fitted, p0), degenerate=True)
     tau = -1.0 / float(slope)

@@ -178,7 +178,13 @@ REQUIREMENTS = _table(
     ("amplitude_kPa", "amplitude"),
     ("frequency_Hz", "freq_hz"),
 )
-VALVE_OPTION = _table(ValveOption, ("name", "name", "str"), ("mass_g", "mass_g"))  # + VALVE
+VALVE_OPTION = _table(  # no deadband: sizing rates a valve by its full conductance
+    ValveOption,
+    ("name", "name", "str"),
+    ("mass_g", "mass_g"),
+    ("P_inlet_max_kPa", "p_inlet_max", None, VALVE_RATED_INLET_KPA),
+    ("R_vmin_kPa_s_per_L", "r_vmin", None, None),  # or derived from flow_max_slpm
+)
 RESERVOIR_OPTION = _table(
     ReservoirOption,
     ("name", "name", "str"),
@@ -261,9 +267,11 @@ def _object(raw, path: str, table: tuple) -> dict:
     return out
 
 
-def _build(table: tuple, section: dict, path: str = "", **extra):
+def _build(table: tuple, section: dict, path: str = "", nested: dict | None = None, **extra):
     """Call the table's constructor with each resolved value under its row's keyword; a
-    record's ``FieldError`` becomes a ConfigError at ``path``, each keyword named by its key."""
+    record's ``FieldError`` becomes a ConfigError at ``path``, each keyword named by its key.
+    ``nested`` maps the keyword of a record in ``extra`` to its (path, table), so that a field
+    of it, such as ``controller.control_rate``, is named in its own section."""
     make, rows = table
     kwargs = {
         kw: section[key] / 60.0 if key.endswith("_slpm") else section[key]
@@ -273,10 +281,12 @@ def _build(table: tuple, section: dict, path: str = "", **extra):
     try:
         return make(**kwargs, **extra)
     except FieldError as exc:
-        keys = {kw: key for key, kw, _c, _d in rows}
-        field = re.sub(r"^\w+", lambda m: keys.get(m[0], m[0]), exc.field)
-        text = re.sub(r"\{(\w+)\}", lambda m: keys.get(m[1], m[1]), exc.text)
-        raise ConfigError(f"{path}.{field}: {text}" if field else f"{path}: {text}") from None
+        paths = {kw: f"{path}.{key}" for key, kw, _c, _d in rows}
+        for name, (sub_path, (_make, sub_rows)) in (nested or {}).items():
+            paths.update({f"{name}.{kw}": f"{sub_path}.{key}" for key, kw, _c, _d in sub_rows})
+        where = re.sub(r"^[\w.]+", lambda m: paths.get(m[0], f"{path}.{m[0]}"), exc.field)
+        text = re.sub(r"\{([\w.]+)\}", lambda m: paths.get(m[1], m[1]).rpartition(".")[2], exc.text)
+        raise ConfigError(f"{where or path}: {text}") from None
 
 
 def _check_schema_version(obj: dict, path: str) -> None:
@@ -288,10 +298,11 @@ def _check_schema_version(obj: dict, path: str) -> None:
 # ------------------------------------------------------------ scenario schema
 
 
-def _resolve_valve(raw, path: str) -> dict:
-    """VALVE rows, then R_vmin_kPa_s_per_L or flow_max_slpm rated at P_inlet_max_kPa."""
+def _resolve_valve(raw, path: str, table: tuple = VALVE) -> dict:
+    """The rows of a valve table (VALVE, VALVE_OPTION), then R_vmin_kPa_s_per_L or
+    flow_max_slpm rated at P_inlet_max_kPa."""
     obj = _require_obj(raw, path)
-    out = _resolve(obj, path, VALVE)
+    out = _resolve(obj, path, table)
     if "flow_max_slpm" in obj:
         if "R_vmin_kPa_s_per_L" in out:
             raise ConfigError(f"{path}: give R_vmin_kPa_s_per_L or flow_max_slpm, not both")
@@ -340,18 +351,26 @@ def resolve_scenario(raw: dict) -> dict:
     Resolution is idempotent: resolving the resolved document returns it
     unchanged, which is what makes manifests round-trip exactly.
     """
+    return _scenario(raw)[1]
+
+
+def _scenario(raw: dict) -> tuple[Scenario, dict]:
+    """The Scenario of a document and the resolved document; each record is built once, as
+    its section resolves, and a record's rule names the field by its path."""
     top = _require_obj(raw, "scenario")
     _check_schema_version(top, "scenario")
     gas = _object(top.pop("gas", {}), "scenario.gas", GAS)
+    gc = _build(GAS, gas, "scenario.gas")
 
     net_obj = _require_obj(top.pop("network", {}), "scenario.network")
-    network = {}
+    network, parts = {}, {}
     for name, table in NETWORK.items():
         path = f"scenario.network.{name}"
         if table is VALVE:
             network[name] = _resolve_valve(net_obj.pop(name, DEFAULT_VALVES[name]), path)
         else:
             network[name] = _object(net_obj.pop(name, {}), path, table)
+        parts[name] = _build(table, network[name], path)
     _reject_unknown(net_obj, "scenario.network")
     controller = _object(top.pop("controller", {}), "scenario.controller", CONTROLLER)
 
@@ -367,18 +386,16 @@ def resolve_scenario(raw: dict) -> dict:
         command.setdefault("offset_kPa", command["amplitude_kPa"])
     elif kind == "piecewise":
         command["knots"] = _resolve_knots(command["knots"])
-    _build(COMMANDS[kind], command, "scenario.command")  # the rules between its fields
+    cmd = _build(COMMANDS[kind], command, "scenario.command")
 
     run_path = "scenario.run"
     run_obj = _require_obj(top.pop("run", {}), run_path)
     run = _resolve(run_obj, run_path, RUN)
-    if run["duration_s"] < run["dt_s"]:
-        raise ConfigError(f"{run_path}.duration_s: must be >= dt_s")
     # The rates are flows times alpha / V, and the propagator forms A (A p + b). So each
     # coefficient (a conductance 1 / R, the Venturi node's slope through the solenoid, alpha / V
     # times them), squared, times the largest pressure of the run must stay finite.
     res, cv, venturi = network["reservoir"], network["control_volume"], network["venturi"]
-    a, r_mot = alpha(_build(GAS, gas)), network["motive_valve"]["R_vmin_kPa_s_per_L"]
+    a, r_mot = alpha(gc), network["motive_valve"]["R_vmin_kPa_s_per_L"]
     slope = -venturi["P_vac_floor_kPa"] / r_mot / (venturi["Q_motive_rated_slpm"] / 60.0)
     g = 1.0 / network["inflation_valve"]["R_vmin_kPa_s_per_L"] + 1.0 / r_mot
     g += (1.0 + slope) / network["solenoid"]["R_open_kPa_s_per_L"]
@@ -398,13 +415,12 @@ def resolve_scenario(raw: dict) -> dict:
                             scenario={"command": command, "run": run})
     if run["mode"] not in ("closed_loop", "open_loop"):
         raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
-    olc_path = f"{run_path}.open_loop_command"
+    olc_path, olc = f"{run_path}.open_loop_command", None
     if run["mode"] == "open_loop":
         if "open_loop_command" not in run_obj:
             raise ConfigError(f"{olc_path}: required for open_loop mode")
-        olc = _object(run_obj.pop("open_loop_command"), olc_path, OPEN_LOOP)
-        _build(OPEN_LOOP, olc, olc_path)
-        run["open_loop_command"] = olc
+        run["open_loop_command"] = _object(run_obj.pop("open_loop_command"), olc_path, OPEN_LOOP)
+        olc = _build(OPEN_LOOP, run["open_loop_command"], olc_path)
     elif "open_loop_command" in run_obj:
         raise ConfigError(f"{olc_path}: only valid with mode 'open_loop'")
     else:
@@ -412,7 +428,21 @@ def resolve_scenario(raw: dict) -> dict:
     _reject_unknown(run_obj, run_path)
     _reject_unknown(top, "scenario")
 
-    return {
+    # the controller only now: controller_for_network divides alpha by R V, kept finite above
+    net = PneumaticNetwork(**parts)
+    ctl = ("scenario.controller", CONTROLLER)
+    scn = _build(
+        RUN,
+        run,
+        run_path,
+        {"controller": ctl},
+        network=net,
+        controller=_build(CONTROLLER, controller, ctl[0], network=net, gc=gc),
+        command=cmd,
+        open_loop_command=olc,
+        gas=gc,
+    )
+    return scn, {
         "schema_version": 1,
         "gas": gas,
         "network": network,
@@ -422,32 +452,12 @@ def resolve_scenario(raw: dict) -> dict:
     }
 
 
-def scenario_from_resolved(resolved: dict) -> Scenario:
-    gas = _build(GAS, resolved["gas"])
-    net = resolved["network"]
-    network = PneumaticNetwork(**{name: _build(NETWORK[name], net[name]) for name in NETWORK})
-    cmd = resolved["command"]
-    olc = resolved["run"].get("open_loop_command")
-    scn = _build(
-        RUN,
-        resolved["run"],
-        network=network,
-        controller=_build(CONTROLLER, resolved["controller"], network=network, gc=gas),
-        command=_build(COMMANDS[cmd["kind"]], cmd),
-        open_loop_command=None if olc is None else _build(OPEN_LOOP, olc),
-        gas=gas,
-    )
-    scn.validate()
-    return scn
-
-
 def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, dict]:
     """Scenario and resolved document; overrides replace keys of the run section."""
     raw = _load_json(path)
     if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
         raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
-    resolved = resolve_scenario(raw)
-    return scenario_from_resolved(resolved), resolved
+    return _scenario(raw)
 
 
 # ------------------------------------------------------- requirements/catalog
@@ -482,19 +492,9 @@ def requirements_from_resolved(resolved: dict) -> DesignRequirements:
     return _build(REQUIREMENTS, resolved)
 
 
-def _valve_option(raw, path: str) -> dict:
-    """VALVE_OPTION rows, then the valve's rating, resolved as a scenario's valve."""
-    obj = _require_obj(raw, path)
-    valve = _resolve(obj, path, VALVE_OPTION)
-    rated = _resolve_valve(obj, path)  # consumes the remaining valve keys
-    valve["R_vmin_kPa_s_per_L"] = rated["R_vmin_kPa_s_per_L"]
-    valve["P_inlet_max_kPa"] = rated["P_inlet_max_kPa"]
-    return valve
-
-
 # catalog list -> the rule for one entry; ComponentCatalog declares which must be non-empty
 CATALOG = {
-    "valves": _valve_option,
+    "valves": lambda raw, path: _resolve_valve(raw, path, VALVE_OPTION),
     "reservoirs": lambda raw, path: _object(raw, path, RESERVOIR_OPTION),
     "venturis": lambda raw, path: _object(raw, path, VENTURI_OPTION),
 }
@@ -513,12 +513,7 @@ def resolve_catalog(raw: dict) -> dict:
 
 def catalog_from_resolved(resolved: dict) -> ComponentCatalog:
     return ComponentCatalog(
-        valves=tuple(
-            _build(
-                VALVE_OPTION, v, r_vmin=v["R_vmin_kPa_s_per_L"], p_inlet_max=v["P_inlet_max_kPa"]
-            )
-            for v in resolved["valves"]
-        ),
+        valves=tuple(_build(VALVE_OPTION, v) for v in resolved["valves"]),
         reservoirs=tuple(_build(RESERVOIR_OPTION, r) for r in resolved["reservoirs"]),
         venturis=tuple(_build(VENTURI_OPTION, v) for v in resolved["venturis"]),
     )

@@ -173,51 +173,47 @@ class Scenario:
         return self.open_loop_command is None
 
     def control_stride(self) -> int:
-        return _exact_stride(
-            self.controller.control_rate, self.dt, "scenario.controller.control_rate_Hz"
-        )
+        return _exact_stride(self, "controller.control_rate", self.controller.control_rate)
 
     def sample_stride(self) -> int:
-        return _exact_stride(self.sample_rate, self.dt, "scenario.run.sample_rate_Hz")
+        return _exact_stride(self, "sample_rate", self.sample_rate)
 
     def n_steps(self) -> int:
-        return max(1, round(self.duration / self.dt))
+        return round(self.duration / self.dt)  # >= 1: the rule keeps duration >= dt
 
     def n_rows(self) -> int:
         return self.n_steps() // self.sample_stride() + 1
 
-    def validate(self) -> None:
-        """Check the strides and the run budget; raise ValueError naming the JSON field at fault."""
+    def rule(self) -> None:
+        """dt divides the sample and control periods, and the run fits its row and step budgets."""
+        if self.duration < self.dt:
+            raise FieldError(self, "duration", "must be >= {dt}")
         if self.sample_rate > 1.0 / self.dt * (1 + 1e-9):
-            raise ValueError("scenario.run.sample_rate_Hz: cannot exceed 1/dt_s")
+            raise FieldError(self, "sample_rate", "cannot exceed 1/{dt}")
         self.sample_stride()
         finite = math.isfinite(self.duration / self.dt)  # else n_steps() cannot round it
         if (self.n_rows() if finite else self.duration * self.sample_rate) > MAX_ROWS:
-            raise ValueError(
-                f"scenario.run.duration_s: the run would hold more than {MAX_ROWS} sample rows "
-                "(duration_s * sample_rate_Hz)"
-            )
+            raise FieldError(self, "duration", f"the run would hold more than {MAX_ROWS} sample "
+                             "rows ({duration} * {sample_rate})")
         if not finite or self.n_steps() > MAX_STEPS:
-            raise ValueError(
-                f"scenario.run.duration_s: the run would take more than {MAX_STEPS} steps "
-                "(duration_s / dt_s)"
-            )
+            raise FieldError(self, "duration", f"the run would take more than {MAX_STEPS} steps "
+                             "({duration} / {dt})")
         if self.closed_loop:
             if self.dt > 0.5 / self.controller.control_rate * (1 + 1e-9):
-                raise ValueError(
-                    "scenario.run.dt_s: must be <= 1/(2*control_rate_Hz) in closed loop"
+                raise FieldError(
+                    self, "dt", "must be <= 1/(2*{controller.control_rate}) in closed loop"
                 )
             self.control_stride()
 
 
-def _exact_stride(rate: float, dt: float, where: str) -> int:
-    """Steps per period of ``rate``; ``where`` names the rate's field in errors."""
-    period = rate * dt
+def _exact_stride(scn: Scenario, field: str, rate: float) -> int:
+    """Steps per period of ``rate``, the scenario's ``field``; FieldError unless an integer."""
+    period = rate * scn.dt
     ratio = 1.0 / period if period > 0.0 else math.inf  # the product may underflow
     stride = round(ratio) if ratio < math.inf else 0
     if stride < 1 or abs(ratio - stride) > 1e-6:
-        key = where.rsplit(".", 1)[1]
-        raise ValueError(f"{where}: 1/({key}*dt_s) must be a positive integer, got {ratio}")
+        text = "1/({%s}*{dt}) must be a positive integer, got %s" % (field, ratio)
+        raise FieldError(scn, field, text)
     return stride
 
 
@@ -608,7 +604,6 @@ def simulate(scn: Scenario) -> TimeSeries:
     """
     import numpy as np
 
-    scn.validate()
     n_rows = scn.n_rows()
     columns = {name: np.empty(n_rows) for name in TimeSeries._COLUMNS}
     columns["mode"] = np.empty(n_rows, dtype=np.uint8)

@@ -200,6 +200,13 @@ class TestDischargeFit:
         assert fit.degenerate
         assert math.isinf(fit.tau_s)
 
+    def test_constant_subnormal_trace_flagged_degenerate(self):
+        # log p is about -744 here, where polyfit's rounding reads a slope below -1e-12
+        t = np.arange(11) * 0.002
+        fit = an.fit_discharge_tau(make_trace(t, np.zeros_like(t), p_r=np.full_like(t, 5e-324)))
+        assert fit.degenerate
+        assert math.isinf(fit.tau_s)
+
     def test_rejects_non_positive_pressures(self):
         t = np.arange(0, 10, 0.01)
         with pytest.raises(ValueError):

@@ -5,14 +5,14 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pneusim import cli
+from pneusim import cli, components, control, gasmodel, sim
 from pneusim.components import default_network
 from pneusim.control import Mode
 from pneusim.sim import SimulationDivergence, TimeSeries, simulate, step_scenario
@@ -98,12 +98,23 @@ class TestResolveScenario:
             "sweep_21kpa_half_liter",
             "discharge_2l_bottle",
         ):
-            raw = json.loads((SCENARIOS / f"{name}.json").read_text())
-            scn, resolved = (
-                cli.scenario_from_resolved(cli.resolve_scenario(raw)),
-                cli.resolve_scenario(raw),
-            )
+            scn, resolved = cli.load_scenario(SCENARIOS / f"{name}.json")
             assert cli.resolve_scenario(json.loads(json.dumps(resolved))) == resolved
+
+    def test_load_scenario_builds_each_record_once(self, monkeypatch):
+        built = []
+        for module in (gasmodel, components, control, sim):
+            for cls in vars(module).values():  # the records each module declares
+                if "KINDS" in getattr(cls, "__dict__", {}) and cls.__module__ == module.__name__:
+                    def post_init(self, original=cls.__post_init__):
+                        built.append(self)
+                        original(self)
+
+                    monkeypatch.setattr(cls, "__post_init__", post_init)
+        scn, _ = cli.load_scenario(SCENARIOS / "discharge_2l_bottle.json")
+        parts = [getattr(scn.network, f.name) for f in fields(scn.network)]
+        records = [scn, scn.gas, scn.controller, scn.command, scn.open_loop_command, *parts]
+        assert sorted(map(id, built)) == sorted(map(id, records))
 
 
 class TestCsvRoundTrip:
@@ -382,6 +393,16 @@ class TestSweepCommand:
         rc = cli.main(["sweep", str(scn_file), "--omegas", "0.5", "--out", str(tmp_path)])
         assert rc == 2
 
+    def test_point_beyond_row_budget_names_no_file_key(self, tmp_path):
+        # the sweep computes each point's duration, so its error names the record's keyword
+        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "0.0001,1"]
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "sweep_21kpa_half_liter_sweep.csv").read_text().splitlines()
+        err = rows[1].split(",")[3]
+        assert err == ("Scenario.duration: the run would hold more than 16777216 sample rows "
+                       "(duration * sample_rate)")
+        assert "scenario." not in err and rows[2].split(",")[3] == ""
+
     def test_zero_repeats_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch):
         from pneusim import analysis
 
@@ -425,6 +446,16 @@ class TestDischargeCommand:
         fit = json.loads((tmp_path / "flat_discharge_fit.json").read_text())
         assert fit["degenerate"]
 
+    def test_constant_subnormal_reservoir_flagged_degenerate(self, tmp_path):
+        # the reservoir cannot decay below the smallest subnormal, so every row is 5e-324
+        raw = json.loads((SCENARIOS / "discharge_2l_bottle.json").read_text())
+        raw["network"]["reservoir"]["P_r0_kPa"] = 5e-324
+        scn_file = write_json(tmp_path / "subnormal.json", raw)
+        argv = ["discharge", str(scn_file), "--duration", "0.02", "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        fit = json.loads((tmp_path / "subnormal_discharge_fit.json").read_text())
+        assert fit["degenerate"] and fit["tau_s"] is None
+
     def test_closed_loop_scenario_rejected(self, tmp_path):
         scn_file = write_json(tmp_path / "step.json", minimal_scenario())
         assert cli.main(["discharge", str(scn_file), "--out", str(tmp_path)]) == 2
@@ -462,6 +493,15 @@ class TestSizeCommand:
         top = report["feasible"][0]
         assert top["n_cycles"] == pytest.approx(302.85, abs=0.5)
         assert top["valve"] == "EVP-2505"
+
+    def test_catalog_valve_deadband_rejected(self, tmp_path, capsys):
+        # sizing rates a valve by its full conductance, so a deadband would change nothing
+        cat = json.loads((SCENARIOS / "reference_catalog.json").read_text())
+        cat["valves"][0]["deadband"] = 0.9
+        cat_file = write_json(tmp_path / "catalog.json", cat)
+        argv = ["size", str(SCENARIOS / "demo_requirements.json"), str(cat_file)]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == "error: catalog.valves[0]: unknown key(s): deadband\n"
 
     def test_impossible_requirements_exit_4(self, tmp_path):
         req = {

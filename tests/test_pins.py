@@ -17,7 +17,7 @@ import re
 import sys
 import tempfile
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -173,9 +173,10 @@ def test_benchmark_workload_pins(name, tmp_path, monkeypatch):
     assert cli.main(wl.cli_args(Path("out"))) == 0
     assert workloads.digest(wl, Path("out")) == WORKLOAD_DIGESTS[name]
 
-def test_cli_defaults_equal_python_defaults():
+def test_cli_defaults_equal_python_defaults(tmp_path):
     raw = {"schema_version": 1, "command": {"kind": "step", "target_kPa": 69.0}}
-    scn = cli.scenario_from_resolved(cli.resolve_scenario(raw))
+    (tmp_path / "step.json").write_text(json.dumps(raw))
+    scn, _ = cli.load_scenario(tmp_path / "step.json")
     ref = step_scenario(69.0)
     for f in fields(Scenario):
         assert getattr(scn, f.name) == getattr(ref, f.name), f.name
@@ -273,7 +274,7 @@ FIELD_ERROR = re.compile(
 
 def _stub_run(scn: Scenario):
     """What cli.simulate returns in the run-flag property: a valid two-row trace."""
-    scn.validate()
+    replace(scn)  # the scenario it was given keeps its rules
     columns = {name: np.zeros(2) for name in TimeSeries._COLUMNS}
     columns["t"] = np.array([0.0, scn.dt])
     columns["mode"] = np.zeros(2, dtype=np.uint8)
@@ -345,7 +346,7 @@ def _field_cases() -> list:
         cases += [(doc, path, key) for path, keys in sections.items() for key in keys]
     cases += [(doc, (), key) for doc in ("demo_requirements", "rate_requirements")
               for key in rows(cli.REQUIREMENTS)]
-    entry_rows = {"valves": rows(cli.VALVE_OPTION) + rows(cli.VALVE, "flow_max_slpm"),
+    entry_rows = {"valves": rows(cli.VALVE_OPTION, "flow_max_slpm"),
                   "reservoirs": rows(cli.RESERVOIR_OPTION), "venturis": rows(cli.VENTURI_OPTION)}
     for name, keys in entry_rows.items():
         for i in range(len(BASES["reference_catalog"][name])):

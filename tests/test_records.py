@@ -6,6 +6,7 @@ records' declarations, so a bound dropped from a declaration fails here.
 
 import math
 import re
+from dataclasses import replace
 
 import pytest
 
@@ -87,6 +88,17 @@ OUT_OF_RANGE = [
     (sim.Scenario, "duration", {"duration": -3.0}),
     (sim.Scenario, "sample_rate", {"sample_rate": 0.0}),
     (sim.Scenario, "seed", {"seed": -1}),
+    # the run's rules: dt divides the sample and control periods, the run fits its budgets
+    (sim.Scenario, "duration", {"duration": 1e-4}),
+    (sim.Scenario, "sample_rate", {"sample_rate": 4000.0}),
+    (sim.Scenario, "sample_rate", {"sample_rate": 1700.0}),
+    (sim.Scenario, "controller.control_rate",
+     {"controller": replace(CONTROLLER, control_rate=700.0)}),
+    (sim.Scenario, "duration", {"duration": 1e5}),  # 2e8 sample rows
+    # open loop and two sample rows, so only the step count is beyond its limit
+    (sim.Scenario, "duration", {"duration": 2.0**31 + 1.0, "dt": 1.0, "sample_rate": 2.0**-31,
+                                "open_loop_command": control.IDLE_COMMAND}),
+    (sim.Scenario, "dt", {"dt": 2e-3, "sample_rate": 500.0}),  # above 1/(2*control_rate)
     (sizing.DesignRequirements, "v_cv", {"v_cv": 0.0}),
     (sizing.DesignRequirements, "dp_cv", {"dp_cv": -20.7}),
     (sizing.DesignRequirements, "pdot_d", {"pdot_d": 0.0}),

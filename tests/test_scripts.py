@@ -67,3 +67,16 @@ def test_benchmark_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_setup_probe_prints_one_float():
+    # perfbench/setup_probe.py times the resolution of a workload's inputs through cli's
+    # resolvers by name; a renamed or failing one fails here rather than in the benchmark
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    for args in (("scenario", "scenarios/step_69kpa_half_liter.json"),
+                 ("size", "scenarios/demo_requirements.json", "scenarios/reference_catalog.json")):
+        proc = subprocess.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"), *args],
+                              env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert math.isfinite(float(proc.stdout)) and proc.stdout.count("\n") == 1, proc.stdout

@@ -98,22 +98,22 @@ class TestCommandSignals:
 
 class TestScenarioValidation:
     def test_default_step_scenario_is_valid(self):
-        step_scenario(69.0).validate()
+        replace(step_scenario(69.0))  # construction and replace each run the rules
 
     def test_dt_versus_control_rate(self):
         scn = step_scenario(69.0)
         with pytest.raises(ValueError):
-            replace(scn, dt=2e-3).validate()
+            replace(scn, dt=2e-3)
 
     def test_sample_rate_cannot_exceed_step_rate(self):
         scn = step_scenario(69.0)
         with pytest.raises(ValueError):
-            replace(scn, sample_rate=4000.0).validate()
+            replace(scn, sample_rate=4000.0)
 
     def test_strides_must_divide_evenly(self):
         scn = step_scenario(69.0)
         with pytest.raises(ValueError):
-            replace(scn, sample_rate=1700.0).validate()
+            replace(scn, sample_rate=1700.0)
 
     def test_step_budget(self):
         # open loop and two sample rows, so only the step count is at its limit
@@ -127,9 +127,13 @@ class TestScenarioValidation:
             sample_rate=1.0 / MAX_STEPS,
             open_loop_command=IDLE_COMMAND,
         )
-        scn.validate()
-        with pytest.raises(ValueError, match=r"^scenario\.run\.duration_s: .* 2147483648 steps"):
-            replace(scn, duration=MAX_STEPS + 1.0).validate()
+        with pytest.raises(ValueError, match=r"^Scenario\.duration: .* 2147483648 steps"):
+            replace(scn, duration=MAX_STEPS + 1.0)
+
+    def test_duration_below_dt_does_not_run(self):
+        # a run shorter than one step would take a whole step, past the duration given
+        with pytest.raises(ValueError, match=r"^Scenario\.duration: must be >= dt$"):
+            simulate(replace(step_scenario(69.0), duration=1e-4))
 
 
 RATE_KEYS = ("dp_r", "dp_cv", "q_in", "q_out", "q_motive")
