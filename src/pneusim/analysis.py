@@ -16,13 +16,16 @@ import numpy as np
 
 from .sim import Scenario, SineCommand, TimeSeries, simulate
 
+BAND_KPA = 1.0  # the fine-regulation band around a step target
+SWEEP_PERIODS = 4  # periods a sweep point runs after its startup period
+
 
 @dataclass(frozen=True)
 class StepMetrics:
     """Rise/settle summary of a step trace.
 
     avg_rise_rate is the commanded step divided by the time to first enter
-    the +-band_kpa band around the target (the fine-regulation handoff).
+    the +-BAND_KPA band around the target (the fine-regulation handoff).
     """
 
     avg_rise_rate: float  # kPa/s, nan when the band is never reached
@@ -77,9 +80,7 @@ def _first_crossing_time(t: np.ndarray, y: np.ndarray, level: float) -> float:
     return float(t[i - 1] + frac * (t[i] - t[i - 1]))
 
 
-def step_metrics(
-    ts: TimeSeries, target: float, model_rate: float, band_kpa: float = 1.0
-) -> StepMetrics:
+def step_metrics(ts: TimeSeries, target: float, model_rate: float) -> StepMetrics:
     """Metrics of a closed-loop step trace against the linear-rate model."""
     if not target > 0.0:
         raise ValueError("target must be strictly positive")
@@ -92,7 +93,7 @@ def step_metrics(
     t0 = float(ts.t[i0])
     p0 = float(ts.p_cv[i0])
 
-    t_band = _first_crossing_time(ts.t[i0:], ts.p_cv[i0:], target - band_kpa)
+    t_band = _first_crossing_time(ts.t[i0:], ts.p_cv[i0:], target - BAND_KPA)
     reached = not math.isnan(t_band)
     avg_rate = (target - p0) / (t_band - t0) if reached and t_band > t0 else math.nan
 
@@ -103,7 +104,7 @@ def step_metrics(
 
     overshoot = float(np.max(ts.p_cv)) - target
 
-    outside = np.abs(ts.p_cv[i0:] - target) > band_kpa
+    outside = np.abs(ts.p_cv[i0:] - target) > BAND_KPA
     if not outside.any():
         settled, settling = True, 0.0
     elif outside[-1]:
@@ -144,12 +145,7 @@ def single_bin_gain(response, omega: float, amplitude: float, sample_rate: float
     return gain
 
 
-def frequency_sweep(
-    scn_template: Scenario,
-    omegas,
-    n_periods: int = 4,
-    n_repeat: int = 1,
-) -> list[FrequencyPoint]:
+def frequency_sweep(scn_template: Scenario, omegas, n_repeat: int = 1) -> list[FrequencyPoint]:
     """Simulate one sine response per frequency and extract the gain at each.
 
     The command offset is set to the amplitude so the command minimum is 0.
@@ -171,7 +167,7 @@ def frequency_sweep(
     points: list[FrequencyPoint] = []
     for omega in omegas:
         try:
-            duration = (1 + n_periods) / omega + 2.0 / scn_template.sample_rate
+            duration = (1 + SWEEP_PERIODS) / omega + 2.0 / scn_template.sample_rate
             gains = []
             periods = 0
             for rep in range(n_repeat):

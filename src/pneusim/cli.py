@@ -40,7 +40,6 @@ from .sim import (
     SineCommand,
     StepCommand,
     TimeSeries,
-    controller_for_network,
     simulate,
 )
 from .sizing import (
@@ -83,8 +82,8 @@ _REQUIRED = object()
 _NET = default_network()
 
 
-def _table(owner, *rows: tuple, make=None) -> tuple:
-    """(constructor, rows): make, or owner's class; checks and defaults read from owner."""
+def _table(owner, *rows: tuple) -> tuple:
+    """(constructor, rows): owner's class; checks and defaults read from owner."""
     cls = owner if isinstance(owner, type) else type(owner)
 
     def row(key, kw, check=None, default=_REQUIRED) -> tuple:
@@ -92,7 +91,7 @@ def _table(owner, *rows: tuple, make=None) -> tuple:
             default = getattr(owner, kw, _REQUIRED)
         return key, kw, check or cls.KINDS.get(kw, "num"), default
 
-    return make or cls, tuple(row(*r) for r in rows)
+    return cls, tuple(row(*r) for r in rows)
 
 
 GAS = _table(
@@ -142,7 +141,6 @@ CONTROLLER = _table(
     ("integrator_limit_kPa_s", "integrator_limit"),
     # the record takes any threshold: the control law compares against it as it is
     ("active_deflation_rate_threshold_kPa_s", "active_deflation_rate_threshold", "nonneg"),
-    make=controller_for_network,
 )
 COMMANDS = {
     "step": _table(StepCommand, ("target_kPa", "target_kpa"), ("start_s", "start_s")),
@@ -372,7 +370,9 @@ def _scenario(raw: dict) -> tuple[Scenario, dict]:
             network[name] = _object(net_obj.pop(name, {}), path, table)
         parts[name] = _build(table, network[name], path)
     _reject_unknown(net_obj, "scenario.network")
-    controller = _object(top.pop("controller", {}), "scenario.controller", CONTROLLER)
+    ctl = ("scenario.controller", CONTROLLER)
+    controller = _object(top.pop("controller", {}), *ctl)
+    ctl_cfg = _build(CONTROLLER, controller, ctl[0])
 
     if "command" not in top:
         raise ConfigError("scenario.command: required")
@@ -428,16 +428,13 @@ def _scenario(raw: dict) -> tuple[Scenario, dict]:
     _reject_unknown(run_obj, run_path)
     _reject_unknown(top, "scenario")
 
-    # the controller only now: controller_for_network divides alpha by R V, kept finite above
-    net = PneumaticNetwork(**parts)
-    ctl = ("scenario.controller", CONTROLLER)
     scn = _build(
         RUN,
         run,
         run_path,
         {"controller": ctl},
-        network=net,
-        controller=_build(CONTROLLER, controller, ctl[0], network=net, gc=gc),
+        network=PneumaticNetwork(**parts),
+        controller=ctl_cfg,
         command=cmd,
         open_loop_command=olc,
         gas=gc,
@@ -748,9 +745,13 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     from . import analysis  # here, not at the top: it loads numpy, which `size` never needs
 
+    if args.duration is not None:
+        raise ConfigError("--duration: sweep sets each point's duration from its frequency")
     run = _Run(args)
     if not isinstance(run.scn.command, SineCommand):
         raise ConfigError("scenario.command.kind: sweep needs a sine command")
+    if not run.scn.closed_loop:
+        raise ConfigError("scenario.run.mode: sweep needs a closed_loop scenario")
     try:
         omegas = [float(w) for w in args.omegas.split(",") if w.strip()]
     except ValueError:

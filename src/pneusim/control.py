@@ -55,13 +55,13 @@ ACTIVE_DEFLATE_COMMAND = ActuatorCommand(0.0, 1.0, True)
 
 
 @record(
-    passive_vent_coeff="nonneg", kp="nonneg", ki="nonneg", kd="nonneg", error_cutoff="pos",
-    control_rate="pos", settle_horizon="pos", integrator_limit="nonneg",
+    kp="nonneg", ki="nonneg", kd="nonneg", error_cutoff="pos", control_rate="pos",
+    settle_horizon="pos", integrator_limit="nonneg",
 )
 class ControllerConfig:
-    """Gains and thresholds; passive_vent_coeff is alpha/(r_open*v_cv)."""
+    """Gains and thresholds; how fast passive venting deflates is the network's
+    (``passive_vent_coeff``)."""
 
-    passive_vent_coeff: float  # (kPa/s) per kPa of CV gauge pressure
     kp: float = 0.05  # per kPa
     ki: float = 0.5  # per (kPa*s)
     kd: float = 0.0  # s per kPa... command per (kPa/s)
@@ -80,15 +80,17 @@ class ControllerState:
     duty_acc: float = 0.0  # solenoid duty accumulator for pulse venting
 
 
-def passive_vent_capability(
-    p_cv: float, r_open: float, v_cv: float, gc: GasConstants = DEFAULT_GAS
-) -> float:
-    """Instantaneous deflation rate (kPa/s) achievable by venting to atmosphere."""
+def passive_vent_coeff(r_open: float, v_cv: float, gc: GasConstants = DEFAULT_GAS) -> float:
+    """Deflation rate (kPa/s) per kPa of CV gauge pressure when venting to atmosphere.
+
+    alpha / v_cv / r_open, the exhaust law's rate: one division at a time, so
+    the product r_open * v_cv, which can underflow to 0, is never formed.
+    """
     if not v_cv > 0.0:
         raise ValueError("v_cv must be strictly positive")
     if not r_open > 0.0:
         raise ValueError("r_open must be strictly positive")
-    return alpha(gc) * max(0.0, p_cv) / (r_open * v_cv)
+    return alpha(gc) / v_cv / r_open
 
 
 def required_deflation_rate(error: float, cmd_rate_hint: float, cfg: ControllerConfig) -> float:
@@ -96,24 +98,27 @@ def required_deflation_rate(error: float, cmd_rate_hint: float, cfg: ControllerC
     return abs(cmd_rate_hint) + abs(error) / cfg.settle_horizon
 
 
-def control_kernel(cfg: ControllerConfig, state: ControllerState = ControllerState()):
+def control_kernel(
+    cfg: ControllerConfig, vent_coeff: float, state: ControllerState = ControllerState()
+):
     """The control law as one function of a config, built once per run.
 
-    Returns ``tick(p_cmd, p_meas, cmd_rate_hint) -> (u_inflate, u_motive,
-    solenoid_open, mode)``, one fixed-period update a call. The controller
-    state starts from ``state`` and lives in closure cells, so a tick builds
-    no ``ControllerState`` and no ``ActuatorCommand``; ``tick.state()``
-    returns it as a ``ControllerState``. The boundary |error| ==
-    error_cutoff belongs to the PID branch. Each clamp is written as the
-    comparison ``min``/``max`` would make (the first argument wins unless the
-    other is strictly smaller or larger), so -0.0 and NaN come out as theirs.
+    ``vent_coeff`` is the network's ``passive_vent_coeff``: passive venting
+    deflates at ``vent_coeff * p_meas``. Returns ``tick(p_cmd, p_meas,
+    cmd_rate_hint) -> (u_inflate, u_motive, solenoid_open, mode)``, one
+    fixed-period update a call. The controller state starts from ``state``
+    and lives in closure cells, so a tick builds no ``ControllerState`` and
+    no ``ActuatorCommand``; ``tick.state()`` returns it as a
+    ``ControllerState``. The boundary |error| == error_cutoff belongs to the
+    PID branch. Each clamp is written as the comparison ``min``/``max`` would
+    make (the first argument wins unless the other is strictly smaller or
+    larger), so -0.0 and NaN come out as theirs.
     """
     cutoff = cfg.error_cutoff
     dt = 1.0 / cfg.control_rate
     kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
     limit = cfg.integrator_limit
     neg_limit = -limit
-    vent_coeff = cfg.passive_vent_coeff
     threshold = cfg.active_deflation_rate_threshold
     isfinite = math.isfinite
     pid, inflate, vent, deflate = Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE
@@ -180,6 +185,7 @@ def control_step(
     p_meas: float,
     cmd_rate_hint: float,
     cfg: ControllerConfig,
+    vent_coeff: float,
     state: ControllerState,
 ) -> tuple[ActuatorCommand, ControllerState]:
     """One fixed-period control update; returns the command and the next state.
@@ -188,7 +194,7 @@ def control_step(
     time-derivative (0 for steps). One tick of a ``control_kernel`` seeded
     with ``state``; fixed commands are the shared module constants.
     """
-    tick = control_kernel(cfg, state)
+    tick = control_kernel(cfg, vent_coeff, state)
     u_inflate, u_motive, solenoid_open, mode = tick(p_cmd, p_meas, cmd_rate_hint)
     if mode is not Mode.PID:
         cmd = _MODE_COMMANDS[mode]

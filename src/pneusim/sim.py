@@ -38,6 +38,7 @@ from .control import (
     Mode,
     control_kernel,
     control_step,  # noqa: F401
+    passive_vent_coeff,
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
 from .gasmodel import FieldError, check, record
@@ -145,21 +146,13 @@ class PiecewiseCommand:
 CommandSignal = StepCommand | SineCommand | PiecewiseCommand
 
 
-def controller_for_network(
-    network: PneumaticNetwork, gc: GasConstants = DEFAULT_GAS, **overrides
-) -> ControllerConfig:
-    """ControllerConfig whose venting-capability estimate matches the network."""
-    coeff = alpha(gc) / (network.solenoid.r_open * network.control_volume.v_cv)
-    return ControllerConfig(passive_vent_coeff=coeff, **overrides)
-
-
 @record(dt="pos", duration="pos", sample_rate="pos", seed="int")
 class Scenario:
     """Everything that determines one run; identical scenarios give identical output."""
 
     network: PneumaticNetwork
-    controller: ControllerConfig
     command: CommandSignal
+    controller: ControllerConfig = ControllerConfig()
     dt: float = 5e-4
     duration: float = 3.0
     sample_rate: float = 2000.0
@@ -664,7 +657,8 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         memoryview(columns[name]) for name in TimeSeries._COLUMNS
     )
     read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
-    control = control_kernel(scn.controller)
+    vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
+    control = control_kernel(scn.controller, vent_coeff)
     cmd_value = scn.command.value
     cmd_rate = scn.command.rate
     region, flows, span, cross = prop.region, prop.flows, prop.span, prop.cross
@@ -770,8 +764,8 @@ def step_scenario(
     net = default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv)
     return Scenario(
         network=net,
-        controller=controller_for_network(net, **controller_overrides),
         command=StepCommand(target_kpa=target_kpa),
+        controller=ControllerConfig(**controller_overrides),
         duration=duration,
         hold_reservoir=hold_reservoir,
     )
@@ -791,7 +785,6 @@ def discharge_scenario(
     stride = max(1, round(1.0 / (500.0 * dt)))
     return Scenario(
         network=net,
-        controller=controller_for_network(net),
         command=StepCommand(target_kpa=0.0),
         dt=dt,
         duration=duration,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import gasmodel as gm
-from .gasmodel import DEFAULT_GAS, FieldError, GasConstants, record
+from .gasmodel import FieldError, record
 
 
 @record(v_cv="pos", dp_cv="pos", pdot_d="pos", amplitude="pos", freq_hz="pos", min_cycles="nonneg")
@@ -106,22 +106,18 @@ class DesignReport:
 
 
 def evaluate_design(
-    req: DesignRequirements,
-    valve: ValveOption,
-    reservoir: ReservoirOption,
-    gc: GasConstants = DEFAULT_GAS,
+    req: DesignRequirements, valve: ValveOption, reservoir: ReservoirOption
 ) -> DesignEntry:
     """Score one combination; never raises on infeasibility, only flags it."""
     rate, amp = req.demanded_rate(), req.reference_amplitude()
-    min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv, gc)
-    return _score(req, valve, reservoir, gc, rate, amp, gm.cutoff_frequency(rate, amp), min_p_r)
+    min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv)
+    return _score(req, valve, reservoir, rate, amp, gm.cutoff_frequency(rate, amp), min_p_r)
 
 
 def _score(
     req: DesignRequirements,
     valve: ValveOption,
     reservoir: ReservoirOption,
-    gc: GasConstants,
     rate: float,
     amp: float,
     cutoff_floor: float,
@@ -130,8 +126,8 @@ def _score(
     """``evaluate_design`` given the terms that do not depend on the reservoir."""
     derated = reservoir.p_max > valve.p_inlet_max
     p_r0 = min(reservoir.p_max, valve.p_inlet_max)
-    cutoff_full = gm.cutoff_frequency(gm.inflation_rate(p_r0, valve.r_vmin, req.v_cv, gc), amp)
-    cycles = gm.n_cycles(p_r0, req.v_cv, valve.r_vmin, rate, reservoir.v_r, req.dp_cv, gc)
+    cutoff_full = gm.cutoff_frequency(gm.inflation_rate(p_r0, valve.r_vmin, req.v_cv), amp)
+    cycles = gm.n_cycles(p_r0, req.v_cv, valve.r_vmin, rate, reservoir.v_r, req.dp_cv)
 
     limiting: list[str] = []
     if min_p_r > p_r0:
@@ -154,9 +150,7 @@ def _score(
     )
 
 
-def enumerate_catalog(
-    req: DesignRequirements, catalog: ComponentCatalog, gc: GasConstants = DEFAULT_GAS
-) -> DesignReport:
+def enumerate_catalog(req: DesignRequirements, catalog: ComponentCatalog) -> DesignReport:
     """Evaluate every valve x reservoir pair and rank the feasible ones.
 
     Each entry equals ``evaluate_design`` of its pair; the terms that do not
@@ -168,9 +162,9 @@ def enumerate_catalog(
     cutoff_floor = gm.cutoff_frequency(rate, amp)
     entries = []
     for valve in catalog.valves:
-        min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv, gc)
+        min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv)
         entries += [
-            _score(req, valve, reservoir, gc, rate, amp, cutoff_floor, min_p_r)
+            _score(req, valve, reservoir, rate, amp, cutoff_floor, min_p_r)
             for reservoir in catalog.reservoirs
         ]
     key = lambda e: (e.total_mass_g, -e.n_cycles, e.valve, e.reservoir)

@@ -18,10 +18,11 @@ from pneusim import analysis as an
 from pneusim import cli
 from pneusim import gasmodel as gm
 from pneusim.components import default_network
-from pneusim.control import ControllerState, Mode, control_step, passive_vent_capability
+from pneusim.control import (
+    ControllerConfig, ControllerState, Mode, control_step, passive_vent_coeff,
+)
 from pneusim.sim import (
     SineCommand,
-    controller_for_network,
     discharge_scenario,
     mass_balance,
     simulate,
@@ -90,7 +91,7 @@ def test_criterion_2_discharge_oracle_equivalence():
 def test_criterion_3_step_response(step_run):
     scn, ts, elapsed = step_run
     model_rate = gm.inflation_rate(689.0, scn.network.inflation_valve.r_vmin, 0.5, scn.gas)
-    metrics = an.step_metrics(ts, 69.0, model_rate=model_rate, band_kpa=1.0)
+    metrics = an.step_metrics(ts, 69.0, model_rate=model_rate)
     rate_err = abs(metrics.avg_rise_rate - model_rate) / model_rate
     ok = rate_err <= 0.05 and metrics.nrmse < 0.03 and elapsed < 2.0
     report(
@@ -187,10 +188,11 @@ def test_criterion_7_mass_conservation(step_run, sweep_run):
 def test_criterion_8_controller_contract():
     # on/off engaged iff |e| > 1 kPa; boundary belongs to PID
     net = default_network()
-    cfg = controller_for_network(net)
+    cfg = ControllerConfig()
+    vent = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv)
     modes = {}
     for e in (1.0, -1.0, 1.0 + 1e-9, -(1.0 + 1e-9), 50.0, -50.0, 0.0):
-        _, state = control_step(40.0 + e, 40.0, 0.0, cfg, ControllerState())
+        _, state = control_step(40.0 + e, 40.0, 0.0, cfg, vent, ControllerState())
         modes[e] = state.mode
     branch_ok = (
         modes[1.0] is Mode.PID
@@ -202,10 +204,10 @@ def test_criterion_8_controller_contract():
     )
 
     # active deflation engaged only beyond the passive venting capability
-    cap = passive_vent_capability(50.0, net.solenoid.r_open, net.control_volume.v_cv)
+    cap = vent * 50.0
     gentle_cfg = replace(cfg, settle_horizon=1.0)
-    _, gentle = control_step(48.0, 50.0, 0.0, gentle_cfg, ControllerState())
-    _, urgent = control_step(0.0, 50.0, -300.0, cfg, ControllerState())
+    _, gentle = control_step(48.0, 50.0, 0.0, gentle_cfg, vent, ControllerState())
+    _, urgent = control_step(0.0, 50.0, -300.0, cfg, vent, ControllerState())
     vent_ok = gentle.mode is Mode.VENT and urgent.mode is Mode.ACTIVE_DEFLATE
     assert 2.0 / 1.0 < cap  # gentle case demand (2 kPa over 1 s) is below capability
 

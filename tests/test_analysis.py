@@ -12,7 +12,6 @@ from pneusim.sim import (
     SineCommand,
     StepCommand,
     TimeSeries,
-    controller_for_network,
     discharge_scenario,
     simulate,
     step_scenario,
@@ -75,7 +74,7 @@ class TestStepMetrics:
     def test_rise_rate_of_exact_ramp(self):
         # commanded step over time-to-band of an exact ramp: rate*target/(target-band)
         ts = self.make_ramp_trace(80.0, 69.0)
-        m = an.step_metrics(ts, 69.0, model_rate=80.0, band_kpa=1.0)
+        m = an.step_metrics(ts, 69.0, model_rate=80.0)
         assert m.avg_rise_rate == pytest.approx(80.0 * 69.0 / 68.0, rel=1e-6)
 
     def test_flags_trace_that_never_reaches(self):
@@ -226,7 +225,6 @@ class TestFrequencySweep:
         net = default_network(v_cv=0.5, p_r0=689.0)
         return Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=SineCommand(amplitude_kpa=21.0, freq_hz=1.0, offset_kpa=21.0),
             hold_reservoir=True,
         )

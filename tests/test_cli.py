@@ -331,8 +331,8 @@ class TestSimulateCommand:
         ],
     )
     def test_overflowing_rate_constant_exit_2(self, tmp_path, capsys, section, key, value):
-        # alpha = rho*R_u*T/M, alpha / V_r_L, alpha / V_cv_L or the controller's
-        # alpha / (R_open * V_cv) is infinite, and with it the first state or command
+        # alpha = rho*R_u*T/M, alpha / V_r_L, alpha / V_cv_L or the exhaust's
+        # alpha / V_cv / R_open is infinite, and with it the first state or command
         raw = minimal_scenario()
         outer, _, inner = section.partition(".")
         raw[outer] = {inner: {key: value}} if inner else {key: value}
@@ -340,6 +340,19 @@ class TestSimulateCommand:
         assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: scenario.{section}.{key}: too small: ") and err.count("\n") == 1
+
+    def test_tiny_exhaust_product_runs(self, tmp_path, capsys):
+        # R_open * V_cv underflows to 0, but alpha / V_cv / R_open, the venting
+        # coefficient the run derives, is finite
+        raw = json.loads((SCENARIOS / "step_69kpa_half_liter.json").read_text())
+        raw["gas"] = {"rho_kg_per_m3": 1e-300}
+        raw["network"]["solenoid"]["R_open_kPa_s_per_L"] = 1e-150
+        raw["network"]["control_volume"]["V_cv_L"] = 1e-175
+        scn_file = write_json(tmp_path / "scn.json", raw)
+        argv = ["simulate", str(scn_file), "--duration", "0.01", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        assert (tmp_path / "out" / "scn_timeseries.csv").stat().st_size > 0
 
     def test_tiny_held_reservoir_runs(self, tmp_path):
         # a held reservoir's volume is not in the rates
@@ -392,6 +405,32 @@ class TestSweepCommand:
         scn_file = write_json(tmp_path / "step.json", minimal_scenario())
         rc = cli.main(["sweep", str(scn_file), "--omegas", "0.5", "--out", str(tmp_path)])
         assert rc == 2
+
+    def test_open_loop_scenario_exit_2(self, tmp_path, capsys, monkeypatch):
+        # the command drives nothing in open loop, so no gain could be measured
+        from pneusim import analysis
+
+        raw = json.loads((SCENARIOS / "sweep_21kpa_half_liter.json").read_text())
+        raw["run"]["mode"] = "open_loop"
+        raw["run"]["open_loop_command"] = {"u_evp": 0.0, "u_dvp": 0.0, "solenoid_open": False}
+        scn_file = write_json(tmp_path / "open.json", raw)
+        monkeypatch.setattr(analysis, "simulate", lambda scn: pytest.fail("simulated"))
+        argv = ["sweep", str(scn_file), "--omegas", "0.5,1", "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario.run.mode: sweep needs a closed_loop scenario\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    def test_duration_flag_exit_2_before_writing(self, tmp_path, capsys, monkeypatch):
+        # each point's duration follows from its frequency, so --duration would be ignored
+        from pneusim import analysis
+
+        monkeypatch.setattr(analysis, "simulate", lambda scn: pytest.fail("simulated"))
+        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35"]
+        assert cli.main([*argv, "--duration", "0.75", "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: --duration: ")
+        assert not (tmp_path / "out").exists()
 
     def test_point_beyond_row_budget_names_no_file_key(self, tmp_path):
         # the sweep computes each point's duration, so its error names the record's keyword

@@ -15,78 +15,91 @@ from pneusim.control import (
     Mode,
     control_kernel,
     control_step,
-    passive_vent_capability,
+    passive_vent_coeff,
     required_deflation_rate,
 )
 
 
-def make_cfg(**kwargs):
-    defaults = dict(passive_vent_coeff=gm.alpha(gm.DEFAULT_GAS) / (100.0 * 0.5))
-    defaults.update(kwargs)
-    return ControllerConfig(**defaults)
+# the default network's venting coefficient: R_open 100 kPa s/L into a 0.5 L control volume
+VENT = gm.alpha(gm.DEFAULT_GAS) / (100.0 * 0.5)
+
+
+def vent_capability(p_meas: float, r_open: float, v_cv: float) -> float:
+    """The deflation rate passive venting reaches, as the kernel forms it."""
+    return passive_vent_coeff(r_open, v_cv) * max(0.0, p_meas)
 
 
 class TestPassiveVentCapability:
     def test_ambient_cv_cannot_vent(self):
-        assert passive_vent_capability(0.0, 100.0, 0.1) == 0.0
+        assert vent_capability(0.0, 100.0, 0.1) == 0.0
 
     def test_small_actuator(self):
-        assert passive_vent_capability(20.7, 100.0, 0.1) == pytest.approx(209.73, abs=0.02)
+        assert vent_capability(20.7, 100.0, 0.1) == pytest.approx(209.73, abs=0.02)
 
     def test_doubling_resistance_halves_rate(self):
-        assert passive_vent_capability(20.7, 200.0, 0.1) == pytest.approx(
-            passive_vent_capability(20.7, 100.0, 0.1) / 2, rel=1e-12
+        assert vent_capability(20.7, 200.0, 0.1) == pytest.approx(
+            vent_capability(20.7, 100.0, 0.1) / 2, rel=1e-12
         )
 
     def test_negative_pressure_clamped(self):
-        assert passive_vent_capability(-5.0, 100.0, 0.1) == 0.0
+        assert vent_capability(-5.0, 100.0, 0.1) == 0.0
 
     def test_rejects_bad_volume(self):
         with pytest.raises(ValueError):
-            passive_vent_capability(20.0, 100.0, 0.0)
+            passive_vent_coeff(100.0, 0.0)
+
+    def test_rejects_bad_resistance(self):
+        with pytest.raises(ValueError):
+            passive_vent_coeff(0.0, 0.5)
+
+    def test_order_is_alpha_over_volume_over_resistance(self):
+        a = gm.alpha(gm.DEFAULT_GAS)
+        for r_open, v_cv in ((100.0, 0.5), (37.3, 0.3), (1e-150, 1e-175)):
+            assert passive_vent_coeff(r_open, v_cv).hex() == (a / v_cv / r_open).hex()
 
 
 class TestModeSelection:
     def test_large_positive_error_maximizes_inflow(self):
-        cfg = make_cfg()
-        cmd, state = control_step(69.0, 19.0, 0.0, cfg, ControllerState())
+        cfg = ControllerConfig()
+        cmd, state = control_step(69.0, 19.0, 0.0, cfg, VENT, ControllerState())
         assert state.mode is Mode.ON_OFF_INFLATE
         assert cmd.u_inflate == 1.0
         assert cmd.u_motive == 0.0
         assert not cmd.solenoid_open
 
     def test_zero_error_zero_state_idles(self):
-        cfg = make_cfg()
-        cmd, state = control_step(50.0, 50.0, 0.0, cfg, ControllerState())
+        cfg = ControllerConfig()
+        cmd, state = control_step(50.0, 50.0, 0.0, cfg, VENT, ControllerState())
         assert state.mode is Mode.PID
         assert cmd.u_inflate == 0.0
         assert not cmd.solenoid_open
 
     def test_boundary_errors_stay_in_pid_branch(self):
-        cfg = make_cfg()
+        cfg = ControllerConfig()
         for e in (cfg.error_cutoff, -cfg.error_cutoff):
-            _, state = control_step(50.0 + e, 50.0, 0.0, cfg, ControllerState())
+            _, state = control_step(50.0 + e, 50.0, 0.0, cfg, VENT, ControllerState())
             assert state.mode is Mode.PID
 
     def test_just_outside_band_switches(self):
-        cfg = make_cfg()
+        cfg = ControllerConfig()
         eps = 1e-9
-        _, up = control_step(50.0 + cfg.error_cutoff + eps, 50.0, 0.0, cfg, ControllerState())
-        _, down = control_step(50.0 - cfg.error_cutoff - eps, 50.0, 0.0, cfg, ControllerState())
+        up_cmd, down_cmd = 50.0 + cfg.error_cutoff + eps, 50.0 - cfg.error_cutoff - eps
+        _, up = control_step(up_cmd, 50.0, 0.0, cfg, VENT, ControllerState())
+        _, down = control_step(down_cmd, 50.0, 0.0, cfg, VENT, ControllerState())
         assert up.mode is Mode.ON_OFF_INFLATE
         assert down.mode in (Mode.VENT, Mode.ACTIVE_DEFLATE)
 
     def test_active_deflation_only_above_passive_capability(self):
         # capability 10 kPa/s, required rate 40 kPa/s -> motive assist engaged
-        cfg = make_cfg(passive_vent_coeff=10.0 / 50.0, settle_horizon=2.0)
-        cmd, state = control_step(0.0, 50.0, -15.0, cfg, ControllerState())
+        cfg = ControllerConfig(settle_horizon=2.0)
+        cmd, state = control_step(0.0, 50.0, -15.0, cfg, 10.0 / 50.0, ControllerState())
         assert required_deflation_rate(-50.0, -15.0, cfg) == 40.0
         assert state.mode is Mode.ACTIVE_DEFLATE
         assert cmd.solenoid_open and cmd.u_motive == 1.0
 
     def test_passive_vent_when_capability_suffices(self):
-        cfg = make_cfg(passive_vent_coeff=100.0 / 50.0, settle_horizon=2.0)
-        cmd, state = control_step(0.0, 50.0, -15.0, cfg, ControllerState())
+        cfg = ControllerConfig(settle_horizon=2.0)
+        cmd, state = control_step(0.0, 50.0, -15.0, cfg, 100.0 / 50.0, ControllerState())
         assert state.mode is Mode.VENT
         assert cmd.solenoid_open and cmd.u_motive == 0.0
 
@@ -95,70 +108,70 @@ class TestModeSelection:
         hint=st.floats(min_value=-200.0, max_value=200.0, allow_nan=False),
     )
     def test_mode_is_pure_function_of_inputs(self, e, hint):
-        cfg = make_cfg()
-        _, s1 = control_step(30.0 + e, 30.0, hint, cfg, ControllerState())
-        _, s2 = control_step(30.0 + e, 30.0, hint, cfg, ControllerState())
+        cfg = ControllerConfig()
+        _, s1 = control_step(30.0 + e, 30.0, hint, cfg, VENT, ControllerState())
+        _, s2 = control_step(30.0 + e, 30.0, hint, cfg, VENT, ControllerState())
         assert s1.mode is s2.mode
         assert (s1.mode is not Mode.PID) == (abs(e) > cfg.error_cutoff)
 
     def test_active_never_engaged_when_passive_suffices(self):
-        cfg = make_cfg()
+        cfg = ControllerConfig()
         for p_meas in (10.0, 50.0, 150.0):
             for hint in (0.0, -5.0, -40.0):
-                cmd, state = control_step(p_meas - 30.0, p_meas, hint, cfg, ControllerState())
+                cmd, state = control_step(p_meas - 30.0, p_meas, hint, cfg, VENT, ControllerState())
                 required = required_deflation_rate(-30.0, hint, cfg)
-                capability = cfg.passive_vent_coeff * p_meas
+                capability = VENT * p_meas
                 if state.mode is Mode.ACTIVE_DEFLATE:
                     assert required > capability
 
     def test_rejects_non_finite_inputs(self):
-        cfg = make_cfg()
+        cfg = ControllerConfig()
         with pytest.raises(ValueError):
-            control_step(math.nan, 0.0, 0.0, cfg, ControllerState())
+            control_step(math.nan, 0.0, 0.0, cfg, VENT, ControllerState())
         with pytest.raises(ValueError):
-            control_step(0.0, math.inf, 0.0, cfg, ControllerState())
+            control_step(0.0, math.inf, 0.0, cfg, VENT, ControllerState())
 
 
 class TestPidBranch:
     def test_proportional_output(self):
-        cfg = make_cfg(kp=0.5, ki=0.0, kd=0.0)
-        cmd, _ = control_step(50.8, 50.0, 0.0, cfg, ControllerState())
+        cfg = ControllerConfig(kp=0.5, ki=0.0, kd=0.0)
+        cmd, _ = control_step(50.8, 50.0, 0.0, cfg, VENT, ControllerState())
         assert cmd.u_inflate == pytest.approx(0.4, rel=1e-12)
 
     def test_output_clamped_to_one(self):
-        cfg = make_cfg(kp=5.0, ki=0.0, kd=0.0)
-        cmd, _ = control_step(50.9, 50.0, 0.0, cfg, ControllerState())
+        cfg = ControllerConfig(kp=5.0, ki=0.0, kd=0.0)
+        cmd, _ = control_step(50.9, 50.0, 0.0, cfg, VENT, ControllerState())
         assert cmd.u_inflate == 1.0
 
     def test_integrator_reset_on_entry(self):
-        cfg = make_cfg()
+        cfg = ControllerConfig()
         state = ControllerState(integrator=1.5, prev_error=5.0, mode=Mode.ON_OFF_INFLATE)
-        _, new = control_step(50.0, 50.0, 0.0, cfg, state)
+        _, new = control_step(50.0, 50.0, 0.0, cfg, VENT, state)
         assert new.mode is Mode.PID
         assert abs(new.integrator) <= 1e-12
 
     def test_integrator_carried_within_pid(self):
-        cfg = make_cfg(ki=1.0)
+        cfg = ControllerConfig(ki=1.0)
         state = ControllerState(mode=Mode.PID, integrator=0.5, prev_error=0.5)
-        _, new = control_step(50.5, 50.0, 0.0, cfg, state)
+        _, new = control_step(50.5, 50.0, 0.0, cfg, VENT, state)
         assert new.integrator == pytest.approx(0.5 + 0.5 / cfg.control_rate, rel=1e-12)
 
     def test_negative_output_vents_with_duty(self):
-        cfg = make_cfg(kp=0.5, ki=0.0)
+        cfg = ControllerConfig(kp=0.5, ki=0.0)
         # error -0.8 -> u = -0.4 -> duty accumulates, opens every 1/0.4 periods
         state = ControllerState(mode=Mode.PID)
         opens = 0
         for _ in range(100):
-            cmd, state = control_step(49.2, 50.0, 0.0, cfg, state)
+            cmd, state = control_step(49.2, 50.0, 0.0, cfg, VENT, state)
             assert cmd.u_inflate == 0.0
             opens += cmd.solenoid_open
         assert opens == pytest.approx(40, abs=1)
 
     def test_leaving_the_band_clears_duty_and_keeps_integrator(self):
-        cfg = make_cfg()
+        cfg = ControllerConfig()
         state = ControllerState(integrator=0.5, prev_error=-0.5, mode=Mode.PID, duty_acc=0.75)
         for p_cmd in (69.0, 0.0):  # far above, then far below the band
-            _, new = control_step(p_cmd, 19.0, 0.0, cfg, state)
+            _, new = control_step(p_cmd, 19.0, 0.0, cfg, VENT, state)
             assert (new.mode is not Mode.PID, new.duty_acc, new.integrator) == (True, 0.0, 0.5)
 
     @given(
@@ -167,10 +180,10 @@ class TestPidBranch:
         )
     )
     def test_integrator_never_exceeds_limit(self, errors):
-        cfg = make_cfg(ki=2.0, integrator_limit=0.05)
+        cfg = ControllerConfig(ki=2.0, integrator_limit=0.05)
         state = ControllerState()
         for e in errors:
-            _, state = control_step(50.0 + e, 50.0, 0.0, cfg, state)
+            _, state = control_step(50.0 + e, 50.0, 0.0, cfg, VENT, state)
             assert abs(state.integrator) <= cfg.integrator_limit + 1e-15
 
 
@@ -192,9 +205,9 @@ class TestActuatorCommand:
         integ=st.floats(min_value=-2.0, max_value=2.0, allow_nan=False),
     )
     def test_controller_never_emits_wasted_motive(self, e, hint, integ):
-        cfg = make_cfg()
+        cfg = ControllerConfig()
         state = ControllerState(integrator=integ, mode=Mode.PID)
-        cmd, _ = control_step(40.0 + e, 40.0, hint, cfg, state)
+        cmd, _ = control_step(40.0 + e, 40.0, hint, cfg, VENT, state)
         assert not (cmd.u_inflate > 0 and cmd.u_motive > 0 and not cmd.solenoid_open)
 
 
@@ -202,18 +215,18 @@ def _hex_state(state: ControllerState) -> tuple:
     return (state.integrator.hex(), state.prev_error.hex(), state.mode, state.duty_acc.hex())
 
 
-def run_kernel_and_steps(cfg: ControllerConfig, ticks) -> list[ControllerState]:
+def run_kernel_and_steps(cfg: ControllerConfig, vent: float, ticks) -> list[ControllerState]:
     """Drive one control_kernel and repeated control_step with the same ticks; both must agree.
 
     Commands and states are compared by float.hex, so a sign of zero counts.
     Returns the states the ticks went through.
     """
-    tick = control_kernel(cfg)
+    tick = control_kernel(cfg, vent)
     state = ControllerState()
     states = []
     for p_cmd, p_meas, hint in ticks:
         u_inflate, u_motive, solenoid_open, mode = tick(p_cmd, p_meas, hint)
-        cmd, state = control_step(p_cmd, p_meas, hint, cfg, state)
+        cmd, state = control_step(p_cmd, p_meas, hint, cfg, vent, state)
         assert (cmd.u_inflate.hex(), cmd.u_motive.hex(), cmd.solenoid_open) == (
             u_inflate.hex(), u_motive.hex(), solenoid_open
         )
@@ -233,8 +246,8 @@ CONFIGS = st.builds(
     settle_horizon=st.floats(min_value=0.01, max_value=1.0),
     integrator_limit=st.floats(min_value=0.0, max_value=0.05),
     active_deflation_rate_threshold=st.floats(min_value=0.0, max_value=200.0),
-    passive_vent_coeff=st.floats(min_value=0.0, max_value=5.0),
 )
+VENT_COEFFS = st.floats(min_value=0.0, max_value=5.0)
 # errors mostly near the band, so ticks enter and leave it and stay in it for a while
 TICKS = st.lists(
     st.tuples(
@@ -253,8 +266,8 @@ BAND_WALK = [(50.0, 50.0 - e, 0.0) for e in (5.0, 0.9, 0.9, -0.9, -0.9, -0.9, -5
 
 class TestControlKernel:
     def test_band_walk_covers_the_branches(self):
-        cfg = make_cfg(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01)
-        states = run_kernel_and_steps(cfg, BAND_WALK)
+        cfg = ControllerConfig(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01)
+        states = run_kernel_and_steps(cfg, VENT, BAND_WALK)
         modes = [s.mode for s in states]
         assert {Mode.ON_OFF_INFLATE, Mode.PID, Mode.VENT} <= set(modes)
         assert any(a is not Mode.PID and b is Mode.PID for a, b in zip(modes, modes[1:]))
@@ -263,44 +276,49 @@ class TestControlKernel:
         assert any(s.integrator == cfg.integrator_limit for s in states)
 
     @settings(deadline=None, max_examples=300)
-    @example(cfg=make_cfg(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01), ticks=BAND_WALK)
+    @example(
+        cfg=ControllerConfig(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01), vent=VENT,
+        ticks=BAND_WALK,
+    )
     # zero gains and a falling error: a PID output of -0.0
-    @example(cfg=make_cfg(kp=0.0, ki=0.0, kd=0.0), ticks=[(0.0, 0.5, 0.0), (0.0, 0.6, 0.0)])
-    @given(cfg=CONFIGS, ticks=TICKS)
-    def test_kernel_equals_repeated_control_step(self, cfg, ticks):
-        run_kernel_and_steps(cfg, ticks)
+    @example(
+        cfg=ControllerConfig(kp=0.0, ki=0.0, kd=0.0), vent=VENT,
+        ticks=[(0.0, 0.5, 0.0), (0.0, 0.6, 0.0)],
+    )
+    @given(cfg=CONFIGS, vent=VENT_COEFFS, ticks=TICKS)
+    def test_kernel_equals_repeated_control_step(self, cfg, vent, ticks):
+        run_kernel_and_steps(cfg, vent, ticks)
 
     def test_seeded_from_a_state(self):
-        cfg = make_cfg(ki=1.0)
+        cfg = ControllerConfig(ki=1.0)
         state = ControllerState(integrator=0.5, prev_error=0.5, mode=Mode.PID, duty_acc=0.25)
-        tick = control_kernel(cfg, state)
+        tick = control_kernel(cfg, VENT, state)
         assert _hex_state(tick.state()) == _hex_state(state)
         tick(50.5, 50.0, 0.0)
-        assert _hex_state(tick.state()) == _hex_state(control_step(50.5, 50.0, 0.0, cfg, state)[1])
+        assert _hex_state(tick.state()) == _hex_state(control_step(50.5, 50.0, 0.0, cfg, VENT, state)[1])
 
     def test_fixed_commands_are_the_shared_constants(self):
-        cfg = make_cfg(passive_vent_coeff=10.0 / 50.0, settle_horizon=2.0)
-        assert control_step(69.0, 19.0, 0.0, cfg, ControllerState())[0] is INFLATE_COMMAND
-        assert control_step(0.0, 50.0, -15.0, cfg, ControllerState())[0] is ACTIVE_DEFLATE_COMMAND
-        cfg = make_cfg(passive_vent_coeff=100.0 / 50.0, settle_horizon=2.0)
-        assert control_step(0.0, 50.0, -15.0, cfg, ControllerState())[0] is VENT_COMMAND
+        cfg, weak, strong = ControllerConfig(settle_horizon=2.0), 10.0 / 50.0, 100.0 / 50.0
+        assert control_step(69.0, 19.0, 0.0, cfg, weak, ControllerState())[0] is INFLATE_COMMAND
+        assert control_step(0.0, 50.0, -15.0, cfg, weak, ControllerState())[0] is ACTIVE_DEFLATE_COMMAND
+        assert control_step(0.0, 50.0, -15.0, cfg, strong, ControllerState())[0] is VENT_COMMAND
         pid = ControllerState(mode=Mode.PID)
-        assert control_step(49.9, 50.0, 0.0, make_cfg(kp=0.5, ki=0.0), pid)[0] is IDLE_COMMAND
-        assert control_step(49.2, 50.0, 0.0, make_cfg(kp=5.0, ki=0.0), pid)[0] is VENT_COMMAND
+        soft, hard = ControllerConfig(kp=0.5, ki=0.0), ControllerConfig(kp=5.0, ki=0.0)
+        assert control_step(49.9, 50.0, 0.0, soft, VENT, pid)[0] is IDLE_COMMAND
+        assert control_step(49.2, 50.0, 0.0, hard, VENT, pid)[0] is VENT_COMMAND
 
     def test_non_finite_input_named(self):
-        tick = control_kernel(make_cfg())
+        tick = control_kernel(ControllerConfig(), VENT)
         with pytest.raises(ValueError, match="cmd_rate_hint must be finite"):
             tick(50.0, 50.0, math.inf)
 
 
-def _builtin_kernel(cfg: ControllerConfig):
+def _builtin_kernel(cfg: ControllerConfig, vent_coeff: float):
     """The tick law with its clamps written as min/max: the reference the kernel's comparisons must equal."""
     cutoff = cfg.error_cutoff
     dt = 1.0 / cfg.control_rate
     kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
     limit = cfg.integrator_limit
-    vent_coeff = cfg.passive_vent_coeff
     threshold = cfg.active_deflation_rate_threshold
     isfinite = math.isfinite
     pid, inflate, vent, deflate = Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE
@@ -364,7 +382,6 @@ WIDE_CONFIGS = st.builds(
     settle_horizon=POSITIVE,
     integrator_limit=NONNEG,
     active_deflation_rate_threshold=ANY_FLOAT,
-    passive_vent_coeff=NONNEG,
 )
 # any floats, and pairs within a few cutoffs of each other so the PID band is reached
 WIDE_TICKS = st.lists(
@@ -379,15 +396,22 @@ WIDE_TICKS = st.lists(
 
 class TestClampComparisons:
     @settings(deadline=None, max_examples=300)
-    @example(cfg=make_cfg(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01), ticks=BAND_WALK)
-    @example(cfg=make_cfg(kp=0.0, ki=0.0, kd=0.0), ticks=[(0.0, 0.5, 0.0), (0.0, 0.6, 0.0)])
+    @example(
+        cfg=ControllerConfig(kp=1.5, ki=20.0, kd=0.002, integrator_limit=0.01), vent=VENT,
+        ticks=BAND_WALK,
+    )
+    @example(
+        cfg=ControllerConfig(kp=0.0, ki=0.0, kd=0.0), vent=VENT,
+        ticks=[(0.0, 0.5, 0.0), (0.0, 0.6, 0.0)],
+    )
     # a -0.0 integrator limit, a NaN threshold and an infinite gain
     @example(
-        cfg=make_cfg(integrator_limit=-0.0, active_deflation_rate_threshold=math.nan, kd=math.inf),
+        cfg=ControllerConfig(integrator_limit=-0.0, active_deflation_rate_threshold=math.nan, kd=math.inf),
+        vent=VENT,
         ticks=[(10.0, 10.5, 0.0), (0.0, -0.0, 0.0), (0.0, 30.0, -0.0), (5.0, 5.0, 1e308)],
     )
-    @given(cfg=WIDE_CONFIGS, ticks=WIDE_TICKS)
-    def test_kernel_equals_builtin_clamps(self, cfg, ticks):
-        kernel, reference = control_kernel(cfg), _builtin_kernel(cfg)
+    @given(cfg=WIDE_CONFIGS, vent=NONNEG, ticks=WIDE_TICKS)
+    def test_kernel_equals_builtin_clamps(self, cfg, vent, ticks):
+        kernel, reference = control_kernel(cfg, vent), _builtin_kernel(cfg, vent)
         for args in ticks:
             assert _outcome(kernel, args) == _outcome(reference, args), args

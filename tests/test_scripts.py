@@ -1,5 +1,6 @@
 """Smoke tests of the example scripts: each runs against the shipped inputs."""
 
+import json
 import math
 import os
 import re
@@ -67,6 +68,28 @@ def test_benchmark_tracer_installs():
     proc = subprocess.run([sys.executable, "-c", code], env=env, cwd=ROOT,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_benchmark_tracer_runs_end_to_end(tmp_path):
+    # a traced invocation calls each wrapped function with the arguments its caller passes,
+    # so a changed signature fails here although install alone succeeds
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    runs = {
+        "sim.simulate": ("simulate", "scenarios/step_69kpa_half_liter.json", "--duration", "0.5"),
+        "sizing.enumerate_catalog": (
+            "size", "scenarios/demo_requirements.json", "scenarios/reference_catalog.json",
+        ),
+    }
+    for i, (span, args) in enumerate(runs.items()):
+        prefix = tmp_path / f"trace{i}"
+        argv = [str(ROOT / "perfbench" / "tracer.py"), str(prefix), str(i), "--",
+                *args, "--out", str(tmp_path / "out")]
+        proc = subprocess.run([sys.executable, *argv], env=env, cwd=ROOT,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        summary = json.loads(prefix.with_suffix(".json").read_text())
+        assert summary["returncode"] == 0 and summary["spans"][span]["calls"] > 0, summary
 
 
 def test_benchmark_setup_probe_prints_one_float():

@@ -8,7 +8,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from pneusim import components as cp
 from pneusim import gasmodel as gm
 from pneusim import sim
-from pneusim.control import ActuatorCommand, IDLE_COMMAND, Mode
+from pneusim.control import (
+    ActuatorCommand, ControllerConfig, IDLE_COMMAND, Mode, passive_vent_coeff,
+)
 from pneusim.sim import (
     MAX_STEPS,
     PiecewiseCommand,
@@ -16,7 +18,6 @@ from pneusim.sim import (
     SimulationDivergence,
     SineCommand,
     StepCommand,
-    controller_for_network,
     discharge_scenario,
     mass_balance,
     simulate,
@@ -120,7 +121,6 @@ class TestScenarioValidation:
         net = cp.default_network()
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             dt=1.0,
             duration=float(MAX_STEPS),
@@ -552,7 +552,6 @@ class TestExactSpan:
         )
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=2.0,
             sample_rate=2.0,
@@ -577,7 +576,6 @@ class TestExactSpan:
         )
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=2.0,
             open_loop_command=ActuatorCommand(1.0, u_mot, True),
@@ -593,7 +591,6 @@ class TestExactSpan:
         net = cp.default_network(p_r0=800.0)
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=4.0,
             open_loop_command=ActuatorCommand(0.0, 1.0, True),
@@ -637,7 +634,6 @@ class TestExactSpan:
         )
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=0.04,
             sample_rate=sample_rate,
@@ -655,7 +651,6 @@ class TestSimulateBasics:
         net = cp.default_network(v_cv=0.5, p_cv0=50.0)
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=1.0,
             open_loop_command=IDLE_COMMAND,
@@ -671,6 +666,25 @@ class TestSimulateBasics:
         b = simulate(scn)
         for name in ("t", "p_cv", "p_r", "u_inflate", "q_in", "mode"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    def test_default_controller_equals_explicit(self):
+        net = cp.default_network(v_cv=0.3, p_cv0=40.0)
+        bare = Scenario(network=net, command=StepCommand(target_kpa=20.0), duration=0.5)
+        explicit = replace(bare, controller=ControllerConfig())
+        a, b = simulate(bare), simulate(explicit)
+        for name in sim.TimeSeries._COLUMNS:
+            assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+
+    @pytest.mark.parametrize("r_open, mode", [(100.0, Mode.ACTIVE_DEFLATE), (10.0, Mode.VENT)])
+    def test_venting_capability_follows_the_solenoid(self, r_open, mode):
+        # a 50 kPa fall needs 50 / settle_horizon = 250 kPa/s; passive venting
+        # gives passive_vent_coeff(r_open, v_cv) * 50 kPa, about 101 or 1013 kPa/s
+        net = cp.default_network(p_cv0=50.0)
+        net = replace(net, solenoid=cp.BinaryValveSpec(r_open=r_open))
+        scn = Scenario(network=net, command=StepCommand(target_kpa=0.0), duration=0.01)
+        capability = passive_vent_coeff(r_open, net.control_volume.v_cv) * 50.0
+        assert (capability < 250.0) == (mode is Mode.ACTIVE_DEFLATE)
+        assert simulate(scn).mode[0] == mode
 
     def test_sampling_grid(self):
         scn = step_scenario(69.0, duration=0.5)
@@ -689,7 +703,6 @@ class TestSimulateBasics:
         net = replace(net, solenoid=cp.BinaryValveSpec(r_open=0.01))
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=0.02,
             open_loop_command=ActuatorCommand(0.0, 1.0, True),
@@ -718,7 +731,6 @@ class TestSimulateBasics:
         net = replace(net, solenoid=cp.BinaryValveSpec(r_open=r_open))
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=0.5,
             open_loop_command=ActuatorCommand(0.0, 0.0, True),
@@ -749,7 +761,6 @@ class TestSimulateBasics:
         net = replace(net, solenoid=cp.BinaryValveSpec(r_open=r_open))
         return Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=0.01,
             open_loop_command=ActuatorCommand(0.0, 0.0, True),
@@ -806,7 +817,7 @@ class TestClosedLoopStep:
         # row's flows must follow the laws of the region the row's state is in.
         net = cp.default_network(v_r=0.05, p_r0=800.0, p_cv0=150.0)
         saturation = net.venturi.q_motive_rated * net.motive_valve.r_vmin
-        scn = Scenario(network=net, controller=controller_for_network(net, control_rate=500.0),
+        scn = Scenario(network=net, controller=ControllerConfig(control_rate=500.0),
                        command=StepCommand(0.0), duration=0.05, sample_rate=2000.0)
         ts = simulate(scn)
         cs = scn.control_stride()
@@ -826,7 +837,6 @@ class TestMassBalance:
         net = cp.default_network(v_cv=0.5, p_cv0=50.0)
         scn = Scenario(
             network=net,
-            controller=controller_for_network(net),
             command=StepCommand(target_kpa=0.0),
             duration=1.0,
             open_loop_command=IDLE_COMMAND,
