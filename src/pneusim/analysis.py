@@ -10,17 +10,17 @@ two-segment gain model over log-gain, and the first crossing of 1/sqrt(2).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .gasmodel import record, replace
 from .sim import Scenario, SineCommand, TimeSeries, simulate
 
 BAND_KPA = 1.0  # the fine-regulation band around a step target
 SWEEP_PERIODS = 4  # periods a sweep point runs after its startup period
 
 
-@dataclass(frozen=True)
+@record()
 class StepMetrics:
     """Rise/settle summary of a step trace.
 
@@ -36,7 +36,7 @@ class StepMetrics:
     settled: bool
 
 
-@dataclass(frozen=True)
+@record()
 class FrequencyPoint:
     omega: float  # Hz
     gain: float  # nan when errored
@@ -44,7 +44,7 @@ class FrequencyPoint:
     error: str | None = None
 
 
-@dataclass(frozen=True)
+@record()
 class DischargeFit:
     tau_s: float  # inf when degenerate (no decay)
     p_r0_fit: float
@@ -155,6 +155,8 @@ def frequency_sweep(scn_template: Scenario, omegas, n_repeat: int = 1) -> list[F
     """
     if not isinstance(scn_template.command, SineCommand):
         raise ValueError("sweep template must carry a sine command")
+    if not scn_template.closed_loop:
+        raise ValueError("sweep template must be closed loop: open_loop_command must be None")
     omegas = list(omegas)
     if not omegas:
         raise ValueError("omega list must not be empty")

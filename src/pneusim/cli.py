@@ -69,7 +69,7 @@ class ConfigError(ValueError):
 # Each section of the input schema is a table: (constructor, rows). A row is
 # (JSON key, constructor keyword, check, default). A row written as (key,
 # keyword) checks the kind its record declares for the field (gasmodel.BOUNDS)
-# and takes the record's default: the dataclass default, or the field of the
+# and takes the record's default: its class attribute, or the field of the
 # default network. A row names its own check only where the record declares
 # none: "num" a finite number, "bool", "str", "list", or a kind of BOUNDS for a
 # key the constructor does not take (keyword None); a check None is the
@@ -555,7 +555,7 @@ def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
     formatted once, into that block's row template; the others row by row.
     """
     mode_names = {mode: mode.name for mode in Mode}
-    columns = [getattr(ts, name) for name in TimeSeries._COLUMNS]
+    columns = [getattr(ts, name) for name in TimeSeries.FIELDS]
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(CSV_HEADER + "\n")
         for start in range(0, len(ts), _CSV_BLOCK_ROWS):
@@ -585,7 +585,7 @@ def read_timeseries_csv(path: Path) -> TimeSeries:
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
         raise ConfigError(f"{path}: unexpected CSV header")
-    n_cols = len(TimeSeries._COLUMNS)
+    n_cols = len(TimeSeries.FIELDS)
     rows = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
@@ -603,7 +603,7 @@ def read_timeseries_csv(path: Path) -> TimeSeries:
     columns = zip(*rows) if rows else [()] * n_cols
     return TimeSeries(**{
         name: np.array(col, dtype=np.uint8 if name == "mode" else float)
-        for name, col in zip(TimeSeries._COLUMNS, columns)
+        for name, col in zip(TimeSeries.FIELDS, columns)
     })
 
 
@@ -612,7 +612,7 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # The design report, laid out as _write_json lays out a payload. json.dumps encodes
-# in pure Python when it indents; with asdict that costs several times this template.
+# in pure Python when it indents; with _asdict that costs several times this template.
 _REPORT = (
     '{\n  "feasible": %s,\n  "infeasible": %s,\n  "input_sha256": {\n'
     '    "catalog": %s,\n    "requirements": %s\n  },\n  "schema_version": 1\n}\n'
@@ -650,7 +650,7 @@ def _json_list(items: list[str], indent: str) -> str:
 
 
 def design_report_json(report: DesignReport, input_sha256: dict[str, str]) -> str:
-    """The design report, as ``_write_json`` writes it from ``asdict`` of each entry.
+    """The design report, as ``_write_json`` writes it from ``_asdict`` of each entry.
 
     ``input_sha256`` maps "catalog" and "requirements" to their digests.
     """

@@ -13,7 +13,6 @@ generator that reaches -80 kPa at rated motive flow.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from .gasmodel import PERFECT_VACUUM_KPA, record
@@ -79,7 +78,7 @@ class SensorSpec:
     seed: int = 0
 
 
-@dataclass(frozen=True)
+@record()
 class PneumaticNetwork:
     """Connectivity of one supply/regulation channel.
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 
 from .gasmodel import DEFAULT_GAS, FieldError, GasConstants, alpha, record
 
@@ -72,7 +71,7 @@ class ControllerConfig:
     active_deflation_rate_threshold: float = 0.0  # kPa/s
 
 
-@dataclass(frozen=True)
+@record()
 class ControllerState:
     integrator: float = 0.0  # kPa*s, |integrator| <= integrator_limit
     prev_error: float = 0.0

@@ -16,7 +16,6 @@ exact pressure-difference-driven flows and uses these closed forms as oracles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 # Gauge pressure of a perfect vacuum; no gauge pressure may fall below this.
 PERFECT_VACUUM_KPA = -101.325
@@ -58,29 +57,74 @@ def check(record, field: str, kind: str, value) -> None:
             raise FieldError(record, field, f"must be {bound}")
 
 
-def record(**kinds: str):
-    """A frozen ``dataclass`` whose instances check each field of ``kinds`` against its kind.
+def _init(self, *args, **values) -> None:
+    """Bind the fields as a signature would, then check each declared kind and the ``rule``."""
+    cls = type(self)
+    fields = cls.FIELDS
+    if args:
+        positional = dict(zip(fields, args))
+        if len(args) > len(fields) or not positional.keys().isdisjoint(values):
+            raise TypeError(f"{cls.__name__}() takes each field of {fields} at most once")
+        values.update(positional)
+    for name in fields:
+        if name not in values:
+            if name not in vars(cls):
+                raise TypeError(f"{cls.__name__}() missing required keyword {name!r}")
+            values[name] = vars(cls)[name]
+    if len(values) > len(fields):
+        unknown = sorted(set(values) - set(fields))
+        raise TypeError(f"{cls.__name__}() got unexpected keywords {unknown}")
+    self.__dict__.update(values)
+    for name, kind in cls.KINDS.items():
+        if values[name] is not None:
+            check(self, name, kind, values[name])
+    self.rule()
 
-    A field left None is absent and not checked. After the bounds, the class's
-    own ``rule`` method, if it has one, checks the rules between its fields.
-    ``KINDS`` keeps the declaration for the command line to read.
+
+def _frozen(self, name: str, value=None):
+    raise AttributeError(f"{type(self).__name__} is frozen: cannot set or delete {name!r}")
+
+
+def _values(rec) -> tuple:
+    return tuple(getattr(rec, name) for name in rec.FIELDS)
+
+
+def _eq(self, other):
+    return _values(self) == _values(other) if type(other) is type(self) else NotImplemented
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.FIELDS)})"
+
+
+def record(**kinds: str):
+    """A frozen record class whose instances check each field of ``kinds`` against its kind.
+
+    The fields are the class's annotations, in order (``FIELDS``), and their
+    defaults its class attributes. Every record shares one ``__init__``, which
+    takes the fields by position or keyword; a field left None is absent and
+    not checked. After the bounds, the class's own ``rule`` method, if it has
+    one, checks the rules between its fields. Records compare and hash by type
+    and field values. ``KINDS`` keeps the declaration for the command line to read.
     """
 
     def make(cls):
-        rule = getattr(cls, "rule", None)
-
-        def __post_init__(self) -> None:
-            for field, kind in kinds.items():
-                value = getattr(self, field)
-                if value is not None:
-                    check(self, field, kind, value)
-            if rule:
-                rule(self)
-
-        cls.__post_init__, cls.KINDS = __post_init__, kinds
-        return dataclass(frozen=True)(cls)
+        cls.FIELDS, cls.KINDS = tuple(cls.__annotations__), kinds
+        cls.rule = getattr(cls, "rule", lambda self: None)  # no rules between its fields
+        cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = _init, _eq, _hash, _repr
+        cls.__setattr__ = cls.__delattr__ = _frozen
+        return cls
 
     return make
+
+
+def replace(rec, **changes):
+    """A record like ``rec`` with ``changes``, built anew, so its checks and ``rule`` run."""
+    return type(rec)(**{**{name: getattr(rec, name) for name in rec.FIELDS}, **changes})
 
 
 @record(rho="pos", R_u="pos", T="pos", M="pos")

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
-from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, NamedTuple
 
 # perfbench/tracer.py patches the names marked noqa here by name; the flow
@@ -41,10 +40,10 @@ from .control import (
     passive_vent_coeff,
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
-from .gasmodel import FieldError, check, record
+from .gasmodel import FieldError, check, record, replace
 
 # numpy is imported inside the functions that use it, so `pneusim size`, which
-# imports this module for its dataclasses, never loads it
+# imports this module for its records, never loads it
 if TYPE_CHECKING:
     import numpy as np
 
@@ -210,7 +209,7 @@ def _exact_stride(scn: Scenario, field: str, rate: float) -> int:
     return stride
 
 
-@dataclass
+@record()
 class TimeSeries:
     """Uniformly sampled run output (gauge kPa, std L/s)."""
 
@@ -226,11 +225,6 @@ class TimeSeries:
     q_motive: np.ndarray
     mode: np.ndarray  # Mode codes
 
-    _COLUMNS = (
-        "t", "p_cmd", "p_cv", "p_r", "u_inflate", "u_motive",
-        "solenoid", "q_in", "q_out", "q_motive", "mode",
-    )
-
     def __len__(self) -> int:
         return len(self.t)
 
@@ -238,7 +232,7 @@ class TimeSeries:
         import numpy as np
 
         n = len(self.t)
-        for name in self._COLUMNS:
+        for name in self.FIELDS:
             col = getattr(self, name)
             if len(col) != n:
                 raise ValueError(f"TimeSeries column {name} has length {len(col)} != {n}")
@@ -598,7 +592,7 @@ def simulate(scn: Scenario) -> TimeSeries:
     import numpy as np
 
     n_rows = scn.n_rows()
-    columns = {name: np.empty(n_rows) for name in TimeSeries._COLUMNS}
+    columns = {name: np.empty(n_rows) for name in TimeSeries.FIELDS}
     columns["mode"] = np.empty(n_rows, dtype=np.uint8)
     prop = propagator(scn.network, scn.gas, scn.hold_reservoir)
     if scn.closed_loop:
@@ -654,7 +648,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     evp, dvp = net.inflation_valve, net.motive_valve
     (t_col, p_cmd_col, p_cv_col, p_r_col, u_in_col, u_mot_col, sol_col,
      q_in_col, q_out_col, q_mot_col, mode_col) = (
-        memoryview(columns[name]) for name in TimeSeries._COLUMNS
+        memoryview(columns[name]) for name in TimeSeries.FIELDS
     )
     read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
     vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)

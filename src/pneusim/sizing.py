@@ -9,7 +9,7 @@ and the inflate/deflate cycle budget. Feasible builds are ranked by mass.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import gasmodel as gm
 from .gasmodel import FieldError, record
@@ -77,8 +77,7 @@ class ComponentCatalog:
     venturis: tuple[VenturiOption, ...] = ()
 
 
-@dataclass(frozen=True)
-class DesignEntry:
+class DesignEntry(NamedTuple):
     """Scores for one valve + reservoir combination."""
 
     valve: str
@@ -95,7 +94,7 @@ class DesignEntry:
     limiting: tuple[str, ...]  # empty when feasible
 
 
-@dataclass(frozen=True)
+@record()
 class DesignReport:
     feasible: tuple[DesignEntry, ...]  # mass ascending, cycle count descending
     infeasible: tuple[DesignEntry, ...]

@@ -8,7 +8,6 @@ configurations: inflation-limited step rate 79.37 kPa/s (catalog valve into
 """
 
 import time
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +16,7 @@ import pytest
 from pneusim import analysis as an
 from pneusim import cli
 from pneusim import gasmodel as gm
+from pneusim.gasmodel import replace
 from pneusim.components import default_network
 from pneusim.control import (
     ControllerConfig, ControllerState, Mode, control_step, passive_vent_coeff,

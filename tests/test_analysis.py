@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from pneusim import analysis as an
 from pneusim import gasmodel as gm
 from pneusim.components import default_network
+from pneusim.control import IDLE_COMMAND
 from pneusim.sim import (
     Scenario,
     SineCommand,
@@ -239,6 +240,15 @@ class TestFrequencySweep:
         scn = step_scenario(69.0)
         with pytest.raises(ValueError):
             an.frequency_sweep(scn, [1.0])
+
+    def test_rejects_open_loop_template(self):
+        # an open-loop run ignores the sine command, so its gains would mean nothing
+        template = Scenario(
+            network=default_network(), command=SineCommand(21.0, 1.0, 21.0), hold_reservoir=True,
+            open_loop_command=IDLE_COMMAND,
+        )
+        with pytest.raises(ValueError, match="open_loop_command"):
+            an.frequency_sweep(template, [0.5, 1.0])
 
     def test_rejects_empty_or_bad_omegas(self):
         with pytest.raises(ValueError):

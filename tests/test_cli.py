@@ -5,7 +5,6 @@ import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -106,14 +105,15 @@ class TestResolveScenario:
         for module in (gasmodel, components, control, sim):
             for cls in vars(module).values():  # the records each module declares
                 if "KINDS" in getattr(cls, "__dict__", {}) and cls.__module__ == module.__name__:
-                    def post_init(self, original=cls.__post_init__):
+                    def init(self, *args, original=cls.__init__, **kwargs):
                         built.append(self)
-                        original(self)
+                        original(self, *args, **kwargs)
 
-                    monkeypatch.setattr(cls, "__post_init__", post_init)
+                    monkeypatch.setattr(cls, "__init__", init)
         scn, _ = cli.load_scenario(SCENARIOS / "discharge_2l_bottle.json")
-        parts = [getattr(scn.network, f.name) for f in fields(scn.network)]
-        records = [scn, scn.gas, scn.controller, scn.command, scn.open_loop_command, *parts]
+        parts = [getattr(scn.network, name) for name in scn.network.FIELDS]
+        records = [scn, scn.gas, scn.controller, scn.command, scn.open_loop_command, scn.network,
+                   *parts]
         assert sorted(map(id, built)) == sorted(map(id, records))
 
 
@@ -156,7 +156,7 @@ def _reference_csv(ts: TimeSeries, path: Path) -> None:
     """The writer before constant columns were formatted once: each row through the full template."""
     row_template = "%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%d,%.9g,%.9g,%.9g,%s\n"
     mode_names = {mode: mode.name for mode in Mode}
-    columns = [getattr(ts, name) for name in TimeSeries._COLUMNS]
+    columns = [getattr(ts, name) for name in TimeSeries.FIELDS]
     with path.open("w", encoding="utf-8", newline="\n") as out:
         out.write(cli.CSV_HEADER + "\n")
         for start in range(0, len(ts), 512):
@@ -176,7 +176,7 @@ def _assert_csv_equals_reference(ts: TimeSeries) -> None:
 def _trace(n: int, **columns) -> TimeSeries:
     """n rows, 0 in every column not given; a given column is a value or a sequence."""
     out = {}
-    for name in TimeSeries._COLUMNS:
+    for name in TimeSeries.FIELDS:
         value = columns.get(name, 0)
         col = np.empty(n, dtype=np.uint8 if name == "mode" else float)
         col[:] = value
@@ -196,7 +196,7 @@ def csv_traces(draw) -> TimeSeries:
     n = draw(st.sampled_from([1, 2, 511, 512, 513, 1024, 1100]) | st.integers(1, 1100))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     columns = {}
-    for name in TimeSeries._COLUMNS:
+    for name in TimeSeries.FIELDS:
         values = COLUMN_VALUES.get(name, CSV_VALUES)
         kind = draw(st.sampled_from(["constant", "one_differs", "signed_zeros", "mixed"]))
         if kind == "signed_zeros" and name != "mode":
@@ -686,8 +686,8 @@ def test_design_report_json_equals_json_dumps(feasible, infeasible, sha):
     payload = {
         "schema_version": 1,
         "input_sha256": sha,
-        "feasible": [asdict(e) for e in feasible],
-        "infeasible": [asdict(e) for e in infeasible],
+        "feasible": [e._asdict() for e in feasible],
+        "infeasible": [e._asdict() for e in infeasible],
     }
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert cli.design_report_json(DesignReport(tuple(feasible), tuple(infeasible)), sha) == expected

@@ -17,7 +17,6 @@ import re
 import sys
 import tempfile
 import warnings
-from dataclasses import fields, replace
 from pathlib import Path
 from unittest import mock
 
@@ -27,6 +26,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pneusim import cli
 from pneusim.control import Mode
+from pneusim.gasmodel import replace
 from pneusim.sim import Scenario, TimeSeries, step_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -178,8 +178,8 @@ def test_cli_defaults_equal_python_defaults(tmp_path):
     (tmp_path / "step.json").write_text(json.dumps(raw))
     scn, _ = cli.load_scenario(tmp_path / "step.json")
     ref = step_scenario(69.0)
-    for f in fields(Scenario):
-        assert getattr(scn, f.name) == getattr(ref, f.name), f.name
+    for name in Scenario.FIELDS:
+        assert getattr(scn, name) == getattr(ref, name), name
 
 
 # ------------------------------------------------------ any JSON, clean error
@@ -275,7 +275,7 @@ FIELD_ERROR = re.compile(
 def _stub_run(scn: Scenario):
     """What cli.simulate returns in the run-flag property: a valid two-row trace."""
     replace(scn)  # the scenario it was given keeps its rules
-    columns = {name: np.zeros(2) for name in TimeSeries._COLUMNS}
+    columns = {name: np.zeros(2) for name in TimeSeries.FIELDS}
     columns["t"] = np.array([0.0, scn.dt])
     columns["mode"] = np.zeros(2, dtype=np.uint8)
     return TimeSeries(**columns)

@@ -5,7 +5,11 @@ records' declarations, so a bound dropped from a declaration fails here.
 """
 
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -125,8 +129,13 @@ def test_valid_instance_builds(record):
     record(**VALID[record])
 
 
+def _case_id(record, keyword, kwargs) -> str:
+    """The record, the keyword named and the bad values, so a case keeps its id when rows go."""
+    return f"{record.__name__}-{keyword}-" + ",".join(f"{k}={v!r}" for k, v in kwargs.items())
+
+
 @pytest.mark.parametrize(
-    "record, keyword, kwargs", OUT_OF_RANGE, ids=lambda x: x.__name__ if isinstance(x, type) else None
+    "record, keyword, kwargs", OUT_OF_RANGE, ids=[_case_id(*case) for case in OUT_OF_RANGE]
 )
 def test_out_of_range_field_names_its_keyword(record, keyword, kwargs):
     with pytest.raises(ValueError) as err:
@@ -138,3 +147,67 @@ def test_table_covers_every_declared_bound():
     covered = {(record, keyword) for record, keyword, _ in OUT_OF_RANGE}
     declared = {(record, keyword) for record in VALID for keyword in record.KINDS}
     assert declared <= covered, declared - covered
+
+
+def test_case_ids_are_unique():
+    ids = [_case_id(*case) for case in OUT_OF_RANGE]
+    assert len(set(ids)) == len(ids)
+
+
+SCN = sim.Scenario(**VALID[sim.Scenario])
+
+
+def test_replace_runs_the_checks():
+    with pytest.raises(gm.FieldError, match=r"^Scenario\.dt: must be > 0$"):
+        gm.replace(SCN, dt=0.0)
+    assert gm.replace(SCN, dt=2.5e-4) == sim.Scenario(**VALID[sim.Scenario], dt=2.5e-4)
+    assert gm.replace(SCN) == SCN
+
+
+@pytest.mark.parametrize("record", VALID, ids=lambda record: record.__name__)
+def test_fields_are_frozen(record):
+    rec = record(**VALID[record])
+    for name in record.FIELDS:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, getattr(rec, name))
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.not_a_field = 1.0
+
+
+def test_equal_records_compare_and_hash_equal():
+    a, b = cp.Reservoir(2.0, 689.0), cp.Reservoir(p_r0=689.0)
+    assert a == b and hash(a) == hash(b) and a is not b
+    assert a != cp.Reservoir(2.0, 600.0)
+    assert SCN == sim.Scenario(NET, sim.StepCommand(69.0)) and hash(SCN) == hash(gm.replace(SCN))
+    # same field values, different types
+    assert cp.ControlVolume(2.0, 10.0) != cp.Reservoir(2.0, 10.0)
+    assert cp.BinaryValveSpec(100.0) != cp.ProportionalValveSpec(100.0)
+    assert repr(a) == "Reservoir(v_r=2.0, p_r0=689.0)"
+
+
+def test_bad_arguments_raise_type_error():
+    with pytest.raises(TypeError, match="missing required keyword 'target_kpa'"):
+        sim.StepCommand()
+    with pytest.raises(TypeError, match="'start'"):
+        sim.StepCommand(69.0, start=1.0)
+    with pytest.raises(TypeError, match="at most once"):
+        sim.StepCommand(69.0, target_kpa=70.0)
+    with pytest.raises(TypeError, match="at most once"):
+        sim.StepCommand(69.0, 0.0, 1.0)
+    with pytest.raises(TypeError, match="'dt_s'"):
+        gm.replace(SCN, dt_s=1e-3)
+
+
+def test_no_pneusim_class_is_a_dataclass():
+    # records are built by gasmodel.record alone; dataclasses' code generation costs import time
+    code = (
+        "import sys, pneusim.cli, pneusim.analysis\n"
+        "print([f'{m}.{c.__name__}' for m, mod in list(sys.modules.items()) if m.startswith('pneusim')"
+        " for c in vars(mod).values() if isinstance(c, type) and hasattr(c, '__dataclass_fields__')])"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +6,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from pneusim import components as cp
 from pneusim import gasmodel as gm
+from pneusim.gasmodel import replace
 from pneusim import sim
 from pneusim.control import (
     ActuatorCommand, ControllerConfig, IDLE_COMMAND, Mode, passive_vent_coeff,
@@ -672,7 +672,7 @@ class TestSimulateBasics:
         bare = Scenario(network=net, command=StepCommand(target_kpa=20.0), duration=0.5)
         explicit = replace(bare, controller=ControllerConfig())
         a, b = simulate(bare), simulate(explicit)
-        for name in sim.TimeSeries._COLUMNS:
+        for name in sim.TimeSeries.FIELDS:
             assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
     @pytest.mark.parametrize("r_open, mode", [(100.0, Mode.ACTIVE_DEFLATE), (10.0, Mode.VENT)])

@@ -1,5 +1,4 @@
 import random
-from dataclasses import astuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -173,7 +172,7 @@ class TestEnumerateCatalog:
         got = {(e.valve, e.reservoir): e for e in report.entries}
         expected = [evaluate_design(req, v, r) for v in valves for r in reservoirs]
         assert len(got) == len(expected) == 240
-        hexed = lambda e: [float.hex(x) if isinstance(x, float) else x for x in astuple(e)]
+        hexed = lambda e: [float.hex(x) if isinstance(x, float) else x for x in tuple(e)]
         for ref in expected:
             entry = got[ref.valve, ref.reservoir]
             assert entry == ref
