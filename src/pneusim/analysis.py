@@ -179,8 +179,8 @@ def frequency_sweep(scn_template: Scenario, omegas, n_repeat: int = 1) -> list[F
                     duration=duration,
                     seed=scn_template.seed + rep,
                 )
-                ts = simulate(scn)
-                gain, periods = _windowed_gain(ts.p_cv, omega, amplitude, scn.sample_rate)
+                # no name holds the trace, so it is freed before the next point simulates
+                gain, periods = _windowed_gain(simulate(scn).p_cv, omega, amplitude, scn.sample_rate)
                 gains.append(gain)
             points.append(FrequencyPoint(omega, float(np.mean(gains)), periods))
         except (ValueError, RuntimeError) as exc:

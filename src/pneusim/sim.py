@@ -81,6 +81,12 @@ class StepCommand:
     def rate(self, t: float) -> float:
         return 0.0
 
+    def rates(self, t: np.ndarray) -> np.ndarray:
+        """``rate`` at each time of an array."""
+        import numpy as np
+
+        return np.zeros(len(t))
+
 
 @record(amplitude_kpa="nonneg", freq_hz="pos")
 class SineCommand:
@@ -98,7 +104,12 @@ class SineCommand:
         return self.offset_kpa + self.amplitude_kpa * math.sin(2.0 * math.pi * self.freq_hz * t)
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """``value`` at each time of an array, to the last bit of numpy's sine."""
+        """``value`` at each time of an array, as the closed loop reads the command.
+
+        Equal to ``value`` to the bit wherever numpy's sine equals ``math.sin``,
+        as it does with numpy 2.4 on x86-64; the tests check every time the
+        shipped sweep reads.
+        """
         import numpy as np
 
         return self.offset_kpa + self.amplitude_kpa * np.sin(2.0 * math.pi * self.freq_hz * t)
@@ -106,6 +117,13 @@ class SineCommand:
     def rate(self, t: float) -> float:
         w = 2.0 * math.pi * self.freq_hz
         return self.amplitude_kpa * w * math.cos(w * t)
+
+    def rates(self, t: np.ndarray) -> np.ndarray:
+        """``rate`` at each time of an array, equal to it wherever ``np.cos`` equals ``math.cos``."""
+        import numpy as np
+
+        w = 2.0 * math.pi * self.freq_hz
+        return self.amplitude_kpa * w * np.cos(w * t)
 
 
 @record(knots="nonempty")
@@ -132,14 +150,22 @@ class PiecewiseCommand:
         return self.knots[bisect_right(self._times, t) - 1][1]
 
     def values(self, t: np.ndarray) -> np.ndarray:
-        """``value`` at each time of an array."""
+        """``value`` at each time of an array: each later knot overwrites from its time on."""
         import numpy as np
 
-        i = np.searchsorted(self._times, t, side="right") - 1
-        return np.array([v for _, v in self.knots])[np.where(t >= 0.0, i, 0)]
+        out = np.full(len(t), self.knots[0][1], dtype=float)
+        for time, value in self.knots[1:]:
+            out[t >= time] = value
+        return out
 
     def rate(self, t: float) -> float:
         return 0.0
+
+    def rates(self, t: np.ndarray) -> np.ndarray:
+        """``rate`` at each time of an array."""
+        import numpy as np
+
+        return np.zeros(len(t))
 
 
 CommandSignal = StepCommand | SineCommand | PiecewiseCommand
@@ -264,6 +290,7 @@ _TAYLOR_MAX = 0.5  # a larger spectral radius goes to the eigenvalue forms
 # are continuous across every kink.
 _ROUNDING = 2.0**-50
 SEGMENT_ROWS = 2**14  # open-loop rows computed at a time, which bounds the temporaries
+COMMAND_BLOCK = 512  # closed-loop ticks, and rows, whose command is read at a time
 
 
 def _spectrum(a11: float, a12: float, a21: float, a22: float) -> tuple:
@@ -640,47 +667,48 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
 
 
 def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
-    """Fill the columns of a closed-loop run: per event, one piece for the row and the span."""
+    """Fill the columns of a closed-loop run: per event, one piece for the row and the span.
+
+    The command is read by array, never per tick: the ticks' values and rates
+    ``COMMAND_BLOCK`` ticks at a time, and the rows' ``t`` and ``p_cmd`` after
+    the loop, ``COMMAND_BLOCK`` rows at a time. Each time is the product
+    ``(k * stride) * dt`` the loop would form, so both match the scalar
+    ``value`` and ``rate`` to the bit wherever numpy's sine and cosine match
+    ``math``'s.
+    """
     import numpy as np
 
-    net, dt = scn.network, scn.dt
-    n, ss, cs = scn.n_steps(), scn.sample_stride(), scn.control_stride()
+    net, dt, command = scn.network, scn.dt, scn.command
+    n, ss, cs, n_rows = scn.n_steps(), scn.sample_stride(), scn.control_stride(), scn.n_rows()
     evp, dvp = net.inflation_valve, net.motive_valve
-    (t_col, p_cmd_col, p_cv_col, p_r_col, u_in_col, u_mot_col, sol_col,
-     q_in_col, q_out_col, q_mot_col, mode_col) = (
-        memoryview(columns[name]) for name in TimeSeries.FIELDS
-    )
+    (p_cv_col, p_r_col, u_in_col, u_mot_col, sol_col, q_in_col, q_out_col, q_mot_col,
+     mode_col) = (memoryview(columns[name]) for name in TimeSeries.FIELDS[2:])
     read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
     vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
     control = control_kernel(scn.controller, vent_coeff)
-    cmd_value = scn.command.value
-    cmd_rate = scn.command.rate
+    tick_command = _tick_commands(command, n // cs + 1, cs, dt).__next__
     region, flows, span, cross = prop.region, prop.flows, prop.span, prop.cross
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
-    u_in = u_mot = f_in = f_mot = p_cmd = 0.0
+    u_in = u_mot = f_in = f_mot = 0.0
     sol = False
     mode = Mode.IDLE
-    k = row = tick = next_tick = next_row = 0
+    k = row = next_tick = next_row = 0
     while True:
-        t = k * dt
         if k == next_tick:
-            p_cmd = cmd_value(t)
-            new_in, new_mot, sol, mode = control(p_cmd, read_cv(p_cv), cmd_rate(t))
+            p_cmd, rate = tick_command()
+            new_in, new_mot, sol, mode = control(p_cmd, read_cv(p_cv), rate)
             # a fraction changes only with its command, and a new command is range-checked
             if new_in != u_in:
                 f_in = valve_fraction(new_in, evp)
             if new_mot != u_mot:
                 f_mot = valve_fraction(new_mot, dvp)
             u_in, u_mot = new_in, new_mot  # the columns keep each tick's own value, -0.0 too
-            tick = k
             next_tick += cs
             pc = region(p_r, p_cv, f_in, f_mot, sol)
         elif pc.kinks:  # a kinkless piece (no motive flow, solenoid shut) holds everywhere
             pc = region(p_r, p_cv, f_in, f_mot, sol)
         if k == next_row:
             q_in, q_out, q_motive = flows(pc, p_r, p_cv)
-            t_col[row] = t
-            p_cmd_col[row] = p_cmd if tick == k else cmd_value(t)
             p_cv_col[row] = p_cv
             p_r_col[row] = p_r
             u_in_col[row] = u_in
@@ -698,8 +726,32 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         if nxt > n:
             nxt = n
         h = (nxt - k) * dt
-        p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, t)
+        p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
         k = nxt
+    t_col, p_cmd_col = columns["t"], columns["p_cmd"]
+    for start in range(0, n_rows, COMMAND_BLOCK):
+        end = min(start + COMMAND_BLOCK, n_rows)
+        t = _event_times(start, end, ss, dt)
+        t_col[start:end] = t
+        p_cmd_col[start:end] = command.values(t)
+
+
+def _tick_commands(command: CommandSignal, n_ticks: int, cs: int, dt: float):
+    """(value, rate) of the command at each of the first n_ticks ticks, every cs steps of dt."""
+    for start in range(0, n_ticks, COMMAND_BLOCK):
+        tt = _event_times(start, min(start + COMMAND_BLOCK, n_ticks), cs, dt)
+        yield from zip(command.values(tt).tolist(), command.rates(tt).tolist())
+
+
+def _event_times(start: int, end: int, stride: int, dt: float) -> np.ndarray:
+    """(i * stride) * dt for i in [start, end): the loop's k * dt at every stride-th step.
+
+    Counted in floats, exact below 2**53, so a run touches no integer multiply
+    loop of numpy, which would raise its peak RSS.
+    """
+    import numpy as np
+
+    return np.arange(start, end, dtype=float) * stride * dt
 
 
 def mass_balance(ts: TimeSeries, scn: Scenario) -> float:

@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +256,20 @@ class TestFrequencySweep:
             an.frequency_sweep(self.make_template(), [])
         with pytest.raises(ValueError):
             an.frequency_sweep(self.make_template(), [0.5, -1.0])
+
+    def test_one_trace_alive_at_a_time(self, monkeypatch):
+        # a point's trace is freed before the next point simulates
+        traces = []
+
+        def tracked(scn):
+            assert [ref() for ref in traces] == [None] * len(traces)
+            ts = simulate(scn)
+            traces.extend((weakref.ref(ts), weakref.ref(ts.p_cv)))
+            return ts
+
+        monkeypatch.setattr(an, "simulate", tracked)
+        points = an.frequency_sweep(self.make_template(), [2.0, 3.0, 4.0])
+        assert [p.error for p in points] == [None] * 3 and len(traces) == 6
 
     def test_per_point_failure_recorded_not_raised(self):
         # 300 Hz violates the sampling-rate precondition; other point succeeds

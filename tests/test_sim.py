@@ -1,13 +1,16 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
+from pneusim import analysis as an
 from pneusim import components as cp
 from pneusim import gasmodel as gm
 from pneusim.gasmodel import replace
 from pneusim import sim
+from pneusim.cli import load_scenario
 from pneusim.control import (
     ActuatorCommand, ControllerConfig, IDLE_COMMAND, Mode, passive_vent_coeff,
 )
@@ -25,6 +28,12 @@ from pneusim.sim import (
 )
 
 R_CATALOG = 689.0 / (23.5 / 60.0)
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP_OMEGAS = [0.14, 0.20, 0.30, 0.45, 0.68, 0.95, 1.35, 1.91, 2.70, 3.82, 5.40, 6.75]
+
+
+def _hexes(values) -> list[str]:
+    return [float(x).hex() for x in values]
 
 
 class TestCommandSignals:
@@ -77,16 +86,38 @@ class TestCommandSignals:
         assert c.values(np.array([t]))[0] == out
 
     def test_values_equal_value(self):
-        t = np.concatenate([np.linspace(-1.0, 3.0, 4001), [0.5, 1.0, 2.0, np.inf]])
+        t = np.concatenate([np.linspace(-1.0, 3.0, 4001), [0.5, 1.0, 2.0, np.inf, np.nan]])
         commands = (
             StepCommand(target_kpa=69.0, start_s=0.5),
             PiecewiseCommand(knots=((0.0, 0.0), (1.0, 50.0), (2.0, 20.0))),
+            PiecewiseCommand(knots=((0, 1), (1, 2.5))),  # an int first value still gives floats
         )
         for c in commands:
-            assert c.values(t).tolist() == [c.value(x) for x in t.tolist()]
-        sine = SineCommand(amplitude_kpa=21.0, freq_hz=1.35, offset_kpa=21.0)
-        want = [sine.value(x) for x in t[:-1].tolist()]
-        assert np.allclose(sine.values(t[:-1]), want, rtol=1e-15, atol=1e-13)
+            assert _hexes(c.values(t)) == _hexes(map(c.value, t.tolist()))
+            assert _hexes(c.rates(t)) == _hexes(map(c.rate, t.tolist()))
+        sine, finite = SineCommand(amplitude_kpa=21.0, freq_hz=1.35, offset_kpa=21.0), t[:-2]
+        assert _hexes(sine.values(finite)) == _hexes(map(sine.value, finite.tolist()))
+        assert _hexes(sine.rates(finite)) == _hexes(map(sine.rate, finite.tolist()))
+
+    def test_sine_values_equal_value_at_sweep_times(self, monkeypatch):
+        # the closed loop reads its command by array, so numpy's sine and cosine
+        # must give math's to the bit at every tick and row time of the shipped sweep
+        template, _ = load_scenario(ROOT / "scenarios" / "sweep_21kpa_half_liter.json")
+        points = []
+
+        def capture(scn):
+            points.append(scn)
+            raise ValueError("not simulated")
+
+        monkeypatch.setattr(an, "simulate", capture)
+        an.frequency_sweep(template, SWEEP_OMEGAS)
+        assert len(points) == len(SWEEP_OMEGAS)
+        for scn in points:
+            c, n = scn.command, scn.n_steps()
+            for stride in (scn.control_stride(), scn.sample_stride()):
+                t = sim._event_times(0, n // stride + 1, stride, scn.dt)
+                assert _hexes(c.values(t)) == _hexes(map(c.value, t.tolist()))
+                assert _hexes(c.rates(t)) == _hexes(map(c.rate, t.tolist()))
 
     def test_piecewise_validation(self):
         with pytest.raises(ValueError):
@@ -830,6 +861,61 @@ class TestClosedLoopStep:
             scale = 1.0 + abs(ts.p_r[i]) + abs(ts.p_cv[i])
             for got, w in zip((ts.q_in[i], ts.q_out[i], ts.q_motive[i]), want[2:]):
                 assert abs(got - w) <= FLOW_TOL * scale, i
+
+
+# A knot on the first tick of the third command block, which is also the
+# first row of a row block (sample stride 1, control stride 2)
+BLOCK_KNOT_T = (2 * sim.COMMAND_BLOCK * 2) * 5e-4
+BLOCK_COMMANDS = {
+    "step": StepCommand(target_kpa=40.0, start_s=0.3),
+    "sine": SineCommand(amplitude_kpa=21.0, freq_hz=1.35, offset_kpa=21.0),
+    "piecewise": PiecewiseCommand(knots=((0.0, 10.0), (BLOCK_KNOT_T, 50.0), (1.3, 20.0))),
+}
+
+
+class TestClosedLoopCommandBlocks:
+    """The loop reads its command a block of ticks at a time, and t and p_cmd after the loop."""
+
+    def scenario(self, command):
+        # 3 blocks of ticks plus 100: 1636 ticks every 2 steps, 3271 rows every step
+        duration = (3 * sim.COMMAND_BLOCK + 99) * 2 * 5e-4
+        scn = Scenario(network=cp.default_network(), command=command, duration=duration,
+                       hold_reservoir=True)
+        n, cs = scn.n_steps(), scn.control_stride()
+        assert (cs, scn.sample_stride()) == (2, 1)
+        assert n // cs + 1 == 3 * sim.COMMAND_BLOCK + 100
+        return scn
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_COMMANDS))
+    def test_blocks_equal_scalar_command(self, kind):
+        command = BLOCK_COMMANDS[kind]
+        scn = self.scenario(command)
+        n, cs, dt = scn.n_steps(), scn.control_stride(), scn.dt
+        ts = simulate(scn)
+        assert ts.t.tolist() == [k * dt for k in range(n + 1)]
+        assert _hexes(ts.p_cmd) == _hexes(map(command.value, ts.t.tolist()))
+        tt = sim._event_times(0, n // cs + 1, cs, dt)  # the tick times the loop reads at
+        assert tt.tolist() == [k * dt for k in range(0, n + 1, cs)]
+        assert _hexes(command.values(tt)) == _hexes(map(command.value, tt.tolist()))
+        assert _hexes(command.rates(tt)) == _hexes(map(command.rate, tt.tolist()))
+        if kind == "piecewise":
+            i = 2 * sim.COMMAND_BLOCK
+            assert tt[i] == BLOCK_KNOT_T and command.values(tt[i - 1:i + 1]).tolist() == [10.0, 50.0]
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_COMMANDS))
+    def test_loop_makes_no_scalar_command_call(self, kind, monkeypatch):
+        command = BLOCK_COMMANDS[kind]
+        scn = self.scenario(command)
+        want = simulate(scn)
+
+        def refuse(self, t):
+            raise AssertionError("a scalar command call")
+
+        monkeypatch.setattr(type(command), "value", refuse)
+        monkeypatch.setattr(type(command), "rate", refuse)
+        got = simulate(scn)
+        for name in sim.TimeSeries.FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 class TestMassBalance:
