@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .gasmodel import record, replace
-from .sim import Scenario, SineCommand, TimeSeries, simulate
+from .sim import Scenario, SineCommand, TimeSeries, pressure_response
 
 BAND_KPA = 1.0  # the fine-regulation band around a step target
 SWEEP_PERIODS = 4  # periods a sweep point runs after its startup period
@@ -179,8 +179,10 @@ def frequency_sweep(scn_template: Scenario, omegas, n_repeat: int = 1) -> list[F
                     duration=duration,
                     seed=scn_template.seed + rep,
                 )
-                # no name holds the trace, so it is freed before the next point simulates
-                gain, periods = _windowed_gain(simulate(scn).p_cv, omega, amplitude, scn.sample_rate)
+                # no name holds the response, so it is freed before the next point simulates
+                gain, periods = _windowed_gain(
+                    pressure_response(scn), omega, amplitude, scn.sample_rate
+                )
                 gains.append(gain)
             points.append(FrequencyPoint(omega, float(np.mean(gains)), periods))
         except (ValueError, RuntimeError) as exc:

@@ -408,11 +408,9 @@ def _scenario(raw: dict) -> tuple[Scenario, dict]:
             "rating gives R_vmin_kPa_s_per_L = P_inlet_max_kPa / (flow_max_slpm / 60))",
             scenario={"gas": gas, "network": network},
         )
-    if kind == "sine":  # its phase 2 pi f t and its rate 2 pi f A
-        span = max(1.0, run["duration_s"], command["amplitude_kPa"])
-        if not 2.0 * math.pi * command["frequency_Hz"] * span < math.inf:
-            raise _overflow("2 pi frequency_Hz times duration_s or amplitude_kPa",
-                            scenario={"command": command, "run": run})
+    if kind == "sine" and cmd.overflows(run["duration_s"]):  # Scenario.rule's bound, by key
+        raise _overflow("2 pi frequency_Hz times duration_s or amplitude_kPa",
+                        scenario={"command": command, "run": run})
     if run["mode"] not in ("closed_loop", "open_loop"):
         raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
     olc_path, olc = f"{run_path}.open_loop_command", None

@@ -100,6 +100,10 @@ class SineCommand:
         if self.offset_kpa < self.amplitude_kpa:
             raise FieldError(self, "offset_kpa", "must be >= {amplitude_kpa}")
 
+    def overflows(self, duration: float) -> bool:
+        """Whether the phase 2 pi f t within ``duration``, or the rate 2 pi f A, overflows."""
+        return not 2.0 * math.pi * self.freq_hz * max(1.0, duration, self.amplitude_kpa) < math.inf
+
     def value(self, t: float) -> float:
         return self.offset_kpa + self.amplitude_kpa * math.sin(2.0 * math.pi * self.freq_hz * t)
 
@@ -216,6 +220,9 @@ class Scenario:
         if not finite or self.n_steps() > MAX_STEPS:
             raise FieldError(self, "duration", f"the run would take more than {MAX_STEPS} steps "
                              "({duration} / {dt})")
+        if isinstance(self.command, SineCommand) and self.command.overflows(self.duration):
+            raise FieldError(self, "command.freq_hz", "too large: 2 pi {command.freq_hz} times "
+                             "{duration} or {command.amplitude_kpa} overflows")
         if self.closed_loop:
             if self.dt > 0.5 / self.controller.control_rate * (1 + 1e-9):
                 raise FieldError(
@@ -631,6 +638,36 @@ def simulate(scn: Scenario) -> TimeSeries:
     return ts
 
 
+def pressure_response(scn: Scenario) -> np.ndarray:
+    """``simulate(scn).p_cv`` to the bit; where ``simulate`` raises, the same error.
+
+    A closed-loop run stores only p_cv and p_r, and makes the checks of
+    ``TimeSeries.validate`` without the other columns; where one fails,
+    ``simulate`` runs again and raises its own error. t and p_cmd are formed a
+    block at a time, and the valve commands are range-checked as they change.
+    Each flow is affine in the state, its coefficients at most the conductances
+    1/R and the Venturi node's slope, so one bound from the largest pressures
+    holds at every row; doubled, it covers the rounding of both sides.
+    """
+    import numpy as np
+
+    if not scn.closed_loop:
+        return simulate(scn).p_cv
+    n_rows, net = scn.n_rows(), scn.network
+    p_cv, p_r = np.empty(n_rows), np.empty(n_rows)
+    _closed_loop(scn, {"p_cv": p_cv, "p_r": p_r}, propagator(net, scn.gas, scn.hold_reservoir))
+    for _, _, t, p_cmd in _row_commands(scn.command, n_rows, scn.sample_stride(), scn.dt):
+        if not np.all(np.isfinite(p_cmd)):
+            return simulate(scn).p_cv
+    m_r, m_cv = (max(float(np.max(p)), -float(np.min(p))) for p in (p_r, p_cv))  # NaN if any
+    floor, r_mot = -net.venturi.p_vac_floor, net.motive_valve.r_vmin
+    node = floor / r_mot / net.venturi.q_motive_rated * m_r + floor
+    bound = (m_r + m_cv) / net.inflation_valve.r_vmin + m_r / r_mot
+    bound += (m_cv + node) / net.solenoid.r_open  # the sum bounds each flow
+    # t = (i * ss) * dt rises strictly with i below 2**53, so only its last value can be inf
+    return p_cv if t[-1] < math.inf and 2.0 * bound < math.inf else simulate(scn).p_cv
+
+
 def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """Fill the columns of an open-loop run: segments of rows, one region each."""
     import numpy as np
@@ -669,7 +706,8 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
 def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """Fill the columns of a closed-loop run: per event, one piece for the row and the span.
 
-    The command is read by array, never per tick: the ticks' values and rates
+    ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r. The
+    command is read by array, never per tick: the ticks' values and rates
     ``COMMAND_BLOCK`` ticks at a time, and the rows' ``t`` and ``p_cmd`` after
     the loop, ``COMMAND_BLOCK`` rows at a time. Each time is the product
     ``(k * stride) * dt`` the loop would form, so both match the scalar
@@ -681,8 +719,11 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     net, dt, command = scn.network, scn.dt, scn.command
     n, ss, cs, n_rows = scn.n_steps(), scn.sample_stride(), scn.control_stride(), scn.n_rows()
     evp, dvp = net.inflation_valve, net.motive_valve
-    (p_cv_col, p_r_col, u_in_col, u_mot_col, sol_col, q_in_col, q_out_col, q_mot_col,
-     mode_col) = (memoryview(columns[name]) for name in TimeSeries.FIELDS[2:])
+    p_cv_col, p_r_col = memoryview(columns["p_cv"]), memoryview(columns["p_r"])
+    full = "mode" in columns  # else p_cv and p_r alone
+    if full:
+        (u_in_col, u_mot_col, sol_col, q_in_col, q_out_col, q_mot_col,
+         mode_col) = (memoryview(columns[name]) for name in TimeSeries.FIELDS[4:])
     read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
     vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
     control = control_kernel(scn.controller, vent_coeff)
@@ -708,16 +749,17 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         elif pc.kinks:  # a kinkless piece (no motive flow, solenoid shut) holds everywhere
             pc = region(p_r, p_cv, f_in, f_mot, sol)
         if k == next_row:
-            q_in, q_out, q_motive = flows(pc, p_r, p_cv)
             p_cv_col[row] = p_cv
             p_r_col[row] = p_r
-            u_in_col[row] = u_in
-            u_mot_col[row] = u_mot
-            sol_col[row] = 1.0 if sol else 0.0
-            q_in_col[row] = q_in
-            q_out_col[row] = q_out
-            q_mot_col[row] = q_motive
-            mode_col[row] = mode
+            if full:
+                q_in, q_out, q_motive = flows(pc, p_r, p_cv)
+                u_in_col[row] = u_in
+                u_mot_col[row] = u_mot
+                sol_col[row] = 1.0 if sol else 0.0
+                q_in_col[row] = q_in
+                q_out_col[row] = q_out
+                q_mot_col[row] = q_motive
+                mode_col[row] = mode
             row += 1
             next_row += ss
         if k == n:
@@ -728,12 +770,18 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         h = (nxt - k) * dt
         p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
         k = nxt
-    t_col, p_cmd_col = columns["t"], columns["p_cmd"]
+    if full:
+        for start, end, t, p_cmd in _row_commands(command, n_rows, ss, dt):
+            columns["t"][start:end] = t
+            columns["p_cmd"][start:end] = p_cmd
+
+
+def _row_commands(command: CommandSignal, n_rows: int, ss: int, dt: float):
+    """(start, end, t, p_cmd) of the rows, every ss steps of dt, a block at a time."""
     for start in range(0, n_rows, COMMAND_BLOCK):
         end = min(start + COMMAND_BLOCK, n_rows)
         t = _event_times(start, end, ss, dt)
-        t_col[start:end] = t
-        p_cmd_col[start:end] = command.values(t)
+        yield start, end, t, command.values(t)
 
 
 def _tick_commands(command: CommandSignal, n_ticks: int, cs: int, dt: float):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -15,7 +16,7 @@ from pneusim.sim import (
     StepCommand,
     TimeSeries,
     discharge_scenario,
-    simulate,
+    pressure_response,
     step_scenario,
 )
 
@@ -258,18 +259,39 @@ class TestFrequencySweep:
             an.frequency_sweep(self.make_template(), [0.5, -1.0])
 
     def test_one_trace_alive_at_a_time(self, monkeypatch):
-        # a point's trace is freed before the next point simulates
+        # a point's response is freed before the next point simulates
         traces = []
 
         def tracked(scn):
             assert [ref() for ref in traces] == [None] * len(traces)
-            ts = simulate(scn)
-            traces.extend((weakref.ref(ts), weakref.ref(ts.p_cv)))
-            return ts
+            response = pressure_response(scn)
+            traces.append(weakref.ref(response))
+            return response
 
-        monkeypatch.setattr(an, "simulate", tracked)
+        monkeypatch.setattr(an, "pressure_response", tracked)
         points = an.frequency_sweep(self.make_template(), [2.0, 3.0, 4.0])
-        assert [p.error for p in points] == [None] * 3 and len(traces) == 6
+        assert [p.error for p in points] == [None] * 3 and len(traces) == 3
+
+    def test_point_stores_two_columns(self, monkeypatch):
+        # a sweep point keeps p_cv and p_r, not the 11 columns of a TimeSeries
+        points = []
+
+        def capture(scn):
+            points.append(scn)
+            raise ValueError("not simulated")
+
+        monkeypatch.setattr(an, "pressure_response", capture)
+        an.frequency_sweep(self.make_template(), [0.14])
+        (scn,) = points
+        n_rows = scn.n_rows()
+        assert n_rows > 70_000
+        tracemalloc.start()
+        try:
+            response = pressure_response(scn)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(response) == n_rows and peak < 3 * n_rows * 8
 
     def test_per_point_failure_recorded_not_raised(self):
         # 300 Hz violates the sampling-rate precondition; other point succeeds

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -414,7 +415,7 @@ class TestSweepCommand:
         raw["run"]["mode"] = "open_loop"
         raw["run"]["open_loop_command"] = {"u_evp": 0.0, "u_dvp": 0.0, "solenoid_open": False}
         scn_file = write_json(tmp_path / "open.json", raw)
-        monkeypatch.setattr(analysis, "simulate", lambda scn: pytest.fail("simulated"))
+        monkeypatch.setattr(analysis, "pressure_response", lambda scn: pytest.fail("simulated"))
         argv = ["sweep", str(scn_file), "--omegas", "0.5,1", "--out", str(tmp_path / "out")]
         assert cli.main(argv) == 2
         assert capsys.readouterr().err == (
@@ -426,7 +427,7 @@ class TestSweepCommand:
         # each point's duration follows from its frequency, so --duration would be ignored
         from pneusim import analysis
 
-        monkeypatch.setattr(analysis, "simulate", lambda scn: pytest.fail("simulated"))
+        monkeypatch.setattr(analysis, "pressure_response", lambda scn: pytest.fail("simulated"))
         argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35"]
         assert cli.main([*argv, "--duration", "0.75", "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err.startswith("error: --duration: ")
@@ -442,10 +443,32 @@ class TestSweepCommand:
                        "(duration * sample_rate)")
         assert "scenario." not in err and rows[2].split(",")[3] == ""
 
+    def test_overflowing_omega_names_the_field(self, tmp_path):
+        # Scenario's rule bounds each point's phase and rate, before any sine is formed
+        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas",
+                "1e308,1e307,1.35"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        rows = (tmp_path / "sweep_21kpa_half_liter_sweep.csv").read_text().splitlines()
+        err = ("Scenario.command.freq_hz: too large: 2 pi command.freq_hz times duration or "
+               "command.amplitude_kpa overflows")
+        assert [row.split(",")[3] for row in rows[1:]] == ["", err, err]  # rows by frequency
+
+    def test_overflowing_sine_file_exit_2(self, tmp_path, capsys):
+        raw = json.loads((SCENARIOS / "sweep_21kpa_half_liter.json").read_text())
+        raw["command"]["frequency_Hz"] = 1e307
+        scn_file = write_json(tmp_path / "sine.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario.command.frequency_Hz: too large: 2 pi frequency_Hz times duration_s "
+            "or amplitude_kPa overflows\n"
+        )
+
     def test_zero_repeats_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch):
         from pneusim import analysis
 
-        monkeypatch.setattr(analysis, "simulate", lambda scn: pytest.fail("simulated"))
+        monkeypatch.setattr(analysis, "pressure_response", lambda scn: pytest.fail("simulated"))
         argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35"]
         assert cli.main([*argv, "--repeats", "0", "--out", str(tmp_path)]) == 2
         assert "error: --repeats: must be >= 1" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from pneusim import analysis as an
 from pneusim import components as cp
@@ -109,7 +109,7 @@ class TestCommandSignals:
             points.append(scn)
             raise ValueError("not simulated")
 
-        monkeypatch.setattr(an, "simulate", capture)
+        monkeypatch.setattr(an, "pressure_response", capture)
         an.frequency_sweep(template, SWEEP_OMEGAS)
         assert len(points) == len(SWEEP_OMEGAS)
         for scn in points:
@@ -165,6 +165,18 @@ class TestScenarioValidation:
         # a run shorter than one step would take a whole step, past the duration given
         with pytest.raises(ValueError, match=r"^Scenario\.duration: must be >= dt$"):
             simulate(replace(step_scenario(69.0), duration=1e-4))
+
+    @pytest.mark.parametrize("freq_hz, duration, amplitude", [
+        (1e308, 0.01, 21.0), (1e307, 0.01, 21.0), (1e307, 100.0, 0.0), (1e306, 0.01, 1e3),
+    ])
+    def test_sine_phase_or_rate_overflow_names_the_frequency(self, freq_hz, duration, amplitude):
+        # 2 pi f max(1, duration, amplitude) overflows: no sine is formed, so no numpy warning
+        command = SineCommand(amplitude, freq_hz, amplitude)
+        with pytest.raises(gm.FieldError, match=r"^Scenario\.command\.freq_hz: too large: 2 pi "):
+            Scenario(network=cp.default_network(), command=command, duration=duration,
+                     hold_reservoir=True)
+        Scenario(network=cp.default_network(), command=replace(command, freq_hz=freq_hz / 100.0),
+                 duration=duration, hold_reservoir=True)  # within the bound
 
 
 RATE_KEYS = ("dp_r", "dp_cv", "q_in", "q_out", "q_motive")
@@ -808,6 +820,22 @@ class TestDischarge:
         nrmse = math.sqrt(float(np.mean((ts.p_r - expected) ** 2))) / 689.0
         assert nrmse < 1e-8
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        v_r=st.floats(0.1, 10.0),
+        r_v=st.floats(1e2, 1e4),
+        p_r0=st.floats(10.0, 1000.0),
+        taus=st.floats(0.01, 3.0),
+    )
+    def test_every_row_is_the_closed_form_to_rounding(self, v_r, r_v, p_r0, taus):
+        # one region for the whole run, so the exact map gives the paper's decay at each
+        # row to a few hundred units of rounding (2**-53 is 1.1e-16)
+        tau = gm.discharge_time_constant(r_v, v_r)
+        scn = discharge_scenario(r_v=r_v, v_r=v_r, p_r0=p_r0, duration=taus * tau, dt=tau / 500)
+        ts = simulate(scn)
+        want = np.array([gm.discharge_pressure(t, p_r0, r_v, v_r) for t in ts.t.tolist()])
+        assert np.all(np.abs(ts.p_r - want) <= 1e-12 * want)
+
     def test_reservoir_monotone_non_increasing(self):
         ts = simulate(discharge_scenario(r_v=R_CATALOG, duration=30.0))
         assert np.all(np.diff(ts.p_r) <= 0.0)
@@ -916,6 +944,112 @@ class TestClosedLoopCommandBlocks:
         got = simulate(scn)
         for name in sim.TimeSeries.FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+
+def _outcome(run, scn):
+    """The bytes of ``run(scn)``, or the type and text of what it raises."""
+    try:
+        return run(scn).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def _both_outcomes(scn) -> tuple:
+    return _outcome(lambda s: simulate(s).p_cv, scn), _outcome(sim.pressure_response, scn)
+
+
+def _overflowing_vent(net):
+    """``net`` with a 1e307 L control volume behind a 1e-307 solenoid: q_out overflows at 30 kPa."""
+    net = replace(net, control_volume=replace(net.control_volume, v_cv=1e307, p_cv=30.0))
+    return replace(net, solenoid=replace(net.solenoid, r_open=1e-307))
+
+
+COMMANDS = st.one_of(
+    st.builds(StepCommand, target_kpa=st.floats(0.0, 150.0), start_s=st.floats(0.0, 0.2)),
+    st.builds(lambda a, f, above: SineCommand(a, f, a + above), st.floats(0.0, 40.0),
+              st.floats(0.2, 50.0), st.floats(0.0, 20.0)),
+    st.builds(
+        lambda first, later: PiecewiseCommand(knots=((0.0, first), *sorted(later.items()))),
+        st.floats(0.0, 150.0), st.dictionaries(st.floats(1e-3, 0.3), st.floats(0.0, 150.0),
+                                               max_size=4),
+    ),
+)
+
+
+EXAMPLE = dict(hold=False, noise=0.0, sample_rate=2000.0, v_r=2.0, p_r0=689.0, v_cv=0.5,
+               p_cv0=0.0, seed=0, overflow=False)
+
+
+class TestPressureResponse:
+    """``pressure_response`` stores only p_cv and p_r, and gives ``simulate``'s p_cv or error."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=COMMANDS,
+        hold=st.booleans(),
+        noise=st.sampled_from([0.0, 0.1]),
+        sample_rate=st.sampled_from([2000.0, 1000.0, 250.0]),  # stride 1, 2 and 8; ticks 2
+        v_r=st.floats(0.05, 5.0),
+        p_r0=st.floats(0.0, 900.0),
+        v_cv=st.floats(0.05, 2.0),
+        p_cv0=st.floats(-60.0, 200.0),
+        duration=st.floats(0.01, 0.3),
+        seed=st.integers(0, 2**32),
+        overflow=st.booleans(),
+    )
+    # the 2 Hz sweep point whose q_out overflows at every row, though p_cv and p_r stay finite
+    @example(command=SineCommand(10.5, 2.0, 10.5), duration=2.501, **{**EXAMPLE, "overflow": True})
+    # an infinite command that only the last row reads, after the last tick
+    @example(command=StepCommand(math.inf, start_s=0.0105), duration=0.0105, **EXAMPLE)
+    def test_equals_simulate_or_raises_its_error(
+        self, command, hold, noise, sample_rate, v_r, p_r0, v_cv, p_cv0, duration, seed, overflow
+    ):
+        net = cp.default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv, p_cv0=p_cv0)
+        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise))
+        if overflow:
+            net = _overflowing_vent(net)
+        try:
+            scn = Scenario(network=net, command=command, duration=duration,
+                           sample_rate=sample_rate, seed=seed, hold_reservoir=hold)
+        except gm.FieldError:
+            assume(False)
+        want, got = _both_outcomes(scn)
+        event("runs" if isinstance(want, bytes) else f"raises {want[0].__name__}")
+        assert got == want
+
+    def test_row_only_infinite_command_raises_as_simulate(self):
+        # ticks at even steps, rows at every step: row 21 alone reads the infinite target
+        scn = Scenario(network=cp.default_network(), command=StepCommand(math.inf, 0.0105),
+                       duration=0.0105, hold_reservoir=True)
+        assert (scn.n_steps(), scn.control_stride()) == (21, 2)
+        want, got = _both_outcomes(scn)
+        assert got == want == (ValueError, "TimeSeries column p_cmd contains non-finite values")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+    def test_infinite_row_time_raises_as_simulate(self):
+        # rows at 0, 1e308 and 2e308 s: the rule lets the last row's time overflow, and numpy
+        # warns as it forms it; the t check of validate must still fail the run
+        scn = Scenario(network=cp.default_network(p_r0=0.0), command=StepCommand(0.0),
+                       controller=ControllerConfig(control_rate=5e-309), dt=1e308,
+                       duration=1.7e308, sample_rate=1e-308, hold_reservoir=True)
+        want, got = _both_outcomes(scn)
+        assert got == want == (ValueError, "TimeSeries column t contains non-finite values")
+
+    def test_overflowing_flow_fails_its_sweep_point(self):
+        template = Scenario(network=_overflowing_vent(cp.default_network()),
+                            command=SineCommand(10.5, 1.0, 10.5), hold_reservoir=True)
+        (point,) = an.frequency_sweep(template, [2.0])
+        assert point.error == "TimeSeries column q_out contains non-finite values"
+
+    def test_open_loop_is_simulate(self):
+        scn = discharge_scenario(r_v=R_CATALOG, duration=1.0)
+        assert sim.pressure_response(scn).tobytes() == simulate(scn).p_cv.tobytes()
+
+    @pytest.mark.parametrize("name", ["step_69kpa_half_liter", "sweep_21kpa_half_liter"])
+    def test_shipped_scenarios(self, name):
+        scn, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        want, got = _both_outcomes(scn)
+        assert isinstance(want, bytes) and got == want
 
 
 class TestMassBalance:
