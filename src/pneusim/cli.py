@@ -32,7 +32,7 @@ from .components import (
     default_network,
 )
 from .control import ActuatorCommand, ControllerConfig, Mode
-from .gasmodel import BOUNDS, DEFAULT_GAS, PERFECT_VACUUM_KPA, FieldError, alpha
+from .gasmodel import BOUNDS, DEFAULT_GAS, FieldError
 from .sim import (
     PiecewiseCommand,
     Scenario,
@@ -40,6 +40,7 @@ from .sim import (
     SineCommand,
     StepCommand,
     TimeSeries,
+    rates_overflow,
     simulate,
 )
 from .sizing import (
@@ -370,6 +371,7 @@ def _scenario(raw: dict) -> tuple[Scenario, dict]:
             network[name] = _object(net_obj.pop(name, {}), path, table)
         parts[name] = _build(table, network[name], path)
     _reject_unknown(net_obj, "scenario.network")
+    net = PneumaticNetwork(**parts)
     ctl = ("scenario.controller", CONTROLLER)
     controller = _object(top.pop("controller", {}), *ctl)
     ctl_cfg = _build(CONTROLLER, controller, ctl[0])
@@ -391,23 +393,10 @@ def _scenario(raw: dict) -> tuple[Scenario, dict]:
     run_path = "scenario.run"
     run_obj = _require_obj(top.pop("run", {}), run_path)
     run = _resolve(run_obj, run_path, RUN)
-    # The rates are flows times alpha / V, and the propagator forms A (A p + b). So each
-    # coefficient (a conductance 1 / R, the Venturi node's slope through the solenoid, alpha / V
-    # times them), squared, times the largest pressure of the run must stay finite.
-    res, cv, venturi = network["reservoir"], network["control_volume"], network["venturi"]
-    a, r_mot = alpha(gc), network["motive_valve"]["R_vmin_kPa_s_per_L"]
-    slope = -venturi["P_vac_floor_kPa"] / r_mot / (venturi["Q_motive_rated_slpm"] / 60.0)
-    g = 1.0 / network["inflation_valve"]["R_vmin_kPa_s_per_L"] + 1.0 / r_mot
-    g += (1.0 + slope) / network["solenoid"]["R_open_kPa_s_per_L"]
-    inv_v = max(a / cv["V_cv_L"], 0.0 if run["hold_reservoir"] else a / res["V_r_L"])
-    coeff = max(1.0, slope, g, 2.0 * g * inv_v)
-    p = max(res["P_r0_kPa"], cv["P_cv0_kPa"], -PERFECT_VACUUM_KPA)
-    if not 4.0 * coeff * coeff * p < math.inf:
-        raise _overflow(
-            "a rate constant alpha / V times a conductance 1 / R, times a pressure (a flow "
-            "rating gives R_vmin_kPa_s_per_L = P_inlet_max_kPa / (flow_max_slpm / 60))",
-            scenario={"gas": gas, "network": network},
-        )
+    if rates_overflow(net, gc, run["hold_reservoir"]):  # Scenario.rule's bound, by key
+        raise _overflow("a rate constant alpha / V times a conductance 1 / R, times a pressure "
+                        "(a flow rating gives R_vmin_kPa_s_per_L = P_inlet_max_kPa / "
+                        "(flow_max_slpm / 60))", scenario={"gas": gas, "network": network})
     if kind == "sine" and cmd.overflows(run["duration_s"]):  # Scenario.rule's bound, by key
         raise _overflow("2 pi frequency_Hz times duration_s or amplitude_kPa",
                         scenario={"command": command, "run": run})
@@ -430,8 +419,8 @@ def _scenario(raw: dict) -> tuple[Scenario, dict]:
         RUN,
         run,
         run_path,
-        {"controller": ctl},
-        network=PneumaticNetwork(**parts),
+        {"controller": ctl, "command": ("scenario.command", COMMANDS[kind])},
+        network=net,
         controller=ctl_cfg,
         command=cmd,
         open_loop_command=olc,

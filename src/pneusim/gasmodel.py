@@ -27,6 +27,7 @@ _AT_LEAST_0 = (lambda v: v >= 0.0, ">= 0")
 BOUNDS = {
     "pos": ((lambda v: v > 0.0, "> 0"),),
     "nonneg": (_AT_LEAST_0,),
+    "level": (_AT_LEAST_0, (math.isfinite, "finite")),  # a command level
     "int": (_AT_LEAST_0,),  # a count or seed, an integer in a file
     "gauge": ((lambda v: v >= PERFECT_VACUUM_KPA, f">= {PERFECT_VACUUM_KPA} (perfect vacuum)"),),
     "floor": ((lambda v: PERFECT_VACUUM_KPA < v < 0.0, f"in ({PERFECT_VACUUM_KPA}, 0)"),),

@@ -62,7 +62,7 @@ class SimulationDivergence(RuntimeError):
         self.t = t
 
 
-@record(target_kpa="nonneg", start_s="nonneg")
+@record(target_kpa="level", start_s="nonneg")
 class StepCommand:
     """Command 0 before start_s, then target_kpa (gauge)."""
 
@@ -99,10 +99,12 @@ class SineCommand:
     def rule(self) -> None:
         if self.offset_kpa < self.amplitude_kpa:
             raise FieldError(self, "offset_kpa", "must be >= {amplitude_kpa}")
+        if not self.offset_kpa + self.amplitude_kpa < math.inf:  # its largest value
+            raise FieldError(self, "offset_kpa", "{offset_kpa} + {amplitude_kpa} must be finite")
 
-    def overflows(self, duration: float) -> bool:
-        """Whether the phase 2 pi f t within ``duration``, or the rate 2 pi f A, overflows."""
-        return not 2.0 * math.pi * self.freq_hz * max(1.0, duration, self.amplitude_kpa) < math.inf
+    def overflows(self, *times: float) -> bool:
+        """Whether 2 pi f t up to the latest of ``times``, or the rate 2 pi f A, overflows."""
+        return not 2.0 * math.pi * self.freq_hz * max(1.0, *times, self.amplitude_kpa) < math.inf
 
     def value(self, t: float) -> float:
         return self.offset_kpa + self.amplitude_kpa * math.sin(2.0 * math.pi * self.freq_hz * t)
@@ -139,7 +141,7 @@ class PiecewiseCommand:
     def rule(self) -> None:
         knots = tuple((t, value) for t, value in self.knots)  # pairs of any sequence type
         for i, (t, value) in enumerate(knots):
-            check(self, f"knots[{i}]", "nonneg", value)
+            check(self, f"knots[{i}]", "level", value)
             if i == 0 and t != 0.0:
                 raise FieldError(self, "knots[0]", "first knot must be at t=0")
             if i and not t > knots[i - 1][0]:
@@ -207,7 +209,8 @@ class Scenario:
         return self.n_steps() // self.sample_stride() + 1
 
     def rule(self) -> None:
-        """dt divides the sample and control periods, and the run fits its row and step budgets."""
+        """dt divides the sample and control periods, the run fits its row and step budgets,
+        and its times, its sine's phase and rate and its network's rates stay finite."""
         if self.duration < self.dt:
             raise FieldError(self, "duration", "must be >= {dt}")
         if self.sample_rate > 1.0 / self.dt * (1 + 1e-9):
@@ -220,9 +223,16 @@ class Scenario:
         if not finite or self.n_steps() > MAX_STEPS:
             raise FieldError(self, "duration", f"the run would take more than {MAX_STEPS} steps "
                              "({duration} / {dt})")
-        if isinstance(self.command, SineCommand) and self.command.overflows(self.duration):
+        end = self.n_steps() * self.dt  # the last step's time, up to dt/2 past duration
+        if end == math.inf:
+            raise FieldError(self, "duration", "too large: the last step's time, "
+                             "round({duration} / {dt}) * {dt}, overflows")
+        if isinstance(self.command, SineCommand) and self.command.overflows(self.duration, end):
             raise FieldError(self, "command.freq_hz", "too large: 2 pi {command.freq_hz} times "
                              "{duration} or {command.amplitude_kpa} overflows")
+        if rates_overflow(self.network, self.gas, self.hold_reservoir):
+            raise FieldError(self, "network", "too extreme: a rate constant ({gas} alpha / V "
+                             "times a conductance 1 / R), squared, times a pressure overflows")
         if self.closed_loop:
             if self.dt > 0.5 / self.controller.control_rate * (1 + 1e-9):
                 raise FieldError(
@@ -419,6 +429,20 @@ def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
 
 
 Propagator = namedtuple("Propagator", "region flows span cross segment")  # see propagator
+
+
+def rates_overflow(net: PneumaticNetwork, gas: GasConstants, hold: bool) -> bool:
+    """Whether ``propagator``'s rates may overflow: they are flows times alpha / V, and it
+    forms A (A p + b), so each coefficient (a conductance 1 / R, the Venturi node's slope
+    through the solenoid, alpha / V times them), squared, times the largest pressure must
+    stay finite."""
+    a, r_mot, venturi = alpha(gas), net.motive_valve.r_vmin, net.venturi
+    slope = -venturi.p_vac_floor / r_mot / venturi.q_motive_rated
+    g = 1.0 / net.inflation_valve.r_vmin + 1.0 / r_mot + (1.0 + slope) / net.solenoid.r_open
+    inv_v = max(a / net.control_volume.v_cv, 0.0 if hold else a / net.reservoir.v_r)
+    coeff = max(1.0, slope, g, 2.0 * g * inv_v)
+    p = max(net.reservoir.p_r0, net.control_volume.p_cv, -PERFECT_VACUUM_KPA)
+    return not 4.0 * coeff * coeff * p < math.inf
 
 
 def propagator(
@@ -641,13 +665,14 @@ def simulate(scn: Scenario) -> TimeSeries:
 def pressure_response(scn: Scenario) -> np.ndarray:
     """``simulate(scn).p_cv`` to the bit; where ``simulate`` raises, the same error.
 
-    A closed-loop run stores only p_cv and p_r, and makes the checks of
-    ``TimeSeries.validate`` without the other columns; where one fails,
-    ``simulate`` runs again and raises its own error. t and p_cmd are formed a
-    block at a time, and the valve commands are range-checked as they change.
-    Each flow is affine in the state, its coefficients at most the conductances
-    1/R and the Venturi node's slope, so one bound from the largest pressures
-    holds at every row; doubled, it covers the rounding of both sides.
+    A closed-loop run stores only p_cv and p_r. Of the checks of ``TimeSeries.validate``
+    on the other columns, only the flows' needs the run: the records' rules keep every time
+    and command level finite, and the valve commands are range-checked as they change. Each
+    flow is affine in the state, its coefficients at most the conductances 1/R, and the
+    Venturi node lies between the floor and 0 in the region each row reads (with the slope
+    the rule bounds), so one bound from the largest pressures holds at every row; doubled,
+    it covers the rounding of both sides. Where it fails, ``simulate`` runs again
+    and raises its own error.
     """
     import numpy as np
 
@@ -656,29 +681,21 @@ def pressure_response(scn: Scenario) -> np.ndarray:
     n_rows, net = scn.n_rows(), scn.network
     p_cv, p_r = np.empty(n_rows), np.empty(n_rows)
     _closed_loop(scn, {"p_cv": p_cv, "p_r": p_r}, propagator(net, scn.gas, scn.hold_reservoir))
-    for _, _, t, p_cmd in _row_commands(scn.command, n_rows, scn.sample_stride(), scn.dt):
-        if not np.all(np.isfinite(p_cmd)):
-            return simulate(scn).p_cv
     m_r, m_cv = (max(float(np.max(p)), -float(np.min(p))) for p in (p_r, p_cv))  # NaN if any
-    floor, r_mot = -net.venturi.p_vac_floor, net.motive_valve.r_vmin
-    node = floor / r_mot / net.venturi.q_motive_rated * m_r + floor
-    bound = (m_r + m_cv) / net.inflation_valve.r_vmin + m_r / r_mot
-    bound += (m_cv + node) / net.solenoid.r_open  # the sum bounds each flow
-    # t = (i * ss) * dt rises strictly with i below 2**53, so only its last value can be inf
-    return p_cv if t[-1] < math.inf and 2.0 * bound < math.inf else simulate(scn).p_cv
+    bound = (m_r + m_cv) / net.inflation_valve.r_vmin + m_r / net.motive_valve.r_vmin
+    bound += (m_cv - net.venturi.p_vac_floor) / net.solenoid.r_open  # the sum bounds each flow
+    return p_cv if 2.0 * bound < math.inf else simulate(scn).p_cv
 
 
 def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """Fill the columns of an open-loop run: segments of rows, one region each."""
-    import numpy as np
-
     net, cmd, dt = scn.network, scn.open_loop_command, scn.dt
     ss, n_rows = scn.sample_stride(), scn.n_rows()
     f_in = valve_fraction(cmd.u_inflate, net.inflation_valve)
     f_mot = valve_fraction(cmd.u_motive, net.motive_valve)
     sol = cmd.solenoid_open
     region, cross, segment = prop.region, prop.cross, prop.segment
-    columns["t"][:] = (np.arange(n_rows) * ss) * dt
+    columns["t"][:] = _event_times(0, n_rows, ss, dt)
     columns["p_cmd"][:] = scn.command.values(columns["t"])
     columns["u_inflate"][:] = cmd.u_inflate
     columns["u_motive"][:] = cmd.u_motive
@@ -689,7 +706,7 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     row = 0
     while True:
         m = min(n_rows - row, SEGMENT_ROWS)
-        rows = segment(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, (np.arange(m) * ss) * dt)
+        rows = segment(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, _event_times(0, m, ss, dt))
         got = len(rows[0])
         for col, values in zip(trace, rows):
             col[row:row + got] = values
@@ -706,13 +723,11 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
 def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """Fill the columns of a closed-loop run: per event, one piece for the row and the span.
 
-    ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r. The
-    command is read by array, never per tick: the ticks' values and rates
-    ``COMMAND_BLOCK`` ticks at a time, and the rows' ``t`` and ``p_cmd`` after
-    the loop, ``COMMAND_BLOCK`` rows at a time. Each time is the product
-    ``(k * stride) * dt`` the loop would form, so both match the scalar
-    ``value`` and ``rate`` to the bit wherever numpy's sine and cosine match
-    ``math``'s.
+    ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r. The command is read
+    by array, never per tick: the ticks' values and rates ``COMMAND_BLOCK`` ticks at a time,
+    and the rows' ``t`` and ``p_cmd``, if asked for, after the loop, as many rows at a time.
+    Each time is the product ``(k * stride) * dt`` the loop would form, so both match the
+    scalar ``value`` and ``rate`` to the bit wherever numpy's sine and cosine match ``math``'s.
     """
     import numpy as np
 
@@ -771,17 +786,10 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
         k = nxt
     if full:
-        for start, end, t, p_cmd in _row_commands(command, n_rows, ss, dt):
-            columns["t"][start:end] = t
-            columns["p_cmd"][start:end] = p_cmd
-
-
-def _row_commands(command: CommandSignal, n_rows: int, ss: int, dt: float):
-    """(start, end, t, p_cmd) of the rows, every ss steps of dt, a block at a time."""
-    for start in range(0, n_rows, COMMAND_BLOCK):
-        end = min(start + COMMAND_BLOCK, n_rows)
-        t = _event_times(start, end, ss, dt)
-        yield start, end, t, command.values(t)
+        for start in range(0, n_rows, COMMAND_BLOCK):
+            end = min(start + COMMAND_BLOCK, n_rows)
+            t = columns["t"][start:end] = _event_times(start, end, ss, dt)
+            columns["p_cmd"][start:end] = command.values(t)
 
 
 def _tick_commands(command: CommandSignal, n_ticks: int, cs: int, dt: float):

@@ -342,6 +342,73 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: scenario.{section}.{key}: too small: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "part, field, value",
+        [
+            ("gas", "M", 1e-310),
+            ("reservoir", "v_r", 5e-324),
+            ("control_volume", "v_cv", 5e-324),
+            ("solenoid", "r_open", 1e-320),
+        ],
+    )
+    def test_overflowing_rate_constant_refused_by_the_record(self, part, field, value):
+        # the rows of test_overflowing_rate_constant_exit_2 as records: Scenario's rule
+        # states the bound that cli names by its file key
+        net, gas = default_network(), gasmodel.DEFAULT_GAS
+        if part == "gas":
+            gas = gasmodel.replace(gas, **{field: value})
+        else:
+            net = gasmodel.replace(net, **{part: gasmodel.replace(getattr(net, part),
+                                                                  **{field: value})})
+        with pytest.raises(gasmodel.FieldError, match=r"^Scenario\.network: too extreme: "):
+            sim.Scenario(network=net, command=sim.StepCommand(69.0), dt=0.0005, duration=0.5,
+                         sample_rate=1000.0, gas=gas)
+
+    def test_overflowing_last_step_time_exit_2(self, tmp_path, capsys):
+        # steps at 0, 1e308 and 2e308 s: the last step's time overflows, and no numpy warning
+        raw = minimal_scenario(dt_s=1e308, duration_s=1.7e308, sample_rate_Hz=1e-308,
+                               hold_reservoir=True)
+        raw["command"]["target_kPa"] = 0.0
+        raw["controller"] = {"control_rate_Hz": 5e-309}
+        raw["network"] = {"reservoir": {"P_r0_kPa": 0.0}}
+        scn_file = write_json(tmp_path / "scn.json", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario.run.duration_s: too large: the last step's time, "
+            "round(duration_s / dt_s) * dt_s, overflows\n"
+        )
+
+    def test_overflowing_sine_level_exit_2(self, tmp_path, capsys):
+        # offset_kPa + amplitude_kPa overflows: the open loop reads no sensor range to stop it
+        raw = minimal_scenario(dt_s=1000.0, duration_s=1e8, sample_rate_Hz=0.001,
+                               mode="open_loop")
+        raw["run"]["open_loop_command"] = {"u_evp": 0.0, "u_dvp": 0.0, "solenoid_open": False}
+        raw["command"] = {"kind": "sine", "amplitude_kPa": 1.7e308, "offset_kPa": 1.7e308,
+                          "frequency_Hz": 1e-9}
+        scn_file = write_json(tmp_path / "scn.json", raw)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario.command.offset_kPa: offset_kPa + amplitude_kPa must be finite\n"
+        )
+
+    def test_sine_phase_overflow_at_the_last_step_exit_2(self, tmp_path, capsys):
+        # 2 pi frequency_Hz duration_s is finite, but not at the last step's time, 3 dt_s
+        dt = 2.8e307 / 2.6
+        raw = minimal_scenario(dt_s=dt, duration_s=2.8e307, sample_rate_Hz=1.0 / dt,
+                               hold_reservoir=True)
+        raw["command"] = {"kind": "sine", "amplitude_kPa": 1.0, "frequency_Hz": 1.0}
+        raw["controller"] = {"control_rate_Hz": 0.5 / dt}
+        scn_file = write_json(tmp_path / "scn.json", raw)
+        assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: scenario.command.frequency_Hz: too large: 2 pi frequency_Hz times duration_s "
+            "or amplitude_kPa overflows\n"
+        )
+
     def test_tiny_exhaust_product_runs(self, tmp_path, capsys):
         # R_open * V_cv underflows to 0, but alpha / V_cv / R_open, the venting
         # coefficient the run derives, is finite
@@ -932,6 +999,7 @@ class TestReadmeSchema:
         "num": "number",
         "pos": "> 0",
         "nonneg": ">= 0",
+        "level": ">= 0, finite",
         "gauge": ">= -101.325",
         "floor": "in (-101.325, 0)",
         "unit": ">= 0, <= 1",

@@ -310,7 +310,7 @@ FIELD_NUMBERS = (
     | st.integers()
     | st.sampled_from([2**63, 10**400, -(10**400)])
 )
-NUMERIC_CHECKS = {"num", "pos", "nonneg", "gauge", "floor", "unit", "deadband", "int"}
+NUMERIC_CHECKS = {"num", "pos", "nonneg", "level", "gauge", "floor", "unit", "deadband", "int"}
 BASES = {
     name: json.loads((SCENARIOS / f"{name}.json").read_text())
     for name in ("step_69kpa_half_liter", "sweep_21kpa_half_liter", "discharge_2l_bottle",

@@ -178,6 +178,28 @@ class TestScenarioValidation:
         Scenario(network=cp.default_network(), command=replace(command, freq_hz=freq_hz / 100.0),
                  duration=duration, hold_reservoir=True)  # within the bound
 
+    def test_sine_phase_overflow_at_the_last_step_names_the_frequency(self):
+        # 2 pi f duration is finite, but the last of 2.6 steps rounds up to 3 dt, where it is not
+        command, duration = SineCommand(1.0, 1.0, 1.0), 2.8e307
+        dt = duration / 2.6
+        assert not command.overflows(duration)
+        with pytest.raises(gm.FieldError, match=r"^Scenario\.command\.freq_hz: too large: 2 pi "):
+            Scenario(network=cp.default_network(), command=command, dt=dt, duration=duration,
+                     sample_rate=1.0 / dt, controller=ControllerConfig(control_rate=0.5 / dt),
+                     hold_reservoir=True)
+
+    @pytest.mark.parametrize("make, message", [  # StepCommand: TestPressureResponse
+        (lambda: PiecewiseCommand(((0.0, 1.0), (1.0, math.inf))),
+         r"PiecewiseCommand\.knots\[1\]: must be finite"),
+        (lambda: SineCommand(1.7e308, 1.0, 1.7e308),
+         r"SineCommand\.offset_kpa: offset_kpa \+ amplitude_kpa must be finite"),
+        (lambda: SineCommand(1.0, 1.0, math.nan),
+         r"SineCommand\.offset_kpa: offset_kpa \+ amplitude_kpa must be finite"),
+    ], ids=["knot", "sine_sum", "sine_nan_offset"])
+    def test_command_levels_must_be_finite(self, make, message):
+        with pytest.raises(gm.FieldError, match=f"^{message}$"):
+            make()
+
 
 RATE_KEYS = ("dp_r", "dp_cv", "q_in", "q_out", "q_motive")
 
@@ -757,12 +779,14 @@ class TestSimulateBasics:
         _assert_follows(ts, *_rk4_run(scn, RK4_SUBSTEPS))
 
     def test_non_finite_state_diverges(self):
-        # an inflation valve of 1e-310 kPa s/L conducts an infinite flow
+        # an inflation valve of 1e-310 kPa s/L conducts an infinite flow; Scenario's rule
+        # rejects such a network, so the propagator is driven directly
         net = cp.default_network()
         net = replace(net, inflation_valve=replace(net.inflation_valve, r_vmin=1e-310))
-        scn = replace(step_scenario(69.0, duration=0.01), network=net)
+        prop = sim.propagator(net)
+        pc = prop.region(689.0, 0.0, 1.0, 0.0, False)
         with pytest.raises(SimulationDivergence, match=r"^non-finite state at t=0 s$"):
-            simulate(scn)
+            prop.cross(pc, 689.0, 0.0, 1e-3, 0.0)
 
     @pytest.mark.parametrize("p_cv0", [30.0, 60.0, 100.0])
     def test_stiff_vent_settles_at_atmosphere(self, p_cv0):
@@ -964,6 +988,25 @@ def _overflowing_vent(net):
     return replace(net, solenoid=replace(net.solenoid, r_open=1e-307))
 
 
+def _extreme(noise: float) -> tuple:
+    """A network and gas that Scenario's rule accepts, though q_motive overflows in a run."""
+    net = cp.default_network(v_r=1.5128909440973272e140, p_r0=33498738233.95681,
+                             v_cv=1.7051783456298512e148, p_cv0=0.0)
+    net = replace(
+        net,
+        inflation_valve=replace(net.inflation_valve, r_vmin=2.405906932282898e-105),
+        motive_valve=replace(net.motive_valve, r_vmin=6.460715825196841e-127),
+        solenoid=replace(net.solenoid, r_open=87491428.8657276),
+        venturi=replace(net.venturi, p_vac_floor=-94.45634279757378,
+                        q_motive_rated=1.4543854656642945e-17),
+        cv_sensor=replace(net.cv_sensor, noise_std=noise),
+    )
+    return net, replace(gm.DEFAULT_GAS, M=2.4559921855792673e-61)
+
+
+EXTREME_SINE = SineCommand(1.0511773840971705, 59.92429456399524, 1.5767660761457558)
+
+
 COMMANDS = st.one_of(
     st.builds(StepCommand, target_kpa=st.floats(0.0, 150.0), start_s=st.floats(0.0, 0.2)),
     st.builds(lambda a, f, above: SineCommand(a, f, a + above), st.floats(0.0, 40.0),
@@ -976,8 +1019,8 @@ COMMANDS = st.one_of(
 )
 
 
-EXAMPLE = dict(hold=False, noise=0.0, sample_rate=2000.0, v_r=2.0, p_r0=689.0, v_cv=0.5,
-               p_cv0=0.0, seed=0, overflow=False)
+EXAMPLE = dict(hold=False, noise=0.1, sample_rate=2000.0, v_r=2.0, p_r0=689.0, v_cv=0.5,
+               p_cv0=0.0, seed=0, extreme=True)
 
 
 class TestPressureResponse:
@@ -995,21 +1038,19 @@ class TestPressureResponse:
         p_cv0=st.floats(-60.0, 200.0),
         duration=st.floats(0.01, 0.3),
         seed=st.integers(0, 2**32),
-        overflow=st.booleans(),
+        extreme=st.booleans(),  # the network of _extreme in place of the default
     )
-    # the 2 Hz sweep point whose q_out overflows at every row, though p_cv and p_r stay finite
-    @example(command=SineCommand(10.5, 2.0, 10.5), duration=2.501, **{**EXAMPLE, "overflow": True})
-    # an infinite command that only the last row reads, after the last tick
-    @example(command=StepCommand(math.inf, start_s=0.0105), duration=0.0105, **EXAMPLE)
+    # q_motive overflows, though p_cv and p_r stay finite: the flows bound sends it to simulate
+    @example(command=EXTREME_SINE, duration=0.005, **EXAMPLE)
     def test_equals_simulate_or_raises_its_error(
-        self, command, hold, noise, sample_rate, v_r, p_r0, v_cv, p_cv0, duration, seed, overflow
+        self, command, hold, noise, sample_rate, v_r, p_r0, v_cv, p_cv0, duration, seed, extreme
     ):
         net = cp.default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv, p_cv0=p_cv0)
-        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise))
-        if overflow:
-            net = _overflowing_vent(net)
+        net, gas = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise)), gm.DEFAULT_GAS
+        if extreme:
+            net, gas = _extreme(noise)
         try:
-            scn = Scenario(network=net, command=command, duration=duration,
+            scn = Scenario(network=net, command=command, duration=duration, gas=gas,
                            sample_rate=sample_rate, seed=seed, hold_reservoir=hold)
         except gm.FieldError:
             assume(False)
@@ -1017,29 +1058,44 @@ class TestPressureResponse:
         event("runs" if isinstance(want, bytes) else f"raises {want[0].__name__}")
         assert got == want
 
-    def test_row_only_infinite_command_raises_as_simulate(self):
-        # ticks at even steps, rows at every step: row 21 alone reads the infinite target
-        scn = Scenario(network=cp.default_network(), command=StepCommand(math.inf, 0.0105),
-                       duration=0.0105, hold_reservoir=True)
-        assert (scn.n_steps(), scn.control_stride()) == (21, 2)
-        want, got = _both_outcomes(scn)
-        assert got == want == (ValueError, "TimeSeries column p_cmd contains non-finite values")
+    def test_row_only_infinite_command_is_refused(self):
+        # an infinite target that only the last row would read, after the last tick: the
+        # command itself refuses it, so no run has to check p_cmd
+        with pytest.raises(gm.FieldError, match=r"^StepCommand\.target_kpa: must be finite$"):
+            StepCommand(math.inf, 0.0105)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
-    def test_infinite_row_time_raises_as_simulate(self):
-        # rows at 0, 1e308 and 2e308 s: the rule lets the last row's time overflow, and numpy
-        # warns as it forms it; the t check of validate must still fail the run
-        scn = Scenario(network=cp.default_network(p_r0=0.0), command=StepCommand(0.0),
-                       controller=ControllerConfig(control_rate=5e-309), dt=1e308,
-                       duration=1.7e308, sample_rate=1e-308, hold_reservoir=True)
-        want, got = _both_outcomes(scn)
-        assert got == want == (ValueError, "TimeSeries column t contains non-finite values")
+    def test_infinite_row_time_is_refused(self):
+        # rows at 0, 1e308 and 2e308 s: the last step's time overflows, so no run forms it
+        with pytest.raises(gm.FieldError, match=r"^Scenario\.duration: too large: the last step"):
+            Scenario(network=cp.default_network(p_r0=0.0), command=StepCommand(0.0),
+                     controller=ControllerConfig(control_rate=5e-309), dt=1e308,
+                     duration=1.7e308, sample_rate=1e-308, hold_reservoir=True)
 
     def test_overflowing_flow_fails_its_sweep_point(self):
-        template = Scenario(network=_overflowing_vent(cp.default_network()),
-                            command=SineCommand(10.5, 1.0, 10.5), hold_reservoir=True)
+        # the vent's rate constant alpha / V_cv / R_open, squared, overflows: no sweep is built
+        with pytest.raises(gm.FieldError, match=r"^Scenario\.network: too extreme: "):
+            Scenario(network=_overflowing_vent(cp.default_network()),
+                     command=SineCommand(10.5, 1.0, 10.5), hold_reservoir=True)
+        net, gas = _extreme(0.1)
+        template = Scenario(network=net, command=EXTREME_SINE, duration=0.005, gas=gas)
         (point,) = an.frequency_sweep(template, [2.0])
-        assert point.error == "TimeSeries column q_out contains non-finite values"
+        assert point.error == "non-finite state at t=0.005 s"
+
+    def test_reads_the_command_at_ticks_only(self, monkeypatch):
+        # the records' rules keep every row time and level finite, so no row's t or p_cmd is
+        # formed to be checked, and simulate does not run
+        scn, _ = load_scenario(ROOT / "scenarios" / "sweep_21kpa_half_liter.json")
+        scn = replace(scn, duration=0.1)
+        lengths, values = [], SineCommand.values
+
+        def counted(command, t):
+            lengths.append(len(t))
+            return values(command, t)
+
+        monkeypatch.setattr(SineCommand, "values", counted)
+        monkeypatch.setattr(sim, "simulate", lambda scn: pytest.fail("simulate ran"))
+        sim.pressure_response(scn)
+        assert sum(lengths) == scn.n_steps() // scn.control_stride() + 1 < scn.n_rows()
 
     def test_open_loop_is_simulate(self):
         scn = discharge_scenario(r_v=R_CATALOG, duration=1.0)
