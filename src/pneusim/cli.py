@@ -68,136 +68,68 @@ class ConfigError(ValueError):
 # ---------------------------------------------------------------- field table
 #
 # Each section of the input schema is a table: (constructor, rows). A row is
-# (JSON key, constructor keyword, check, default). A row written as (key,
-# keyword) checks the kind its record declares for the field (gasmodel.BOUNDS)
-# and takes the record's default: its class attribute, or the field of the
-# default network. A row names its own check only where the record declares
-# none: "num" a finite number, "bool", "str", "list", or a kind of BOUNDS for a
-# key the constructor does not take (keyword None); a check None is the
-# record's. A key ending in _slpm is bounded, and reaches the constructor, in
-# std L/s. _REQUIRED makes a key mandatory; a default None leaves an absent key
-# out of the resolved section, for a rule in resolve_* to fill or for the
+# (JSON key, constructor keyword, check, default). _table makes a row for each
+# key the record declares (gasmodel.record), in field order: its check is the
+# record's kind, else "bool", "str" or "num" (a finite number) by the field's
+# type, and its default the record's; a table adds only where the file differs.
+# A key ending in _slpm is bounded, and reaches the constructor, in std L/s.
+# _REQUIRED makes a key mandatory; a default None leaves an absent key out of
+# the resolved section, for a rule in resolve_* to fill or for the
 # constructor's own default.
 
 _REQUIRED = object()
 _NET = default_network()
+_TYPE_CHECKS = {"bool": "bool", "str": "str"}  # by annotation; any other field is a number
 
 
-def _table(owner, *rows: tuple) -> tuple:
-    """(constructor, rows): owner's class; checks and defaults read from owner."""
+def _table(owner, *extra: tuple, checks=None, defaults=None) -> tuple:
+    """(constructor, rows) of owner, a record class or a default record: a row per key it
+    declares, then the ``extra`` rows (key, check, default) of keys the constructor does not
+    take. ``checks`` and ``defaults`` replace the record's by key."""
     cls = owner if isinstance(owner, type) else type(owner)
+    checks, defaults = checks or {}, defaults or {}
 
-    def row(key, kw, check=None, default=_REQUIRED) -> tuple:
-        if default is _REQUIRED:  # not given: the owner's, else required
-            default = getattr(owner, kw, _REQUIRED)
-        return key, kw, check or cls.KINDS.get(kw, "num"), default
+    def row(kw: str, key: str) -> tuple:
+        check = cls.KINDS.get(kw) or _TYPE_CHECKS.get(cls.__annotations__[kw], "num")
+        return key, kw, checks.get(key, check), defaults.get(key, getattr(owner, kw, _REQUIRED))
 
-    return cls, tuple(row(*r) for r in rows)
+    rows = [row(kw, key) for kw, key in cls.KEYS.items()]
+    return cls, (*rows, *((key, None, check, default) for key, check, default in extra))
 
 
-GAS = _table(
-    DEFAULT_GAS,
-    ("rho_kg_per_m3", "rho"),
-    ("R_u_J_per_mol_K", "R_u"),
-    ("T_K", "T"),
-    ("M_kg_per_mol", "M"),
-)
-VALVE = _table(
-    ProportionalValveSpec,
-    ("P_inlet_max_kPa", None, "pos", VALVE_RATED_INLET_KPA),
-    ("deadband", "u0"),
-    ("R_vmin_kPa_s_per_L", "r_vmin", None, None),  # or derived from flow_max_slpm
-)
+GAS = _table(DEFAULT_GAS)
+# R_vmin_kPa_s_per_L may instead be derived from flow_max_slpm (_resolve_valve)
+VALVE = _table(ProportionalValveSpec, ("P_inlet_max_kPa", "pos", VALVE_RATED_INLET_KPA),
+               defaults={"R_vmin_kPa_s_per_L": None})
 NETWORK = {  # in PneumaticNetwork order
-    "reservoir": _table(_NET.reservoir, ("V_r_L", "v_r"), ("P_r0_kPa", "p_r0")),
-    "control_volume": _table(_NET.control_volume, ("V_cv_L", "v_cv"), ("P_cv0_kPa", "p_cv")),
+    "reservoir": _table(_NET.reservoir),
+    "control_volume": _table(_NET.control_volume),
     "inflation_valve": VALVE,
     "motive_valve": VALVE,
-    "solenoid": _table(_NET.solenoid, ("R_open_kPa_s_per_L", "r_open")),
-    "venturi": _table(
-        _NET.venturi,
-        ("P_vac_floor_kPa", "p_vac_floor"),
-        ("Q_motive_rated_slpm", "q_motive_rated", None, VENTURI_Q_RATED_SLPM),
-    ),
-    "cv_sensor": _table(
-        _NET.cv_sensor,
-        ("range_max_kPa", "range_max"),
-        ("noise_std_kPa", "noise_std"),
-        ("seed", "seed"),
-    ),
+    "solenoid": _table(_NET.solenoid),
+    "venturi": _table(_NET.venturi, defaults={"Q_motive_rated_slpm": VENTURI_Q_RATED_SLPM}),
+    "cv_sensor": _table(_NET.cv_sensor),
 }
 # the valve sections of the default network, resolved when a scenario omits one
 DEFAULT_VALVES = {
     name: {"R_vmin_kPa_s_per_L": getattr(_NET, name).r_vmin}
     for name in ("inflation_valve", "motive_valve")
 }
-CONTROLLER = _table(
-    ControllerConfig,
-    ("kp_per_kPa", "kp"),
-    ("ki_per_kPa_s", "ki"),
-    ("kd_s_per_kPa", "kd"),
-    ("error_cutoff_kPa", "error_cutoff"),
-    ("control_rate_Hz", "control_rate"),
-    ("settle_horizon_s", "settle_horizon"),
-    ("integrator_limit_kPa_s", "integrator_limit"),
-    # the record takes any threshold: the control law compares against it as it is
-    ("active_deflation_rate_threshold_kPa_s", "active_deflation_rate_threshold", "nonneg"),
-)
+# the record takes any threshold; a file's must be >= 0
+CONTROLLER = _table(ControllerConfig, checks={"active_deflation_rate_threshold_kPa_s": "nonneg"})
 COMMANDS = {
-    "step": _table(StepCommand, ("target_kPa", "target_kpa"), ("start_s", "start_s")),
-    "sine": _table(
-        SineCommand,
-        ("amplitude_kPa", "amplitude_kpa"),
-        ("frequency_Hz", "freq_hz"),
-        ("offset_kPa", "offset_kpa", "num", None),  # default: amplitude_kPa
-    ),
-    "piecewise": _table(PiecewiseCommand, ("knots", "knots")),  # each knot: _resolve_knots
+    "step": _table(StepCommand),
+    "sine": _table(SineCommand, defaults={"offset_kPa": None}),  # default: amplitude_kPa
+    "piecewise": _table(PiecewiseCommand),  # each knot: _resolve_knots
 }
-RUN = _table(
-    Scenario,
-    ("dt_s", "dt"),
-    ("duration_s", "duration"),
-    ("sample_rate_Hz", "sample_rate"),
-    ("seed", "seed"),
-    ("hold_reservoir", "hold_reservoir", "bool"),
-    ("mode", None, "str", "closed_loop"),
-)
-OPEN_LOOP = _table(
-    ActuatorCommand,
-    ("u_evp", "u_inflate"),
-    ("u_dvp", "u_motive"),
-    ("solenoid_open", "solenoid_open", "bool"),
-)
-REQUIREMENTS = _table(
-    DesignRequirements,
-    ("V_cv_L", "v_cv"),
-    ("dP_cv_kPa", "dp_cv"),
-    ("min_cycles", "min_cycles"),
-    ("Pdot_d_kPa_s", "pdot_d"),
-    ("amplitude_kPa", "amplitude"),
-    ("frequency_Hz", "freq_hz"),
-)
+RUN = _table(Scenario, ("mode", "str", "closed_loop"))
+OPEN_LOOP = _table(ActuatorCommand)
+REQUIREMENTS = _table(DesignRequirements)
 VALVE_OPTION = _table(  # no deadband: sizing rates a valve by its full conductance
-    ValveOption,
-    ("name", "name", "str"),
-    ("mass_g", "mass_g"),
-    ("P_inlet_max_kPa", "p_inlet_max", None, VALVE_RATED_INLET_KPA),
-    ("R_vmin_kPa_s_per_L", "r_vmin", None, None),  # or derived from flow_max_slpm
+    ValveOption, defaults={"P_inlet_max_kPa": VALVE_RATED_INLET_KPA, "R_vmin_kPa_s_per_L": None}
 )
-RESERVOIR_OPTION = _table(
-    ReservoirOption,
-    ("name", "name", "str"),
-    ("V_r_L", "v_r"),
-    ("mass_g", "mass_g"),
-    ("P_max_kPa", "p_max"),
-)
-VENTURI_OPTION = _table(
-    VenturiOption,
-    ("name", "name", "str"),
-    ("P_vac_floor_kPa", "p_vac_floor"),
-    ("Q_motive_rated_slpm", "q_motive_rated"),
-    ("mass_g", "mass_g"),
-)
+RESERVOIR_OPTION = _table(ReservoirOption)
+VENTURI_OPTION = _table(VenturiOption)
 
 # check -> (accepted JSON types, what the error says was expected); any other check is a number
 _EXPECTED = {
@@ -327,17 +259,11 @@ def _resolve_knots(knots: list) -> list:
     return parsed
 
 
-def _check_sensor_range(command: dict, range_max: float) -> None:
-    """A closed-loop command above the CV sensor's range saturates the controller."""
-    if command["kind"] == "step":
-        where, peak = "target_kPa", command["target_kPa"]
-    elif command["kind"] == "sine":
-        where = "offset_kPa + amplitude_kPa"
-        peak = command["offset_kPa"] + command["amplitude_kPa"]
-    else:
-        values = [v for _, v in command["knots"]]
-        where, peak = f"knots[{values.index(max(values))}]", max(values)
+def _check_sensor_range(cmd, range_max: float) -> None:
+    """Scenario.rule's sensor range bound on a closed-loop command, by key."""
+    fields, peak = cmd.peak()
     if peak > range_max:
+        where = " + ".join(type(cmd).KEYS.get(field, field) for field in fields)  # or knots[i]
         raise ConfigError(
             f"scenario.command.{where}: {peak:g} kPa is above the CV sensor range "
             f"(scenario.network.cv_sensor.range_max_kPa = {range_max:g})"
@@ -411,7 +337,7 @@ def _scenario(raw: dict) -> tuple[Scenario, dict]:
     elif "open_loop_command" in run_obj:
         raise ConfigError(f"{olc_path}: only valid with mode 'open_loop'")
     else:
-        _check_sensor_range(command, network["cv_sensor"]["range_max_kPa"])
+        _check_sensor_range(cmd, parts["cv_sensor"].range_max)
     _reject_unknown(run_obj, run_path)
     _reject_unknown(top, "scenario")
 

@@ -30,7 +30,7 @@ VENTURI_Q_RATED = VENTURI_Q_RATED_SLPM / 60.0
 NOISE_CHUNK = 512  # sensor-noise values a sensor_reader draws at a time
 
 
-@record(v_r="pos", p_r0="gauge")
+@record(v_r=("pos", "V_r_L"), p_r0=("gauge", "P_r0_kPa"))
 class Reservoir:
     """Rigid air reservoir charged to p_r0 at the start of a run."""
 
@@ -38,7 +38,7 @@ class Reservoir:
     p_r0: float = 689.0
 
 
-@record(v_cv="pos", p_cv="gauge")
+@record(v_cv=("pos", "V_cv_L"), p_cv=("gauge", "P_cv0_kPa"))
 class ControlVolume:
     """Rigid regulated volume (v_cv constant during a run)."""
 
@@ -46,7 +46,7 @@ class ControlVolume:
     p_cv: float = 0.0
 
 
-@record(r_vmin="pos", u0="deadband")
+@record(r_vmin=("pos", "R_vmin_kPa_s_per_L"), u0=("deadband", "deadband"))
 class ProportionalValveSpec:
     """Proportional valve with conductance affine in command above a deadband."""
 
@@ -54,14 +54,14 @@ class ProportionalValveSpec:
     u0: float = 0.0
 
 
-@record(r_open="pos")
+@record(r_open=("pos", "R_open_kPa_s_per_L"))
 class BinaryValveSpec:
     """On/off exhaust solenoid."""
 
     r_open: float = 100.0
 
 
-@record(p_vac_floor="floor", q_motive_rated="pos")
+@record(p_vac_floor=("floor", "P_vac_floor_kPa"), q_motive_rated=("pos", "Q_motive_rated_slpm"))
 class VenturiSpec:
     """Vacuum generator: node pressure ramps linearly with motive flow to a floor."""
 
@@ -69,7 +69,8 @@ class VenturiSpec:
     q_motive_rated: float = VENTURI_Q_RATED
 
 
-@record(range_max="pos", noise_std="nonneg", seed="int")
+@record(range_max=("pos", "range_max_kPa"), noise_std=("nonneg", "noise_std_kPa"),
+        seed=("int", "seed"))
 class SensorSpec:
     """Gauge pressure sensor with optional gaussian noise and a saturation ceiling."""
 

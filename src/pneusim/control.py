@@ -26,7 +26,8 @@ class Mode(enum.IntEnum):
     ACTIVE_DEFLATE = 4
 
 
-@record(u_inflate="unit", u_motive="unit")
+@record(u_inflate=("unit", "u_evp"), u_motive=("unit", "u_dvp"),
+        solenoid_open=(None, "solenoid_open"))
 class ActuatorCommand:
     """Valve commands for one control period.
 
@@ -54,8 +55,11 @@ ACTIVE_DEFLATE_COMMAND = ActuatorCommand(0.0, 1.0, True)
 
 
 @record(
-    kp="nonneg", ki="nonneg", kd="nonneg", error_cutoff="pos", control_rate="pos",
-    settle_horizon="pos", integrator_limit="nonneg",
+    kp=("nonneg", "kp_per_kPa"), ki=("nonneg", "ki_per_kPa_s"), kd=("nonneg", "kd_s_per_kPa"),
+    error_cutoff=("pos", "error_cutoff_kPa"), control_rate=("pos", "control_rate_Hz"),
+    settle_horizon=("pos", "settle_horizon_s"),
+    integrator_limit=("nonneg", "integrator_limit_kPa_s"),
+    active_deflation_rate_threshold=(None, "active_deflation_rate_threshold_kPa_s"),
 )
 class ControllerConfig:
     """Gains and thresholds; how fast passive venting deflates is the network's

@@ -102,19 +102,26 @@ def _repr(self) -> str:
     return f"{type(self).__name__}({', '.join(f'{n}={getattr(self, n)!r}' for n in self.FIELDS)})"
 
 
-def record(**kinds: str):
-    """A frozen record class whose instances check each field of ``kinds`` against its kind.
+def record(**fields):
+    """A frozen record class whose instances check each declared field against its kind.
 
     The fields are the class's annotations, in order (``FIELDS``), and their
-    defaults its class attributes. Every record shares one ``__init__``, which
-    takes the fields by position or keyword; a field left None is absent and
-    not checked. After the bounds, the class's own ``rule`` method, if it has
-    one, checks the rules between its fields. Records compare and hash by type
-    and field values. ``KINDS`` keeps the declaration for the command line to read.
+    defaults its class attributes. A field is declared by its kind, a key of
+    ``BOUNDS``, or by a pair (kind or None, key) that also names its key in an
+    input file. Every record shares one ``__init__``, which takes the fields by
+    position or keyword; a field left None is absent and not checked. After the
+    bounds, the class's own ``rule`` method, if it has one, checks the rules
+    between its fields. Records compare and hash by type and field values.
+    ``KINDS`` keeps each declared kind and ``KEYS`` each declared key, in field
+    order, for the command line to read.
     """
 
     def make(cls):
-        cls.FIELDS, cls.KINDS = tuple(cls.__annotations__), kinds
+        cls.FIELDS = tuple(cls.__annotations__)
+        pairs = {name: d if isinstance(d, tuple) else (d, None) for name, d in fields.items()}
+        cls.KINDS = {name: kind for name, (kind, _key) in pairs.items() if kind}
+        keys = {name: key for name, (_kind, key) in pairs.items() if key}
+        cls.KEYS = {name: keys[name] for name in cls.FIELDS if name in keys}
         cls.rule = getattr(cls, "rule", lambda self: None)  # no rules between its fields
         cls.__init__, cls.__eq__, cls.__hash__, cls.__repr__ = _init, _eq, _hash, _repr
         cls.__setattr__ = cls.__delattr__ = _frozen
@@ -128,7 +135,8 @@ def replace(rec, **changes):
     return type(rec)(**{**{name: getattr(rec, name) for name in rec.FIELDS}, **changes})
 
 
-@record(rho="pos", R_u="pos", T="pos", M="pos")
+@record(rho=("pos", "rho_kg_per_m3"), R_u=("pos", "R_u_J_per_mol_K"), T=("pos", "T_K"),
+        M=("pos", "M_kg_per_mol"))
 class GasConstants:
     """Air properties at standard conditions (20 C convention by default).
 

@@ -62,7 +62,7 @@ class SimulationDivergence(RuntimeError):
         self.t = t
 
 
-@record(target_kpa="level", start_s="nonneg")
+@record(target_kpa=("level", "target_kPa"), start_s=("nonneg", "start_s"))
 class StepCommand:
     """Command 0 before start_s, then target_kpa (gauge)."""
 
@@ -71,6 +71,10 @@ class StepCommand:
 
     def value(self, t: float) -> float:
         return self.target_kpa if t >= self.start_s else 0.0
+
+    def peak(self) -> tuple[tuple[str, ...], float]:
+        """The fields whose sum is the command's highest level, and that level."""
+        return ("target_kpa",), self.target_kpa
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """``value`` at each time of an array."""
@@ -88,7 +92,8 @@ class StepCommand:
         return np.zeros(len(t))
 
 
-@record(amplitude_kpa="nonneg", freq_hz="pos")
+@record(amplitude_kpa=("nonneg", "amplitude_kPa"), freq_hz=("pos", "frequency_Hz"),
+        offset_kpa=(None, "offset_kPa"))
 class SineCommand:
     """offset + amplitude*sin(2*pi*f*t); offset >= amplitude keeps it non-negative."""
 
@@ -101,6 +106,10 @@ class SineCommand:
             raise FieldError(self, "offset_kpa", "must be >= {amplitude_kpa}")
         if not self.offset_kpa + self.amplitude_kpa < math.inf:  # its largest value
             raise FieldError(self, "offset_kpa", "{offset_kpa} + {amplitude_kpa} must be finite")
+
+    def peak(self) -> tuple[tuple[str, ...], float]:
+        """The fields whose sum is the command's highest level, and that level."""
+        return ("offset_kpa", "amplitude_kpa"), self.offset_kpa + self.amplitude_kpa
 
     def overflows(self, *times: float) -> bool:
         """Whether 2 pi f t up to the latest of ``times``, or the rate 2 pi f A, overflows."""
@@ -132,7 +141,7 @@ class SineCommand:
         return self.amplitude_kpa * w * np.cos(w * t)
 
 
-@record(knots="nonempty")
+@record(knots=("nonempty", "knots"))
 class PiecewiseCommand:
     """Hold-interpolated (time, value) knots; first knot at t=0."""
 
@@ -148,6 +157,12 @@ class PiecewiseCommand:
                 raise FieldError(self, f"knots[{i}]", "knot times must be strictly increasing")
         object.__setattr__(self, "knots", knots)
         object.__setattr__(self, "_times", tuple(t for t, _ in knots))
+
+    def peak(self) -> tuple[tuple[str, ...], float]:
+        """The fields whose sum is the highest level (its first highest knot), and that level."""
+        values = [value for _, value in self.knots]
+        i = values.index(max(values))
+        return (f"knots[{i}]",), values[i]
 
     def value(self, t: float) -> float:
         """The value of the last knot at or before t; the first knot's before t=0 (and at NaN)."""
@@ -177,7 +192,8 @@ class PiecewiseCommand:
 CommandSignal = StepCommand | SineCommand | PiecewiseCommand
 
 
-@record(dt="pos", duration="pos", sample_rate="pos", seed="int")
+@record(dt=("pos", "dt_s"), duration=("pos", "duration_s"), sample_rate=("pos", "sample_rate_Hz"),
+        seed=("int", "seed"), hold_reservoir=(None, "hold_reservoir"))
 class Scenario:
     """Everything that determines one run; identical scenarios give identical output."""
 
@@ -210,7 +226,8 @@ class Scenario:
 
     def rule(self) -> None:
         """dt divides the sample and control periods, the run fits its row and step budgets,
-        and its times, its sine's phase and rate and its network's rates stay finite."""
+        its times, its sine's phase and rate and its network's rates stay finite, and a closed
+        loop's command stays within the range of the sensor it reads."""
         if self.duration < self.dt:
             raise FieldError(self, "duration", "must be >= {dt}")
         if self.sample_rate > 1.0 / self.dt * (1 + 1e-9):
@@ -239,6 +256,12 @@ class Scenario:
                     self, "dt", "must be <= 1/(2*{controller.control_rate}) in closed loop"
                 )
             self.control_stride()
+            fields, peak = self.command.peak()
+            range_max = self.network.cv_sensor.range_max
+            if peak > range_max:  # the sensor saturates below it: no leaving on/off inflation
+                raise FieldError(self, f"command.{fields[0]}", f"{' + '.join(fields)} = "
+                                 f"{peak:g} kPa is above the CV sensor range "
+                                 f"({{network.cv_sensor.range_max}} = {range_max:g})")
 
 
 def _exact_stride(scn: Scenario, field: str, rate: float) -> int:

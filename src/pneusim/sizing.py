@@ -15,7 +15,9 @@ from . import gasmodel as gm
 from .gasmodel import FieldError, record
 
 
-@record(v_cv="pos", dp_cv="pos", pdot_d="pos", amplitude="pos", freq_hz="pos", min_cycles="nonneg")
+@record(v_cv=("pos", "V_cv_L"), dp_cv=("pos", "dP_cv_kPa"), pdot_d=("pos", "Pdot_d_kPa_s"),
+        amplitude=("pos", "amplitude_kPa"), freq_hz=("pos", "frequency_Hz"),
+        min_cycles=("nonneg", "min_cycles"))
 class DesignRequirements:
     """What the actuator needs from the supply/regulator.
 
@@ -46,7 +48,8 @@ class DesignRequirements:
         return self.amplitude if self.amplitude is not None else self.dp_cv / 2.0
 
 
-@record(r_vmin="pos", mass_g="pos", p_inlet_max="pos")
+@record(name=(None, "name"), r_vmin=("pos", "R_vmin_kPa_s_per_L"), mass_g=("pos", "mass_g"),
+        p_inlet_max=("pos", "P_inlet_max_kPa"))
 class ValveOption:
     name: str
     r_vmin: float
@@ -54,7 +57,8 @@ class ValveOption:
     p_inlet_max: float
 
 
-@record(v_r="pos", mass_g="pos", p_max="pos")
+@record(name=(None, "name"), v_r=("pos", "V_r_L"), mass_g=("pos", "mass_g"),
+        p_max=("pos", "P_max_kPa"))
 class ReservoirOption:
     name: str
     v_r: float
@@ -62,7 +66,8 @@ class ReservoirOption:
     p_max: float
 
 
-@record(p_vac_floor="floor", q_motive_rated="pos", mass_g="pos")
+@record(name=(None, "name"), p_vac_floor=("floor", "P_vac_floor_kPa"),
+        q_motive_rated=("pos", "Q_motive_rated_slpm"), mass_g=("pos", "mass_g"))
 class VenturiOption:
     name: str
     p_vac_floor: float

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pneusim import cli, components, control, gasmodel, sim
+from pneusim import cli, components, control, gasmodel, sim, sizing
 from pneusim.components import default_network
 from pneusim.control import Mode
 from pneusim.sim import SimulationDivergence, TimeSeries, simulate, step_scenario
@@ -991,6 +991,28 @@ class TestCommandWithinSensorRange:
         )
         raw["command"]["target_kPa"] = 300.0
         assert cli.resolve_scenario(raw)["run"]["mode"] == "open_loop"
+
+
+class TestFieldTables:
+    TABLES = [cli.GAS, *cli.NETWORK.values(), cli.CONTROLLER, *cli.COMMANDS.values(), cli.RUN,
+              cli.OPEN_LOOP, cli.REQUIREMENTS, cli.VALVE_OPTION, cli.RESERVOIR_OPTION,
+              cli.VENTURI_OPTION]
+
+    @pytest.mark.parametrize("table", TABLES, ids=lambda table: table[0].__name__)
+    def test_keyword_rows_are_the_record_keys_in_field_order(self, table):
+        make, rows = table
+        assert [(kw, key) for key, kw, _c, _d in rows if kw] == list(make.KEYS.items())
+        assert list(make.KEYS) == [name for name in make.FIELDS if name in make.KEYS]
+        assert all(kw in make.FIELDS for _key, kw, _c, _d in rows if kw)
+
+    def test_every_record_that_declares_keys_is_read_by_a_table(self):
+        declaring = {
+            cls
+            for module in (gasmodel, components, control, sim, sizing)
+            for cls in vars(module).values()
+            if isinstance(cls, type) and getattr(cls, "KEYS", None)
+        }
+        assert declaring == {make for make, _rows in self.TABLES}
 
 
 class TestReadmeSchema:

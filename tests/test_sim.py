@@ -147,6 +147,22 @@ class TestScenarioValidation:
         with pytest.raises(ValueError):
             replace(scn, sample_rate=1700.0)
 
+    @pytest.mark.parametrize("command, field", [
+        (StepCommand(300.0), r"target_kpa: target_kpa = 300 kPa"),
+        (SineCommand(60.0, 1.0, 150.0), r"offset_kpa: offset_kpa \+ amplitude_kpa = 210 kPa"),
+        (PiecewiseCommand(((0.0, 50.0), (0.1, 250.0), (0.2, 20.0), (0.3, 250.0))),
+         r"knots\[1\]: knots\[1\] = 250 kPa"),
+    ], ids=["step", "sine", "piecewise"])
+    def test_closed_loop_command_above_the_sensor_range(self, command, field):
+        # the sensor saturates at 207 kPa, so the controller would never leave on/off inflate
+        net = cp.default_network()
+        with pytest.raises(gm.FieldError, match=rf"^Scenario\.command\.{field} is above the CV "
+                           r"sensor range \(network\.cv_sensor\.range_max = 207\)$"):
+            Scenario(network=net, command=command)
+        Scenario(network=net, command=command, open_loop_command=IDLE_COMMAND)  # exempt
+        Scenario(network=replace(net, cv_sensor=replace(net.cv_sensor, range_max=300.0)),
+                 command=command)
+
     def test_step_budget(self):
         # open loop and two sample rows, so only the step count is at its limit
         net = cp.default_network()
@@ -175,7 +191,9 @@ class TestScenarioValidation:
         with pytest.raises(gm.FieldError, match=r"^Scenario\.command\.freq_hz: too large: 2 pi "):
             Scenario(network=cp.default_network(), command=command, duration=duration,
                      hold_reservoir=True)
-        Scenario(network=cp.default_network(), command=replace(command, freq_hz=freq_hz / 100.0),
+        net = cp.default_network()  # a sensor that reads the 2000 kPa sine
+        net = replace(net, cv_sensor=replace(net.cv_sensor, range_max=2e3))
+        Scenario(network=net, command=replace(command, freq_hz=freq_hz / 100.0),
                  duration=duration, hold_reservoir=True)  # within the bound
 
     def test_sine_phase_overflow_at_the_last_step_names_the_frequency(self):
@@ -859,6 +877,47 @@ class TestDischarge:
         ts = simulate(scn)
         want = np.array([gm.discharge_pressure(t, p_r0, r_v, v_r) for t in ts.t.tolist()])
         assert np.all(np.abs(ts.p_r - want) <= 1e-12 * want)
+
+    # Two more single-region runs the paper gives in closed form, each from one valve of
+    # resistance r_v into or out of the control volume, checked at every row as above.
+    ORACLE_RUNS = dict(v_cv=st.floats(0.05, 5.0), r_v=st.floats(1e2, 1e4),
+                       p_r=st.floats(10.0, 1000.0), p_cv0=st.floats(10.0, 1000.0))
+
+    @staticmethod
+    def _one_valve_run(net, command: ActuatorCommand, tau: float, hold: bool):
+        """Times and p_cv of a 3 tau open-loop run of ``net``, a row each step of tau / 500."""
+        ts = simulate(Scenario(network=net, command=StepCommand(0.0), dt=tau / 500,
+                               duration=3 * tau, sample_rate=500 / tau,
+                               hold_reservoir=hold, open_loop_command=command))
+        assert len(ts) == 1501
+        return ts.t.tolist(), ts.p_cv
+
+    @settings(max_examples=60, deadline=None)
+    @given(**ORACLE_RUNS)
+    def test_held_reservoir_inflation_is_the_closed_form_to_rounding(self, v_cv, r_v, p_r, p_cv0):
+        # p_r - p_cv discharges through the inflation valve into V_cv, from the initial rate
+        # inflation_rate gives
+        net = cp.default_network(p_r0=p_r, v_cv=v_cv, p_cv0=p_cv0)
+        net = replace(net, inflation_valve=replace(net.inflation_valve, r_vmin=r_v))
+        tau = gm.discharge_time_constant(r_v, v_cv)
+        assert gm.inflation_rate(p_r - p_cv0, r_v, v_cv) == pytest.approx((p_r - p_cv0) / tau,
+                                                                          rel=1e-15)
+        times, p_cv = self._one_valve_run(net, ActuatorCommand(1.0, 0.0, False), tau, hold=True)
+        want = np.array([p_r - gm.discharge_pressure(t, p_r - p_cv0, r_v, v_cv) for t in times])
+        assert np.all(np.abs(p_cv - want) <= 1e-12 * want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(**ORACLE_RUNS)
+    def test_passive_venting_is_the_closed_form_to_rounding(self, v_cv, r_v, p_r, p_cv0):
+        # the solenoid vents V_cv to atmosphere through the idle Venturi, at the rate per kPa
+        # that passive_vent_coeff gives
+        net = cp.default_network(p_r0=p_r, v_cv=v_cv, p_cv0=p_cv0)
+        net = replace(net, solenoid=replace(net.solenoid, r_open=r_v))
+        tau = gm.discharge_time_constant(r_v, v_cv)
+        assert passive_vent_coeff(r_v, v_cv) == pytest.approx(1.0 / tau, rel=1e-15)
+        times, p_cv = self._one_valve_run(net, ActuatorCommand(0.0, 0.0, True), tau, hold=False)
+        want = np.array([gm.discharge_pressure(t, p_cv0, r_v, v_cv) for t in times])
+        assert np.all(np.abs(p_cv - want) <= 1e-12 * want)
 
     def test_reservoir_monotone_non_increasing(self):
         ts = simulate(discharge_scenario(r_v=R_CATALOG, duration=30.0))
