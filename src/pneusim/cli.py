@@ -565,31 +565,51 @@ def _json_list(items: list[str], indent: str) -> str:
 def design_report_json(report: DesignReport, input_sha256: dict[str, str]) -> str:
     """The design report, as ``_write_json`` writes it from ``_asdict`` of each entry.
 
-    ``input_sha256`` maps "catalog" and "requirements" to their digests.
+    ``input_sha256`` maps "catalog" and "requirements" to their digests. Each
+    distinct number, name and ``limiting`` tuple is laid out once a call.
     """
-    enc, num = encode_basestring_ascii, _json_float
+    nums: dict = {}  # never holds a zero: 0.0 == -0.0, and they print differently
+    names: dict = {}
+    lists: dict = {}
+
+    def num(x: float) -> str:
+        text = _json_float(x)
+        if x:
+            nums[x] = text
+        return text
+
+    def enc(name: str) -> str:
+        names[name] = text = encode_basestring_ascii(name)
+        return text
+
+    def limits(limiting: tuple) -> str:
+        lists[limiting] = text = _json_list([enc(reason) for reason in limiting], "      ")
+        return text
+
+    get_num, get_name = nums.get, names.get
 
     def entry(e) -> str:
+        valve, reservoir, p_r0, derated, pdot, min_p_r, full, floor, cycles, mass, ok, limiting = e
         return _ENTRY % (
-            num(e.cutoff_hz_floor),
-            num(e.cutoff_hz_full),
-            "true" if e.feasible else "false",
-            _json_list([enc(reason) for reason in e.limiting], "      "),
-            num(e.min_p_r),
-            num(e.n_cycles),
-            num(e.p_r0),
-            num(e.pdot_demand),
-            "true" if e.pressure_derated else "false",
-            enc(e.reservoir),
-            num(e.total_mass_g),
-            enc(e.valve),
+            get_num(floor) or num(floor),
+            get_num(full) or num(full),
+            "true" if ok else "false",
+            lists.get(limiting) or limits(limiting),
+            get_num(min_p_r) or num(min_p_r),
+            get_num(cycles) or num(cycles),
+            get_num(p_r0) or num(p_r0),
+            get_num(pdot) or num(pdot),
+            "true" if derated else "false",
+            get_name(reservoir) or enc(reservoir),
+            get_num(mass) or num(mass),
+            get_name(valve) or enc(valve),
         )
 
     return _REPORT % (
         _json_list([entry(e) for e in report.feasible], "  "),
         _json_list([entry(e) for e in report.infeasible], "  "),
-        enc(input_sha256["catalog"]),
-        enc(input_sha256["requirements"]),
+        encode_basestring_ascii(input_sha256["catalog"]),
+        encode_basestring_ascii(input_sha256["requirements"]),
     )
 
 

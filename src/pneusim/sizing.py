@@ -114,51 +114,53 @@ def evaluate_design(
 ) -> DesignEntry:
     """Score one combination; never raises on infeasibility, only flags it."""
     rate, amp = req.demanded_rate(), req.reference_amplitude()
-    min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv)
-    return _score(req, valve, reservoir, rate, amp, gm.cutoff_frequency(rate, amp), min_p_r)
+    return _valve_scorer(req, valve, rate, amp, gm.cutoff_frequency(rate, amp))(reservoir)
 
 
-def _score(
-    req: DesignRequirements,
-    valve: ValveOption,
-    reservoir: ReservoirOption,
-    rate: float,
-    amp: float,
-    cutoff_floor: float,
-    min_p_r: float,
-) -> DesignEntry:
-    """``evaluate_design`` given the terms that do not depend on the reservoir."""
-    derated = reservoir.p_max > valve.p_inlet_max
-    p_r0 = min(reservoir.p_max, valve.p_inlet_max)
-    cutoff_full = gm.cutoff_frequency(gm.inflation_rate(p_r0, valve.r_vmin, req.v_cv), amp)
-    cycles = gm.n_cycles(p_r0, req.v_cv, valve.r_vmin, rate, reservoir.v_r, req.dp_cv)
+_LIMITING = {  # (short of fill pressure, short of cycles) -> DesignEntry.limiting
+    (False, False): (),
+    (True, False): ("reservoir pressure",),
+    (False, True): ("cycle count",),
+    (True, True): ("reservoir pressure", "cycle count"),
+}
 
-    limiting: list[str] = []
-    if min_p_r > p_r0:
-        limiting.append("reservoir pressure")
-    if cycles < req.min_cycles:
-        limiting.append("cycle count")
-    return DesignEntry(
-        valve=valve.name,
-        reservoir=reservoir.name,
-        p_r0=p_r0,
-        pressure_derated=derated,
-        pdot_demand=rate,
-        min_p_r=min_p_r,
-        cutoff_hz_full=cutoff_full,
-        cutoff_hz_floor=cutoff_floor,
-        n_cycles=cycles,
-        total_mass_g=valve.mass_g + reservoir.mass_g,
-        feasible=not limiting,
-        limiting=tuple(limiting),
-    )
+
+def _valve_scorer(
+    req: DesignRequirements, valve: ValveOption, rate: float, amp: float, cutoff_floor: float
+):
+    """``evaluate_design`` of ``valve`` as a function of the reservoir.
+
+    ``min_p_r`` is computed here once, and the full-reservoir cutoff once per
+    fill pressure: the lower of the two ratings, which takes few values.
+    """
+    v_cv, dp_cv, min_cycles = req.v_cv, req.dp_cv, req.min_cycles
+    name, r_vmin, mass_g, p_inlet_max = valve.name, valve.r_vmin, valve.mass_g, valve.p_inlet_max
+    min_p_r = gm.min_reservoir_pressure(rate, r_vmin, v_cv)
+    cutoffs: dict[float, float] = {}  # fill pressure -> cutoff at the full reservoir
+    new_entry = tuple.__new__  # a DesignEntry from its 12 fields, without NamedTuple's __new__
+
+    def score(reservoir: ReservoirOption) -> DesignEntry:
+        p_r0 = min(reservoir.p_max, p_inlet_max)
+        cutoff_full = cutoffs.get(p_r0)
+        if cutoff_full is None:
+            cutoff_full = gm.cutoff_frequency(gm.inflation_rate(p_r0, r_vmin, v_cv), amp)
+            cutoffs[p_r0] = cutoff_full
+        cycles = gm.n_cycles(p_r0, v_cv, r_vmin, rate, reservoir.v_r, dp_cv)
+        limiting = _LIMITING[min_p_r > p_r0, cycles < min_cycles]
+        return new_entry(DesignEntry, (
+            name, reservoir.name, p_r0, reservoir.p_max > p_inlet_max, rate, min_p_r,
+            cutoff_full, cutoff_floor, cycles, mass_g + reservoir.mass_g, not limiting, limiting,
+        ))
+
+    return score
 
 
 def enumerate_catalog(req: DesignRequirements, catalog: ComponentCatalog) -> DesignReport:
     """Evaluate every valve x reservoir pair and rank the feasible ones.
 
     Each entry equals ``evaluate_design`` of its pair; the terms that do not
-    depend on the pair are computed once, and ``min_p_r`` once per valve.
+    depend on the pair are computed once, ``min_p_r`` once per valve, and the
+    full-reservoir cutoff once per valve and fill pressure.
     Order: total mass ascending, ties by cycle count descending, then by
     component names; deterministic across reruns.
     """
@@ -166,11 +168,7 @@ def enumerate_catalog(req: DesignRequirements, catalog: ComponentCatalog) -> Des
     cutoff_floor = gm.cutoff_frequency(rate, amp)
     entries = []
     for valve in catalog.valves:
-        min_p_r = gm.min_reservoir_pressure(rate, valve.r_vmin, req.v_cv)
-        entries += [
-            _score(req, valve, reservoir, rate, amp, cutoff_floor, min_p_r)
-            for reservoir in catalog.reservoirs
-        ]
+        entries += map(_valve_scorer(req, valve, rate, amp, cutoff_floor), catalog.reservoirs)
     key = lambda e: (e.total_mass_g, -e.n_cycles, e.valve, e.reservoir)
     feasible = tuple(sorted((e for e in entries if e.feasible), key=key))
     infeasible = tuple(sorted((e for e in entries if not e.feasible), key=key))

@@ -748,31 +748,39 @@ REPORT_FLOATS = st.floats() | st.sampled_from(
 REPORT_NAMES = st.text() | st.sampled_from(
     ["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f\n\t", "Ventil-\u00e9\u20ac", "\U0001f4a8", "\ud800"]
 )
-DESIGN_ENTRIES = st.builds(
-    DesignEntry,
-    valve=REPORT_NAMES,
-    reservoir=REPORT_NAMES,
-    p_r0=REPORT_FLOATS,
-    pressure_derated=st.booleans(),
-    pdot_demand=REPORT_FLOATS,
-    min_p_r=REPORT_FLOATS,
-    cutoff_hz_full=REPORT_FLOATS,
-    cutoff_hz_floor=REPORT_FLOATS,
-    n_cycles=REPORT_FLOATS,
-    total_mass_g=REPORT_FLOATS,
-    feasible=st.booleans(),
-    limiting=st.lists(st.sampled_from(["reservoir pressure", "cycle count"]) | REPORT_NAMES,
-                      max_size=2).map(tuple),
-)
 
 
-@settings(deadline=None, max_examples=300)
-@given(
-    feasible=st.lists(DESIGN_ENTRIES, max_size=3),
-    infeasible=st.lists(DESIGN_ENTRIES, max_size=3),
-    sha=st.fixed_dictionaries({"catalog": REPORT_NAMES, "requirements": REPORT_NAMES}),
-)
-def test_design_report_json_equals_json_dumps(feasible, infeasible, sha):
+@st.composite
+def _pooled_entries(draw) -> tuple[list, list]:
+    """Feasible and infeasible entries whose floats and names come from a small
+    pool per example, so that they repeat as they do in a real report. The
+    pool holds each float's negation too: 0.0 and -0.0 print apart."""
+    pool = draw(st.lists(REPORT_FLOATS, min_size=1, max_size=3))
+    floats = st.sampled_from(pool + [-x for x in pool])
+    names = st.sampled_from(draw(st.lists(REPORT_NAMES, min_size=1, max_size=3)))
+    entries = st.builds(
+        DesignEntry,
+        valve=names,
+        reservoir=names,
+        p_r0=floats,
+        pressure_derated=st.booleans(),
+        pdot_demand=floats,
+        min_p_r=floats,
+        cutoff_hz_full=floats,
+        cutoff_hz_floor=floats,
+        n_cycles=floats,
+        total_mass_g=floats,
+        feasible=st.booleans(),
+        limiting=st.lists(st.sampled_from(["reservoir pressure", "cycle count"]) | names,
+                          max_size=2).map(tuple),
+    )
+    return draw(st.lists(entries, max_size=3)), draw(st.lists(entries, max_size=3))
+
+
+DESIGN_ENTRIES = _pooled_entries()
+
+
+def _assert_report_equals_json_dumps(feasible, infeasible, sha) -> None:
     payload = {
         "schema_version": 1,
         "input_sha256": sha,
@@ -781,6 +789,34 @@ def test_design_report_json_equals_json_dumps(feasible, infeasible, sha):
     }
     expected = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     assert cli.design_report_json(DesignReport(tuple(feasible), tuple(infeasible)), sha) == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    entries=DESIGN_ENTRIES,
+    sha=st.fixed_dictionaries({"catalog": REPORT_NAMES, "requirements": REPORT_NAMES}),
+)
+def test_design_report_json_equals_json_dumps(entries, sha):
+    _assert_report_equals_json_dumps(*entries, sha)
+
+
+def test_design_report_json_keeps_equal_numbers_apart():
+    """Numbers that compare equal but print apart, and repeats, as json.dumps prints them."""
+    nan, other_nan = math.nan, float("nan")
+    both = ("reservoir pressure", "cycle count")
+    a = DesignEntry(valve="V", reservoir="R", p_r0=-0.0, pressure_derated=False,
+                    pdot_demand=nan, min_p_r=0.0, cutoff_hz_full=0.0, cutoff_hz_floor=-0.0,
+                    n_cycles=math.inf, total_mass_g=5e-324, feasible=False, limiting=both)
+    b = DesignEntry(valve="V", reservoir="R", p_r0=0.0, pressure_derated=True,
+                    pdot_demand=other_nan, min_p_r=-0.0, cutoff_hz_full=-0.0, cutoff_hz_floor=0.0,
+                    n_cycles=-math.inf, total_mass_g=-5e-324, feasible=False,
+                    limiting=tuple(list(both)))
+    c = DesignEntry(valve="W", reservoir="V", p_r0=nan, pressure_derated=False,
+                    pdot_demand=nan, min_p_r=math.inf, cutoff_hz_full=5e-324,
+                    cutoff_hz_floor=-math.inf, n_cycles=0.0, total_mass_g=-0.0, feasible=True,
+                    limiting=())
+    sha = {"catalog": "V", "requirements": "R"}
+    _assert_report_equals_json_dumps([c, a, b], [b, a, c], sha)
 
 
 def test_size_does_not_import_numpy(tmp_path):

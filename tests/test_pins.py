@@ -165,13 +165,33 @@ def _benchmark_workloads():
     return sys.modules[name]
 
 
+def _workload_digest(name: str, seed: int) -> str:
+    """Digest of workload ``name`` at ``seed``, run through the CLI in the working directory."""
+    workloads = _benchmark_workloads()
+    wl = workloads.build(name, seed, Path("in"))
+    assert cli.main(wl.cli_args(Path("out"))) == 0
+    return workloads.digest(wl, Path("out"))
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
 def test_benchmark_workload_pins(name, tmp_path, monkeypatch):
-    workloads = _benchmark_workloads()
     monkeypatch.chdir(tmp_path)
-    wl = workloads.build(name, 1, Path("in"))
-    assert cli.main(wl.cli_args(Path("out"))) == 0
-    assert workloads.digest(wl, Path("out")) == WORKLOAD_DIGESTS[name]
+    assert _workload_digest(name, 1) == WORKLOAD_DIGESTS[name]
+
+
+# size_catalog draws a new catalog and new requirements from each seed.
+SIZE_CATALOG_DIGESTS = {
+    2: "faafb33a36fab6f7ae4273d80047f9861cf5830df8acb200bc41fe251dc4f23f",
+    3: "8364ec460318b3f31ec1bff6ae152f04cc0ac81e05a78d7da609b27d4e9e8b2f",
+    7: "f7a1f8059045d601e1e7a19d1804e3367ca0124d90c08a37823853eba3ef9685",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(SIZE_CATALOG_DIGESTS))
+def test_size_catalog_pins_at_more_seeds(seed, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert _workload_digest("size_catalog", seed) == SIZE_CATALOG_DIGESTS[seed]
+
 
 def test_cli_defaults_equal_python_defaults(tmp_path):
     raw = {"schema_version": 1, "command": {"kind": "step", "target_kPa": 69.0}}

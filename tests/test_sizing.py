@@ -1,9 +1,11 @@
 import random
+from collections import Counter
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pneusim import gasmodel as gm
+from pneusim import gasmodel as gm, sizing
 from pneusim.sizing import (
     ComponentCatalog,
     DesignRequirements,
@@ -177,6 +179,41 @@ class TestEnumerateCatalog:
             entry = got[ref.valve, ref.reservoir]
             assert entry == ref
             assert hexed(entry) == hexed(ref)
+
+    def test_closed_forms_run_once_per_distinct_argument(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name):
+            fn = getattr(gm, name)
+
+            def count(*args):
+                calls[name] += 1
+                return fn(*args)
+
+            return count
+
+        # a copy of the module in its place, as perfbench/tracer.py installs it
+        counting = SimpleNamespace(**vars(gm))
+        for name in ("inflation_rate", "cutoff_frequency", "n_cycles", "min_reservoir_pressure"):
+            setattr(counting, name, counted(name))
+        monkeypatch.setattr(sizing, "gm", counting)
+        valves = tuple(  # ratings cross the reservoirs', so fill pressures differ per valve
+            ValveOption(name=f"V{i}", r_vmin=R_CATALOG * (1 + i), mass_g=77.0, p_inlet_max=rating)
+            for i, rating in enumerate((517.0, 689.0, 345.0, 517.0))
+        )
+        reservoirs = tuple(
+            ReservoirOption(name=f"R{j}", v_r=1.0 + j, mass_g=70.0, p_max=rating)
+            for j, rating in enumerate((345.0, 517.0, 689.0, 1034.0, 689.0))
+        )
+        enumerate_catalog(DEMO, ComponentCatalog(valves=valves, reservoirs=reservoirs))
+        fills = sum(len({min(r.p_max, v.p_inlet_max) for r in reservoirs}) for v in valves)
+        assert fills == 2 + 3 + 1 + 2
+        assert calls == {
+            "n_cycles": len(valves) * len(reservoirs),
+            "inflation_rate": fills,
+            "cutoff_frequency": fills + 1,
+            "min_reservoir_pressure": len(valves),
+        }
 
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):
