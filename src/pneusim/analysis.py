@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from .gasmodel import record, replace
-from .sim import Scenario, SineCommand, TimeSeries, pressure_response
+from .sim import MAX_STEPS, Scenario, SineCommand, TimeSeries, pressure_response
 
 BAND_KPA = 1.0  # the fine-regulation band around a step target
 SWEEP_PERIODS = 4  # periods a sweep point runs after its startup period
@@ -145,13 +145,38 @@ def single_bin_gain(response, omega: float, amplitude: float, sample_rate: float
     return gain
 
 
+def _sweep_point(scn_template: Scenario, omega: float, rep: int = 0) -> Scenario:
+    """Run ``rep`` of a sweep point: a sine at ``omega`` from 0 to twice the template's
+    amplitude, for a startup period, SWEEP_PERIODS periods and two rows."""
+    amplitude = scn_template.command.amplitude_kpa
+    return replace(
+        scn_template,
+        command=SineCommand(amplitude, omega, amplitude),
+        duration=(1 + SWEEP_PERIODS) / omega + 2.0 / scn_template.sample_rate,
+        seed=scn_template.seed + rep,
+    )
+
+
+def sweep_steps(scn_template: Scenario, omegas) -> int:
+    """Steps one repeat of a sweep takes: those of each point whose scenario is valid (an
+    invalid one fails alone and runs nothing)."""
+    steps = 0
+    for omega in omegas:
+        try:
+            steps += _sweep_point(scn_template, omega).n_steps()
+        except ValueError:
+            pass
+    return steps
+
+
 def frequency_sweep(scn_template: Scenario, omegas, n_repeat: int = 1) -> list[FrequencyPoint]:
     """Simulate one sine response per frequency and extract the gain at each.
 
     The command offset is set to the amplitude so the command minimum is 0.
     Per-point failures are recorded in the point's error field; the sweep
     continues. With n_repeat > 1 the gains of repeated runs (distinct seeds)
-    are averaged, for use with noisy sensors.
+    are averaged, for use with noisy sensors. The repeats of all points together
+    may take at most ``MAX_STEPS`` steps, as one run may.
     """
     if not isinstance(scn_template.command, SineCommand):
         raise ValueError("sweep template must carry a sine command")
@@ -164,21 +189,17 @@ def frequency_sweep(scn_template: Scenario, omegas, n_repeat: int = 1) -> list[F
         raise ValueError("omegas must be strictly positive")
     if n_repeat < 1:
         raise ValueError("n_repeat must be >= 1")
+    if sweep_steps(scn_template, omegas) * n_repeat > MAX_STEPS:
+        raise ValueError(f"n_repeat: the sweep would take more than {MAX_STEPS} steps")
 
     amplitude = scn_template.command.amplitude_kpa
     points: list[FrequencyPoint] = []
     for omega in omegas:
         try:
-            duration = (1 + SWEEP_PERIODS) / omega + 2.0 / scn_template.sample_rate
             gains = []
             periods = 0
             for rep in range(n_repeat):
-                scn = replace(
-                    scn_template,
-                    command=SineCommand(amplitude, omega, amplitude),
-                    duration=duration,
-                    seed=scn_template.seed + rep,
-                )
+                scn = _sweep_point(scn_template, omega, rep)
                 # no name holds the response, so it is freed before the next point simulates
                 gain, periods = _windowed_gain(
                     pressure_response(scn), omega, amplitude, scn.sample_rate

@@ -17,31 +17,25 @@ import argparse
 import hashlib
 import json
 import math
-import re
 import sys
-from dataclasses import asdict  # noqa: F401 -- perfbench/tracer.py patches it here by name
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 from . import __version__
-from .components import (
-    VALVE_RATED_INLET_KPA,
-    VENTURI_Q_RATED_SLPM,
-    PneumaticNetwork,
-    ProportionalValveSpec,
-    default_network,
-)
-from .control import ActuatorCommand, ControllerConfig, Mode
-from .gasmodel import BOUNDS, DEFAULT_GAS, FieldError
-from .sim import (
-    PiecewiseCommand,
-    Scenario,
-    SimulationDivergence,
-    SineCommand,
-    StepCommand,
-    TimeSeries,
-    rates_overflow,
-    simulate,
+from .gasmodel import VALVE_RATED_INLET_KPA
+from .schema import (
+    ConfigError,
+    build,
+    check_schema_version,
+    check_value,
+    field_table,
+    overflow_error,
+    reject_unknown,
+    require_obj,
+    resolve_object,
+    resolve_rows,
+    resolve_valve,
 )
 from .sizing import (
     ComponentCatalog,
@@ -53,6 +47,9 @@ from .sizing import (
     enumerate_catalog,
 )
 
+if TYPE_CHECKING:  # for annotations only: `pneusim size` never loads the simulator
+    from .sim import Scenario, TimeSeries
+
 CSV_HEADER = "t_s,P_cmd_kPa,P_cv_kPa,P_r_kPa,u_evp,u_dvp,solenoid,Q_in_slps,Q_out_slps,Q_motive_slps,mode"
 
 EXIT_OK = 0
@@ -61,213 +58,31 @@ EXIT_SIMULATION = 3
 EXIT_NO_FEASIBLE = 4
 
 
-class ConfigError(ValueError):
-    """Input-file validation failure; the message names the offending field."""
-
-
-# ---------------------------------------------------------------- field table
+# ------------------------------------------------------------- field tables
 #
-# Each section of the input schema is a table: (constructor, rows). A row is
-# (JSON key, constructor keyword, check, default). _table makes a row for each
-# key the record declares (gasmodel.record), in field order: its check is the
-# record's kind, else "bool", "str" or "num" (a finite number) by the field's
-# type, and its default the record's; a table adds only where the file differs.
-# A key ending in _slpm is bounded, and reaches the constructor, in std L/s.
-# _REQUIRED makes a key mandatory; a default None leaves an absent key out of
-# the resolved section, for a rule in resolve_* to fill or for the
-# constructor's own default.
+# The requirements and catalog tables (see ``schema``). The scenario file's tables are in
+# ``scenario``, which imports the simulator.
 
-_REQUIRED = object()
-_NET = default_network()
-_TYPE_CHECKS = {"bool": "bool", "str": "str"}  # by annotation; any other field is a number
-
-
-def _table(owner, *extra: tuple, checks=None, defaults=None) -> tuple:
-    """(constructor, rows) of owner, a record class or a default record: a row per key it
-    declares, then the ``extra`` rows (key, check, default) of keys the constructor does not
-    take. ``checks`` and ``defaults`` replace the record's by key."""
-    cls = owner if isinstance(owner, type) else type(owner)
-    checks, defaults = checks or {}, defaults or {}
-
-    def row(kw: str, key: str) -> tuple:
-        check = cls.KINDS.get(kw) or _TYPE_CHECKS.get(cls.__annotations__[kw], "num")
-        return key, kw, checks.get(key, check), defaults.get(key, getattr(owner, kw, _REQUIRED))
-
-    rows = [row(kw, key) for kw, key in cls.KEYS.items()]
-    return cls, (*rows, *((key, None, check, default) for key, check, default in extra))
-
-
-GAS = _table(DEFAULT_GAS)
-# R_vmin_kPa_s_per_L may instead be derived from flow_max_slpm (_resolve_valve)
-VALVE = _table(ProportionalValveSpec, ("P_inlet_max_kPa", "pos", VALVE_RATED_INLET_KPA),
-               defaults={"R_vmin_kPa_s_per_L": None})
-NETWORK = {  # in PneumaticNetwork order
-    "reservoir": _table(_NET.reservoir),
-    "control_volume": _table(_NET.control_volume),
-    "inflation_valve": VALVE,
-    "motive_valve": VALVE,
-    "solenoid": _table(_NET.solenoid),
-    "venturi": _table(_NET.venturi, defaults={"Q_motive_rated_slpm": VENTURI_Q_RATED_SLPM}),
-    "cv_sensor": _table(_NET.cv_sensor),
-}
-# the valve sections of the default network, resolved when a scenario omits one
-DEFAULT_VALVES = {
-    name: {"R_vmin_kPa_s_per_L": getattr(_NET, name).r_vmin}
-    for name in ("inflation_valve", "motive_valve")
-}
-# the record takes any threshold; a file's must be >= 0
-CONTROLLER = _table(ControllerConfig, checks={"active_deflation_rate_threshold_kPa_s": "nonneg"})
-COMMANDS = {
-    "step": _table(StepCommand),
-    "sine": _table(SineCommand, defaults={"offset_kPa": None}),  # default: amplitude_kPa
-    "piecewise": _table(PiecewiseCommand),  # each knot: _resolve_knots
-}
-RUN = _table(Scenario, ("mode", "str", "closed_loop"))
-OPEN_LOOP = _table(ActuatorCommand)
-REQUIREMENTS = _table(DesignRequirements)
-VALVE_OPTION = _table(  # no deadband: sizing rates a valve by its full conductance
+REQUIREMENTS = field_table(DesignRequirements)
+VALVE_OPTION = field_table(  # no deadband: sizing rates a valve by its full conductance
     ValveOption, defaults={"P_inlet_max_kPa": VALVE_RATED_INLET_KPA, "R_vmin_kPa_s_per_L": None}
 )
-RESERVOIR_OPTION = _table(ReservoirOption)
-VENTURI_OPTION = _table(VenturiOption)
-
-# check -> (accepted JSON types, what the error says was expected); any other check is a number
-_EXPECTED = {
-    "bool": (bool, "true or false"),
-    "str": (str, "a string"),
-    "int": (int, "an integer"),
-    **dict.fromkeys(("list", "nonempty"), (list, "a list")),
-}
-_NUMBER = ((int, float), "a number")
-
-
-def _check(value, where: str, check: str):
-    """Validate one JSON value; numbers other than "int" come back as float."""
-    kind, expected = _EXPECTED.get(check, _NUMBER)
-    if not isinstance(value, kind) or (isinstance(value, bool) and check != "bool"):
-        raise ConfigError(f"{where}: expected {expected}")
-    if check not in _EXPECTED:
-        try:
-            value = float(value)
-        except OverflowError:  # an integer beyond the float range
-            value = math.inf
-        if not math.isfinite(value):
-            raise ConfigError(f"{where}: must be finite")
-    slpm = where.endswith("_slpm")
-    for in_range, bound in BOUNDS.get(check, ()):
-        if not in_range(value / 60.0 if slpm else value):
-            raise ConfigError(f"{where}: must be {bound}" + " in std L/s (SLPM / 60)" * slpm)
-    return value
-
-
-def _require_obj(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected an object")
-    return dict(value)
-
-
-def _reject_unknown(obj: dict, path: str) -> None:
-    if obj:
-        keys = ", ".join(sorted(obj))
-        raise ConfigError(f"{path}: unknown key(s): {keys}")
-
-
-def _pop(obj: dict, path: str, key: str, check: str):
-    """Pop and check a required key."""
-    if key not in obj:
-        raise ConfigError(f"{path}.{key}: required")
-    return _check(obj.pop(key), f"{path}.{key}", check)
-
-
-def _resolve(obj: dict, path: str, table: tuple) -> dict:
-    """Pop and check each row's key from obj; absent keys take the row's default."""
-    out = {}
-    for key, _kw, check, default in table[1]:
-        if key in obj or default is _REQUIRED:
-            out[key] = _pop(obj, path, key, check)
-        elif default is not None:
-            out[key] = default
-    return out
-
-
-def _object(raw, path: str, table: tuple) -> dict:
-    """Resolve an object that has no rule beyond its rows."""
-    obj = _require_obj(raw, path)
-    out = _resolve(obj, path, table)
-    _reject_unknown(obj, path)
-    return out
-
-
-def _build(table: tuple, section: dict, path: str = "", nested: dict | None = None, **extra):
-    """Call the table's constructor with each resolved value under its row's keyword; a
-    record's ``FieldError`` becomes a ConfigError at ``path``, each keyword named by its key.
-    ``nested`` maps the keyword of a record in ``extra`` to its (path, table), so that a field
-    of it, such as ``controller.control_rate``, is named in its own section."""
-    make, rows = table
-    kwargs = {
-        kw: section[key] / 60.0 if key.endswith("_slpm") else section[key]
-        for key, kw, _c, _d in rows
-        if kw and key in section
-    }
-    try:
-        return make(**kwargs, **extra)
-    except FieldError as exc:
-        paths = {kw: f"{path}.{key}" for key, kw, _c, _d in rows}
-        for name, (sub_path, (_make, sub_rows)) in (nested or {}).items():
-            paths.update({f"{name}.{kw}": f"{sub_path}.{key}" for key, kw, _c, _d in sub_rows})
-        where = re.sub(r"^[\w.]+", lambda m: paths.get(m[0], f"{path}.{m[0]}"), exc.field)
-        text = re.sub(r"\{([\w.]+)\}", lambda m: paths.get(m[1], m[1]).rpartition(".")[2], exc.text)
-        raise ConfigError(f"{where or path}: {text}") from None
-
-
-def _check_schema_version(obj: dict, path: str) -> None:
-    version = _pop(obj, path, "schema_version", "int")
-    if version != 1:
-        raise ConfigError(f"{path}.schema_version: unsupported version {version}")
+RESERVOIR_OPTION = field_table(ReservoirOption)
+VENTURI_OPTION = field_table(VenturiOption)
 
 
 # ------------------------------------------------------------ scenario schema
 
 
-def _resolve_valve(raw, path: str, table: tuple = VALVE) -> dict:
-    """The rows of a valve table (VALVE, VALVE_OPTION), then R_vmin_kPa_s_per_L or
-    flow_max_slpm rated at P_inlet_max_kPa."""
-    obj = _require_obj(raw, path)
-    out = _resolve(obj, path, table)
-    if "flow_max_slpm" in obj:
-        if "R_vmin_kPa_s_per_L" in out:
-            raise ConfigError(f"{path}: give R_vmin_kPa_s_per_L or flow_max_slpm, not both")
-        r_vmin = out["P_inlet_max_kPa"] / (_pop(obj, path, "flow_max_slpm", "pos") / 60.0)
-        if not 0.0 < r_vmin < math.inf:
-            size = "large" if r_vmin == 0.0 else "small"
-            raise ConfigError(f"{path}.flow_max_slpm: too {size} for P_inlet_max_kPa")
-        out["R_vmin_kPa_s_per_L"] = r_vmin
-    elif "R_vmin_kPa_s_per_L" not in out:
-        raise ConfigError(f"{path}: R_vmin_kPa_s_per_L or flow_max_slpm required")
-    _reject_unknown(obj, path)
-    return out
+def _scenario_schema():
+    """``scenario``, imported on the first scenario load: it loads ``sim``, ``control`` and
+    ``components``, which ``size`` never runs. The run commands call ``simulate`` as a global
+    of this module; it is bound here unless a caller has already replaced it."""
+    from . import scenario
+    from .sim import simulate as sim_simulate
 
-
-def _resolve_knots(knots: list) -> list:
-    """Each knot as [time_s, value_kPa] in numbers; PiecewiseCommand checks the rest."""
-    parsed = []
-    for i, knot in enumerate(knots):
-        where = f"scenario.command.knots[{i}]"
-        if not isinstance(knot, list) or len(knot) != 2:
-            raise ConfigError(f"{where}: expected [time_s, value_kPa]")
-        parsed.append([_check(knot[0], where, "num"), _check(knot[1], where, "num")])
-    return parsed
-
-
-def _check_sensor_range(cmd, range_max: float) -> None:
-    """Scenario.rule's sensor range bound on a closed-loop command, by key."""
-    fields, peak = cmd.peak()
-    if peak > range_max:
-        where = " + ".join(type(cmd).KEYS.get(field, field) for field in fields)  # or knots[i]
-        raise ConfigError(
-            f"scenario.command.{where}: {peak:g} kPa is above the CV sensor range "
-            f"(scenario.network.cv_sensor.range_max_kPa = {range_max:g})"
-        )
+    globals().setdefault("simulate", sim_simulate)
+    return scenario
 
 
 def resolve_scenario(raw: dict) -> dict:
@@ -276,90 +91,7 @@ def resolve_scenario(raw: dict) -> dict:
     Resolution is idempotent: resolving the resolved document returns it
     unchanged, which is what makes manifests round-trip exactly.
     """
-    return _scenario(raw)[1]
-
-
-def _scenario(raw: dict) -> tuple[Scenario, dict]:
-    """The Scenario of a document and the resolved document; each record is built once, as
-    its section resolves, and a record's rule names the field by its path."""
-    top = _require_obj(raw, "scenario")
-    _check_schema_version(top, "scenario")
-    gas = _object(top.pop("gas", {}), "scenario.gas", GAS)
-    gc = _build(GAS, gas, "scenario.gas")
-
-    net_obj = _require_obj(top.pop("network", {}), "scenario.network")
-    network, parts = {}, {}
-    for name, table in NETWORK.items():
-        path = f"scenario.network.{name}"
-        if table is VALVE:
-            network[name] = _resolve_valve(net_obj.pop(name, DEFAULT_VALVES[name]), path)
-        else:
-            network[name] = _object(net_obj.pop(name, {}), path, table)
-        parts[name] = _build(table, network[name], path)
-    _reject_unknown(net_obj, "scenario.network")
-    net = PneumaticNetwork(**parts)
-    ctl = ("scenario.controller", CONTROLLER)
-    controller = _object(top.pop("controller", {}), *ctl)
-    ctl_cfg = _build(CONTROLLER, controller, ctl[0])
-
-    if "command" not in top:
-        raise ConfigError("scenario.command: required")
-    cmd_obj = _require_obj(top.pop("command"), "scenario.command")
-    kind = _pop(cmd_obj, "scenario.command", "kind", "str")
-    if kind not in COMMANDS:
-        raise ConfigError(f"scenario.command.kind: unknown kind {kind!r}")
-    command = {"kind": kind, **_resolve(cmd_obj, "scenario.command", COMMANDS[kind])}
-    _reject_unknown(cmd_obj, "scenario.command")
-    if kind == "sine":
-        command.setdefault("offset_kPa", command["amplitude_kPa"])
-    elif kind == "piecewise":
-        command["knots"] = _resolve_knots(command["knots"])
-    cmd = _build(COMMANDS[kind], command, "scenario.command")
-
-    run_path = "scenario.run"
-    run_obj = _require_obj(top.pop("run", {}), run_path)
-    run = _resolve(run_obj, run_path, RUN)
-    if rates_overflow(net, gc, run["hold_reservoir"]):  # Scenario.rule's bound, by key
-        raise _overflow("a rate constant alpha / V times a conductance 1 / R, times a pressure "
-                        "(a flow rating gives R_vmin_kPa_s_per_L = P_inlet_max_kPa / "
-                        "(flow_max_slpm / 60))", scenario={"gas": gas, "network": network})
-    if kind == "sine" and cmd.overflows(run["duration_s"]):  # Scenario.rule's bound, by key
-        raise _overflow("2 pi frequency_Hz times duration_s or amplitude_kPa",
-                        scenario={"command": command, "run": run})
-    if run["mode"] not in ("closed_loop", "open_loop"):
-        raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
-    olc_path, olc = f"{run_path}.open_loop_command", None
-    if run["mode"] == "open_loop":
-        if "open_loop_command" not in run_obj:
-            raise ConfigError(f"{olc_path}: required for open_loop mode")
-        run["open_loop_command"] = _object(run_obj.pop("open_loop_command"), olc_path, OPEN_LOOP)
-        olc = _build(OPEN_LOOP, run["open_loop_command"], olc_path)
-    elif "open_loop_command" in run_obj:
-        raise ConfigError(f"{olc_path}: only valid with mode 'open_loop'")
-    else:
-        _check_sensor_range(cmd, parts["cv_sensor"].range_max)
-    _reject_unknown(run_obj, run_path)
-    _reject_unknown(top, "scenario")
-
-    scn = _build(
-        RUN,
-        run,
-        run_path,
-        {"controller": ctl, "command": ("scenario.command", COMMANDS[kind])},
-        network=net,
-        controller=ctl_cfg,
-        command=cmd,
-        open_loop_command=olc,
-        gas=gc,
-    )
-    return scn, {
-        "schema_version": 1,
-        "gas": gas,
-        "network": network,
-        "controller": controller,
-        "command": command,
-        "run": run,
-    }
+    return _scenario_schema().resolve(raw)[1]
 
 
 def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, dict]:
@@ -367,65 +99,64 @@ def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, 
     raw = _load_json(path)
     if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
         raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
-    return _scenario(raw)
+    return _scenario_schema().resolve(raw)
+
+
+def __getattr__(name: str):
+    """``simulate`` and ``asdict`` on first access, so that a command loads neither the
+    simulator nor ``dataclasses`` until it needs them (``perfbench/tracer.py`` replaces both
+    here by name; nothing here calls ``asdict``)."""
+    if name == "simulate":
+        _scenario_schema()
+        return globals()["simulate"]
+    if name == "asdict":
+        from dataclasses import asdict
+
+        return asdict
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 # ------------------------------------------------------- requirements/catalog
 
 
 def resolve_requirements(raw: dict) -> dict:
-    obj = _require_obj(raw, "requirements")
-    _check_schema_version(obj, "requirements")
-    out = {"schema_version": 1, **_resolve(obj, "requirements", REQUIREMENTS)}
-    _reject_unknown(obj, "requirements")
-    _build(REQUIREMENTS, out, "requirements")  # the rules between its fields
+    obj = require_obj(raw, "requirements")
+    check_schema_version(obj, "requirements")
+    out = {"schema_version": 1, **resolve_rows(obj, "requirements", REQUIREMENTS)}
+    reject_unknown(obj, "requirements")
+    build(REQUIREMENTS, out, "requirements")  # the rules between its fields
     return out
 
 
-def _overflow(what: str, **docs) -> ConfigError:
-    """The error for an infinite ``what`` computed from resolved documents, ``docs`` by the
-    first part of their paths. It names their positive number furthest from 1."""
-    path, x = max(_numbers(docs, ""), key=lambda item: abs(math.log2(item[1])))
-    return ConfigError(f"{path}: too {'large' if x > 1.0 else 'small'}: {what} overflows")
-
-
-def _numbers(doc, path: str):
-    """(path, value) of every positive float in a resolved document."""
-    if isinstance(doc, (dict, list)):
-        for key, value in doc.items() if isinstance(doc, dict) else enumerate(doc):
-            yield from _numbers(value, path + (f"[{key}]" if isinstance(key, int) else f".{key}"))
-    elif isinstance(doc, float) and doc > 0.0:
-        yield path[1:], doc
-
-
 def requirements_from_resolved(resolved: dict) -> DesignRequirements:
-    return _build(REQUIREMENTS, resolved)
+    return build(REQUIREMENTS, resolved)
 
 
 # catalog list -> the rule for one entry; ComponentCatalog declares which must be non-empty
 CATALOG = {
-    "valves": lambda raw, path: _resolve_valve(raw, path, VALVE_OPTION),
-    "reservoirs": lambda raw, path: _object(raw, path, RESERVOIR_OPTION),
-    "venturis": lambda raw, path: _object(raw, path, VENTURI_OPTION),
+    "valves": lambda raw, path: resolve_valve(raw, path, VALVE_OPTION),
+    "reservoirs": lambda raw, path: resolve_object(raw, path, RESERVOIR_OPTION),
+    "venturis": lambda raw, path: resolve_object(raw, path, VENTURI_OPTION),
 }
 
 
 def resolve_catalog(raw: dict) -> dict:
-    obj = _require_obj(raw, "catalog")
-    _check_schema_version(obj, "catalog")
+    obj = require_obj(raw, "catalog")
+    check_schema_version(obj, "catalog")
     out = {"schema_version": 1}
     for key, entry in CATALOG.items():
-        items = _check(obj.pop(key, []), f"catalog.{key}", ComponentCatalog.KINDS.get(key, "list"))
+        kind = ComponentCatalog.KINDS.get(key, "list")
+        items = check_value(obj.pop(key, []), f"catalog.{key}", kind)
         out[key] = [entry(item, f"catalog.{key}[{i}]") for i, item in enumerate(items)]
-    _reject_unknown(obj, "catalog")
+    reject_unknown(obj, "catalog")
     return out
 
 
 def catalog_from_resolved(resolved: dict) -> ComponentCatalog:
     return ComponentCatalog(
-        valves=tuple(_build(VALVE_OPTION, v) for v in resolved["valves"]),
-        reservoirs=tuple(_build(RESERVOIR_OPTION, r) for r in resolved["reservoirs"]),
-        venturis=tuple(_build(VENTURI_OPTION, v) for v in resolved["venturis"]),
+        valves=tuple(build(VALVE_OPTION, v) for v in resolved["valves"]),
+        reservoirs=tuple(build(RESERVOIR_OPTION, r) for r in resolved["reservoirs"]),
+        venturis=tuple(build(VENTURI_OPTION, v) for v in resolved["venturis"]),
     )
 
 
@@ -467,6 +198,9 @@ def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
     A column whose values are bit for bit the same over a block of rows is
     formatted once, into that block's row template; the others row by row.
     """
+    from .control import Mode
+    from .sim import TimeSeries
+
     mode_names = {mode: mode.name for mode in Mode}
     columns = [getattr(ts, name) for name in TimeSeries.FIELDS]
     with path.open("w", encoding="utf-8", newline="\n") as out:
@@ -494,6 +228,9 @@ def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
 def read_timeseries_csv(path: Path) -> TimeSeries:
     """Read a write_timeseries_csv file; a malformed row is a ConfigError naming its line."""
     import numpy as np
+
+    from .control import Mode
+    from .sim import TimeSeries
 
     lines = path.read_text(encoding="utf-8").splitlines()
     if not lines or lines[0] != CSV_HEADER:
@@ -676,12 +413,15 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import analysis  # here, not at the top: it loads numpy, which `size` never needs
-
     if args.duration is not None:
         raise ConfigError("--duration: sweep sets each point's duration from its frequency")
     run = _Run(args)
-    if not isinstance(run.scn.command, SineCommand):
+    # analysis imports numpy. It comes after the scenario, which compiles sim: compiled
+    # after numpy, sim raised the peak RSS of sweep and discharge by 1.1 to 1.8 MiB
+    from . import analysis
+    from .sim import MAX_STEPS
+
+    if run.resolved["command"]["kind"] != "sine":
         raise ConfigError("scenario.command.kind: sweep needs a sine command")
     if not run.scn.closed_loop:
         raise ConfigError("scenario.run.mode: sweep needs a closed_loop scenario")
@@ -697,6 +437,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError("--omegas: frequencies must be > 0")
     if args.repeats < 1:
         raise ConfigError("--repeats: must be >= 1")
+    steps = analysis.sweep_steps(run.scn, omegas)
+    if steps * args.repeats > MAX_STEPS:
+        raise ConfigError(f"--repeats: the sweep would take more than {MAX_STEPS} steps "
+                          f"({args.repeats} repeats of {steps})")
 
     points = analysis.frequency_sweep(run.scn, omegas, n_repeat=args.repeats)
     ok = [p for p in points if p.error is None]
@@ -731,9 +475,9 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_discharge(args) -> int:
+    run = _Run(args)
     from . import analysis  # see cmd_sweep
 
-    run = _Run(args)
     if run.scn.closed_loop:
         raise ConfigError("scenario.run.mode: discharge needs an open_loop scenario")
     csv_path = run.output("timeseries.csv")
@@ -777,7 +521,7 @@ def cmd_size(args) -> int:
     # the report is strict JSON, which has no Infinity (and none of these can be NaN)
     if not all(max(e.pdot_demand, e.min_p_r, e.cutoff_hz_floor, e.cutoff_hz_full, e.n_cycles,
                    e.total_mass_g) < math.inf for e in report.entries):
-        raise _overflow(
+        raise overflow_error(
             "a number of the design report (a flow rating gives R_vmin_kPa_s_per_L = "
             "P_inlet_max_kPa / (flow_max_slpm / 60))",
             requirements=req_resolved, catalog=cat_resolved,
@@ -853,9 +597,16 @@ def main(argv=None) -> int:
         path = args.out if exc.filename is None else exc.filename
         print(f"error: --out: {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except SimulationDivergence as exc:
+    except _simulation_errors() as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
+
+
+def _simulation_errors() -> tuple:
+    """``sim.SimulationDivergence`` once a scenario has loaded the simulator; before that
+    nothing can raise it."""
+    sim = sys.modules.get(f"{__package__}.sim")
+    return (sim.SimulationDivergence,) if sim else ()
 
 
 def entry() -> None:

@@ -15,14 +15,13 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .gasmodel import PERFECT_VACUUM_KPA, record
+from .gasmodel import PERFECT_VACUUM_KPA, VALVE_RATED_INLET_KPA, record
 
 if TYPE_CHECKING:  # for annotations only: `pneusim size` imports this module without numpy
     import numpy as np
 
 # Catalog-derived minimum flow resistances (kPa*s per std L): rated maximum
 # flow assumed at full rated inlet pressure discharging to atmosphere.
-VALVE_RATED_INLET_KPA = 689.0
 EVP_R_VMIN = VALVE_RATED_INLET_KPA / (23.5 / 60.0)
 DVP_R_VMIN = VALVE_RATED_INLET_KPA / (67.0 / 60.0)
 VENTURI_Q_RATED_SLPM = 67.0

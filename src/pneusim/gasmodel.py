@@ -19,6 +19,8 @@ import math
 
 # Gauge pressure of a perfect vacuum; no gauge pressure may fall below this.
 PERFECT_VACUUM_KPA = -101.325
+# The inlet pressure at which a valve's catalog flow rating is quoted.
+VALVE_RATED_INLET_KPA = 689.0
 
 _AT_LEAST_0 = (lambda v: v >= 0.0, ">= 0")
 # The bounds a record declares on its fields, by kind: (whether a value is in range, what

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pneusim import cli, components, control, gasmodel, sim, sizing
+from pneusim import cli, components, control, gasmodel, scenario, schema, sim, sizing
 from pneusim.components import default_network
 from pneusim.control import Mode
 from pneusim.sim import SimulationDivergence, TimeSeries, simulate, step_scenario
@@ -540,6 +540,42 @@ class TestSweepCommand:
         assert cli.main([*argv, "--repeats", "0", "--out", str(tmp_path)]) == 2
         assert "error: --repeats: must be >= 1" in capsys.readouterr().err
 
+    # 1e-9 Hz: a point whose own run is past the step budget fails alone and counts no steps
+    @pytest.mark.parametrize("omegas", ["1.35,2.7", "1e-9,1.35"])
+    @pytest.mark.parametrize("past", [False, True])
+    def test_repeats_past_the_step_budget_exit_2_before_simulating(
+        self, tmp_path, capsys, monkeypatch, omegas, past
+    ):
+        # each point's rule bounds only its own steps; the sweep bounds all of them, repeated
+        from pneusim import analysis
+
+        class Simulated(Exception):
+            pass
+
+        def simulated(scn):
+            raise Simulated
+
+        monkeypatch.setattr(analysis, "pressure_response", simulated)
+        path = SCENARIOS / "sweep_21kpa_half_liter.json"
+        scn, _ = cli.load_scenario(path)
+        per_point = {"1.35": 7409, "2.7": 3706}  # round(((1 + 4) / omega + 2 / 2000 Hz) / 0.5 ms)
+        steps = analysis.sweep_steps(scn, map(float, omegas.split(",")))
+        assert steps == sum(per_point.get(w, 0) for w in omegas.split(","))
+        repeats = sim.MAX_STEPS // steps + past
+        argv = ["sweep", str(path), "--omegas", omegas, "--repeats", str(repeats),
+                "--out", str(tmp_path)]
+        if not past:
+            with pytest.raises(Simulated):
+                cli.main(argv)
+            return
+        assert cli.main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: --repeats: the sweep would take more than {sim.MAX_STEPS} steps "
+            f"({repeats} repeats of {steps})\n"
+        )
+        with pytest.raises(ValueError, match=r"^n_repeat: the sweep would take more than "):
+            analysis.frequency_sweep(scn, map(float, omegas.split(",")), n_repeat=repeats)
+
 
 class TestDischargeCommand:
     def test_fit_matches_closed_form(self, tmp_path):
@@ -819,22 +855,62 @@ def test_design_report_json_keeps_equal_numbers_apart():
     _assert_report_equals_json_dumps([c, a, b], [b, a, c], sha)
 
 
-def test_size_does_not_import_numpy(tmp_path):
+def _run_python(code: str, *argv) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports pneusim from this tree."""
+    paths = [p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+                          capture_output=True, text=True)
+
+
+SIZE_ARGV = ["size", SCENARIOS / "demo_requirements.json", SCENARIOS / "reference_catalog.json"]
+RUN_MODULES = ("pneusim.sim", "pneusim.control", "pneusim.components", "pneusim.analysis")
+
+
+@pytest.mark.parametrize(
+    "argv, output, unloaded",
+    [
+        # the closed forms alone: no simulator, no numpy
+        (SIZE_ARGV, "demo_requirements_design_report.json", ("numpy", "dataclasses", *RUN_MODULES)),
+        (["simulate", SCENARIOS / "step_69kpa_half_liter.json", "--duration", "0.01"],
+         "step_69kpa_half_liter_timeseries.csv", ("dataclasses", "pneusim.analysis")),
+    ],
+    ids=["size", "simulate"],
+)
+def test_size_does_not_import_numpy(tmp_path, argv, output, unloaded):
     code = (
         "import sys\n"
         "from pneusim import cli\n"
-        "rc = cli.main(sys.argv[1:])\n"
-        "assert 'numpy' not in sys.modules, 'size imported numpy'\n"
+        "rc = cli.main(sys.argv[2:])\n"
+        "loaded = [name for name in sys.argv[1].split(',') if name in sys.modules]\n"
+        "assert not loaded, f'{sys.argv[2]} imported {loaded}'\n"
         "sys.exit(rc)\n"
     )
-    argv = ["size", SCENARIOS / "demo_requirements.json", SCENARIOS / "reference_catalog.json",
-            "--out", tmp_path]
-    paths = [p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
-                          capture_output=True, text=True)
+    proc = _run_python(code, ",".join(unloaded), *argv, "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "demo_requirements_design_report.json").is_file()
+    assert (tmp_path / output).is_file()
+
+
+def test_size_error_propagates_as_itself(tmp_path):
+    # size never loads the simulator, so main's handler of its divergence must not fail on
+    # an error it does not handle
+    code = (
+        "import sys\n"
+        "from pneusim import cli\n"
+        "def fail(req, catalog):\n"
+        "    raise RuntimeError('enumerate_catalog failed')\n"
+        "cli.enumerate_catalog = fail\n"
+        "try:\n"
+        "    cli.main(sys.argv[1:])\n"
+        "except RuntimeError as exc:\n"
+        "    assert type(exc) is RuntimeError, repr(exc)\n"
+        "    assert str(exc) == 'enumerate_catalog failed' and exc.__context__ is None\n"
+        "else:\n"
+        "    sys.exit('no error')\n"
+        "assert 'pneusim.sim' not in sys.modules\n"
+    )
+    proc = _run_python(code, *SIZE_ARGV, "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
 
 
 def _subnormal_discharge(section: str, key: str) -> dict:
@@ -1030,9 +1106,9 @@ class TestCommandWithinSensorRange:
 
 
 class TestFieldTables:
-    TABLES = [cli.GAS, *cli.NETWORK.values(), cli.CONTROLLER, *cli.COMMANDS.values(), cli.RUN,
-              cli.OPEN_LOOP, cli.REQUIREMENTS, cli.VALVE_OPTION, cli.RESERVOIR_OPTION,
-              cli.VENTURI_OPTION]
+    TABLES = [scenario.GAS, *scenario.NETWORK.values(), scenario.CONTROLLER,
+              *scenario.COMMANDS.values(), scenario.RUN, scenario.OPEN_LOOP, cli.REQUIREMENTS,
+              cli.VALVE_OPTION, cli.RESERVOIR_OPTION, cli.VENTURI_OPTION]
 
     @pytest.mark.parametrize("table", TABLES, ids=lambda table: table[0].__name__)
     def test_keyword_rows_are_the_record_keys_in_field_order(self, table):
@@ -1084,12 +1160,12 @@ class TestReadmeSchema:
 
     def test_tables_match_field_table(self):
         sections = {
-            "gas": cli.GAS,
-            **{f"network.{name}": table for name, table in cli.NETWORK.items()},
-            "controller": cli.CONTROLLER,
-            **cli.COMMANDS,
-            "run": cli.RUN,
-            "run.open_loop_command": cli.OPEN_LOOP,
+            "gas": scenario.GAS,
+            **{f"network.{name}": table for name, table in scenario.NETWORK.items()},
+            "controller": scenario.CONTROLLER,
+            **scenario.COMMANDS,
+            "run": scenario.RUN,
+            "run.open_loop_command": scenario.OPEN_LOOP,
             "requirements": cli.REQUIREMENTS,
             "catalog.valves[i]": cli.VALVE_OPTION,
             "catalog.reservoirs[i]": cli.RESERVOIR_OPTION,
@@ -1110,7 +1186,7 @@ class TestReadmeSchema:
                     assert text_check.startswith(f"{self.CHECK_TEXT[check]} in std L/s"), key
                 if default is None:
                     assert text_default.startswith("rule"), (label, key)
-                elif default is cli._REQUIRED:
+                elif default is schema.REQUIRED:
                     assert text_default == "required", (label, key)
                 elif isinstance(default, bool):
                     assert text_default == str(default).lower(), (label, key)

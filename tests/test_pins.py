@@ -13,7 +13,9 @@ import importlib.util
 import io
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
 import warnings
@@ -24,7 +26,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pneusim import cli
+from pneusim import cli, scenario
 from pneusim.control import Mode
 from pneusim.gasmodel import replace
 from pneusim.sim import Scenario, TimeSeries, step_scenario
@@ -173,10 +175,32 @@ def _workload_digest(name: str, seed: int) -> str:
     return workloads.digest(wl, Path("out"))
 
 
+# The benchmark's own checks of a workload's outputs, as it runs them: in an interpreter
+# that has resolved no scenario, so each reader imports what it reads.
+_BENCHMARK_CHECKS = """\
+import importlib.util, sys
+from pathlib import Path
+spec = importlib.util.spec_from_file_location("perfbench_workloads", sys.argv[1])
+workloads = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(workloads)
+wl = workloads.build(sys.argv[2], 1, Path("in"))
+problems = workloads.check_outputs(wl, Path("out"))
+assert problems == [], problems
+result = workloads.oracle(wl, Path("out"))
+assert result is None if wl.name == "size_catalog" else result[0] <= result[1], result
+"""
+
+
 @pytest.mark.parametrize("name", sorted(WORKLOAD_DIGESTS))
 def test_benchmark_workload_pins(name, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     assert _workload_digest(name, 1) == WORKLOAD_DIGESTS[name]
+    paths = [p for p in (str(SCENARIOS.parent / "src"), os.environ.get("PYTHONPATH")) if p]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+    workloads = SCENARIOS.parent / "perfbench" / "workloads.py"
+    proc = subprocess.run([sys.executable, "-c", _BENCHMARK_CHECKS, str(workloads), name],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 # size_catalog draws a new catalog and new requirements from each seed.
@@ -352,17 +376,17 @@ def _field_cases() -> list:
     def rows(table, *extra):
         return [key for key, _kw, check, _d in table[1] if check in NUMERIC_CHECKS] + list(extra)
 
-    scenario = {("gas",): rows(cli.GAS), ("controller",): rows(cli.CONTROLLER),
-                ("run",): rows(cli.RUN)}
-    for name, table in cli.NETWORK.items():
-        extra = ("flow_max_slpm",) if table is cli.VALVE else ()
-        scenario[("network", name)] = rows(table, *extra)
+    scenario_rows = {("gas",): rows(scenario.GAS), ("controller",): rows(scenario.CONTROLLER),
+                     ("run",): rows(scenario.RUN)}
+    for name, table in scenario.NETWORK.items():
+        extra = ("flow_max_slpm",) if table is scenario.VALVE else ()
+        scenario_rows[("network", name)] = rows(table, *extra)
     cases = []
     for doc in ("step_69kpa_half_liter", "sweep_21kpa_half_liter", "discharge_2l_bottle"):
         kind = BASES[doc]["command"]["kind"]
-        sections = {**scenario, ("command",): rows(cli.COMMANDS[kind])}
+        sections = {**scenario_rows, ("command",): rows(scenario.COMMANDS[kind])}
         if BASES[doc]["run"].get("mode") == "open_loop":
-            sections[("run", "open_loop_command")] = rows(cli.OPEN_LOOP)
+            sections[("run", "open_loop_command")] = rows(scenario.OPEN_LOOP)
         cases += [(doc, path, key) for path, keys in sections.items() for key in keys]
     cases += [(doc, (), key) for doc in ("demo_requirements", "rate_requirements")
               for key in rows(cli.REQUIREMENTS)]

@@ -12,7 +12,8 @@ from pneusim.gasmodel import replace
 from pneusim import sim
 from pneusim.cli import load_scenario
 from pneusim.control import (
-    ActuatorCommand, ControllerConfig, IDLE_COMMAND, Mode, passive_vent_coeff,
+    ActuatorCommand, ControllerConfig, ControllerState, IDLE_COMMAND, Mode, control_step,
+    passive_vent_coeff,
 )
 from pneusim.sim import (
     MAX_STEPS,
@@ -1165,6 +1166,106 @@ class TestPressureResponse:
         scn, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
         want, got = _both_outcomes(scn)
         assert isinstance(want, bytes) and got == want
+
+
+def _closed_loop_reference(scn: Scenario) -> sim.TimeSeries:
+    """A closed-loop run by a naive loop over events, from the scalar pieces alone: one
+    ``control_step`` of a ``ControllerState`` and one ``sensor_read`` draw a tick, the
+    command's scalar ``value`` and ``rate``, ``valve_fraction`` of each tick's command, and
+    the propagator's ``span`` or ``cross`` from each event (a tick, a row, the end) to the
+    next. Every row is formed on its own."""
+    net, dt, cmd = scn.network, scn.dt, scn.command
+    n, ss, cs = scn.n_steps(), scn.sample_stride(), scn.control_stride()
+    prop = sim.propagator(net, scn.gas, scn.hold_reservoir)
+    rng = np.random.default_rng([scn.seed, net.cv_sensor.seed])
+    vent = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
+    state, act = ControllerState(), IDLE_COMMAND
+    p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
+    events = sorted({*range(0, n + 1, cs), *range(0, n + 1, ss), n})
+    rows = []
+    for k, nxt in zip(events, [*events[1:], None]):
+        t = k * dt
+        if k % cs == 0:
+            p_meas = cp.sensor_read(p_cv, net.cv_sensor, rng)
+            act, state = control_step(cmd.value(t), p_meas, cmd.rate(t), scn.controller, vent,
+                                      state)
+        f_in = cp.valve_fraction(act.u_inflate, net.inflation_valve)
+        f_mot = cp.valve_fraction(act.u_motive, net.motive_valve)
+        pc = prop.region(p_r, p_cv, f_in, f_mot, act.solenoid_open)
+        if k % ss == 0:
+            rows.append((t, cmd.value(t), p_cv, p_r, act.u_inflate, act.u_motive,
+                         1.0 if act.solenoid_open else 0.0, *prop.flows(pc, p_r, p_cv),
+                         state.mode))
+        if nxt is not None:
+            h = (nxt - k) * dt
+            p_r, p_cv = prop.span(pc, p_r, p_cv, h) or prop.cross(pc, p_r, p_cv, h, t)
+    ts = sim.TimeSeries(**{
+        name: np.array(col, dtype=np.uint8 if name == "mode" else float)
+        for name, col in zip(sim.TimeSeries.FIELDS, zip(*rows))
+    })
+    ts.validate()
+    return ts
+
+
+def _columns(run, scn):
+    """The bytes of every column of ``run(scn)``, or the type and text of what it raises."""
+    try:
+        ts = run(scn)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return [getattr(ts, name).tobytes() for name in sim.TimeSeries.FIELDS]
+
+
+class TestClosedLoopReference:
+    """``simulate`` in closed loop equals ``_closed_loop_reference`` bit for bit: both take
+    the same spans, so any difference is in the order or the wiring of the events."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        command=COMMANDS,
+        hold=st.booleans(),
+        noise=st.sampled_from([0.0, 0.5]),
+        sample_rate=st.sampled_from([2000.0, 1000.0, 400.0, 250.0]),  # row strides 1, 2, 5, 8
+        control_rate=st.sampled_from([1000.0, 500.0, 250.0]),  # tick strides 2, 4, 8
+        v_r=st.floats(0.05, 5.0),
+        p_r0=st.floats(0.0, 900.0),
+        v_cv=st.floats(0.05, 2.0),
+        p_cv0=st.floats(-60.0, 200.0),
+        duration=st.floats(0.01, 0.2),
+        seed=st.integers(0, 2**32),
+    )
+    def test_equals_reference(self, command, hold, noise, sample_rate, control_rate, v_r, p_r0,
+                              v_cv, p_cv0, duration, seed):
+        net = cp.default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv, p_cv0=p_cv0)
+        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise))
+        try:
+            scn = Scenario(network=net, command=command, duration=duration,
+                           controller=ControllerConfig(control_rate=control_rate),
+                           sample_rate=sample_rate, seed=seed, hold_reservoir=hold)
+        except gm.FieldError:
+            assume(False)
+        want = _columns(_closed_loop_reference, scn)
+        event("runs" if isinstance(want, list) else f"raises {want[0].__name__}")
+        assert _columns(simulate, scn) == want
+
+    @pytest.mark.parametrize("sample_rate", [2000.0, 400.0])
+    def test_crossing_kinks(self, monkeypatch, sample_rate):
+        # active deflation from a small reservoir above the Venturi's saturation pressure
+        # (689 kPa at full motive command): the runs cross into the unsaturated region
+        net = cp.default_network(v_r=0.05, p_r0=800.0, p_cv0=150.0)
+        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=0.5))
+        scn = Scenario(network=net, command=StepCommand(0.0), duration=0.05,
+                       sample_rate=sample_rate)
+        crossings = _counting_crossings(monkeypatch)
+        want = _columns(_closed_loop_reference, scn)
+        assert crossings and isinstance(want, list) and _columns(simulate, scn) == want
+
+    @pytest.mark.parametrize("name", ["step_69kpa_half_liter", "sweep_21kpa_half_liter"])
+    def test_shipped_scenarios(self, name):
+        scn, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        assert scn.closed_loop
+        want = _columns(_closed_loop_reference, scn)
+        assert isinstance(want, list) and _columns(simulate, scn) == want
 
 
 class TestMassBalance:
