@@ -168,8 +168,16 @@ def _load_json(path: Path) -> dict:
         text = path.read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}")
+
+    def unique(pairs: list) -> dict:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):  # json.loads alone keeps a repeated key's last value
+            key = next(key for i, (key, _) in enumerate(pairs) if key in dict(pairs[:i]))
+            raise ConfigError(f"{path}: duplicate key {key!r}")
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 

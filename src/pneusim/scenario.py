@@ -128,7 +128,8 @@ def resolve(raw: dict) -> tuple[Scenario, dict]:
     run_path = "scenario.run"
     run_obj = require_obj(top.pop("run", {}), run_path)
     run = resolve_rows(run_obj, run_path, RUN)
-    if rates_overflow(net, gc, run["hold_reservoir"]):  # Scenario.rule's bound, by key
+    if rates_overflow(net, gc, run["hold_reservoir"], net.reservoir.p_r0,
+                      net.control_volume.p_cv):  # Scenario.rule's bound, by key
         raise overflow_error("a rate constant alpha / V times a conductance 1 / R, times a "
                              "pressure (a flow rating gives R_vmin_kPa_s_per_L = "
                              "P_inlet_max_kPa / (flow_max_slpm / 60))",

@@ -55,7 +55,7 @@ MAX_STEPS = 2**31
 
 
 class SimulationDivergence(RuntimeError):
-    """A non-finite state during integration."""
+    """A non-finite state during integration, or rows whose rates overflow."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.6g} s")
@@ -247,7 +247,8 @@ class Scenario:
         if isinstance(self.command, SineCommand) and self.command.overflows(self.duration, end):
             raise FieldError(self, "command.freq_hz", "too large: 2 pi {command.freq_hz} times "
                              "{duration} or {command.amplitude_kpa} overflows")
-        if rates_overflow(self.network, self.gas, self.hold_reservoir):
+        p0 = self.network.reservoir.p_r0, self.network.control_volume.p_cv
+        if rates_overflow(self.network, self.gas, self.hold_reservoir, *p0):
             raise FieldError(self, "network", "too extreme: a rate constant ({gas} alpha / V "
                              "times a conductance 1 / R), squared, times a pressure overflows")
         if self.closed_loop:
@@ -293,19 +294,6 @@ class TimeSeries:
 
     def __len__(self) -> int:
         return len(self.t)
-
-    def validate(self) -> None:
-        import numpy as np
-
-        n = len(self.t)
-        for name in self.FIELDS:
-            col = getattr(self, name)
-            if len(col) != n:
-                raise ValueError(f"TimeSeries column {name} has length {len(col)} != {n}")
-            if name != "mode" and not np.all(np.isfinite(col)):
-                raise ValueError(f"TimeSeries column {name} contains non-finite values")
-        if np.any(np.diff(self.t) <= 0.0):
-            raise ValueError("TimeSeries.t must be strictly increasing")
 
 
 # Exact propagation. While a command is held the network is affine in (p_r,
@@ -454,18 +442,18 @@ def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
 Propagator = namedtuple("Propagator", "region flows span cross segment")  # see propagator
 
 
-def rates_overflow(net: PneumaticNetwork, gas: GasConstants, hold: bool) -> bool:
-    """Whether ``propagator``'s rates may overflow: they are flows times alpha / V, and it
-    forms A (A p + b), so each coefficient (a conductance 1 / R, the Venturi node's slope
-    through the solenoid, alpha / V times them), squared, times the largest pressure must
-    stay finite."""
+def rates_overflow(net: PneumaticNetwork, gas: GasConstants, hold: bool, *pressures) -> bool:
+    """Whether ``propagator``'s rates may overflow up to the largest of ``pressures`` (or the
+    vacuum's): they are flows times alpha / V, and it forms A (A p + b), so each coefficient
+    (a conductance 1 / R, the Venturi node's slope through the solenoid, alpha / V times
+    them), squared, times that pressure must stay finite; so must each flow, affine in them."""
     a, r_mot, venturi = alpha(gas), net.motive_valve.r_vmin, net.venturi
     slope = -venturi.p_vac_floor / r_mot / venturi.q_motive_rated
     g = 1.0 / net.inflation_valve.r_vmin + 1.0 / r_mot + (1.0 + slope) / net.solenoid.r_open
     inv_v = max(a / net.control_volume.v_cv, 0.0 if hold else a / net.reservoir.v_r)
     coeff = max(1.0, slope, g, 2.0 * g * inv_v)
-    p = max(net.reservoir.p_r0, net.control_volume.p_cv, -PERFECT_VACUUM_KPA)
-    return not 4.0 * coeff * coeff * p < math.inf
+    bound = 4.0 * coeff * coeff  # times each pressure, not their max(), which may drop a NaN
+    return not all(bound * p < math.inf for p in (-PERFECT_VACUUM_KPA, *pressures))
 
 
 def propagator(
@@ -668,7 +656,8 @@ def simulate(scn: Scenario) -> TimeSeries:
     exact map, or, where the span crosses a kink, one map per region up to
     each located crossing. In open loop the command is held for the whole
     run, so the rows are computed a segment at a time from one map each.
-    Raises ``SimulationDivergence`` if the state becomes non-finite.
+    Raises ``SimulationDivergence`` if the state becomes non-finite or the rows'
+    rates overflow.
     """
     import numpy as np
 
@@ -680,34 +669,34 @@ def simulate(scn: Scenario) -> TimeSeries:
         _closed_loop(scn, columns, prop)
     else:
         _open_loop(scn, columns, prop)
-    ts = TimeSeries(**columns)
-    ts.validate()
-    return ts
+    _check_rates(scn, columns)
+    return TimeSeries(**columns)
 
 
 def pressure_response(scn: Scenario) -> np.ndarray:
     """``simulate(scn).p_cv`` to the bit; where ``simulate`` raises, the same error.
-
-    A closed-loop run stores only p_cv and p_r. Of the checks of ``TimeSeries.validate``
-    on the other columns, only the flows' needs the run: the records' rules keep every time
-    and command level finite, and the valve commands are range-checked as they change. Each
-    flow is affine in the state, its coefficients at most the conductances 1/R, and the
-    Venturi node lies between the floor and 0 in the region each row reads (with the slope
-    the rule bounds), so one bound from the largest pressures holds at every row; doubled,
-    it covers the rounding of both sides. Where it fails, ``simulate`` runs again
-    and raises its own error.
-    """
+    A closed-loop run stores only p_cv and p_r."""
     import numpy as np
 
     if not scn.closed_loop:
         return simulate(scn).p_cv
-    n_rows, net = scn.n_rows(), scn.network
-    p_cv, p_r = np.empty(n_rows), np.empty(n_rows)
-    _closed_loop(scn, {"p_cv": p_cv, "p_r": p_r}, propagator(net, scn.gas, scn.hold_reservoir))
-    m_r, m_cv = (max(float(np.max(p)), -float(np.min(p))) for p in (p_r, p_cv))  # NaN if any
-    bound = (m_r + m_cv) / net.inflation_valve.r_vmin + m_r / net.motive_valve.r_vmin
-    bound += (m_cv - net.venturi.p_vac_floor) / net.solenoid.r_open  # the sum bounds each flow
-    return p_cv if 2.0 * bound < math.inf else simulate(scn).p_cv
+    columns = {"p_cv": np.empty(scn.n_rows()), "p_r": np.empty(scn.n_rows())}
+    _closed_loop(scn, columns, propagator(scn.network, scn.gas, scn.hold_reservoir))
+    _check_rates(scn, columns)
+    return columns["p_cv"]
+
+
+def _check_rates(scn: Scenario, columns: dict) -> None:
+    """``SimulationDivergence`` where ``rates_overflow`` holds at the largest p_r or p_cv of the
+    rows, at the row of that pressure. Rows are at least ``PERFECT_VACUUM_KPA`` (``span`` and
+    ``segment`` accept no other), so where it passes every flow is finite; the records' rules
+    and the valve range checks keep the rest of each row finite, and its time increasing."""
+    peaks = {name: float(columns[name].max()) for name in ("p_r", "p_cv")}  # no n-row temporary
+    if rates_overflow(scn.network, scn.gas, scn.hold_reservoir, *peaks.values()):
+        name = max(peaks, key=peaks.get)
+        row = int(columns[name].argmax())
+        raise SimulationDivergence(f"rates overflow: {name} reaches {peaks[name]:.6g} kPa",
+                                   row * scn.sample_stride() * scn.dt)
 
 
 def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:

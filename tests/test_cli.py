@@ -364,6 +364,35 @@ class TestSimulateCommand:
             sim.Scenario(network=net, command=sim.StepCommand(69.0), dt=0.0005, duration=0.5,
                          sample_rate=1000.0, gas=gas)
 
+    @pytest.mark.parametrize("duration, message", [
+        ("0.0035", "p_r reaches 2.4974e+142 kPa at t=0.0035 s"),  # the flows stay finite
+        ("0.0044", "p_r reaches 2.44944e+198 kPa at t=0.0045 s"),  # q_motive overflows
+    ], ids=["0.0035", "0.0044"])
+    def test_overflowing_rates_exit_3(self, tmp_path, capsys, duration, message):
+        # tests/test_sim.py::_extreme by file key: the rule passes at the initial pressures, but
+        # p_r climbs with no inflow until the rates at the rows' largest pressure overflow
+        raw = {
+            "schema_version": 1,
+            "gas": {"M_kg_per_mol": 2.4559921855792673e-61},
+            "network": {
+                "reservoir": {"V_r_L": 1.5128909440973272e140, "P_r0_kPa": 33498738233.95681},
+                "control_volume": {"V_cv_L": 1.7051783456298512e148, "P_cv0_kPa": 0.0},
+                "inflation_valve": {"R_vmin_kPa_s_per_L": 2.405906932282898e-105},
+                "motive_valve": {"R_vmin_kPa_s_per_L": 6.460715825196841e-127},
+                "solenoid": {"R_open_kPa_s_per_L": 87491428.8657276},
+                "venturi": {"P_vac_floor_kPa": -94.45634279757378,
+                            "Q_motive_rated_slpm": 8.726312793985767e-16},
+                "cv_sensor": {"noise_std_kPa": 0.1},
+            },
+            "command": {"kind": "sine", "amplitude_kPa": 1.0511773840971705,
+                        "frequency_Hz": 59.92429456399524, "offset_kPa": 1.5767660761457558},
+        }
+        scn_file = write_json(tmp_path / "extreme.json", raw)
+        argv = ["simulate", str(scn_file), "--duration", duration, "--out", str(tmp_path / "out")]
+        assert cli.main(argv) == 3
+        assert capsys.readouterr().err == f"error: simulation diverged: rates overflow: {message}\n"
+        assert not list((tmp_path / "out").glob("*"))
+
     def test_overflowing_last_step_time_exit_2(self, tmp_path, capsys):
         # steps at 0, 1e308 and 2e308 s: the last step's time overflows, and no numpy warning
         raw = minimal_scenario(dt_s=1e308, duration_s=1.7e308, sample_rate_Hz=1e-308,
@@ -1056,6 +1085,23 @@ class TestFieldNamedErrors:
         scn_file = write_json(tmp_path / "scn.json", raw)
         assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["simulate", "size"])
+    def test_duplicate_key_exit_2(self, tmp_path, capsys, command):
+        # strict JSON: a repeated key is an error, not a silent last value (V_r_L 0.5 here)
+        dup = tmp_path / "dup.json"
+        if command == "simulate":
+            text = json.dumps(minimal_scenario(duration_s=0.01))
+            reservoir = '"network": {"reservoir": {"V_r_L": 2.0, "V_r_L": 0.5}}, '
+            dup.write_text(text.replace('"run"', reservoir + '"run"'))
+            argv, key = ["simulate", str(dup)], "V_r_L"
+        else:
+            text = (SCENARIOS / "reference_catalog.json").read_text()
+            dup.write_text(text.replace('"valves"', '"schema_version": 1, "valves"', 1))
+            argv, key = ["size", str(SCENARIOS / "demo_requirements.json"), str(dup)], "schema_version"
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == f"error: {dup}: duplicate key {key!r}\n"
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name, flow", [("inflation_valve", 23.5), ("motive_valve", 67.0)])
     def test_valve_without_rating_is_the_default_valve(self, name, flow):

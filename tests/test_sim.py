@@ -1079,6 +1079,17 @@ COMMANDS = st.one_of(
 )
 
 
+# (command, v_r, p_r0, p_cv0, hold_reservoir) of a closed-loop run on the default network
+NETWORK_RUNS = st.tuples(COMMANDS, st.floats(0.05, 5.0), st.floats(0.0, 900.0),
+                         st.floats(-60.0, 200.0), st.booleans())
+# a small free reservoir above the Venturi's saturation pressure (689 kPa at full motive
+# command) under a command below the control volume: active deflation runs the reservoir
+# down across the saturation kink within most runs
+DEFLATING_RUNS = st.tuples(st.builds(StepCommand, target_kpa=st.floats(0.0, 20.0)),
+                           st.floats(0.02, 0.1), st.floats(700.0, 900.0), st.floats(60.0, 200.0),
+                           st.just(False))
+
+
 EXAMPLE = dict(hold=False, noise=0.1, sample_rate=2000.0, v_r=2.0, p_r0=689.0, v_cv=0.5,
                p_cv0=0.0, seed=0, extreme=True)
 
@@ -1100,7 +1111,8 @@ class TestPressureResponse:
         seed=st.integers(0, 2**32),
         extreme=st.booleans(),  # the network of _extreme in place of the default
     )
-    # q_motive overflows, though p_cv and p_r stay finite: the flows bound sends it to simulate
+    # p_r climbs with no inflow, finite, until q_motive overflows: both paths raise the error
+    # of the rates check they end in
     @example(command=EXTREME_SINE, duration=0.005, **EXAMPLE)
     def test_equals_simulate_or_raises_its_error(
         self, command, hold, noise, sample_rate, v_r, p_r0, v_cv, p_cv0, duration, seed, extreme
@@ -1136,10 +1148,16 @@ class TestPressureResponse:
         with pytest.raises(gm.FieldError, match=r"^Scenario\.network: too extreme: "):
             Scenario(network=_overflowing_vent(cp.default_network()),
                      command=SineCommand(10.5, 1.0, 10.5), hold_reservoir=True)
+        # the rule passes at the initial pressures; p_r climbs, and a point's run fails where
+        # its state leaves the floats (2 Hz, 2.5 s) or, ended at 0.0035 s (2000 Hz) before
+        # that, where the rates at its largest pressure overflow
         net, gas = _extreme(0.1)
         template = Scenario(network=net, command=EXTREME_SINE, duration=0.005, gas=gas)
-        (point,) = an.frequency_sweep(template, [2.0])
-        assert point.error == "non-finite state at t=0.005 s"
+        points = an.frequency_sweep(template, [2.0, 2000.0])
+        assert [point.error for point in points] == [
+            "non-finite state at t=0.005 s",
+            "rates overflow: p_r reaches 2.4974e+142 kPa at t=0.0035 s",
+        ]
 
     def test_reads_the_command_at_ticks_only(self, monkeypatch):
         # the records' rules keep every row time and level finite, so no row's t or p_cmd is
@@ -1166,6 +1184,56 @@ class TestPressureResponse:
         scn, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
         want, got = _both_outcomes(scn)
         assert isinstance(want, bytes) and got == want
+
+
+class TestRunCheck:
+    """Both run paths end in one check of the rows' rates; what else a trace must hold, finite
+    columns and increasing times, follows from it and from the records' rules."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        command=COMMANDS,
+        open_loop=st.none() | st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0), st.booleans()),
+        hold=st.booleans(),
+        noise=st.sampled_from([0.0, 0.1]),
+        sample_rate=st.sampled_from([2000.0, 1000.0, 250.0]),
+        v_r=st.floats(0.05, 5.0),
+        p_r0=st.floats(0.0, 900.0),
+        v_cv=st.floats(0.05, 2.0),
+        p_cv0=st.floats(-60.0, 200.0),
+        duration=st.floats(0.001, 0.1),
+        seed=st.integers(0, 2**32),
+        extreme=st.booleans(),  # the network of _extreme in place of the default
+    )
+    @example(command=EXTREME_SINE, open_loop=None, duration=0.0035, **EXAMPLE)
+    @example(command=EXTREME_SINE, open_loop=None, duration=0.0044, **EXAMPLE)
+    @example(command=EXTREME_SINE, open_loop=(0.0, 0.1, True), duration=0.1, **EXAMPLE)
+    def test_trace_is_finite_and_increasing_or_both_paths_raise(
+        self, command, open_loop, hold, noise, sample_rate, v_r, p_r0, v_cv, p_cv0, duration,
+        seed, extreme
+    ):
+        net = cp.default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv, p_cv0=p_cv0)
+        net, gas = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise)), gm.DEFAULT_GAS
+        if extreme:
+            net, gas = _extreme(noise)
+        try:
+            scn = Scenario(network=net, command=command, duration=duration, gas=gas,
+                           sample_rate=sample_rate, seed=seed, hold_reservoir=hold,
+                           open_loop_command=open_loop and ActuatorCommand(*open_loop))
+        except gm.FieldError:
+            assume(False)
+        try:
+            ts = simulate(scn)
+        except SimulationDivergence as exc:
+            event(f"raises {str(exc).partition(' at ')[0].partition(':')[0]}")
+            assert _outcome(sim.pressure_response, scn) == (SimulationDivergence, str(exc))
+            return
+        event("runs")
+        for name in sim.TimeSeries.FIELDS:
+            col = getattr(ts, name)
+            assert len(col) == scn.n_rows() and (name == "mode" or np.all(np.isfinite(col))), name
+        assert np.all(np.diff(ts.t) > 0.0)
+        assert sim.pressure_response(scn).tobytes() == ts.p_cv.tobytes()
 
 
 def _closed_loop_reference(scn: Scenario) -> sim.TimeSeries:
@@ -1199,12 +1267,10 @@ def _closed_loop_reference(scn: Scenario) -> sim.TimeSeries:
         if nxt is not None:
             h = (nxt - k) * dt
             p_r, p_cv = prop.span(pc, p_r, p_cv, h) or prop.cross(pc, p_r, p_cv, h, t)
-    ts = sim.TimeSeries(**{
+    return sim.TimeSeries(**{
         name: np.array(col, dtype=np.uint8 if name == "mode" else float)
         for name, col in zip(sim.TimeSeries.FIELDS, zip(*rows))
     })
-    ts.validate()
-    return ts
 
 
 def _columns(run, scn):
@@ -1222,20 +1288,16 @@ class TestClosedLoopReference:
 
     @settings(max_examples=150, deadline=None)
     @given(
-        command=COMMANDS,
-        hold=st.booleans(),
+        run=st.one_of(NETWORK_RUNS, DEFLATING_RUNS),
         noise=st.sampled_from([0.0, 0.5]),
         sample_rate=st.sampled_from([2000.0, 1000.0, 400.0, 250.0]),  # row strides 1, 2, 5, 8
         control_rate=st.sampled_from([1000.0, 500.0, 250.0]),  # tick strides 2, 4, 8
-        v_r=st.floats(0.05, 5.0),
-        p_r0=st.floats(0.0, 900.0),
         v_cv=st.floats(0.05, 2.0),
-        p_cv0=st.floats(-60.0, 200.0),
         duration=st.floats(0.01, 0.2),
         seed=st.integers(0, 2**32),
     )
-    def test_equals_reference(self, command, hold, noise, sample_rate, control_rate, v_r, p_r0,
-                              v_cv, p_cv0, duration, seed):
+    def test_equals_reference(self, run, noise, sample_rate, control_rate, v_cv, duration, seed):
+        command, v_r, p_r0, p_cv0, hold = run
         net = cp.default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv, p_cv0=p_cv0)
         net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise))
         try:
@@ -1246,7 +1308,10 @@ class TestClosedLoopReference:
             assume(False)
         want = _columns(_closed_loop_reference, scn)
         event("runs" if isinstance(want, list) else f"raises {want[0].__name__}")
-        assert _columns(simulate, scn) == want
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            crossings = _counting_crossings(monkeypatch)
+            assert _columns(simulate, scn) == want
+        event("crosses a kink" if crossings else "crosses no kink")
 
     @pytest.mark.parametrize("sample_rate", [2000.0, 400.0])
     def test_crossing_kinks(self, monkeypatch, sample_rate):
