@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 from . import __version__
-from .gasmodel import VALVE_RATED_INLET_KPA
+from .gasmodel import VALVE_RATED_INLET_KPA, SimulationDivergence
 from .schema import (
     ConfigError,
     build,
@@ -605,16 +605,9 @@ def main(argv=None) -> int:
         path = args.out if exc.filename is None else exc.filename
         print(f"error: --out: {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION
-    except _simulation_errors() as exc:
+    except SimulationDivergence as exc:
         print(f"error: simulation diverged: {exc}", file=sys.stderr)
         return EXIT_SIMULATION
-
-
-def _simulation_errors() -> tuple:
-    """``sim.SimulationDivergence`` once a scenario has loaded the simulator; before that
-    nothing can raise it."""
-    sim = sys.modules.get(f"{__package__}.sim")
-    return (sim.SimulationDivergence,) if sim else ()
 
 
 def entry() -> None:

@@ -48,10 +48,6 @@ class ActuatorCommand:
 
 
 IDLE_COMMAND = ActuatorCommand(0.0, 0.0, False)
-# the fixed commands control_step returns, shared rather than rebuilt each tick
-INFLATE_COMMAND = ActuatorCommand(1.0, 0.0, False)
-VENT_COMMAND = ActuatorCommand(0.0, 0.0, True)
-ACTIVE_DEFLATE_COMMAND = ActuatorCommand(0.0, 1.0, True)
 
 
 @record(
@@ -176,13 +172,6 @@ def control_kernel(
     return tick
 
 
-_MODE_COMMANDS = {
-    Mode.ON_OFF_INFLATE: INFLATE_COMMAND,
-    Mode.VENT: VENT_COMMAND,
-    Mode.ACTIVE_DEFLATE: ACTIVE_DEFLATE_COMMAND,
-}
-
-
 def control_step(
     p_cmd: float,
     p_meas: float,
@@ -195,16 +184,8 @@ def control_step(
 
     Called at cfg.control_rate with cmd_rate_hint the command signal's current
     time-derivative (0 for steps). One tick of a ``control_kernel`` seeded
-    with ``state``; fixed commands are the shared module constants.
+    with ``state``, its valve commands as a new ``ActuatorCommand``.
     """
     tick = control_kernel(cfg, vent_coeff, state)
-    u_inflate, u_motive, solenoid_open, mode = tick(p_cmd, p_meas, cmd_rate_hint)
-    if mode is not Mode.PID:
-        cmd = _MODE_COMMANDS[mode]
-    elif solenoid_open:
-        cmd = VENT_COMMAND
-    elif u_inflate or math.copysign(1.0, u_inflate) < 0.0:  # -0.0 keeps its sign
-        cmd = ActuatorCommand(u_inflate, u_motive, solenoid_open)
-    else:
-        cmd = IDLE_COMMAND  # a PID output of 0.0, or a negative one with the solenoid shut
-    return cmd, tick.state()
+    u_inflate, u_motive, solenoid_open, _mode = tick(p_cmd, p_meas, cmd_rate_hint)
+    return ActuatorCommand(u_inflate, u_motive, solenoid_open), tick.state()

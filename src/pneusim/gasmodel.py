@@ -53,6 +53,14 @@ class FieldError(ValueError):
         self.field, self.text = field, text
 
 
+class SimulationDivergence(RuntimeError):
+    """A non-finite state during integration, or rows whose rates overflow; ``sim`` raises it."""
+
+    def __init__(self, message: str, t: float):
+        super().__init__(f"{message} at t={t:.6g} s")
+        self.t = t
+
+
 def check(record, field: str, kind: str, value) -> None:
     """Raise ``FieldError`` unless ``value`` is within each bound of ``kind``."""
     for in_range, bound in BOUNDS[kind]:

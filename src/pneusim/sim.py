@@ -22,7 +22,9 @@ from typing import TYPE_CHECKING, NamedTuple
 # perfbench/tracer.py patches the names marked noqa here by name; the flow
 # helpers are not called in this module, propagator states their laws
 from .components import (
+    ControlVolume,
     PneumaticNetwork,
+    Reservoir,
     default_network,
     deflation_flow,  # noqa: F401
     proportional_valve_flow,  # noqa: F401
@@ -40,7 +42,7 @@ from .control import (
     passive_vent_coeff,
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
-from .gasmodel import FieldError, check, record, replace
+from .gasmodel import FieldError, SimulationDivergence, check, record, replace
 
 # numpy is imported inside the functions that use it, so `pneusim size`, which
 # imports this module for its records, never loads it
@@ -52,14 +54,6 @@ if TYPE_CHECKING:
 MAX_ROWS = 2**24
 # Integration steps one run may take: over an hour and a half of compute at a few us a step.
 MAX_STEPS = 2**31
-
-
-class SimulationDivergence(RuntimeError):
-    """A non-finite state during integration, or rows whose rates overflow."""
-
-    def __init__(self, message: str, t: float):
-        super().__init__(f"{message} at t={t:.6g} s")
-        self.t = t
 
 
 @record(target_kpa=("level", "target_kPa"), start_s=("nonneg", "start_s"))
@@ -318,7 +312,7 @@ _TAYLOR_MAX = 0.5  # a larger spectral radius goes to the eigenvalue forms
 # are continuous across every kink.
 _ROUNDING = 2.0**-50
 SEGMENT_ROWS = 2**14  # open-loop rows computed at a time, which bounds the temporaries
-COMMAND_BLOCK = 512  # closed-loop ticks, and rows, whose command is read at a time
+COMMAND_BLOCK = 512  # closed-loop ticks, and rows of any run, whose command is read at a time
 
 
 def _spectrum(a11: float, a12: float, a21: float, a22: float) -> tuple:
@@ -659,31 +653,32 @@ def simulate(scn: Scenario) -> TimeSeries:
     Raises ``SimulationDivergence`` if the state becomes non-finite or the rows'
     rates overflow.
     """
-    import numpy as np
-
-    n_rows = scn.n_rows()
-    columns = {name: np.empty(n_rows) for name in TimeSeries.FIELDS}
-    columns["mode"] = np.empty(n_rows, dtype=np.uint8)
-    prop = propagator(scn.network, scn.gas, scn.hold_reservoir)
-    if scn.closed_loop:
-        _closed_loop(scn, columns, prop)
-    else:
-        _open_loop(scn, columns, prop)
-    _check_rates(scn, columns)
-    return TimeSeries(**columns)
+    return TimeSeries(**_run(scn, TimeSeries.FIELDS))
 
 
 def pressure_response(scn: Scenario) -> np.ndarray:
     """``simulate(scn).p_cv`` to the bit; where ``simulate`` raises, the same error.
     A closed-loop run stores only p_cv and p_r."""
+    return _run(scn, ("p_cv", "p_r") if scn.closed_loop else TimeSeries.FIELDS)["p_cv"]
+
+
+def _run(scn: Scenario, names) -> dict:
+    """The ``TimeSeries`` columns ``names`` of a run, filled by its loop and checked by
+    ``_check_rates``; ``t`` and ``p_cmd``, if named, then ``COMMAND_BLOCK`` rows at a time."""
     import numpy as np
 
-    if not scn.closed_loop:
-        return simulate(scn).p_cv
-    columns = {"p_cv": np.empty(scn.n_rows()), "p_r": np.empty(scn.n_rows())}
-    _closed_loop(scn, columns, propagator(scn.network, scn.gas, scn.hold_reservoir))
+    n_rows = scn.n_rows()
+    columns = {name: np.empty(n_rows, np.uint8 if name == "mode" else float) for name in names}
+    prop = propagator(scn.network, scn.gas, scn.hold_reservoir)
+    (_closed_loop if scn.closed_loop else _open_loop)(scn, columns, prop)
     _check_rates(scn, columns)
-    return columns["p_cv"]
+    if "t" in columns:
+        ss = scn.sample_stride()
+        for start in range(0, n_rows, COMMAND_BLOCK):
+            end = min(start + COMMAND_BLOCK, n_rows)
+            t = columns["t"][start:end] = _event_times(start, end, ss, scn.dt)
+            columns["p_cmd"][start:end] = scn.command.values(t)
+    return columns
 
 
 def _check_rates(scn: Scenario, columns: dict) -> None:
@@ -700,15 +695,13 @@ def _check_rates(scn: Scenario, columns: dict) -> None:
 
 
 def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
-    """Fill the columns of an open-loop run: segments of rows, one region each."""
+    """Fill an open-loop run's columns but t and p_cmd: segments of rows, one region each."""
     net, cmd, dt = scn.network, scn.open_loop_command, scn.dt
     ss, n_rows = scn.sample_stride(), scn.n_rows()
     f_in = valve_fraction(cmd.u_inflate, net.inflation_valve)
     f_mot = valve_fraction(cmd.u_motive, net.motive_valve)
     sol = cmd.solenoid_open
     region, cross, segment = prop.region, prop.cross, prop.segment
-    columns["t"][:] = _event_times(0, n_rows, ss, dt)
-    columns["p_cmd"][:] = scn.command.values(columns["t"])
     columns["u_inflate"][:] = cmd.u_inflate
     columns["u_motive"][:] = cmd.u_motive
     columns["solenoid"][:] = 1.0 if sol else 0.0
@@ -735,16 +728,16 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
 def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """Fill the columns of a closed-loop run: per event, one piece for the row and the span.
 
-    ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r. The command is read
-    by array, never per tick: the ticks' values and rates ``COMMAND_BLOCK`` ticks at a time,
-    and the rows' ``t`` and ``p_cmd``, if asked for, after the loop, as many rows at a time.
-    Each time is the product ``(k * stride) * dt`` the loop would form, so both match the
-    scalar ``value`` and ``rate`` to the bit wherever numpy's sine and cosine match ``math``'s.
+    ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r; ``t`` and ``p_cmd``
+    are left to ``_run``. The command is read by array, never per tick: the ticks' values and
+    rates ``COMMAND_BLOCK`` ticks at a time. Each time is the product ``(k * stride) * dt`` the
+    loop would form, so both match the scalar ``value`` and ``rate`` to the bit wherever
+    numpy's sine and cosine match ``math``'s.
     """
     import numpy as np
 
-    net, dt, command = scn.network, scn.dt, scn.command
-    n, ss, cs, n_rows = scn.n_steps(), scn.sample_stride(), scn.control_stride(), scn.n_rows()
+    net, dt = scn.network, scn.dt
+    n, ss, cs = scn.n_steps(), scn.sample_stride(), scn.control_stride()
     evp, dvp = net.inflation_valve, net.motive_valve
     p_cv_col, p_r_col = memoryview(columns["p_cv"]), memoryview(columns["p_r"])
     full = "mode" in columns  # else p_cv and p_r alone
@@ -754,7 +747,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
     vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
     control = control_kernel(scn.controller, vent_coeff)
-    tick_command = _tick_commands(command, n // cs + 1, cs, dt).__next__
+    tick_command = _tick_commands(scn.command, n // cs + 1, cs, dt).__next__
     region, flows, span, cross = prop.region, prop.flows, prop.span, prop.cross
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     u_in = u_mot = f_in = f_mot = 0.0
@@ -797,11 +790,6 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         h = (nxt - k) * dt
         p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
         k = nxt
-    if full:
-        for start in range(0, n_rows, COMMAND_BLOCK):
-            end = min(start + COMMAND_BLOCK, n_rows)
-            t = columns["t"][start:end] = _event_times(start, end, ss, dt)
-            columns["p_cmd"][start:end] = command.values(t)
 
 
 def _tick_commands(command: CommandSignal, n_ticks: int, cs: int, dt: float):
@@ -867,10 +855,10 @@ def mass_balance(ts: TimeSeries, scn: Scenario) -> float:
 
 def step_scenario(
     target_kpa: float,
-    v_cv: float = 0.5,
-    p_r0: float = 689.0,
-    v_r: float = 2.0,
-    duration: float = 3.0,
+    v_cv: float = ControlVolume.v_cv,
+    p_r0: float = Reservoir.p_r0,
+    v_r: float = Reservoir.v_r,
+    duration: float = Scenario.duration,
     hold_reservoir: bool = False,
     **controller_overrides,
 ) -> Scenario:
@@ -887,8 +875,8 @@ def step_scenario(
 
 def discharge_scenario(
     r_v: float,
-    v_r: float = 2.0,
-    p_r0: float = 689.0,
+    v_r: float = Reservoir.v_r,
+    p_r0: float = Reservoir.p_r0,
     duration: float = 90.0,
     dt: float = 2e-3,
 ) -> Scenario:

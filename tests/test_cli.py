@@ -921,8 +921,8 @@ def test_size_does_not_import_numpy(tmp_path, argv, output, unloaded):
 
 
 def test_size_error_propagates_as_itself(tmp_path):
-    # size never loads the simulator, so main's handler of its divergence must not fail on
-    # an error it does not handle
+    # main's handler of a simulation divergence lets any other error through as itself, and
+    # size, which raises none, never loads the simulator
     code = (
         "import sys\n"
         "from pneusim import cli\n"

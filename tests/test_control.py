@@ -5,10 +5,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from pneusim import gasmodel as gm
 from pneusim.control import (
-    ACTIVE_DEFLATE_COMMAND,
-    IDLE_COMMAND,
-    INFLATE_COMMAND,
-    VENT_COMMAND,
     ActuatorCommand,
     ControllerConfig,
     ControllerState,
@@ -297,15 +293,24 @@ class TestControlKernel:
         tick(50.5, 50.0, 0.0)
         assert _hex_state(tick.state()) == _hex_state(control_step(50.5, 50.0, 0.0, cfg, VENT, state)[1])
 
-    def test_fixed_commands_are_the_shared_constants(self):
+    def test_fixed_commands_equal_by_value(self):
+        def command(*args) -> str:  # by repr, which tells -0.0 from 0.0 as == does not
+            return repr(control_step(*args)[0])
+
+        inflate, vent, idle = (repr(ActuatorCommand(1.0, 0.0, False)),
+                               repr(ActuatorCommand(0.0, 0.0, True)),
+                               repr(ActuatorCommand(0.0, 0.0, False)))
         cfg, weak, strong = ControllerConfig(settle_horizon=2.0), 10.0 / 50.0, 100.0 / 50.0
-        assert control_step(69.0, 19.0, 0.0, cfg, weak, ControllerState())[0] is INFLATE_COMMAND
-        assert control_step(0.0, 50.0, -15.0, cfg, weak, ControllerState())[0] is ACTIVE_DEFLATE_COMMAND
-        assert control_step(0.0, 50.0, -15.0, cfg, strong, ControllerState())[0] is VENT_COMMAND
+        assert command(69.0, 19.0, 0.0, cfg, weak, ControllerState()) == inflate
+        assert command(0.0, 50.0, -15.0, cfg, weak, ControllerState()) == repr(
+            ActuatorCommand(0.0, 1.0, True))
+        assert command(0.0, 50.0, -15.0, cfg, strong, ControllerState()) == vent
         pid = ControllerState(mode=Mode.PID)
         soft, hard = ControllerConfig(kp=0.5, ki=0.0), ControllerConfig(kp=5.0, ki=0.0)
-        assert control_step(49.9, 50.0, 0.0, soft, VENT, pid)[0] is IDLE_COMMAND
-        assert control_step(49.2, 50.0, 0.0, hard, VENT, pid)[0] is VENT_COMMAND
+        assert command(49.9, 50.0, 0.0, soft, VENT, pid) == idle
+        assert command(49.2, 50.0, 0.0, hard, VENT, pid) == vent
+        zero = ControllerConfig(kp=0.0, ki=0.0, kd=0.0)  # a PID output of -0.0 keeps its sign
+        assert command(49.5, 50.0, 0.0, zero, VENT, pid) == repr(ActuatorCommand(-0.0, 0.0, False))
 
     def test_non_finite_input_named(self):
         tick = control_kernel(ControllerConfig(), VENT)

@@ -975,8 +975,9 @@ class TestClosedLoopStep:
                 assert abs(got - w) <= FLOW_TOL * scale, i
 
 
-# A knot on the first tick of the third command block, which is also the
-# first row of a row block (sample stride 1, control stride 2)
+# A knot on the first tick of the third command block, which is also the first
+# row of a row block: the closed loop has a tick every 2 steps and a row every
+# step, the open loop a row every 2 steps
 BLOCK_KNOT_T = (2 * sim.COMMAND_BLOCK * 2) * 5e-4
 BLOCK_COMMANDS = {
     "step": StepCommand(target_kpa=40.0, start_s=0.3),
@@ -985,27 +986,35 @@ BLOCK_COMMANDS = {
 }
 
 
-class TestClosedLoopCommandBlocks:
-    """The loop reads its command a block of ticks at a time, and t and p_cmd after the loop."""
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "open"])
+class TestCommandBlocks:
+    """A run reads its command by array: the closed loop a block of ticks at a time, and both
+    loops' rows their t and p_cmd a block of rows at a time."""
 
-    def scenario(self, command):
-        # 3 blocks of ticks plus 100: 1636 ticks every 2 steps, 3271 rows every step
+    def scenario(self, command, closed):
+        # 3 blocks plus 100 of ticks (closed) or rows (open): 1636, every 2 steps
         duration = (3 * sim.COMMAND_BLOCK + 99) * 2 * 5e-4
         scn = Scenario(network=cp.default_network(), command=command, duration=duration,
-                       hold_reservoir=True)
+                       sample_rate=2000.0 if closed else 1000.0, hold_reservoir=True,
+                       open_loop_command=None if closed else ActuatorCommand(0.3, 0.0, False))
         n, cs = scn.n_steps(), scn.control_stride()
-        assert (cs, scn.sample_stride()) == (2, 1)
+        assert (cs, scn.sample_stride()) == (2, 1 if closed else 2)
         assert n // cs + 1 == 3 * sim.COMMAND_BLOCK + 100
         return scn
 
     @pytest.mark.parametrize("kind", sorted(BLOCK_COMMANDS))
-    def test_blocks_equal_scalar_command(self, kind):
+    def test_blocks_equal_scalar_command(self, kind, closed):
         command = BLOCK_COMMANDS[kind]
-        scn = self.scenario(command)
-        n, cs, dt = scn.n_steps(), scn.control_stride(), scn.dt
+        scn = self.scenario(command, closed)
+        n, ss, cs, dt = scn.n_steps(), scn.sample_stride(), scn.control_stride(), scn.dt
         ts = simulate(scn)
-        assert ts.t.tolist() == [k * dt for k in range(n + 1)]
+        assert ts.t.tolist() == [k * dt for k in range(0, n + 1, ss)]
         assert _hexes(ts.p_cmd) == _hexes(map(command.value, ts.t.tolist()))
+        if kind == "piecewise":
+            i = 4 // ss * sim.COMMAND_BLOCK  # the first row of a row block
+            assert ts.t[i] == BLOCK_KNOT_T and ts.p_cmd[i - 1:i + 1].tolist() == [10.0, 50.0]
+        if not closed:
+            return
         tt = sim._event_times(0, n // cs + 1, cs, dt)  # the tick times the loop reads at
         assert tt.tolist() == [k * dt for k in range(0, n + 1, cs)]
         assert _hexes(command.values(tt)) == _hexes(map(command.value, tt.tolist()))
@@ -1015,9 +1024,9 @@ class TestClosedLoopCommandBlocks:
             assert tt[i] == BLOCK_KNOT_T and command.values(tt[i - 1:i + 1]).tolist() == [10.0, 50.0]
 
     @pytest.mark.parametrize("kind", sorted(BLOCK_COMMANDS))
-    def test_loop_makes_no_scalar_command_call(self, kind, monkeypatch):
+    def test_loop_makes_no_scalar_command_call(self, kind, closed, monkeypatch):
         command = BLOCK_COMMANDS[kind]
-        scn = self.scenario(command)
+        scn = self.scenario(command, closed)
         want = simulate(scn)
 
         def refuse(self, t):
