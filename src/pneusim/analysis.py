@@ -119,6 +119,8 @@ def step_metrics(ts: TimeSeries, target: float, model_rate: float) -> StepMetric
 def _windowed_gain(
     response: np.ndarray, omega: float, amplitude: float, sample_rate: float
 ) -> tuple[float, int]:
+    """Tracking gain, the Fourier magnitude at the command frequency over amplitude, and the
+    whole periods it spans after the first."""
     if not omega > 0.0:
         raise ValueError("omega must be strictly positive")
     if not amplitude > 0.0:
@@ -137,12 +139,6 @@ def _windowed_gain(
     k = np.arange(n)
     corr = np.sum(x * np.exp(-2j * math.pi * omega * k / sample_rate))
     return 2.0 * abs(corr) / (n * amplitude), periods
-
-
-def single_bin_gain(response, omega: float, amplitude: float, sample_rate: float) -> float:
-    """Tracking gain: Fourier magnitude at the command frequency over amplitude."""
-    gain, _ = _windowed_gain(np.asarray(response, dtype=float), omega, amplitude, sample_rate)
-    return gain
 
 
 def _sweep_point(scn_template: Scenario, omega: float, rep: int = 0) -> Scenario:

@@ -132,32 +132,27 @@ def requirements_from_resolved(resolved: dict) -> DesignRequirements:
     return build(REQUIREMENTS, resolved)
 
 
-# catalog list -> the rule for one entry; ComponentCatalog declares which must be non-empty
-CATALOG = {
-    "valves": lambda raw, path: resolve_valve(raw, path, VALVE_OPTION),
-    "reservoirs": lambda raw, path: resolve_object(raw, path, RESERVOIR_OPTION),
-    "venturis": lambda raw, path: resolve_object(raw, path, VENTURI_OPTION),
-}
+# catalog list -> the field table of one entry; ComponentCatalog declares which must be non-empty
+CATALOG = {"valves": VALVE_OPTION, "reservoirs": RESERVOIR_OPTION, "venturis": VENTURI_OPTION}
 
 
 def resolve_catalog(raw: dict) -> dict:
     obj = require_obj(raw, "catalog")
     check_schema_version(obj, "catalog")
     out = {"schema_version": 1}
-    for key, entry in CATALOG.items():
+    for key, table in CATALOG.items():
         kind = ComponentCatalog.KINDS.get(key, "list")
         items = check_value(obj.pop(key, []), f"catalog.{key}", kind)
-        out[key] = [entry(item, f"catalog.{key}[{i}]") for i, item in enumerate(items)]
+        resolve = resolve_valve if table is VALVE_OPTION else resolve_object
+        out[key] = [resolve(item, f"catalog.{key}[{i}]", table) for i, item in enumerate(items)]
     reject_unknown(obj, "catalog")
     return out
 
 
 def catalog_from_resolved(resolved: dict) -> ComponentCatalog:
-    return ComponentCatalog(
-        valves=tuple(build(VALVE_OPTION, v) for v in resolved["valves"]),
-        reservoirs=tuple(build(RESERVOIR_OPTION, r) for r in resolved["reservoirs"]),
-        venturis=tuple(build(VENTURI_OPTION, v) for v in resolved["venturis"]),
-    )
+    return ComponentCatalog(**{
+        key: tuple(build(table, entry) for entry in resolved[key]) for key, table in CATALOG.items()
+    })
 
 
 # ------------------------------------------------------------- files and hash
@@ -519,7 +514,7 @@ def cmd_size(args) -> int:
     cat_resolved = resolve_catalog(_load_json(cat_path))
     req = requirements_from_resolved(req_resolved)
     catalog = catalog_from_resolved(cat_resolved)
-    for i, valve in enumerate(catalog.valves):  # gasmodel.inflation_rate divides by the product
+    for i, valve in enumerate(catalog.valves):  # gasmodel.inflation_rate's bound, by key
         if not valve.r_vmin * req.v_cv > 0.0:
             raise ConfigError(
                 f"catalog.valves[{i}].R_vmin_kPa_s_per_L: too small for requirements.V_cv_L "

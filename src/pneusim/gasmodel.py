@@ -217,7 +217,10 @@ def inflation_rate(p_r: float, r_v: float, v_cv: float, gc: GasConstants = DEFAU
         raise ValueError("v_cv must be strictly positive")
     if not r_v > 0.0:
         raise ValueError("r_v must be strictly positive")
-    return alpha(gc) * p_r / (r_v * v_cv)
+    resistance_volume = r_v * v_cv
+    if not resistance_volume > 0.0:  # the product of two tiny factors underflows
+        raise ValueError("r_v * v_cv must be strictly positive")
+    return alpha(gc) * p_r / resistance_volume
 
 
 def max_command_rate(amplitude: float, freq_hz: float) -> float:

@@ -77,17 +77,6 @@ def _resolve_knots(knots: list) -> list:
     return parsed
 
 
-def _check_sensor_range(cmd, range_max: float) -> None:
-    """Scenario.rule's sensor range bound on a closed-loop command, by key."""
-    fields, peak = cmd.peak()
-    if peak > range_max:
-        where = " + ".join(type(cmd).KEYS.get(field, field) for field in fields)  # or knots[i]
-        raise ConfigError(
-            f"scenario.command.{where}: {peak:g} kPa is above the CV sensor range "
-            f"(scenario.network.cv_sensor.range_max_kPa = {range_max:g})"
-        )
-
-
 def resolve(raw: dict) -> tuple[Scenario, dict]:
     """The Scenario of a document and the resolved document; each record is built once, as
     its section resolves, and a record's rule names the field by its path."""
@@ -97,9 +86,10 @@ def resolve(raw: dict) -> tuple[Scenario, dict]:
     gc = build(GAS, gas, "scenario.gas")
 
     net_obj = require_obj(top.pop("network", {}), "scenario.network")
-    network, parts = {}, {}
+    network, parts, nested = {}, {}, {}  # nested: (path, table) of each record the run holds
     for name, table in NETWORK.items():
         path = f"scenario.network.{name}"
+        nested[f"network.{name}"] = path, table
         if table is VALVE:
             network[name] = resolve_valve(net_obj.pop(name, DEFAULT_VALVES[name]), path, VALVE)
         else:
@@ -107,7 +97,7 @@ def resolve(raw: dict) -> tuple[Scenario, dict]:
         parts[name] = build(table, network[name], path)
     reject_unknown(net_obj, "scenario.network")
     net = PneumaticNetwork(**parts)
-    ctl = ("scenario.controller", CONTROLLER)
+    nested["controller"] = ctl = ("scenario.controller", CONTROLLER)
     controller = resolve_object(top.pop("controller", {}), *ctl)
     ctl_cfg = build(CONTROLLER, controller, ctl[0])
 
@@ -123,20 +113,20 @@ def resolve(raw: dict) -> tuple[Scenario, dict]:
         command.setdefault("offset_kPa", command["amplitude_kPa"])
     elif kind == "piecewise":
         command["knots"] = _resolve_knots(command["knots"])
+    nested["command"] = "scenario.command", COMMANDS[kind]
     cmd = build(COMMANDS[kind], command, "scenario.command")
 
     run_path = "scenario.run"
     run_obj = require_obj(top.pop("run", {}), run_path)
     run = resolve_rows(run_obj, run_path, RUN)
+    # Scenario.rule's bound, checked here too because the error names the most extreme
+    # value's key, which the rule, blaming the network as a whole, cannot
     if rates_overflow(net, gc, run["hold_reservoir"], net.reservoir.p_r0,
-                      net.control_volume.p_cv):  # Scenario.rule's bound, by key
+                      net.control_volume.p_cv):
         raise overflow_error("a rate constant alpha / V times a conductance 1 / R, times a "
                              "pressure (a flow rating gives R_vmin_kPa_s_per_L = "
                              "P_inlet_max_kPa / (flow_max_slpm / 60))",
                              scenario={"gas": gas, "network": network})
-    if kind == "sine" and cmd.overflows(run["duration_s"]):  # Scenario.rule's bound, by key
-        raise overflow_error("2 pi frequency_Hz times duration_s or amplitude_kPa",
-                             scenario={"command": command, "run": run})
     if run["mode"] not in ("closed_loop", "open_loop"):
         raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
     olc_path, olc = f"{run_path}.open_loop_command", None
@@ -148,8 +138,6 @@ def resolve(raw: dict) -> tuple[Scenario, dict]:
         olc = build(OPEN_LOOP, run["open_loop_command"], olc_path)
     elif "open_loop_command" in run_obj:
         raise ConfigError(f"{olc_path}: only valid with mode 'open_loop'")
-    else:
-        _check_sensor_range(cmd, parts["cv_sensor"].range_max)
     reject_unknown(run_obj, run_path)
     reject_unknown(top, "scenario")
 
@@ -157,7 +145,7 @@ def resolve(raw: dict) -> tuple[Scenario, dict]:
         RUN,
         run,
         run_path,
-        {"controller": ctl, "command": ("scenario.command", COMMANDS[kind])},
+        nested,
         network=net,
         controller=ctl_cfg,
         command=cmd,

@@ -118,8 +118,11 @@ def resolve_object(raw, path: str, table: tuple) -> dict:
 def build(table: tuple, section: dict, path: str = "", nested: dict | None = None, **extra):
     """Call the table's constructor with each resolved value under its row's keyword; a
     record's ``FieldError`` becomes a ConfigError at ``path``, each keyword named by its key.
-    ``nested`` maps the keyword of a record in ``extra`` to its (path, table), so that a field
-    of it, such as ``controller.control_rate``, is named in its own section."""
+    ``nested`` maps the keyword of a record in ``extra``, or of a record within one, to its
+    (path, table), so that a field of it, such as ``controller.control_rate``, is named in its
+    own section. A ``{keyword}`` in the text comes out as its key, and a field of a record
+    within a record, such as ``{network.cv_sensor.range_max}``, as its path: a key of a
+    network part alone would not say which part (both valves have ``R_vmin_kPa_s_per_L``)."""
     make, rows = table
     kwargs = {
         kw: section[key] / 60.0 if key.endswith("_slpm") else section[key]
@@ -133,7 +136,12 @@ def build(table: tuple, section: dict, path: str = "", nested: dict | None = Non
         for name, (sub_path, (_make, sub_rows)) in (nested or {}).items():
             paths.update({f"{name}.{kw}": f"{sub_path}.{key}" for key, kw, _c, _d in sub_rows})
         where = re.sub(r"^[\w.]+", lambda m: paths.get(m[0], f"{path}.{m[0]}"), exc.field)
-        text = re.sub(r"\{([\w.]+)\}", lambda m: paths.get(m[1], m[1]).rpartition(".")[2], exc.text)
+
+        def named(m):  # {command.knots[1]}: the keyword's name, then its index
+            name = paths.get(m[1], m[1])
+            return (name if m[1].count(".") > 1 else name.rpartition(".")[2]) + m[2]
+
+        text = re.sub(r"\{([\w.]+)([^}]*)\}", named, exc.text)
         raise ConfigError(f"{where or path}: {text}") from None
 
 

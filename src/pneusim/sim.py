@@ -254,9 +254,10 @@ class Scenario:
             fields, peak = self.command.peak()
             range_max = self.network.cv_sensor.range_max
             if peak > range_max:  # the sensor saturates below it: no leaving on/off inflation
-                raise FieldError(self, f"command.{fields[0]}", f"{' + '.join(fields)} = "
-                                 f"{peak:g} kPa is above the CV sensor range "
-                                 f"({{network.cv_sensor.range_max}} = {range_max:g})")
+                where = " + ".join(f"{{command.{field}}}" for field in fields)
+                raise FieldError(self, f"command.{fields[0]}", f"{where} = {peak:g} kPa is "
+                                 "above the CV sensor range ({network.cv_sensor.range_max} = "
+                                 f"{range_max:g})")
 
 
 def _exact_stride(scn: Scenario, field: str, rate: float) -> int:

@@ -104,20 +104,20 @@ class TestSingleBinGain:
         fs, f, a, c = 1000.0, 2.0, 21.0, 21.0
         t = np.arange(0, 6.0, 1 / fs)
         x = c + a * np.sin(2 * math.pi * f * t)
-        assert an.single_bin_gain(x, f, a, fs) == pytest.approx(1.0, abs=1e-6)
+        assert an._windowed_gain(x, f, a, fs)[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_linear_in_amplitude(self):
         fs, f, a = 1000.0, 2.0, 21.0
         t = np.arange(0, 6.0, 1 / fs)
         x = 0.5 * a * np.sin(2 * math.pi * f * t)
-        assert an.single_bin_gain(x, f, a, fs) == pytest.approx(0.5, abs=1e-6)
+        assert an._windowed_gain(x, f, a, fs)[0] == pytest.approx(0.5, abs=1e-6)
 
     def test_orthogonal_tone_rejected(self):
         fs, f = 1200.0, 2.0
         t = np.arange(0, 6.0, 1 / fs)
         # every whole-period window of the 2 Hz bin also holds whole 4 Hz periods
         x = 13.0 * np.sin(2 * math.pi * 4.0 * t)
-        assert an.single_bin_gain(x, f, 21.0, fs) == pytest.approx(0.0, abs=1e-9)
+        assert an._windowed_gain(x, f, 21.0, fs)[0] == pytest.approx(0.0, abs=1e-9)
 
     @given(dc=st.floats(min_value=-100.0, max_value=100.0, allow_nan=False))
     @settings(max_examples=25)
@@ -125,8 +125,8 @@ class TestSingleBinGain:
         fs, f, a = 800.0, 2.0, 10.0
         t = np.arange(0, 5.0, 1 / fs)
         x = a * np.sin(2 * math.pi * f * t)
-        g0 = an.single_bin_gain(x, f, a, fs)
-        g1 = an.single_bin_gain(x + dc, f, a, fs)
+        g0 = an._windowed_gain(x, f, a, fs)[0]
+        g1 = an._windowed_gain(x + dc, f, a, fs)[0]
         assert g1 == pytest.approx(g0, abs=1e-9)
 
     def test_phase_invariance(self):
@@ -134,18 +134,18 @@ class TestSingleBinGain:
         t = np.arange(0, 6.0, 1 / fs)
         for phi in (0.3, 1.2, -0.8):
             x = a * np.sin(2 * math.pi * f * t + phi)
-            assert an.single_bin_gain(x, f, a, fs) == pytest.approx(1.0, abs=1e-6)
+            assert an._windowed_gain(x, f, a, fs)[0] == pytest.approx(1.0, abs=1e-6)
 
     def test_rejects_short_trace(self):
         fs, f = 1000.0, 2.0
         t = np.arange(0, 1.2, 1 / fs)  # barely over 2 periods
         x = np.sin(2 * math.pi * f * t)
         with pytest.raises(ValueError):
-            an.single_bin_gain(x, f, 1.0, fs)
+            an._windowed_gain(x, f, 1.0, fs)[0]
 
     def test_rejects_low_sample_rate(self):
         with pytest.raises(ValueError):
-            an.single_bin_gain(np.zeros(1000), 10.0, 1.0, 50.0)
+            an._windowed_gain(np.zeros(1000), 10.0, 1.0, 50.0)[0]
 
 
 class TestKneeFit:

@@ -900,11 +900,17 @@ RUN_MODULES = ("pneusim.sim", "pneusim.control", "pneusim.components", "pneusim.
     "argv, output, unloaded",
     [
         # the closed forms alone: no simulator, no numpy
-        (SIZE_ARGV, "demo_requirements_design_report.json", ("numpy", "dataclasses", *RUN_MODULES)),
+        (SIZE_ARGV, "demo_requirements_design_report.json",
+         ("numpy", "scipy", "dataclasses", *RUN_MODULES)),
         (["simulate", SCENARIOS / "step_69kpa_half_liter.json", "--duration", "0.01"],
-         "step_69kpa_half_liter_timeseries.csv", ("dataclasses", "pneusim.analysis")),
+         "step_69kpa_half_liter_timeseries.csv", ("scipy", "dataclasses", "pneusim.analysis")),
+        # the fits are numpy's: scipy is installed, but no command needs it
+        (["sweep", SCENARIOS / "sweep_21kpa_half_liter.json", "--omegas", "5.0"],
+         "sweep_21kpa_half_liter_sweep_fit.json", ("scipy", "dataclasses")),
+        (["discharge", SCENARIOS / "discharge_2l_bottle.json", "--duration", "1"],
+         "discharge_2l_bottle_discharge_fit.json", ("scipy", "dataclasses")),
     ],
-    ids=["size", "simulate"],
+    ids=["size", "simulate", "sweep", "discharge"],
 )
 def test_size_does_not_import_numpy(tmp_path, argv, output, unloaded):
     code = (
@@ -1133,9 +1139,11 @@ class TestCommandWithinSensorRange:
         raw["command"] = command
         scn_file = write_json(tmp_path / "high.json", raw)
         assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert f"scenario.command.{where}:" in err
-        assert "cv_sensor.range_max_kPa" in err
+        peak = {"step": 300, "sine": 210, "piecewise": 250}[command["kind"]]
+        assert capsys.readouterr().err == (
+            f"error: scenario.command.{where.split(' + ')[0]}: {where} = {peak} kPa is above the "
+            "CV sensor range (scenario.network.cv_sensor.range_max_kPa = 207)\n"
+        )
 
     def test_range_follows_the_sensor(self):
         raw = minimal_scenario()

@@ -139,6 +139,11 @@ class TestInflationRate:
         with pytest.raises(ValueError):
             gm.inflation_rate(689.0, 1759.2, -0.5)
 
+    def test_rejects_an_underflowing_product(self):
+        # each factor is positive, but r_v * v_cv rounds to 0
+        with pytest.raises(ValueError, match=r"^r_v \* v_cv must be strictly positive$"):
+            gm.inflation_rate(1.0, 1e-200, 1e-200)
+
 
 class TestMaxCommandRate:
     def test_nominal_sweep_amplitude(self):

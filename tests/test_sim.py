@@ -149,10 +149,11 @@ class TestScenarioValidation:
             replace(scn, sample_rate=1700.0)
 
     @pytest.mark.parametrize("command, field", [
-        (StepCommand(300.0), r"target_kpa: target_kpa = 300 kPa"),
-        (SineCommand(60.0, 1.0, 150.0), r"offset_kpa: offset_kpa \+ amplitude_kpa = 210 kPa"),
+        (StepCommand(300.0), r"target_kpa: command\.target_kpa = 300 kPa"),
+        (SineCommand(60.0, 1.0, 150.0),
+         r"offset_kpa: command\.offset_kpa \+ command\.amplitude_kpa = 210 kPa"),
         (PiecewiseCommand(((0.0, 50.0), (0.1, 250.0), (0.2, 20.0), (0.3, 250.0))),
-         r"knots\[1\]: knots\[1\] = 250 kPa"),
+         r"knots\[1\]: command\.knots\[1\] = 250 kPa"),
     ], ids=["step", "sine", "piecewise"])
     def test_closed_loop_command_above_the_sensor_range(self, command, field):
         # the sensor saturates at 207 kPa, so the controller would never leave on/off inflate

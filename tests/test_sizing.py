@@ -215,6 +215,13 @@ class TestEnumerateCatalog:
             "min_reservoir_pressure": len(valves),
         }
 
+    def test_underflowing_resistance_volume_product_rejected(self):
+        # R_vmin * V_cv rounds to 0: a ValueError from the closed form, not a ZeroDivisionError
+        req = DesignRequirements(v_cv=1e-200, dp_cv=20.7, pdot_d=35.8)
+        valve = ValveOption(name="tiny", r_vmin=1e-200, mass_g=77.0, p_inlet_max=690.0)
+        with pytest.raises(ValueError, match=r"^r_v \* v_cv must be strictly positive$"):
+            enumerate_catalog(req, ComponentCatalog(valves=(valve,), reservoirs=(BOTTLE,)))
+
     def test_empty_catalog_rejected(self):
         with pytest.raises(ValueError):
             ComponentCatalog(valves=(), reservoirs=(BOTTLE,))
