@@ -8,10 +8,12 @@ cutoff at full and depleted reservoir.
 """
 
 import argparse
-import json
+import sys
 from pathlib import Path
 
 from pneusim.cli import (
+    EXIT_VALIDATION,
+    _load_json,
     catalog_from_resolved,
     resolve_catalog,
     resolve_requirements,
@@ -22,17 +24,19 @@ from pneusim.sizing import enumerate_catalog
 HERE = Path(__file__).resolve().parent.parent / "scenarios"
 
 
-def main() -> None:
+def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--requirements", default=str(HERE / "demo_requirements.json"))
     parser.add_argument("--catalog", default=str(HERE / "reference_catalog.json"))
     args = parser.parse_args()
 
-    req = requirements_from_resolved(
-        resolve_requirements(json.loads(Path(args.requirements).read_text()))
-    )
-    catalog = catalog_from_resolved(resolve_catalog(json.loads(Path(args.catalog).read_text())))
-    report = enumerate_catalog(req, catalog)
+    try:  # the inputs are read as `pneusim size` reads them, and a bad one exits 2 as there
+        req = requirements_from_resolved(resolve_requirements(_load_json(Path(args.requirements))))
+        catalog = catalog_from_resolved(resolve_catalog(_load_json(Path(args.catalog))))
+        report = enumerate_catalog(req, catalog)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VALIDATION
 
     print(
         f"{'valve':<10} {'reservoir':<10} {'mass g':>7} {'cycles':>8} "
@@ -45,7 +49,8 @@ def main() -> None:
         )
     for e in report.infeasible:
         print(f"{e.valve:<10} {e.reservoir:<10} infeasible: {', '.join(e.limiting)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

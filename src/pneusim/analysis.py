@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .gasmodel import record, replace
+from .gasmodel import FieldError, check, record, replace
 from .sim import MAX_STEPS, Scenario, SineCommand, TimeSeries, pressure_response
 
 BAND_KPA = 1.0  # the fine-regulation band around a step target
@@ -172,23 +172,29 @@ def frequency_sweep(scn_template: Scenario, omegas, n_repeat: int = 1) -> list[F
     Per-point failures are recorded in the point's error field; the sweep
     continues. With n_repeat > 1 the gains of repeated runs (distinct seeds)
     are averaged, for use with noisy sensors. The repeats of all points together
-    may take at most ``MAX_STEPS`` steps, as one run may.
+    may take at most ``MAX_STEPS`` steps, as one run may. A broken precondition
+    raises ``FieldError`` before any point runs, its ``field`` the one at fault.
     """
     if not isinstance(scn_template.command, SineCommand):
-        raise ValueError("sweep template must carry a sine command")
+        raise FieldError(scn_template, "command", "sweep needs a sine command")
     if not scn_template.closed_loop:
-        raise ValueError("sweep template must be closed loop: open_loop_command must be None")
+        raise FieldError(scn_template, "open_loop_command", "sweep needs a closed_loop scenario")
+    amplitude = scn_template.command.amplitude_kpa
+    check(scn_template, "command.amplitude_kpa", "pos", amplitude)
     omegas = list(omegas)
     if not omegas:
-        raise ValueError("omega list must not be empty")
-    if any(not w > 0.0 for w in omegas):
-        raise ValueError("omegas must be strictly positive")
+        raise FieldError(None, "omegas", "at least one frequency required")
+    if not all(map(math.isfinite, omegas)):
+        raise FieldError(None, "omegas", "frequencies must be finite")
+    if not all(w > 0.0 for w in omegas):
+        raise FieldError(None, "omegas", "frequencies must be > 0")
     if n_repeat < 1:
-        raise ValueError("n_repeat must be >= 1")
-    if sweep_steps(scn_template, omegas) * n_repeat > MAX_STEPS:
-        raise ValueError(f"n_repeat: the sweep would take more than {MAX_STEPS} steps")
+        raise FieldError(None, "n_repeat", "must be >= 1")
+    steps = sweep_steps(scn_template, omegas)
+    if steps * n_repeat > MAX_STEPS:
+        raise FieldError(None, "n_repeat", f"the sweep would take more than {MAX_STEPS} steps "
+                                           f"({n_repeat} repeats of {steps})")
 
-    amplitude = scn_template.command.amplitude_kpa
     points: list[FrequencyPoint] = []
     for omega in omegas:
         try:

@@ -55,7 +55,7 @@ IDLE_COMMAND = ActuatorCommand(0.0, 0.0, False)
     error_cutoff=("pos", "error_cutoff_kPa"), control_rate=("pos", "control_rate_Hz"),
     settle_horizon=("pos", "settle_horizon_s"),
     integrator_limit=("nonneg", "integrator_limit_kPa_s"),
-    active_deflation_rate_threshold=(None, "active_deflation_rate_threshold_kPa_s"),
+    active_deflation_rate_threshold=("nonneg", "active_deflation_rate_threshold_kPa_s"),
 )
 class ControllerConfig:
     """Gains and thresholds; how fast passive venting deflates is the network's

@@ -44,12 +44,14 @@ class FieldError(ValueError):
 
     ``field`` is the keyword ("" for the record as a whole) and ``text`` what is
     wrong, with any other field written as {keyword}; the command line names
-    each field by its key in the input file.
+    each field by its key in the input file. ``record`` is None for a
+    function's argument, which ``field`` then names alone.
     """
 
     def __init__(self, record, field: str, text: str):
-        owner, plain = type(record).__name__, text.replace("{", "").replace("}", "")
-        super().__init__(f"{owner}.{field}: {plain}" if field else f"{owner}: {plain}")
+        owner = "" if record is None else type(record).__name__
+        plain = text.replace("{", "").replace("}", "")
+        super().__init__(f"{'.'.join(filter(None, (owner, field)))}: {plain}")
         self.field, self.text = field, text
 
 

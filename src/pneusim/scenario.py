@@ -54,9 +54,7 @@ DEFAULT_VALVES = {
     name: {"R_vmin_kPa_s_per_L": getattr(_NET, name).r_vmin}
     for name in ("inflation_valve", "motive_valve")
 }
-# the record takes any threshold; a file's must be >= 0
-CONTROLLER = field_table(ControllerConfig,
-                         checks={"active_deflation_rate_threshold_kPa_s": "nonneg"})
+CONTROLLER = field_table(ControllerConfig)
 COMMANDS = {
     "step": field_table(StepCommand),
     "sine": field_table(SineCommand, defaults={"offset_kPa": None}),  # default: amplitude_kPa

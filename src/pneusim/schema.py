@@ -33,16 +33,15 @@ REQUIRED = object()
 _TYPE_CHECKS = {"bool": "bool", "str": "str"}  # by annotation; any other field is a number
 
 
-def field_table(owner, *extra: tuple, checks=None, defaults=None) -> tuple:
+def field_table(owner, *extra: tuple, defaults=None) -> tuple:
     """(constructor, rows) of owner, a record class or a default record: a row per key it
     declares, then the ``extra`` rows (key, check, default) of keys the constructor does not
-    take. ``checks`` and ``defaults`` replace the record's by key."""
+    take. ``defaults`` replace the record's by key."""
     cls = owner if isinstance(owner, type) else type(owner)
-    checks, defaults = checks or {}, defaults or {}
 
     def row(kw: str, key: str) -> tuple:
         check = cls.KINDS.get(kw) or _TYPE_CHECKS.get(cls.__annotations__[kw], "num")
-        return key, kw, checks.get(key, check), defaults.get(key, getattr(owner, kw, REQUIRED))
+        return key, kw, check, (defaults or {}).get(key, getattr(owner, kw, REQUIRED))
 
     rows = [row(kw, key) for kw, key in cls.KEYS.items()]
     return cls, (*rows, *((key, None, check, default) for key, check, default in extra))

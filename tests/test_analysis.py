@@ -11,6 +11,7 @@ from pneusim import gasmodel as gm
 from pneusim.components import default_network
 from pneusim.control import IDLE_COMMAND
 from pneusim.sim import (
+    MAX_STEPS,
     Scenario,
     SineCommand,
     StepCommand,
@@ -238,10 +239,18 @@ class TestFrequencySweep:
         assert points[0].n_periods >= 3
         assert points[0].gain == pytest.approx(1.0, abs=0.05)
 
+    @staticmethod
+    def rejected(scn, omegas, n_repeat: int = 1) -> gm.FieldError:
+        """The FieldError of a sweep whose preconditions fail; no point may simulate."""
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(an, "pressure_response", lambda scn: pytest.fail("simulated"))
+            with pytest.raises(gm.FieldError) as err:
+                an.frequency_sweep(scn, omegas, n_repeat)
+        return err.value
+
     def test_rejects_non_sine_template(self):
-        scn = step_scenario(69.0)
-        with pytest.raises(ValueError):
-            an.frequency_sweep(scn, [1.0])
+        err = self.rejected(step_scenario(69.0), [1.0])
+        assert (err.field, str(err)) == ("command", "Scenario.command: sweep needs a sine command")
 
     def test_rejects_open_loop_template(self):
         # an open-loop run ignores the sine command, so its gains would mean nothing
@@ -249,14 +258,39 @@ class TestFrequencySweep:
             network=default_network(), command=SineCommand(21.0, 1.0, 21.0), hold_reservoir=True,
             open_loop_command=IDLE_COMMAND,
         )
-        with pytest.raises(ValueError, match="open_loop_command"):
-            an.frequency_sweep(template, [0.5, 1.0])
+        err = self.rejected(template, [0.5, 1.0])
+        assert (err.field, str(err)) == (
+            "open_loop_command", "Scenario.open_loop_command: sweep needs a closed_loop scenario"
+        )
+
+    def test_rejects_zero_amplitude(self):
+        # a zero amplitude leaves no gain to measure at any point
+        template = gm.replace(self.make_template(), command=SineCommand(0.0, 1.0, 21.0))
+        err = self.rejected(template, [0.5, 1.0])
+        assert (err.field, str(err)) == (
+            "command.amplitude_kpa", "Scenario.command.amplitude_kpa: must be > 0"
+        )
 
     def test_rejects_empty_or_bad_omegas(self):
-        with pytest.raises(ValueError):
-            an.frequency_sweep(self.make_template(), [])
-        with pytest.raises(ValueError):
-            an.frequency_sweep(self.make_template(), [0.5, -1.0])
+        for omegas, text in [
+            ([], "at least one frequency required"),
+            ([0.5, math.inf], "frequencies must be finite"),
+            ([0.5, math.nan], "frequencies must be finite"),
+            ([0.5, -1.0], "frequencies must be > 0"),
+            ([0.5, 0.0], "frequencies must be > 0"),
+        ]:
+            err = self.rejected(self.make_template(), omegas)
+            assert (err.field, str(err)) == ("omegas", f"omegas: {text}"), omegas
+
+    def test_rejects_repeats_below_one_or_past_the_step_budget(self):
+        err = self.rejected(self.make_template(), [1.0], 0)
+        assert (err.field, str(err)) == ("n_repeat", "n_repeat: must be >= 1")
+        steps = an.sweep_steps(self.make_template(), [1.0])
+        err = self.rejected(self.make_template(), [1.0], MAX_STEPS)
+        assert (err.field, str(err)) == (
+            "n_repeat", f"n_repeat: the sweep would take more than {MAX_STEPS} steps "
+            f"({MAX_STEPS} repeats of {steps})",
+        )
 
     def test_one_trace_alive_at_a_time(self, monkeypatch):
         # a point's response is freed before the next point simulates

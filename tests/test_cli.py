@@ -480,54 +480,64 @@ class TestSweepCommand:
         fit = json.loads((tmp_path / "sweep_21kpa_half_liter_sweep_fit.json").read_text())
         assert fit["n_failed"] == 0
 
-    def test_empty_omegas_exit_2(self, tmp_path):
-        rc = cli.main(
-            [
-                "sweep",
-                str(SCENARIOS / "sweep_21kpa_half_liter.json"),
-                "--omegas",
-                "",
-                "--out",
-                str(tmp_path),
-            ]
-        )
-        assert rc == 2
+    @staticmethod
+    def exit_2_before_simulating(monkeypatch, capsys, out: Path, scn_file: Path, *flags) -> str:
+        """The stderr of a sweep that exits 2 before any point simulates or ``out`` is made."""
+        from pneusim import analysis
 
-    def test_non_finite_omega_exit_2(self, tmp_path, capsys):
-        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35,inf"]
-        assert cli.main([*argv, "--out", str(tmp_path)]) == 2
-        assert "--omegas: frequencies must be finite" in capsys.readouterr().err
+        monkeypatch.setattr(analysis, "pressure_response", lambda scn: pytest.fail("simulated"))
+        assert cli.main(["sweep", str(scn_file), *flags, "--out", str(out)]) == 2
+        assert not out.exists()
+        return capsys.readouterr().err
 
-    def test_non_sine_scenario_exit_2(self, tmp_path):
+    def test_empty_omegas_exit_2(self, tmp_path, capsys, monkeypatch):
+        err = self.exit_2_before_simulating(monkeypatch, capsys, tmp_path / "out",
+                                            SCENARIOS / "sweep_21kpa_half_liter.json",
+                                            "--omegas", "")
+        assert err == "error: --omegas: at least one frequency required\n"
+
+    @pytest.mark.parametrize("omegas, message", [
+        ("1.35,inf", "frequencies must be finite"),
+        ("0.5,nan", "frequencies must be finite"),
+        ("0.5,-1", "frequencies must be > 0"),
+    ])
+    def test_bad_omega_exit_2(self, tmp_path, capsys, monkeypatch, omegas, message):
+        err = self.exit_2_before_simulating(monkeypatch, capsys, tmp_path / "out",
+                                            SCENARIOS / "sweep_21kpa_half_liter.json",
+                                            "--omegas", omegas)
+        assert err == f"error: --omegas: {message}\n"
+
+    def test_non_sine_scenario_exit_2(self, tmp_path, capsys, monkeypatch):
         scn_file = write_json(tmp_path / "step.json", minimal_scenario())
-        rc = cli.main(["sweep", str(scn_file), "--omegas", "0.5", "--out", str(tmp_path)])
-        assert rc == 2
+        err = self.exit_2_before_simulating(monkeypatch, capsys, tmp_path / "out", scn_file,
+                                            "--omegas", "0.5")
+        assert err == "error: scenario.command.kind: sweep needs a sine command\n"
+
+    def test_zero_amplitude_exit_2(self, tmp_path, capsys, monkeypatch):
+        # a zero amplitude gives no gain to measure, so the sweep is rejected before any point
+        raw = json.loads((SCENARIOS / "sweep_21kpa_half_liter.json").read_text())
+        raw["command"]["amplitude_kPa"] = 0.0
+        scn_file = write_json(tmp_path / "flat.json", raw)
+        err = self.exit_2_before_simulating(monkeypatch, capsys, tmp_path / "out", scn_file,
+                                            "--omegas", "1.35,2.7")
+        assert err == "error: scenario.command.amplitude_kPa: must be > 0\n"
 
     def test_open_loop_scenario_exit_2(self, tmp_path, capsys, monkeypatch):
         # the command drives nothing in open loop, so no gain could be measured
-        from pneusim import analysis
-
         raw = json.loads((SCENARIOS / "sweep_21kpa_half_liter.json").read_text())
         raw["run"]["mode"] = "open_loop"
         raw["run"]["open_loop_command"] = {"u_evp": 0.0, "u_dvp": 0.0, "solenoid_open": False}
         scn_file = write_json(tmp_path / "open.json", raw)
-        monkeypatch.setattr(analysis, "pressure_response", lambda scn: pytest.fail("simulated"))
-        argv = ["sweep", str(scn_file), "--omegas", "0.5,1", "--out", str(tmp_path / "out")]
-        assert cli.main(argv) == 2
-        assert capsys.readouterr().err == (
-            "error: scenario.run.mode: sweep needs a closed_loop scenario\n"
-        )
-        assert not (tmp_path / "out").exists()
+        err = self.exit_2_before_simulating(monkeypatch, capsys, tmp_path / "out", scn_file,
+                                            "--omegas", "0.5,1")
+        assert err == "error: scenario.run.mode: sweep needs a closed_loop scenario\n"
 
     def test_duration_flag_exit_2_before_writing(self, tmp_path, capsys, monkeypatch):
         # each point's duration follows from its frequency, so --duration would be ignored
-        from pneusim import analysis
-
-        monkeypatch.setattr(analysis, "pressure_response", lambda scn: pytest.fail("simulated"))
-        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35"]
-        assert cli.main([*argv, "--duration", "0.75", "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith("error: --duration: ")
-        assert not (tmp_path / "out").exists()
+        err = self.exit_2_before_simulating(monkeypatch, capsys, tmp_path / "out",
+                                            SCENARIOS / "sweep_21kpa_half_liter.json",
+                                            "--omegas", "1.35", "--duration", "0.75")
+        assert err.startswith("error: --duration: ")
 
     def test_point_beyond_row_budget_names_no_file_key(self, tmp_path):
         # the sweep computes each point's duration, so its error names the record's keyword
@@ -562,12 +572,10 @@ class TestSweepCommand:
         )
 
     def test_zero_repeats_exit_2_before_simulating(self, tmp_path, capsys, monkeypatch):
-        from pneusim import analysis
-
-        monkeypatch.setattr(analysis, "pressure_response", lambda scn: pytest.fail("simulated"))
-        argv = ["sweep", str(SCENARIOS / "sweep_21kpa_half_liter.json"), "--omegas", "1.35"]
-        assert cli.main([*argv, "--repeats", "0", "--out", str(tmp_path)]) == 2
-        assert "error: --repeats: must be >= 1" in capsys.readouterr().err
+        err = self.exit_2_before_simulating(monkeypatch, capsys, tmp_path / "out",
+                                            SCENARIOS / "sweep_21kpa_half_liter.json",
+                                            "--omegas", "1.35", "--repeats", "0")
+        assert err == "error: --repeats: must be >= 1\n"
 
     # 1e-9 Hz: a point whose own run is past the step budget fails alone and counts no steps
     @pytest.mark.parametrize("omegas", ["1.35,2.7", "1e-9,1.35"])

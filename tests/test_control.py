@@ -386,7 +386,7 @@ WIDE_CONFIGS = st.builds(
     control_rate=POSITIVE,
     settle_horizon=POSITIVE,
     integrator_limit=NONNEG,
-    active_deflation_rate_threshold=ANY_FLOAT,
+    active_deflation_rate_threshold=NONNEG,
 )
 # any floats, and pairs within a few cutoffs of each other so the PID band is reached
 WIDE_TICKS = st.lists(
@@ -409,9 +409,9 @@ class TestClampComparisons:
         cfg=ControllerConfig(kp=0.0, ki=0.0, kd=0.0), vent=VENT,
         ticks=[(0.0, 0.5, 0.0), (0.0, 0.6, 0.0)],
     )
-    # a -0.0 integrator limit, a NaN threshold and an infinite gain
+    # a -0.0 integrator limit, a zero threshold and an infinite gain
     @example(
-        cfg=ControllerConfig(integrator_limit=-0.0, active_deflation_rate_threshold=math.nan, kd=math.inf),
+        cfg=ControllerConfig(integrator_limit=-0.0, active_deflation_rate_threshold=0.0, kd=math.inf),
         vent=VENT,
         ticks=[(10.0, 10.5, 0.0), (0.0, -0.0, 0.0), (0.0, 30.0, -0.0), (5.0, 5.0, 1e308)],
     )

@@ -76,6 +76,8 @@ OUT_OF_RANGE = [
     (control.ControllerConfig, "control_rate", {"control_rate": 0.0}),
     (control.ControllerConfig, "settle_horizon", {"settle_horizon": -0.2}),
     (control.ControllerConfig, "integrator_limit", {"integrator_limit": -2.0}),
+    (control.ControllerConfig, "active_deflation_rate_threshold",
+     {"active_deflation_rate_threshold": -1.0}),
     (sim.StepCommand, "target_kpa", {"target_kpa": -1.0}),
     (sim.StepCommand, "start_s", {"start_s": -0.1}),
     (sim.SineCommand, "amplitude_kpa", {"amplitude_kpa": -1.0, "offset_kpa": 0.0}),

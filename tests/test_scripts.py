@@ -26,6 +26,30 @@ def test_predict_demo_cycles():
     assert rows["DVP-670"][1] == "PET-2L"
 
 
+def test_predict_demo_cycles_rejects_a_repeated_key(tmp_path):
+    # the last value would win under json.loads alone; `pneusim size` rejects the file
+    req = tmp_path / "req.json"
+    req.write_text('{"schema_version": 1, "V_cv_L": 0.1, "dP_cv_kPa": 20.7, "min_cycles": 30, '
+                   '"Pdot_d_kPa_s": 40.0, "Pdot_d_kPa_s": 4000.0}')
+    proc = run_script("predict_demo_cycles.py", "--requirements", str(req))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == f"error: {req}: duplicate key 'Pdot_d_kPa_s'\n"
+
+
+def test_predict_demo_cycles_reports_an_underflowing_rating(tmp_path):
+    # r_v * v_cv underflows to 0, which the inflation-rate closed form rejects
+    req = json.loads((ROOT / "scenarios" / "demo_requirements.json").read_text())
+    cat = json.loads((ROOT / "scenarios" / "reference_catalog.json").read_text())
+    req["V_cv_L"] = 1e-200
+    cat["valves"][0] = {"name": "TINY", "R_vmin_kPa_s_per_L": 1e-200, "mass_g": 77.0}
+    (tmp_path / "req.json").write_text(json.dumps(req))
+    (tmp_path / "cat.json").write_text(json.dumps(cat))
+    proc = run_script("predict_demo_cycles.py", "--requirements", str(tmp_path / "req.json"),
+                      "--catalog", str(tmp_path / "cat.json"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "error: r_v * v_cv must be strictly positive\n"
+
+
 def test_run_discharge_tests(tmp_path):
     proc = run_script("run_discharge_tests.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
