@@ -15,6 +15,7 @@ from pneusim.cli import (
     EXIT_VALIDATION,
     _load_json,
     catalog_from_resolved,
+    check_valve_ratings,
     resolve_catalog,
     resolve_requirements,
     requirements_from_resolved,
@@ -33,6 +34,7 @@ def main() -> int:
     try:  # the inputs are read as `pneusim size` reads them, and a bad one exits 2 as there
         req = requirements_from_resolved(resolve_requirements(_load_json(Path(args.requirements))))
         catalog = catalog_from_resolved(resolve_catalog(_load_json(Path(args.catalog))))
+        check_valve_ratings(req, catalog)
         report = enumerate_catalog(req, catalog)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -38,7 +38,7 @@ def main() -> None:
             r_v=r_v, v_r=v_r, p_r0=p_r0, duration=3.0 * tau, dt=max(5e-4, tau / 5000.0)
         )
         ts = simulate(scn)
-        fit = analysis.fit_discharge_tau(ts)
+        fit = analysis.fit_discharge_tau(ts.t, ts.p_r)
         reference = p_r0 * np.exp(-ts.t / tau)
         err = analysis.nrmse(ts.p_r, reference, p_r0)
         write_timeseries_csv(ts, out_dir / f"discharge_{label}.csv")

@@ -136,8 +136,14 @@ def _windowed_gain(
     n = round(periods * samples_per_period)
     x = response[discard : discard + n]
     x = x - np.mean(x)
-    k = np.arange(n)
-    corr = np.sum(x * np.exp(-2j * math.pi * omega * k / sample_rate))
+    # x * exp(-2j pi omega k / sample_rate), formed in one complex buffer: the same operations
+    # on the same operands (a complex product commutes exactly), so the same bits
+    z = np.arange(n, dtype=complex)
+    z *= -2j * math.pi * omega
+    z /= sample_rate
+    np.exp(z, out=z)
+    z *= x
+    corr = np.sum(z)
     return 2.0 * abs(corr) / (n * amplitude), periods
 
 
@@ -269,19 +275,23 @@ def first_crossing_3db(omegas, gains) -> float:
     return math.nan
 
 
-def fit_discharge_tau(ts: TimeSeries) -> DischargeFit:
-    """Log-linear least-squares fit of the reservoir discharge time constant."""
-    p = np.asarray(ts.p_r, dtype=float)
+def fit_discharge_tau(t, p_r) -> DischargeFit:
+    """Log-linear least-squares fit of the reservoir discharge time constant to the reservoir
+    pressures ``p_r`` at times ``t``."""
+    t = np.asarray(t, dtype=float)
+    p = np.asarray(p_r, dtype=float)
+    if t.shape != p.shape:
+        raise ValueError("discharge fit needs one time per reservoir pressure")
     if np.any(p <= 0.0):
         raise ValueError("discharge fit needs strictly positive reservoir pressures")
     if len(p) < 2:
         raise ValueError("discharge fit needs at least two samples")
-    slope, intercept = np.polyfit(ts.t, np.log(p), 1)
+    slope, intercept = np.polyfit(t, np.log(p), 1)
     p0 = float(math.exp(intercept))
     # every row equal is no decay, whatever slope the fit's rounding gives at a tiny p
     if slope >= -1e-12 or (p == p[0]).all():
         fitted = np.full_like(p, p0)
         return DischargeFit(math.inf, p0, nrmse(p, fitted, p0), degenerate=True)
     tau = -1.0 / float(slope)
-    fitted = p0 * np.exp(-ts.t / tau)
+    fitted = p0 * np.exp(-t / tau)
     return DischargeFit(tau, p0, nrmse(p, fitted, p0), degenerate=False)

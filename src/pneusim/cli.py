@@ -155,6 +155,17 @@ def catalog_from_resolved(resolved: dict) -> ComponentCatalog:
     })
 
 
+def check_valve_ratings(req: DesignRequirements, catalog: ComponentCatalog) -> None:
+    """``gasmodel.inflation_rate``'s bound, r_vmin * v_cv > 0, as a ``ConfigError`` that names
+    the first valve's file key it fails for."""
+    for i, valve in enumerate(catalog.valves):
+        if not valve.r_vmin * req.v_cv > 0.0:
+            raise ConfigError(
+                f"catalog.valves[{i}].R_vmin_kPa_s_per_L: too small for requirements.V_cv_L "
+                "(a flow rating gives P_inlet_max_kPa / (flow_max_slpm / 60))"
+            )
+
+
 # ------------------------------------------------------------- files and hash
 
 
@@ -477,10 +488,12 @@ def cmd_discharge(args) -> int:
     csv_path = run.output("timeseries.csv")
     ts = simulate(run.scn)
     write_timeseries_csv(ts, csv_path)
+    t, p_r = ts.t, ts.p_r
+    del ts  # the fit reads 2 of the trace's 11 columns; the other 9 are freed before it runs
 
     report: dict = {"schema_version": 1, "input_sha256": _sha256_file(run.path)}
     try:
-        fit = analysis.fit_discharge_tau(ts)
+        fit = analysis.fit_discharge_tau(t, p_r)
         report.update(
             {
                 "degenerate": fit.degenerate,
@@ -505,12 +518,7 @@ def cmd_size(args) -> int:
     cat_resolved = resolve_catalog(_load_json(cat_path))
     req = requirements_from_resolved(req_resolved)
     catalog = catalog_from_resolved(cat_resolved)
-    for i, valve in enumerate(catalog.valves):  # gasmodel.inflation_rate's bound, by key
-        if not valve.r_vmin * req.v_cv > 0.0:
-            raise ConfigError(
-                f"catalog.valves[{i}].R_vmin_kPa_s_per_L: too small for requirements.V_cv_L "
-                "(a flow rating gives P_inlet_max_kPa / (flow_max_slpm / 60))"
-            )
+    check_valve_ratings(req, catalog)
     report = enumerate_catalog(req, catalog)
     # the report is strict JSON, which has no Infinity (and none of these can be NaN)
     if not all(max(e.pdot_demand, e.min_p_r, e.cutoff_hz_floor, e.cutoff_hz_full, e.n_cycles,

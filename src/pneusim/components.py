@@ -154,8 +154,9 @@ def deflation_flow(
     return max(0.0, (p_cv - p_node) / spec.r_open)
 
 
-def sensor_reader(spec: SensorSpec, rng: np.random.Generator, chunk: int = NOISE_CHUNK):
+def sensor_reader(spec: SensorSpec, rng: np.random.Generator | None, chunk: int = NOISE_CHUNK):
     """``read(p_true)``: measured gauge pressure, true value plus seeded noise, clamped to range.
+    ``rng`` may be None for a noiseless sensor, which draws nothing.
 
     Built once per run. The noise is drawn ``chunk`` values at a time. numpy's
     ``Generator.normal`` gives the same values one at a time or many at once,

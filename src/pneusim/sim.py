@@ -745,7 +745,10 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     if full:
         (u_in_col, u_mot_col, sol_col, q_in_col, q_out_col, q_mot_col,
          mode_col) = (memoryview(columns[name]) for name in TimeSeries.FIELDS[4:])
-    read_cv = sensor_reader(net.cv_sensor, np.random.default_rng([scn.seed, net.cv_sensor.seed]))
+    sensor = net.cv_sensor
+    # a noiseless sensor draws nothing: its run builds no generator, nor imports numpy.random
+    rng = np.random.default_rng([scn.seed, sensor.seed]) if sensor.noise_std > 0.0 else None
+    read_cv = sensor_reader(sensor, rng)
     vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
     control = control_kernel(scn.controller, vent_coeff)
     tick_command = _tick_commands(scn.command, n // cs + 1, cs, dt).__next__

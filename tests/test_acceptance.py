@@ -255,7 +255,8 @@ def test_criterion_10_discharge_fit():
         r_v = tau * a / v_r
         duration = min(3.0 * tau, 120.0)
         scn = discharge_scenario(r_v=r_v, v_r=v_r, p_r0=689.0, duration=duration, dt=dt)
-        fit = an.fit_discharge_tau(simulate(scn))
+        ts = simulate(scn)
+        fit = an.fit_discharge_tau(ts.t, ts.p_r)
         worst = max(worst, abs(fit.tau_s - tau) / tau)
     ok = worst < 0.005
     report("10 discharge fit", ok, f"worst tau error={100 * worst:.4f}% (<0.5%)")

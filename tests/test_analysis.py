@@ -24,14 +24,14 @@ from pneusim.sim import (
 R_CATALOG = 689.0 / (23.5 / 60.0)
 
 
-def make_trace(t, p_cv, p_cmd=None, p_r=None):
+def make_trace(t, p_cv, p_cmd=None):
     n = len(t)
     zeros = np.zeros(n)
     return TimeSeries(
         t=np.asarray(t, float),
         p_cmd=np.asarray(p_cmd if p_cmd is not None else zeros, float),
         p_cv=np.asarray(p_cv, float),
-        p_r=np.asarray(p_r if p_r is not None else np.full(n, 689.0), float),
+        p_r=np.full(n, 689.0),
         u_inflate=zeros.copy(),
         u_motive=zeros.copy(),
         solenoid=zeros.copy(),
@@ -185,7 +185,7 @@ class TestDischargeFit:
         tau = gm.discharge_time_constant(R_CATALOG, 2.0)
         t = np.arange(0, 90, 0.02)
         p = 689.0 * np.exp(-t / tau)
-        fit = an.fit_discharge_tau(make_trace(t, np.zeros_like(t), p_r=p))
+        fit = an.fit_discharge_tau(t, p)
         assert fit.tau_s == pytest.approx(tau, rel=5e-3)
         assert fit.p_r0_fit == pytest.approx(689.0, rel=1e-6)
         assert fit.nrmse < 1e-9
@@ -193,34 +193,39 @@ class TestDischargeFit:
     def test_subsampling_invariance(self):
         t = np.arange(0, 60, 0.01)
         p = 500.0 * np.exp(-t / 20.0)
-        full = an.fit_discharge_tau(make_trace(t, np.zeros_like(t), p_r=p))
-        half = an.fit_discharge_tau(make_trace(t[::2], np.zeros_like(t[::2]), p_r=p[::2]))
+        full = an.fit_discharge_tau(t, p)
+        half = an.fit_discharge_tau(t[::2], p[::2])
         assert half.tau_s == pytest.approx(full.tau_s, rel=1e-9)
 
     def test_constant_trace_flagged_degenerate(self):
         t = np.arange(0, 10, 0.01)
-        fit = an.fit_discharge_tau(make_trace(t, np.zeros_like(t), p_r=np.full_like(t, 300.0)))
+        fit = an.fit_discharge_tau(t, np.full_like(t, 300.0))
         assert fit.degenerate
         assert math.isinf(fit.tau_s)
 
     def test_constant_subnormal_trace_flagged_degenerate(self):
         # log p is about -744 here, where polyfit's rounding reads a slope below -1e-12
         t = np.arange(11) * 0.002
-        fit = an.fit_discharge_tau(make_trace(t, np.zeros_like(t), p_r=np.full_like(t, 5e-324)))
+        fit = an.fit_discharge_tau(t, np.full_like(t, 5e-324))
         assert fit.degenerate
         assert math.isinf(fit.tau_s)
 
     def test_rejects_non_positive_pressures(self):
         t = np.arange(0, 10, 0.01)
         with pytest.raises(ValueError):
-            an.fit_discharge_tau(make_trace(t, np.zeros_like(t), p_r=np.zeros_like(t)))
+            an.fit_discharge_tau(t, np.zeros_like(t))
+
+    def test_rejects_unequal_lengths(self):
+        t = np.arange(0, 10, 0.01)
+        with pytest.raises(ValueError, match="one time per reservoir pressure"):
+            an.fit_discharge_tau(t[1:], np.full_like(t, 300.0))
 
     @given(tau=st.floats(min_value=1.0, max_value=1000.0))
     @settings(max_examples=20, deadline=None)
     def test_recovery_across_time_constants(self, tau):
         t = np.linspace(0, min(3 * tau, 120.0), 2000)
         p = 689.0 * np.exp(-t / tau)
-        fit = an.fit_discharge_tau(make_trace(t, np.zeros_like(t), p_r=p))
+        fit = an.fit_discharge_tau(t, p)
         assert fit.tau_s == pytest.approx(tau, rel=5e-3)
 
 
@@ -306,8 +311,8 @@ class TestFrequencySweep:
         points = an.frequency_sweep(self.make_template(), [2.0, 3.0, 4.0])
         assert [p.error for p in points] == [None] * 3 and len(traces) == 3
 
-    def test_point_stores_two_columns(self, monkeypatch):
-        # a sweep point keeps p_cv and p_r, not the 11 columns of a TimeSeries
+    def point_scenario(self, monkeypatch, omega: float) -> Scenario:
+        """The scenario the sweep of the template runs at ``omega``, captured unsimulated."""
         points = []
 
         def capture(scn):
@@ -315,8 +320,13 @@ class TestFrequencySweep:
             raise ValueError("not simulated")
 
         monkeypatch.setattr(an, "pressure_response", capture)
-        an.frequency_sweep(self.make_template(), [0.14])
+        an.frequency_sweep(self.make_template(), [omega])
         (scn,) = points
+        return scn
+
+    def test_point_stores_two_columns(self, monkeypatch):
+        # a sweep point keeps p_cv and p_r, not the 11 columns of a TimeSeries
+        scn = self.point_scenario(monkeypatch, 0.14)
         n_rows = scn.n_rows()
         assert n_rows > 70_000
         tracemalloc.start()
@@ -326,6 +336,22 @@ class TestFrequencySweep:
         finally:
             tracemalloc.stop()
         assert len(response) == n_rows and peak < 3 * n_rows * 8
+
+    def test_gain_holds_one_complex_buffer(self, monkeypatch):
+        # the correlation is formed in place: the window's x (n floats) and one complex buffer
+        # (2n) at most, well below the n-long index and three complex temporaries
+        scn = self.point_scenario(monkeypatch, 0.14)
+        t = np.arange(scn.n_rows()) / scn.sample_rate
+        response = 21.0 + 21.0 * np.sin(2.0 * math.pi * 0.14 * t)
+        tracemalloc.start()
+        try:
+            gain, periods = an._windowed_gain(response, 0.14, 21.0, scn.sample_rate)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = round(periods * scn.sample_rate / 0.14)
+        assert n > 50_000 and gain == pytest.approx(1.0, abs=1e-3)
+        assert peak < 4 * n * 8
 
     def test_per_point_failure_recorded_not_raised(self):
         # 300 Hz violates the sampling-rate precondition; other point succeeds

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -910,11 +911,13 @@ RUN_MODULES = ("pneusim.sim", "pneusim.control", "pneusim.components", "pneusim.
         # the closed forms alone: no simulator, no numpy
         (SIZE_ARGV, "demo_requirements_design_report.json",
          ("numpy", "scipy", "dataclasses", *RUN_MODULES)),
+        # a noiseless sensor builds no generator, so numpy.random stays unloaded
         (["simulate", SCENARIOS / "step_69kpa_half_liter.json", "--duration", "0.01"],
-         "step_69kpa_half_liter_timeseries.csv", ("scipy", "dataclasses", "pneusim.analysis")),
+         "step_69kpa_half_liter_timeseries.csv",
+         ("scipy", "dataclasses", "pneusim.analysis", "numpy.random")),
         # the fits are numpy's: scipy is installed, but no command needs it
         (["sweep", SCENARIOS / "sweep_21kpa_half_liter.json", "--omegas", "5.0"],
-         "sweep_21kpa_half_liter_sweep_fit.json", ("scipy", "dataclasses")),
+         "sweep_21kpa_half_liter_sweep_fit.json", ("scipy", "dataclasses", "numpy.random")),
         (["discharge", SCENARIOS / "discharge_2l_bottle.json", "--duration", "1"],
          "discharge_2l_bottle_discharge_fit.json", ("scipy", "dataclasses")),
     ],
@@ -932,6 +935,47 @@ def test_size_does_not_import_numpy(tmp_path, argv, output, unloaded):
     proc = _run_python(code, ",".join(unloaded), *argv, "--out", tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / output).is_file()
+
+
+def test_noisy_sensor_imports_numpy_random(tmp_path):
+    # the noise is drawn from numpy's generator, which only a noisy sensor builds
+    doc = json.loads((SCENARIOS / "step_69kpa_half_liter.json").read_text())
+    doc["network"]["cv_sensor"] = {"noise_std_kPa": 0.1, "seed": 5}
+    scn_file = tmp_path / "noisy_step.json"
+    scn_file.write_text(json.dumps(doc))
+    code = (
+        "import sys\n"
+        "from pneusim import cli\n"
+        "rc = cli.main(sys.argv[1:])\n"
+        "assert 'numpy.random' in sys.modules, 'a noisy run did not load numpy.random'\n"
+        "sys.exit(rc)\n"
+    )
+    proc = _run_python(code, "simulate", scn_file, "--duration", "0.01", "--out", tmp_path)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_discharge_fits_from_two_columns(tmp_path, monkeypatch):
+    # the trace's other 9 columns are freed before the fit: at its entry the command holds
+    # t and p_r, and less than one more column's worth besides
+    from pneusim import analysis
+
+    fit = analysis.fit_discharge_tau
+    held = []
+
+    def traced(*args):
+        held.append((tracemalloc.get_traced_memory()[0], len(args[0])))
+        return fit(*args)
+
+    monkeypatch.setattr(analysis, "fit_discharge_tau", traced)
+    tracemalloc.start()
+    try:
+        rc = cli.main(["discharge", str(SCENARIOS / "discharge_2l_bottle.json"),
+                       "--out", str(tmp_path)])
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    ((current, n_rows),) = held
+    assert n_rows == 45_001 and current <= 3 * n_rows * 8
 
 
 def test_size_error_propagates_as_itself(tmp_path):

@@ -203,18 +203,28 @@ def test_benchmark_workload_pins(name, tmp_path, monkeypatch):
     assert proc.returncode == 0, proc.stderr
 
 
-# size_catalog draws a new catalog and new requirements from each seed.
-SIZE_CATALOG_DIGESTS = {
-    2: "faafb33a36fab6f7ae4273d80047f9861cf5830df8acb200bc41fe251dc4f23f",
-    3: "8364ec460318b3f31ec1bff6ae152f04cc0ac81e05a78d7da609b27d4e9e8b2f",
-    7: "f7a1f8059045d601e1e7a19d1804e3367ca0124d90c08a37823853eba3ef9685",
+# Each seed draws new inputs: size_catalog a new catalog and new requirements, the run
+# workloads new hardware tolerances, sensor noise and seeds.
+MORE_SEED_DIGESTS = {
+    ("discharge_blowdown", 2): "dd7d862f2f9e701a3700d84589cfe7977d7742af5e61f62a9becc00185f29326",
+    ("discharge_blowdown", 3): "a982ce1e6628ec6f51c7aa0b98a14f62ad02a1a583a42e313268cffea7f4fafc",
+    ("discharge_blowdown", 7): "9edf84313f3e9581a4d7acdcd26c948507da7ce1c8265107ef2fa3e06460ea7a",
+    ("freq_sweep", 2): "64ada829a2444b4bd17ec8d74ce18812f999089f6d17915b0ea85e52577f9de7",
+    ("freq_sweep", 3): "a53f0561bf1092a9a49194b8d3f116b0ec33f241ad07c99ac4daa2246c5833b1",
+    ("freq_sweep", 7): "8a760c241dcb01dd3c820b43ff530c112909fad9dd92103a2d00efa7ac997cb5",
+    ("size_catalog", 2): "faafb33a36fab6f7ae4273d80047f9861cf5830df8acb200bc41fe251dc4f23f",
+    ("size_catalog", 3): "8364ec460318b3f31ec1bff6ae152f04cc0ac81e05a78d7da609b27d4e9e8b2f",
+    ("size_catalog", 7): "f7a1f8059045d601e1e7a19d1804e3367ca0124d90c08a37823853eba3ef9685",
+    ("step_cycle", 2): "bdba3aa8c8f2e6708999dbc62f8ecdbd2cddb380b1b3abc519b5c600920716db",
+    ("step_cycle", 3): "320725bb06f777ea3fe76c69ac3d19bcb2ce7a6f711d13b40135f0f072836767",
+    ("step_cycle", 7): "2b94b75a06232f6878026205ed8d8874d1ba4309e6b16ca1abb5fb49c1d3ec62",
 }
 
 
-@pytest.mark.parametrize("seed", sorted(SIZE_CATALOG_DIGESTS))
-def test_size_catalog_pins_at_more_seeds(seed, tmp_path, monkeypatch):
+@pytest.mark.parametrize("name, seed", sorted(MORE_SEED_DIGESTS))
+def test_workload_pins_at_more_seeds(name, seed, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    assert _workload_digest("size_catalog", seed) == SIZE_CATALOG_DIGESTS[seed]
+    assert _workload_digest(name, seed) == MORE_SEED_DIGESTS[name, seed]
 
 
 def test_cli_defaults_equal_python_defaults(tmp_path):

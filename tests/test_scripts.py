@@ -37,7 +37,8 @@ def test_predict_demo_cycles_rejects_a_repeated_key(tmp_path):
 
 
 def test_predict_demo_cycles_reports_an_underflowing_rating(tmp_path):
-    # r_v * v_cv underflows to 0, which the inflation-rate closed form rejects
+    # r_v * v_cv underflows to 0, which the inflation-rate closed form rejects; the error
+    # names the file key, as `pneusim size` does
     req = json.loads((ROOT / "scenarios" / "demo_requirements.json").read_text())
     cat = json.loads((ROOT / "scenarios" / "reference_catalog.json").read_text())
     req["V_cv_L"] = 1e-200
@@ -47,7 +48,10 @@ def test_predict_demo_cycles_reports_an_underflowing_rating(tmp_path):
     proc = run_script("predict_demo_cycles.py", "--requirements", str(tmp_path / "req.json"),
                       "--catalog", str(tmp_path / "cat.json"))
     assert (proc.returncode, proc.stdout) == (2, "")
-    assert proc.stderr == "error: r_v * v_cv must be strictly positive\n"
+    assert proc.stderr == (
+        "error: catalog.valves[0].R_vmin_kPa_s_per_L: too small for requirements.V_cv_L "
+        "(a flow rating gives P_inlet_max_kPa / (flow_max_slpm / 60))\n"
+    )
 
 
 def test_run_discharge_tests(tmp_path):
