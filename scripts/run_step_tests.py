@@ -12,16 +12,12 @@ import argparse
 from pathlib import Path
 
 from pneusim import analysis, gasmodel
-from pneusim.cli import write_timeseries_csv
-from pneusim.components import EVP_R_VMIN
-from pneusim.sim import simulate, step_scenario
+from pneusim.cli import load_scenario, write_timeseries_csv
+from pneusim.sim import simulate
 
-CONDITIONS = [
-    # label, step kPa, V_cv L, P_r kPa
-    ("69kPa_half_liter", 69.0, 0.5, 689.0),
-    ("34kPa_one_liter", 34.0, 1.0, 689.0),
-    ("21kPa_one_liter_low_supply", 21.0, 1.0, 345.0),
-]
+PAPER = Path(__file__).resolve().parent.parent / "scenarios" / "paper"
+# in the order of the report's rows
+CONDITIONS = ["step_69kPa_half_liter", "step_34kPa_one_liter", "step_21kPa_one_liter_low_supply"]
 
 
 def main() -> None:
@@ -33,13 +29,16 @@ def main() -> None:
 
     header = f"{'condition':<28} {'model kPa/s':>11} {'avg kPa/s':>10} {'nRMSE %':>8} {'overshoot':>10} {'settle s':>9}"
     print(header)
-    for label, target, v_cv, p_r in CONDITIONS:
-        model_rate = gasmodel.inflation_rate(p_r, EVP_R_VMIN, v_cv)
-        duration = max(3.0, 4.0 * target / model_rate + 3.0)
-        scn = step_scenario(target, v_cv=v_cv, p_r0=p_r, duration=duration, hold_reservoir=True)
+    for stem in CONDITIONS:
+        scn, _ = load_scenario(PAPER / f"{stem}.json")
+        net, target = scn.network, scn.command.target_kpa
+        model_rate = gasmodel.inflation_rate(
+            net.reservoir.p_r0, net.inflation_valve.r_vmin, net.control_volume.v_cv, scn.gas
+        )
         ts = simulate(scn)
         m = analysis.step_metrics(ts, target, model_rate=model_rate)
-        write_timeseries_csv(ts, out_dir / f"step_{label}.csv")
+        write_timeseries_csv(ts, out_dir / f"{stem}.csv")
+        label = stem.removeprefix("step_")
         print(
             f"{label:<28} {model_rate:>11.2f} {m.avg_rise_rate:>10.2f} "
             f"{100 * m.nrmse:>8.2f} {m.overshoot:>10.3f} {m.settling_time:>9.2f}"

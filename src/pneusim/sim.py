@@ -22,10 +22,7 @@ from typing import TYPE_CHECKING, NamedTuple
 # perfbench/tracer.py patches the names marked noqa here by name; the flow
 # helpers are not called in this module, propagator states their laws
 from .components import (
-    ControlVolume,
     PneumaticNetwork,
-    Reservoir,
-    default_network,
     deflation_flow,  # noqa: F401
     proportional_valve_flow,  # noqa: F401
     sensor_read,  # noqa: F401
@@ -42,7 +39,7 @@ from .control import (
     passive_vent_coeff,
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
-from .gasmodel import FieldError, SimulationDivergence, check, record, replace
+from .gasmodel import FieldError, SimulationDivergence, check, record
 
 # numpy is imported inside the functions that use it, so `pneusim size`, which
 # imports this module for its records, never loads it
@@ -856,44 +853,3 @@ def mass_balance(ts: TimeSeries, scn: Scenario) -> float:
     vented = int_out + int_mot
     return abs(loss - gain - vented) / max(loss, 1e-12)
 
-
-def step_scenario(
-    target_kpa: float,
-    v_cv: float = ControlVolume.v_cv,
-    p_r0: float = Reservoir.p_r0,
-    v_r: float = Reservoir.v_r,
-    duration: float = Scenario.duration,
-    hold_reservoir: bool = False,
-    **controller_overrides,
-) -> Scenario:
-    """Closed-loop step scenario on the default hardware class."""
-    net = default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv)
-    return Scenario(
-        network=net,
-        command=StepCommand(target_kpa=target_kpa),
-        controller=ControllerConfig(**controller_overrides),
-        duration=duration,
-        hold_reservoir=hold_reservoir,
-    )
-
-
-def discharge_scenario(
-    r_v: float,
-    v_r: float = Reservoir.v_r,
-    p_r0: float = Reservoir.p_r0,
-    duration: float = 90.0,
-    dt: float = 2e-3,
-) -> Scenario:
-    """Open-loop reservoir blowdown through the motive path at resistance r_v."""
-    net = default_network(v_r=v_r, p_r0=p_r0)
-    net = replace(net, motive_valve=replace(net.motive_valve, r_vmin=r_v))
-    # sample near 500 Hz but on an exact multiple of the integration step
-    stride = max(1, round(1.0 / (500.0 * dt)))
-    return Scenario(
-        network=net,
-        command=StepCommand(target_kpa=0.0),
-        dt=dt,
-        duration=duration,
-        sample_rate=1.0 / (stride * dt),
-        open_loop_command=ActuatorCommand(0.0, 1.0, False),
-    )

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from builders import discharge_scenario, step_scenario
 from pneusim import analysis as an
 from pneusim import cli
 from pneusim import gasmodel as gm
@@ -21,13 +22,7 @@ from pneusim.components import default_network
 from pneusim.control import (
     ControllerConfig, ControllerState, Mode, control_step, passive_vent_coeff,
 )
-from pneusim.sim import (
-    SineCommand,
-    discharge_scenario,
-    mass_balance,
-    simulate,
-    step_scenario,
-)
+from pneusim.sim import SineCommand, mass_balance, simulate
 from pneusim.sizing import (
     DesignRequirements,
     ReservoirOption,

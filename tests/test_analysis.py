@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import step_scenario
 from pneusim import analysis as an
 from pneusim import gasmodel as gm
 from pneusim.components import default_network
@@ -16,9 +17,7 @@ from pneusim.sim import (
     SineCommand,
     StepCommand,
     TimeSeries,
-    discharge_scenario,
     pressure_response,
-    step_scenario,
 )
 
 R_CATALOG = 689.0 / (23.5 / 60.0)

@@ -13,14 +13,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from builders import step_scenario
 from pneusim import cli, components, control, gasmodel, scenario, schema, sim, sizing
 from pneusim.components import default_network
 from pneusim.control import Mode
-from pneusim.sim import SimulationDivergence, TimeSeries, simulate, step_scenario
+from pneusim.sim import SimulationDivergence, TimeSeries, simulate
 from pneusim.sizing import DesignEntry, DesignReport
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 README = SCENARIOS.parent / "README.md"
+# every shipped scenario file: the .json files under scenarios/ but the inputs of `size`
+SHIPPED_SCENARIOS = sorted(
+    p for p in SCENARIOS.glob("**/*.json")
+    if p.name not in ("demo_requirements.json", "reference_catalog.json")
+)
 SRC = SCENARIOS.parent / "src"
 
 
@@ -93,14 +99,10 @@ class TestResolveScenario:
         with pytest.raises(cli.ConfigError, match="open_loop_command"):
             cli.resolve_scenario(raw)
 
-    def test_shipped_scenarios_resolve(self):
-        for name in (
-            "step_69kpa_half_liter",
-            "sweep_21kpa_half_liter",
-            "discharge_2l_bottle",
-        ):
-            scn, resolved = cli.load_scenario(SCENARIOS / f"{name}.json")
-            assert cli.resolve_scenario(json.loads(json.dumps(resolved))) == resolved
+    @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
+    def test_shipped_scenarios_resolve(self, path):
+        scn, resolved = cli.load_scenario(path)
+        assert cli.resolve_scenario(json.loads(json.dumps(resolved))) == resolved
 
     def test_load_scenario_builds_each_record_once(self, monkeypatch):
         built = []

@@ -26,10 +26,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from builders import step_scenario
 from pneusim import cli, scenario
 from pneusim.control import Mode
 from pneusim.gasmodel import replace
-from pneusim.sim import Scenario, TimeSeries, step_scenario
+from pneusim.sim import Scenario, TimeSeries
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -79,6 +80,53 @@ PINS = {
             "demo_requirements_manifest.json": "900cb1a244ceaa9c2f0c9b7064b6e379f7cba9209b690112dacb5520b676f523",
         },
     ),
+    # the paper's test conditions; scripts/run_step_tests.py and scripts/run_discharge_tests.py
+    # write the same time-series bytes for them (tests/test_scripts.py)
+    "paper_step_69kPa_half_liter": (
+        ["simulate", "paper/step_69kPa_half_liter.json"],
+        {
+            "step_69kPa_half_liter_manifest.json": "3e8a77df8e563e340a3b834539f4ba5b0c45cfec068123fd362b9f1514ea6fd4",
+            "step_69kPa_half_liter_timeseries.csv": "c1ac26efc5bda2af192f0d0557dc4ea0934d074e60c98dba982103da73173824",
+        },
+    ),
+    "paper_step_34kPa_one_liter": (
+        ["simulate", "paper/step_34kPa_one_liter.json"],
+        {
+            "step_34kPa_one_liter_manifest.json": "e76d060494277b866ee15a49a3c7297a26b5a594699d11068fc97d513f3f768b",
+            "step_34kPa_one_liter_timeseries.csv": "4fcc22879a765944bba8b7b5102b32656a53f3805cb5083b40f7b71e07715e35",
+        },
+    ),
+    "paper_step_21kPa_one_liter_low_supply": (
+        ["simulate", "paper/step_21kPa_one_liter_low_supply.json"],
+        {
+            "step_21kPa_one_liter_low_supply_manifest.json": "d620755283b2126c211e05ebc04ed982aa4062d043ae580dc5fbb2397daa0ef9",
+            "step_21kPa_one_liter_low_supply_timeseries.csv": "e45e4829a581974c3b6419075f0ffef14c218e7f8bb18a9f6dd4a56910cbb38a",
+        },
+    ),
+    "paper_discharge_fast_small_bottle": (
+        ["discharge", "paper/discharge_fast_small_bottle.json"],
+        {
+            "discharge_fast_small_bottle_discharge_fit.json": "87974fc90f1526fd351ec0e46ae7b1f57144511d9f9dc1c6f8b53c234a936e57",
+            "discharge_fast_small_bottle_manifest.json": "507461725405891dbecc60320a86f1328bbac510ed11d1e21427b6f284ae853c",
+            "discharge_fast_small_bottle_timeseries.csv": "f01eedd2110cb502208eae41fb5ee85b28752a40397a2673ecd2b9dfe96a9a00",
+        },
+    ),
+    "paper_discharge_nominal_2l_bottle": (
+        ["discharge", "paper/discharge_nominal_2l_bottle.json"],
+        {
+            "discharge_nominal_2l_bottle_discharge_fit.json": "67e6abd2c4aa8af381c3318a6a9af18d4df7b1dacd3bc8f4105d616b6a244e4d",
+            "discharge_nominal_2l_bottle_manifest.json": "9b8978d6e784d52e8079a3e69d7176b604fc12613da7491ee90674f38f7c2f50",
+            "discharge_nominal_2l_bottle_timeseries.csv": "042b1e5c96b11254e0b88a6947a9d398bab8e3d65f31fd95836d3eacd7c12fc5",
+        },
+    ),
+    "paper_discharge_slow_high_resistance": (
+        ["discharge", "paper/discharge_slow_high_resistance.json"],
+        {
+            "discharge_slow_high_resistance_discharge_fit.json": "e074b34a0dbfce230d4933955364f05daffb1dd0c70f5cd849c88dd95217faa8",
+            "discharge_slow_high_resistance_manifest.json": "4a55c2ff4cd599dc11521f7f8523d4159f5e42d9c3da53ac1db0e9c7c4382dff",
+            "discharge_slow_high_resistance_timeseries.csv": "0b1442bd95390e501b708464a351f0f589ad6a80b0a60a73efdc32592b416c23",
+        },
+    ),
 }
 
 
@@ -98,6 +146,12 @@ def test_output_pins(case, tmp_path):
     args = [str(SCENARIOS / a) if a.endswith(".json") else a for a in argv]
     assert cli.main([*args, "--out", str(tmp_path)]) == 0
     assert _digests(tmp_path) == pins
+
+
+def test_every_shipped_input_is_pinned():
+    pinned = {a for argv, _ in PINS.values() for a in argv if a.endswith(".json")}
+    shipped = {p.relative_to(SCENARIOS).as_posix() for p in SCENARIOS.glob("**/*.json")}
+    assert shipped - pinned == set()
 
 
 def test_noisy_closed_loop_pin(tmp_path):

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
+from builders import discharge_scenario, step_scenario
 from pneusim import analysis as an
 from pneusim import components as cp
 from pneusim import gasmodel as gm
@@ -22,10 +23,8 @@ from pneusim.sim import (
     SimulationDivergence,
     SineCommand,
     StepCommand,
-    discharge_scenario,
     mass_balance,
     simulate,
-    step_scenario,
 )
 
 R_CATALOG = 689.0 / (23.5 / 60.0)
