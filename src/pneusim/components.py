@@ -158,9 +158,11 @@ def sensor_reader(spec: SensorSpec, rng: np.random.Generator | None, chunk: int 
     """``read(p_true)``: measured gauge pressure, true value plus seeded noise, clamped to range.
     ``rng`` may be None for a noiseless sensor, which draws nothing.
 
-    Built once per run. The noise is drawn ``chunk`` values at a time. numpy's
-    ``Generator.normal`` gives the same values one at a time or many at once,
-    so the readings equal one ``rng.normal(0.0, noise_std)`` draw per call.
+    The reference reading: ``sim._closed_loop`` runs the same statements inline,
+    and the tests compare the two bit for bit. The noise is drawn ``chunk``
+    values at a time. numpy's ``Generator.normal`` gives the same values one at
+    a time or many at once, so the readings equal one
+    ``rng.normal(0.0, noise_std)`` draw per call.
     """
     lo, hi, std = PERFECT_VACUUM_KPA, spec.range_max, spec.noise_std
     noise: list[float] = []

@@ -100,10 +100,12 @@ def required_deflation_rate(error: float, cmd_rate_hint: float, cfg: ControllerC
 def control_kernel(
     cfg: ControllerConfig, vent_coeff: float, state: ControllerState = ControllerState()
 ):
-    """The control law as one function of a config, built once per run.
+    """The control law as one function of a config: the reference statement of the law.
 
-    ``vent_coeff`` is the network's ``passive_vent_coeff``: passive venting
-    deflates at ``vent_coeff * p_meas``. Returns ``tick(p_cmd, p_meas,
+    ``sim._closed_loop`` runs the same statements inline, with the state in loop
+    locals, and the tests compare the two bit for bit. ``vent_coeff`` is the
+    network's ``passive_vent_coeff``: passive venting deflates at ``vent_coeff *
+    p_meas``. Returns ``tick(p_cmd, p_meas,
     cmd_rate_hint) -> (u_inflate, u_motive, solenoid_open, mode)``, one
     fixed-period update a call. The controller state starts from ``state``
     and lives in closure cells, so a tick builds no ``ControllerState`` and

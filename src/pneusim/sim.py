@@ -22,17 +22,18 @@ from typing import TYPE_CHECKING, NamedTuple
 # perfbench/tracer.py patches the names marked noqa here by name; the flow
 # helpers are not called in this module, propagator states their laws
 from .components import (
+    NOISE_CHUNK,
     PneumaticNetwork,
     deflation_flow,  # noqa: F401
     proportional_valve_flow,  # noqa: F401
     sensor_read,  # noqa: F401
-    sensor_reader,
     valve_fraction,
     venturi_vacuum_pressure,  # noqa: F401
 )
 from .control import (
     ActuatorCommand,
     ControllerConfig,
+    ControllerState,
     Mode,
     control_kernel,
     control_step,  # noqa: F401
@@ -423,6 +424,16 @@ class Piece(NamedTuple):
     kinks: tuple
 
 
+def _held_gain(a11: float, a12: float, a21: float, a22: float, b2: float, h: float):
+    """Where A is singular with b in its range, A r = trace*r, so the state moves along
+    r = A p + b by this gain, (e^(trace*h) - 1)/trace, over h, and every kink functional
+    is monotone over the span; else None."""
+    if a11 * a22 == a12 * a21 and a11 * b2 == 0.0 and a12 * b2 == 0.0:
+        trace = a11 + a22
+        return math.expm1(trace * h) / trace if trace * h else h
+    return None
+
+
 def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
     """How far below zero rounding may put a kink functional over a span from p to e."""
     k_r, k_cv, k_0 = kink
@@ -459,7 +470,8 @@ def propagator(
     by the comparisons the ``components`` flow helpers make. Its code is 2*motive
     + exhaust: motive is 0 without motive flow, 2 with the Venturi saturated and a
     solenoid to feel it, else 1; exhaust is 1 while the exhaust flows. The held
-    command's pieces are kept by code, so rows and spans read the same piece.
+    command's pieces are kept by code, so rows and spans read the same piece; an
+    on/off command's (each fraction 0 or 1) are kept for the whole run.
     ``flows(pc, p_r, p_cv)`` is ``(q_in, q_out, q_motive)`` at states (floats or
     arrays) in the region of ``pc``, +0.0 on a shut or clamped path.
 
@@ -487,6 +499,7 @@ def propagator(
     floor = net.venturi.p_vac_floor
     q_rated = net.venturi.q_motive_rated
     new_piece = tuple.__new__  # a Piece from its 11 fields, without NamedTuple's Python __new__
+    on_off = {}  # the pieces of each on/off command (each fraction 0 or 1, 8 at most), for the run
     pieces = [None] * 6  # by region code, for the command (held_in, held_mot, held_sol)
     held_in = held_mot = held_sol = None
     last = last_h = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
@@ -519,10 +532,13 @@ def propagator(
         ))
 
     def region(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> Piece:
-        nonlocal held_in, held_mot, held_sol
+        nonlocal held_in, held_mot, held_sol, pieces
         if f_in != held_in or f_mot != held_mot or sol != held_sol:
             held_in, held_mot, held_sol = f_in, f_mot, sol
-            pieces[:] = (None,) * 6
+            if f_in in (0.0, 1.0) and f_mot in (0.0, 1.0):
+                pieces = on_off.setdefault((f_in, f_mot, sol), [None] * 6)
+            else:
+                pieces = [None] * 6
         code = 0
         if f_mot or sol:
             # motive flow by the motive clamp's own kink, p_r > 0: the flow
@@ -558,14 +574,8 @@ def propagator(
         if last is not pc or last_h != h:
             last, last_h = pc, h
             a11, a12, a21, a22, b2, kinks = pc.a11, pc.a12, pc.a21, pc.a22, pc.b2, pc.kinks
-            trace = a11 + a22
-            if a11 * a22 == a12 * a21 and a11 * b2 == 0.0 and a12 * b2 == 0.0:
-                # singular A with b in its range: A r = trace*r, so the state
-                # moves along r by (e^(trace*h) - 1)/trace, and every kink
-                # functional is monotone over the span
-                gain = math.expm1(trace * h) / trace if trace * h else h
-            else:
-                gain = None
+            gain = _held_gain(a11, a12, a21, a22, b2, h)
+            if gain is None:
                 coeffs = None if kinks and oscillates(pc, h) else exp_phi1(a11, a12, a21, a22, h)
         r_r = a11 * p_r + a12 * p_cv
         r_cv = a21 * p_r + a22 * p_cv + b2
@@ -724,7 +734,19 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
 
 
 def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
-    """Fill the columns of a closed-loop run: per event, one piece for the row and the span.
+    """Fill the columns of a closed-loop run, one control period at a time.
+
+    Each period starts at a tick: the sensor reading (one noise draw, clamped to
+    the sensor's range), the control law and the valve fractions run inline, in
+    the statements of ``components.sensor_reader`` and ``control.control_kernel``,
+    which the tests run as the reference. Then each event up to the next tick (a
+    sample row, the end) writes its row, and each span between events maps the
+    piece. On a kinkless piece (no motive flow, solenoid shut) whose A is
+    singular with b in its range, the map is ``span``'s held singular map and
+    bounds test, run inline; every other span, and every span that test
+    rejects, goes to ``span`` or ``cross``. An event between ticks keeps a
+    kinkless piece, which holds everywhere. A fraction is recomputed, and so
+    range-checked, only when its command changes.
 
     ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r; ``t`` and ``p_cmd``
     are left to ``_run``. The command is read by array, never per tick: the ticks' values and
@@ -734,7 +756,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """
     import numpy as np
 
-    net, dt = scn.network, scn.dt
+    net, dt, cfg = scn.network, scn.dt, scn.controller
     n, ss, cs = scn.n_steps(), scn.sample_stride(), scn.control_stride()
     evp, dvp = net.inflation_valve, net.motive_valve
     p_cv_col, p_r_col = memoryview(columns["p_cv"]), memoryview(columns["p_r"])
@@ -743,54 +765,115 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         (u_in_col, u_mot_col, sol_col, q_in_col, q_out_col, q_mot_col,
          mode_col) = (memoryview(columns[name]) for name in TimeSeries.FIELDS[4:])
     sensor = net.cv_sensor
+    vacuum, inf = PERFECT_VACUUM_KPA, math.inf
+    lo, hi, std = vacuum, sensor.range_max, sensor.noise_std
     # a noiseless sensor draws nothing: its run builds no generator, nor imports numpy.random
-    rng = np.random.default_rng([scn.seed, sensor.seed]) if sensor.noise_std > 0.0 else None
-    read_cv = sensor_reader(sensor, rng)
+    rng = np.random.default_rng([scn.seed, sensor.seed]) if std > 0.0 else None
+    noise: list[float] = []
     vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
-    control = control_kernel(scn.controller, vent_coeff)
-    tick_command = _tick_commands(scn.command, n // cs + 1, cs, dt).__next__
+    cutoff, tick_dt = cfg.error_cutoff, 1.0 / cfg.control_rate
+    kp, ki, kd, limit = cfg.kp, cfg.ki, cfg.kd, cfg.integrator_limit
+    neg_limit, horizon = -limit, cfg.settle_horizon
+    threshold = cfg.active_deflation_rate_threshold
+    pid, inflate, vent, deflate = Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE
+    state = ControllerState()
+    integ, prev, mode, acc = state.integrator, state.prev_error, state.mode, state.duty_acc
     region, flows, span, cross = prop.region, prop.flows, prop.span, prop.cross
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
-    u_in = u_mot = f_in = f_mot = 0.0
+    u_in = u_mot = None  # no command yet: the first tick computes both fractions
     sol = False
-    mode = Mode.IDLE
-    k = row = next_tick = next_row = 0
-    while True:
-        if k == next_tick:
-            p_cmd, rate = tick_command()
-            new_in, new_mot, sol, mode = control(p_cmd, read_cv(p_cv), rate)
-            # a fraction changes only with its command, and a new command is range-checked
-            if new_in != u_in:
-                f_in = valve_fraction(new_in, evp)
-            if new_mot != u_mot:
-                f_mot = valve_fraction(new_mot, dvp)
-            u_in, u_mot = new_in, new_mot  # the columns keep each tick's own value, -0.0 too
-            next_tick += cs
-            pc = region(p_r, p_cv, f_in, f_mot, sol)
-        elif pc.kinks:  # a kinkless piece (no motive flow, solenoid shut) holds everywhere
-            pc = region(p_r, p_cv, f_in, f_mot, sol)
-        if k == next_row:
-            p_cv_col[row] = p_cv
-            p_r_col[row] = p_r
-            if full:
-                q_in, q_out, q_motive = flows(pc, p_r, p_cv)
-                u_in_col[row] = u_in
-                u_mot_col[row] = u_mot
-                sol_col[row] = 1.0 if sol else 0.0
-                q_in_col[row] = q_in
-                q_out_col[row] = q_out
-                q_mot_col[row] = q_motive
-                mode_col[row] = mode
-            row += 1
-            next_row += ss
-        if k == n:
-            break
-        nxt = next_tick if next_tick < next_row else next_row
-        if nxt > n:
-            nxt = n
-        h = (nxt - k) * dt
-        p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
-        k = nxt
+    kinks = cur = map_h = gain = None
+    k = row = next_row = 0
+    for p_cmd, rate in _tick_commands(scn.command, n // cs + 1, cs, dt):
+        p_meas = p_cv
+        if rng is not None:
+            if not noise:
+                noise = rng.normal(0.0, std, size=NOISE_CHUNK).tolist()
+                noise.reverse()
+            p_meas += noise.pop()
+        if p_meas < lo:
+            p_meas = lo
+        if p_meas > hi:
+            p_meas = hi
+        if p_cmd * 0.0 + p_meas * 0.0 + rate * 0.0 != 0.0:  # an input is infinite or NaN
+            control_kernel(cfg, vent_coeff)(p_cmd, p_meas, rate)  # raises the law's ValueError
+        e = p_cmd - p_meas
+        if e > cutoff:
+            new_in, new_mot, new_sol = 1.0, 0.0, False
+            prev, mode, acc = e, inflate, 0.0
+        elif e < -cutoff:
+            required = abs(rate) + abs(e) / horizon  # control.required_deflation_rate
+            capability = vent_coeff * (p_meas if p_meas > 0.0 else 0.0)
+            active = required > (threshold if threshold > capability else capability)
+            new_in, new_mot, new_sol = 0.0, 1.0 if active else 0.0, True
+            prev, mode, acc = e, deflate if active else vent, 0.0
+        else:
+            if mode is not pid:
+                integ, prev, acc = 0.0, e, 0.0
+            integ += e * tick_dt
+            if integ < neg_limit:
+                integ = neg_limit
+            if integ > limit:
+                integ = limit
+            u = kp * e + ki * integ + kd * (e - prev) / tick_dt
+            prev, mode = e, pid
+            new_mot = 0.0
+            if u >= 0.0:
+                acc = 0.0
+                new_in, new_sol = 1.0 if u > 1.0 else u, False
+            else:
+                acc += 1.0 if -u > 1.0 else -u
+                new_sol = acc >= 1.0
+                if new_sol:
+                    acc -= 1.0
+                new_in = 0.0
+        if new_in != u_in:
+            f_in = valve_fraction(new_in, evp)
+        if new_mot != u_mot:
+            f_mot = valve_fraction(new_mot, dvp)
+        u_in, u_mot, sol = new_in, new_mot, new_sol  # the columns keep each tick's own value
+        pc = region(p_r, p_cv, f_in, f_mot, sol)
+        end = k + cs
+        last = end > n  # the last period, which takes the event at n
+        if last:
+            end = n
+        while True:
+            if k == next_row:
+                p_cv_col[row] = p_cv
+                p_r_col[row] = p_r
+                if full:
+                    q_in, q_out, q_motive = flows(pc, p_r, p_cv)
+                    u_in_col[row] = u_in
+                    u_mot_col[row] = u_mot
+                    sol_col[row] = 1.0 if sol else 0.0
+                    q_in_col[row] = q_in
+                    q_out_col[row] = q_out
+                    q_mot_col[row] = q_motive
+                    mode_col[row] = mode
+                row += 1
+                next_row += ss
+            if k == end:
+                break
+            nxt = next_row if next_row < end else end
+            h = (nxt - k) * dt
+            if pc is not cur or h != map_h:
+                _, _, _, _, _, a11, a12, a21, a22, b2, kinks = cur = pc
+                map_h = h
+                gain = None if kinks else _held_gain(a11, a12, a21, a22, b2, h)
+            if gain is None:
+                p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
+            else:  # span's held singular map and bounds, on a kinkless piece
+                e_r = p_r + gain * (a11 * p_r + a12 * p_cv)
+                e_cv = p_cv + gain * (a21 * p_r + a22 * p_cv + b2)
+                if vacuum <= e_r < inf and vacuum <= e_cv < inf:
+                    p_r, p_cv = e_r, e_cv
+                else:
+                    p_r, p_cv = cross(pc, p_r, p_cv, h, k * dt)
+            k = nxt
+            if k == end and not last:
+                break  # the next tick's event
+            if kinks:  # a kinkless piece (no motive flow, solenoid shut) holds everywhere
+                pc = region(p_r, p_cv, f_in, f_mot, sol)
 
 
 def _tick_commands(command: CommandSignal, n_ticks: int, cs: int, dt: float):

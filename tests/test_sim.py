@@ -583,6 +583,33 @@ class TestExactSpan:
         net_kw = {"v_r": v_r, "v_cv": v_cv, "r_open": r_open, "q_rated": q_rated, "floor": floor}
         self._check(net_kw, hold, p_r, p_cv, u_in, u_mot, sol, steps * 5e-4)
 
+    def test_on_off_pieces_are_kept_for_the_run(self):
+        # a repeated on/off command (each fraction 0 or 1) reads the same piece after a PID
+        # command; a PID command's pieces are built anew
+        prop = sim.propagator(cp.default_network(), gm.DEFAULT_GAS, True)
+        inflate = prop.region(689.0, 20.0, 1.0, 0.0, False)
+        pid = prop.region(689.0, 20.0, 0.3, 0.0, False)
+        assert prop.region(689.0, 21.0, 0.3, 0.0, False) is pid
+        assert prop.region(689.0, 22.0, 1.0, 0.0, False) is inflate
+        assert prop.region(689.0, 22.0, 0.3, 0.0, False) is not pid
+
+    def test_kinkless_copy_takes_its_own_map(self):
+        # A kinked piece whose complex pair (-1 +- 10i) turns by pi over h, the shortest such
+        # h: span rejects it. Every shorter length is inside (its one kink never binds), so
+        # cross's bisection ends at h itself, and its kinkless copy must take its own map
+        # there, not the kinked piece's rejection kept for the same length.
+        prop = sim.propagator(cp.default_network())
+        pc = sim.Piece(0.0, 0.0, 0.0, 0.0, False, -1.0, 10.0, -10.0, -1.0, 0.0,
+                       ((0.0, 0.0, 1.0),))
+        h = math.pi / 10.0
+        while 10.0 * h < math.pi:
+            h = math.nextafter(h, 1.0)
+        while 10.0 * math.nextafter(h, 0.0) >= math.pi:
+            h = math.nextafter(h, 0.0)
+        assert prop.span(pc, 1.0, 1.0, h) is None
+        want = prop.span(pc._replace(kinks=()), 1.0, 1.0, h)
+        assert want is not None and prop.cross(pc, 1.0, 1.0, h, 0.0) == want
+
     def test_span_across_a_kink_is_rejected(self):
         # saturated at 700 kPa, the reservoir falls below saturation (689 kPa) within 0.5 s
         assert self._span({}, False, 700.0, 50.0, 0.0, 1.0, True, 0.5)[1] is None
@@ -1250,10 +1277,10 @@ def _closed_loop_reference(scn: Scenario) -> sim.TimeSeries:
     ``control_step`` of a ``ControllerState`` and one ``sensor_read`` draw a tick, the
     command's scalar ``value`` and ``rate``, ``valve_fraction`` of each tick's command, and
     the propagator's ``span`` or ``cross`` from each event (a tick, a row, the end) to the
-    next. Every row is formed on its own."""
+    next. Every row is formed on its own, and each event builds its own propagator, so no
+    piece or map is kept from one event to the next."""
     net, dt, cmd = scn.network, scn.dt, scn.command
     n, ss, cs = scn.n_steps(), scn.sample_stride(), scn.control_stride()
-    prop = sim.propagator(net, scn.gas, scn.hold_reservoir)
     rng = np.random.default_rng([scn.seed, net.cv_sensor.seed])
     vent = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
     state, act = ControllerState(), IDLE_COMMAND
@@ -1268,6 +1295,7 @@ def _closed_loop_reference(scn: Scenario) -> sim.TimeSeries:
                                       state)
         f_in = cp.valve_fraction(act.u_inflate, net.inflation_valve)
         f_mot = cp.valve_fraction(act.u_motive, net.motive_valve)
+        prop = sim.propagator(net, scn.gas, scn.hold_reservoir)
         pc = prop.region(p_r, p_cv, f_in, f_mot, act.solenoid_open)
         if k % ss == 0:
             rows.append((t, cmd.value(t), p_cv, p_r, act.u_inflate, act.u_motive,
@@ -1305,6 +1333,28 @@ class TestClosedLoopReference:
         duration=st.floats(0.01, 0.2),
         seed=st.integers(0, 2**32),
     )
+    # The edges of a control period, pinned with a tick stride of 4: n < cs, which drawn
+    # durations (20 steps or more against a tick stride of at most 8) never reach; n a multiple
+    # of cs (the last tick at n); n % cs != 0 (the last period partial, its end no row)
+    @example(run=(StepCommand(40.0), 2.0, 689.0, 0.0, False), noise=0.5, sample_rate=2000.0,
+             control_rate=500.0, v_cv=0.5, duration=5e-4, seed=1)
+    @example(run=(StepCommand(40.0), 2.0, 689.0, 0.0, False), noise=0.5, sample_rate=2000.0,
+             control_rate=500.0, v_cv=0.5, duration=0.01, seed=1)
+    @example(run=(StepCommand(40.0), 2.0, 689.0, 30.0, False), noise=0.5, sample_rate=1000.0,
+             control_rate=500.0, v_cv=0.5, duration=0.0115, seed=1)
+    # active deflation whose reservoir falls below the Venturi's saturation between the last
+    # tick and the end, a row: that row reads the region it is in
+    @example(run=(StepCommand(0.0), 0.05, 800.0, 150.0, False), noise=0.5, sample_rate=2000.0,
+             control_rate=500.0, v_cv=0.5, duration=0.0455, seed=3)
+    # the sweep's layout: a row a step, a tick every 2 steps, the reservoir held
+    @example(run=(SineCommand(21.0, 1.35, 21.0), 2.0, 689.0, 0.0, True), noise=0.5,
+             sample_rate=2000.0, control_rate=1000.0, v_cv=0.5, duration=0.3, seed=7)
+    # the step's layout: a row every 20 steps, a tick every 2
+    @example(run=(StepCommand(69.0), 2.0, 689.0, 0.0, False), noise=0.1, sample_rate=100.0,
+             control_rate=1000.0, v_cv=0.5, duration=0.5, seed=7)
+    # a row every 5 steps, a tick every 2, under active deflation across the saturation kink
+    @example(run=(StepCommand(0.0), 0.05, 800.0, 150.0, False), noise=0.5, sample_rate=400.0,
+             control_rate=1000.0, v_cv=0.5, duration=0.05, seed=3)
     def test_equals_reference(self, run, noise, sample_rate, control_rate, v_cv, duration, seed):
         command, v_r, p_r0, p_cv0, hold = run
         net = cp.default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv, p_cv0=p_cv0)
@@ -1321,6 +1371,41 @@ class TestClosedLoopReference:
             crossings = _counting_crossings(monkeypatch)
             assert _columns(simulate, scn) == want
         event("crosses a kink" if crossings else "crosses no kink")
+
+    def test_inline_held_singular_map_rejects_as_span_does(self):
+        # A kinkless held singular piece (p_r held, p_cv falling at 689 kPa/s) whose state
+        # passes below perfect vacuum mid-run. The loop maps a kinkless piece inline and
+        # sends a kinked one to span; a kink that never binds (g = 1) changes nothing else,
+        # so both runs must fill the same rows and raise the same error at the same time.
+        scn = Scenario(network=cp.default_network(p_cv0=20.0), command=StepCommand(40.0),
+                       duration=0.3)
+        drain = sim.Piece(0.0, 0.0, 0.0, 0.0, False, 0.0, 0.0, -1.0, 0.0, 0.0, ())
+        runs = []
+        for pc in (drain, drain._replace(kinks=((0.0, 0.0, 1.0),))):
+            prop = sim.propagator(scn.network, scn.gas, scn.hold_reservoir)
+            columns = {name: np.zeros(scn.n_rows()) for name in ("p_cv", "p_r")}
+            with pytest.raises(SimulationDivergence) as err:
+                sim._closed_loop(scn, columns, prop._replace(region=lambda *state: pc))
+            runs.append((err.value.t, str(err.value), [col.tobytes() for col in columns.values()]))
+        assert runs[0] == runs[1] and 0.1 < runs[0][0] < 0.2
+
+    @pytest.mark.parametrize("bad", [math.inf, math.nan])
+    @pytest.mark.parametrize("method, name", [("rates", "cmd_rate_hint"), ("values", "p_cmd")])
+    def test_non_finite_tick_input_raises_the_laws_error(self, monkeypatch, method, name, bad):
+        # from the fourth tick on, the command reads infinite or NaN
+        scn = Scenario(network=cp.default_network(), command=SineCommand(21.0, 1.35, 21.0),
+                       duration=0.01, hold_reservoir=True)
+        read = getattr(SineCommand, method)
+        monkeypatch.setattr(SineCommand, method,
+                            lambda command, t: np.where(t > 0.0025, bad, read(command, t)))
+        inputs = {"p_cmd": 21.0, "p_meas": 0.0, "cmd_rate_hint": 0.0, name: bad}
+        with pytest.raises(ValueError) as want:
+            control_step(**inputs, cfg=scn.controller, vent_coeff=1.0, state=ControllerState())
+        assert str(want.value) == f"{name} must be finite, got {bad}"
+        for run in (simulate, sim.pressure_response):
+            with pytest.raises(ValueError) as got:
+                run(scn)
+            assert str(got.value) == str(want.value)
 
     @pytest.mark.parametrize("sample_rate", [2000.0, 400.0])
     def test_crossing_kinks(self, monkeypatch, sample_rate):
