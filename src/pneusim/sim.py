@@ -442,7 +442,7 @@ def _slack(kink: tuple, p_r: float, p_cv: float, e_r, e_cv):
     )
 
 
-Propagator = namedtuple("Propagator", "region flows span cross segment")  # see propagator
+Propagator = namedtuple("Propagator", "region inflation flows span cross segment")  # see propagator
 
 
 def rates_overflow(net: PneumaticNetwork, gas: GasConstants, hold: bool, *pressures) -> bool:
@@ -472,6 +472,9 @@ def propagator(
     solenoid to feel it, else 1; exhaust is 1 while the exhaust flows. The held
     command's pieces are kept by code, so rows and spans read the same piece; an
     on/off command's (each fraction 0 or 1) are kept for the whole run.
+    ``inflation(f_in)`` is ``(c_in, a11, a12, a21, a22)`` of inflation alone (no
+    motive flow, solenoid shut): the coefficients of its one piece, code 0, which
+    has no kink and b = 0.
     ``flows(pc, p_r, p_cv)`` is ``(q_in, q_out, q_motive)`` at states (floats or
     arrays) in the region of ``pc``, +0.0 on a shut or clamped path.
 
@@ -504,13 +507,14 @@ def propagator(
     held_in = held_mot = held_sol = None
     last = last_h = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
 
-    def piece(code: int, f_in: float, f_mot: float, sol: bool) -> Piece:
+    def inflation(f_in: float) -> tuple:
         c_in = f_in / r_in
+        return c_in, -c_in * inv_vr, c_in * inv_vr, c_in * inv_vcv, -c_in * inv_vcv
+
+    def piece(code: int, f_in: float, f_mot: float, sol: bool) -> Piece:
+        c_in, *alone = inflation(f_in)
         if not (f_mot or sol):  # inflation alone: no kink
-            return new_piece(Piece, (
-                c_in, 0.0, 0.0, 0.0, False,
-                -c_in * inv_vr, c_in * inv_vr, c_in * inv_vcv, -c_in * inv_vcv, 0.0, (),
-            ))
+            return new_piece(Piece, (c_in, 0.0, 0.0, 0.0, False, *alone, 0.0, ()))
         motive, exhaust = divmod(code, 2)
         c_mot = f_mot / r_mot if motive else 0.0
         n_r = floor * c_mot / q_rated if motive == 1 and sol else 0.0
@@ -648,7 +652,7 @@ def propagator(
         rows_r, rows_cv = rows_r[:n], rows_cv[:n]
         return rows_r, rows_cv, *flows(p, rows_r, rows_cv)
 
-    return Propagator(region, flows, span, cross, segment)
+    return Propagator(region, inflation, flows, span, cross, segment)
 
 
 def simulate(scn: Scenario) -> TimeSeries:
@@ -741,11 +745,15 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     the statements of ``components.sensor_reader`` and ``control.control_kernel``,
     which the tests run as the reference. Then each event up to the next tick (a
     sample row, the end) writes its row, and each span between events maps the
-    piece. On a kinkless piece (no motive flow, solenoid shut) whose A is
-    singular with b in its range, the map is ``span``'s held singular map and
-    bounds test, run inline; every other span, and every span that test
-    rejects, goes to ``span`` or ``cross``. An event between ticks keeps a
-    kinkless piece, which holds everywhere. A fraction is recomputed, and so
+    state; the tick's command picks the map. Inflation alone (no motive flow,
+    solenoid shut) has one kinkless piece, whose A is singular with b = 0: its
+    spans take ``span``'s held singular map and bounds test inline, from the
+    coefficients of ``inflation``, got only when the fraction changes, and a gain
+    formed only when they or the span's length change; no ``region``, no piece. A
+    span that test rejects calls ``region``, which sets the held command ``cross``
+    goes on from, then ``cross``. Every other command calls ``region`` at each
+    event and ``span`` or ``cross`` for each span. A row's flows are ``flows`` of
+    the piece that holds the state. A fraction is recomputed, and so
     range-checked, only when its command changes.
 
     ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r; ``t`` and ``p_cmd``
@@ -778,11 +786,12 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     pid, inflate, vent, deflate = Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE
     state = ControllerState()
     integ, prev, mode, acc = state.integrator, state.prev_error, state.mode, state.duty_acc
-    region, flows, span, cross = prop.region, prop.flows, prop.span, prop.cross
+    region, inflation, flows = prop.region, prop.inflation, prop.flows
+    span, cross = prop.span, prop.cross
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     u_in = u_mot = None  # no command yet: the first tick computes both fractions
     sol = False
-    kinks = cur = map_h = gain = None
+    alone_f = alone_h = None  # the inflation fraction and span length of the inline map
     k = row = next_row = 0
     for p_cmd, rate in _tick_commands(scn.command, n // cs + 1, cs, dt):
         p_meas = p_cv
@@ -832,7 +841,13 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         if new_mot != u_mot:
             f_mot = valve_fraction(new_mot, dvp)
         u_in, u_mot, sol = new_in, new_mot, new_sol  # the columns keep each tick's own value
-        pc = region(p_r, p_cv, f_in, f_mot, sol)
+        if f_mot or sol:
+            pc = region(p_r, p_cv, f_in, f_mot, sol)
+        else:  # inflation alone, mapped inline
+            pc = None
+            if f_in != alone_f:
+                _, a11, a12, a21, a22 = inflation(f_in)
+                alone_f, alone_h = f_in, None
         end = k + cs
         last = end > n  # the last period, which takes the event at n
         if last:
@@ -842,7 +857,8 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
                 p_cv_col[row] = p_cv
                 p_r_col[row] = p_r
                 if full:
-                    q_in, q_out, q_motive = flows(pc, p_r, p_cv)
+                    q_in, q_out, q_motive = flows(pc or region(p_r, p_cv, f_in, f_mot, sol),
+                                                  p_r, p_cv)
                     u_in_col[row] = u_in
                     u_mot_col[row] = u_mot
                     sol_col[row] = 1.0 if sol else 0.0
@@ -856,23 +872,22 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
                 break
             nxt = next_row if next_row < end else end
             h = (nxt - k) * dt
-            if pc is not cur or h != map_h:
-                _, _, _, _, _, a11, a12, a21, a22, b2, kinks = cur = pc
-                map_h = h
-                gain = None if kinks else _held_gain(a11, a12, a21, a22, b2, h)
-            if gain is None:
+            if pc is not None:
                 p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
-            else:  # span's held singular map and bounds, on a kinkless piece
+            else:  # span's held singular map and bounds, b = 0
+                if h != alone_h:
+                    alone_h, gain = h, _held_gain(a11, a12, a21, a22, 0.0, h)
                 e_r = p_r + gain * (a11 * p_r + a12 * p_cv)
-                e_cv = p_cv + gain * (a21 * p_r + a22 * p_cv + b2)
+                # span's + b2, with b2 = 0.0: it turns a -0.0 sum into +0.0
+                e_cv = p_cv + gain * (a21 * p_r + a22 * p_cv + 0.0)
                 if vacuum <= e_r < inf and vacuum <= e_cv < inf:
                     p_r, p_cv = e_r, e_cv
                 else:
-                    p_r, p_cv = cross(pc, p_r, p_cv, h, k * dt)
+                    p_r, p_cv = cross(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, h, k * dt)
             k = nxt
             if k == end and not last:
                 break  # the next tick's event
-            if kinks:  # a kinkless piece (no motive flow, solenoid shut) holds everywhere
+            if pc is not None:
                 pc = region(p_r, p_cv, f_in, f_mot, sol)
 
 

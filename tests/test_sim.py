@@ -593,6 +593,26 @@ class TestExactSpan:
         assert prop.region(689.0, 22.0, 1.0, 0.0, False) is inflate
         assert prop.region(689.0, 22.0, 0.3, 0.0, False) is not pid
 
+    @settings(max_examples=200, deadline=None)
+    @given(f_in=st.floats(0.0, 1.0, exclude_min=True), r_in=st.floats(1.0, 1e4),
+           v_r=st.floats(0.01, 10.0), v_cv=st.floats(0.01, 10.0), hold=st.booleans(),
+           h=st.floats(1e-6, 1.0), state=st.tuples(st.floats(-100.0, 900.0),
+                                                   st.floats(-100.0, 900.0)))
+    def test_inflation_is_the_inflation_alone_piece(self, f_in, r_in, v_r, v_cv, hold, h,
+                                                    state):
+        # the closed loop maps inflation alone from these coefficients and builds no piece:
+        # they must be region's code-0 piece to the bit, whose A is singular with b in its
+        # range, so that span would take the same held singular map
+        net = cp.default_network(v_r=v_r, v_cv=v_cv)
+        net = replace(net, inflation_valve=replace(net.inflation_valve, r_vmin=r_in))
+        prop = sim.propagator(net, gm.DEFAULT_GAS, hold)
+        pc = prop.region(*state, f_in, 0.0, False)
+        c_in, a11, a12, a21, a22 = prop.inflation(f_in)
+        assert _hexes((c_in, 0.0, 0.0, 0.0, a11, a12, a21, a22, 0.0)) == _hexes(
+            (pc.c_in, pc.c_mot, pc.n_r, pc.n_0, pc.a11, pc.a12, pc.a21, pc.a22, pc.b2))
+        assert pc.exhaust is False and pc.kinks == ()
+        assert sim._held_gain(pc.a11, pc.a12, pc.a21, pc.a22, pc.b2, h) is not None
+
     def test_kinkless_copy_takes_its_own_map(self):
         # A kinked piece whose complex pair (-1 +- 10i) turns by pi over h, the shortest such
         # h: span rejects it. Every shorter length is inside (its one kink never binds), so
@@ -1310,6 +1330,11 @@ def _closed_loop_reference(scn: Scenario) -> sim.TimeSeries:
     })
 
 
+# inflation coefficients (c_in, a11, a12, a21, a22) of a singular A, as every inflation-alone A
+# is, whose map overflows from any p_r > 0: the closed loop's inline bounds test rejects it
+OVERFLOWING = (0.0, 0.0, 0.0, 1e308, 0.0)
+
+
 def _columns(run, scn):
     """The bytes of every column of ``run(scn)``, or the type and text of what it raises."""
     try:
@@ -1332,33 +1357,46 @@ class TestClosedLoopReference:
         v_cv=st.floats(0.05, 2.0),
         duration=st.floats(0.01, 0.2),
         seed=st.integers(0, 2**32),
+        # the valves' deadbands u0 (inflation, motive): in 0.2, a PID command gives fraction 0.0
+        deadbands=st.tuples(st.sampled_from([0.0, 0.2]), st.sampled_from([0.0, 0.2])),
     )
     # The edges of a control period, pinned with a tick stride of 4: n < cs, which drawn
     # durations (20 steps or more against a tick stride of at most 8) never reach; n a multiple
     # of cs (the last tick at n); n % cs != 0 (the last period partial, its end no row)
     @example(run=(StepCommand(40.0), 2.0, 689.0, 0.0, False), noise=0.5, sample_rate=2000.0,
-             control_rate=500.0, v_cv=0.5, duration=5e-4, seed=1)
+             control_rate=500.0, v_cv=0.5, duration=5e-4, seed=1, deadbands=(0.0, 0.0))
     @example(run=(StepCommand(40.0), 2.0, 689.0, 0.0, False), noise=0.5, sample_rate=2000.0,
-             control_rate=500.0, v_cv=0.5, duration=0.01, seed=1)
+             control_rate=500.0, v_cv=0.5, duration=0.01, seed=1, deadbands=(0.0, 0.0))
     @example(run=(StepCommand(40.0), 2.0, 689.0, 30.0, False), noise=0.5, sample_rate=1000.0,
-             control_rate=500.0, v_cv=0.5, duration=0.0115, seed=1)
+             control_rate=500.0, v_cv=0.5, duration=0.0115, seed=1, deadbands=(0.0, 0.0))
     # active deflation whose reservoir falls below the Venturi's saturation between the last
     # tick and the end, a row: that row reads the region it is in
     @example(run=(StepCommand(0.0), 0.05, 800.0, 150.0, False), noise=0.5, sample_rate=2000.0,
-             control_rate=500.0, v_cv=0.5, duration=0.0455, seed=3)
+             control_rate=500.0, v_cv=0.5, duration=0.0455, seed=3, deadbands=(0.0, 0.0))
     # the sweep's layout: a row a step, a tick every 2 steps, the reservoir held
     @example(run=(SineCommand(21.0, 1.35, 21.0), 2.0, 689.0, 0.0, True), noise=0.5,
-             sample_rate=2000.0, control_rate=1000.0, v_cv=0.5, duration=0.3, seed=7)
+             sample_rate=2000.0, control_rate=1000.0, v_cv=0.5, duration=0.3, seed=7,
+             deadbands=(0.0, 0.0))
+    # the same from 0.34 s on, where active deflation ticks (kinked) interrupt PID ticks
+    # whose inflation valve is shut or in its deadband: the inflation-alone fraction 0.0
+    # recurs right after a kinked tick, and must not take the kinked tick's piece
+    @example(run=(SineCommand(21.0, 1.35, 21.0), 2.0, 689.0, 0.0, True), noise=0.5,
+             sample_rate=2000.0, control_rate=1000.0, v_cv=0.5, duration=0.45, seed=7,
+             deadbands=(0.2, 0.2))
     # the step's layout: a row every 20 steps, a tick every 2
     @example(run=(StepCommand(69.0), 2.0, 689.0, 0.0, False), noise=0.1, sample_rate=100.0,
-             control_rate=1000.0, v_cv=0.5, duration=0.5, seed=7)
+             control_rate=1000.0, v_cv=0.5, duration=0.5, seed=7, deadbands=(0.0, 0.0))
     # a row every 5 steps, a tick every 2, under active deflation across the saturation kink
     @example(run=(StepCommand(0.0), 0.05, 800.0, 150.0, False), noise=0.5, sample_rate=400.0,
-             control_rate=1000.0, v_cv=0.5, duration=0.05, seed=3)
-    def test_equals_reference(self, run, noise, sample_rate, control_rate, v_cv, duration, seed):
+             control_rate=1000.0, v_cv=0.5, duration=0.05, seed=3, deadbands=(0.0, 0.0))
+    def test_equals_reference(self, run, noise, sample_rate, control_rate, v_cv, duration, seed,
+                              deadbands):
         command, v_r, p_r0, p_cv0, hold = run
         net = cp.default_network(v_r=v_r, p_r0=p_r0, v_cv=v_cv, p_cv0=p_cv0)
-        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise))
+        u0_in, u0_mot = deadbands
+        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise),
+                      inflation_valve=replace(net.inflation_valve, u0=u0_in),
+                      motive_valve=replace(net.motive_valve, u0=u0_mot))
         try:
             scn = Scenario(network=net, command=command, duration=duration,
                            controller=ControllerConfig(control_rate=control_rate),
@@ -1373,21 +1411,62 @@ class TestClosedLoopReference:
         event("crosses a kink" if crossings else "crosses no kink")
 
     def test_inline_held_singular_map_rejects_as_span_does(self):
-        # A kinkless held singular piece (p_r held, p_cv falling at 689 kPa/s) whose state
-        # passes below perfect vacuum mid-run. The loop maps a kinkless piece inline and
-        # sends a kinked one to span; a kink that never binds (g = 1) changes nothing else,
-        # so both runs must fill the same rows and raise the same error at the same time.
+        # Inflation alone whose coefficients are a held singular drain (p_r held, p_cv falling
+        # at 689 kPa/s), so that the state passes below perfect vacuum mid-run. Every tick of
+        # the step inflates, so the loop maps each span inline from them; with OVERFLOWING
+        # coefficients the inline test rejects every span, and cross maps it by the drain
+        # piece, through span. Both runs must fill the same rows and raise the same error at
+        # the same time, and the inline run calls region only at its rejection.
         scn = Scenario(network=cp.default_network(p_cv0=20.0), command=StepCommand(40.0),
                        duration=0.3)
         drain = sim.Piece(0.0, 0.0, 0.0, 0.0, False, 0.0, 0.0, -1.0, 0.0, 0.0, ())
-        runs = []
-        for pc in (drain, drain._replace(kinks=((0.0, 0.0, 1.0),))):
+        runs, regions = [], []
+        for coeffs in ((drain.c_in, *drain[5:9]), OVERFLOWING):
             prop = sim.propagator(scn.network, scn.gas, scn.hold_reservoir)
+            calls = []
+            prop = prop._replace(inflation=lambda f_in: coeffs,
+                                 region=lambda *state: calls.append(state[2:]) or drain)
             columns = {name: np.zeros(scn.n_rows()) for name in ("p_cv", "p_r")}
             with pytest.raises(SimulationDivergence) as err:
-                sim._closed_loop(scn, columns, prop._replace(region=lambda *state: pc))
+                sim._closed_loop(scn, columns, prop)
             runs.append((err.value.t, str(err.value), [col.tobytes() for col in columns.values()]))
+            regions.append(calls)
         assert runs[0] == runs[1] and 0.1 < runs[0][0] < 0.2
+        assert len(regions[0]) == 1 and len(regions[1]) > 100
+        assert {state for calls in regions for state in calls} == {(1.0, 0.0, False)}
+
+    def test_inline_rejection_after_a_kinked_tick_crosses_by_its_command(self, monkeypatch):
+        # The sweep's layout, where PID ticks (inflation alone) follow active deflation ticks
+        # (kinked) from 0.34 s on. With OVERFLOWING coefficients the inline test rejects every
+        # inflation-alone span, so each goes to region and then to cross, which must map it by
+        # that command's own piece, not by the kinked command region held last: the run
+        # equals the unpatched one.
+        net = cp.default_network()
+        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=0.5))
+        scn = Scenario(network=net, command=SineCommand(21.0, 1.35, 21.0), duration=0.5,
+                       seed=7, hold_reservoir=True)
+        want = _columns(simulate, scn), sim.pressure_response(scn).tobytes()
+        build, trail = sim.propagator, []
+
+        def patched(*args):
+            prop = build(*args)
+
+            def region(p_r, p_cv, f_in, f_mot, sol):
+                trail.append("kinked" if f_mot or sol else "alone")
+                return prop.region(p_r, p_cv, f_in, f_mot, sol)
+
+            def cross(*span):
+                trail.append("cross")
+                return prop.cross(*span)
+
+            return prop._replace(inflation=lambda f_in: OVERFLOWING, region=region, cross=cross)
+
+        monkeypatch.setattr(sim, "propagator", patched)
+        got = _columns(simulate, scn), sim.pressure_response(scn).tobytes()
+        assert isinstance(want[0], list) and got == want
+        # pressure_response calls region for no row: there a rejection's region call comes
+        # right after the last kinked tick's
+        assert "kinked alone cross" in " ".join(trail)
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("method, name", [("rates", "cmd_rate_hint"), ("values", "p_cmd")])
