@@ -26,7 +26,6 @@ EVP_R_VMIN = VALVE_RATED_INLET_KPA / (23.5 / 60.0)
 DVP_R_VMIN = VALVE_RATED_INLET_KPA / (67.0 / 60.0)
 VENTURI_Q_RATED_SLPM = 67.0
 VENTURI_Q_RATED = VENTURI_Q_RATED_SLPM / 60.0
-NOISE_CHUNK = 512  # sensor-noise values a sensor_reader draws at a time
 
 
 @record(v_r=("pos", "V_r_L"), p_r0=("gauge", "P_r0_kPa"))
@@ -154,37 +153,20 @@ def deflation_flow(
     return max(0.0, (p_cv - p_node) / spec.r_open)
 
 
-def sensor_reader(spec: SensorSpec, rng: np.random.Generator | None, chunk: int = NOISE_CHUNK):
-    """``read(p_true)``: measured gauge pressure, true value plus seeded noise, clamped to range.
-    ``rng`` may be None for a noiseless sensor, which draws nothing.
-
-    The reference reading: ``sim._closed_loop`` runs the same statements inline,
-    and the tests compare the two bit for bit. The noise is drawn ``chunk``
-    values at a time. numpy's ``Generator.normal`` gives the same values one at
-    a time or many at once, so the readings equal one
-    ``rng.normal(0.0, noise_std)`` draw per call.
-    """
-    lo, hi, std = PERFECT_VACUUM_KPA, spec.range_max, spec.noise_std
-    noise: list[float] = []
-
-    def read(p_true: float) -> float:
-        nonlocal noise
-        value = p_true
-        if std > 0.0:
-            if not noise:
-                noise = rng.normal(0.0, std, size=chunk).tolist()
-                noise.reverse()
-            value += noise.pop()
-        # min(max(value, lo), hi), as its comparisons
-        if value < lo:
-            value = lo
-        if value > hi:
-            value = hi
-        return value
-
-    return read
-
-
 def sensor_read(p_true: float, spec: SensorSpec, rng: np.random.Generator) -> float:
-    """One reading of a ``sensor_reader`` that draws its noise one value at a time."""
-    return sensor_reader(spec, rng, chunk=1)(p_true)
+    """Measured gauge pressure: the true value plus one seeded ``rng.normal(0.0, noise_std)``
+    draw, clamped to the sensor's range; the reference statement of the reading.
+
+    A noiseless sensor draws nothing, so ``rng`` may then be None. ``sim._closed_loop``
+    runs the same statements inline, with its noise drawn ``NOISE_CHUNK`` values at a
+    time, and the tests compare the two bit for bit.
+    """
+    value = p_true
+    if spec.noise_std > 0.0:
+        value += float(rng.normal(0.0, spec.noise_std))
+    # min(max(value, lo), hi), as its comparisons
+    if value < PERFECT_VACUUM_KPA:
+        value = PERFECT_VACUUM_KPA
+    if value > spec.range_max:
+        value = spec.range_max
+    return value

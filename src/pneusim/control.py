@@ -97,83 +97,6 @@ def required_deflation_rate(error: float, cmd_rate_hint: float, cfg: ControllerC
     return abs(cmd_rate_hint) + abs(error) / cfg.settle_horizon
 
 
-def control_kernel(
-    cfg: ControllerConfig, vent_coeff: float, state: ControllerState = ControllerState()
-):
-    """The control law as one function of a config: the reference statement of the law.
-
-    ``sim._closed_loop`` runs the same statements inline, with the state in loop
-    locals, and the tests compare the two bit for bit. ``vent_coeff`` is the
-    network's ``passive_vent_coeff``: passive venting deflates at ``vent_coeff *
-    p_meas``. Returns ``tick(p_cmd, p_meas,
-    cmd_rate_hint) -> (u_inflate, u_motive, solenoid_open, mode)``, one
-    fixed-period update a call. The controller state starts from ``state``
-    and lives in closure cells, so a tick builds no ``ControllerState`` and
-    no ``ActuatorCommand``; ``tick.state()`` returns it as a
-    ``ControllerState``. The boundary |error| == error_cutoff belongs to the
-    PID branch. Each clamp is written as the comparison ``min``/``max`` would
-    make (the first argument wins unless the other is strictly smaller or
-    larger), so -0.0 and NaN come out as theirs.
-    """
-    cutoff = cfg.error_cutoff
-    dt = 1.0 / cfg.control_rate
-    kp, ki, kd = cfg.kp, cfg.ki, cfg.kd
-    limit = cfg.integrator_limit
-    neg_limit = -limit
-    threshold = cfg.active_deflation_rate_threshold
-    isfinite = math.isfinite
-    pid, inflate, vent, deflate = Mode.PID, Mode.ON_OFF_INFLATE, Mode.VENT, Mode.ACTIVE_DEFLATE
-    integ, prev, mode, acc = state.integrator, state.prev_error, state.mode, state.duty_acc
-
-    def tick(p_cmd: float, p_meas: float, cmd_rate_hint: float) -> tuple:
-        nonlocal integ, prev, mode, acc
-        if not (isfinite(p_cmd) and isfinite(p_meas) and isfinite(cmd_rate_hint)):
-            for name, value in (("p_cmd", p_cmd), ("p_meas", p_meas), ("cmd_rate_hint", cmd_rate_hint)):
-                if not isfinite(value):
-                    raise ValueError(f"{name} must be finite, got {value}")
-
-        e = p_cmd - p_meas
-
-        if e > cutoff:
-            prev, mode, acc = e, inflate, 0.0
-            return 1.0, 0.0, False, inflate
-
-        if e < -cutoff:
-            required = required_deflation_rate(e, cmd_rate_hint, cfg)
-            capability = vent_coeff * (p_meas if p_meas > 0.0 else 0.0)
-            active = required > (threshold if threshold > capability else capability)
-            prev, mode, acc = e, deflate if active else vent, 0.0
-            return 0.0, 1.0 if active else 0.0, True, mode
-
-        # PID band; integrator restarts whenever the band is re-entered
-        if mode is not pid:
-            integ, prev, acc = 0.0, e, 0.0
-        integ += e * dt
-        if integ < neg_limit:
-            integ = neg_limit
-        if integ > limit:
-            integ = limit
-        u = kp * e + ki * integ + kd * (e - prev) / dt
-        prev, mode = e, pid
-
-        if u >= 0.0:
-            acc = 0.0
-            return 1.0 if u > 1.0 else u, 0.0, False, pid
-
-        # negative output: vent through the binary solenoid at an equivalent duty
-        acc += 1.0 if -u > 1.0 else -u
-        open_now = acc >= 1.0
-        if open_now:
-            acc -= 1.0
-        return 0.0, 0.0, open_now, pid
-
-    def snapshot() -> ControllerState:
-        return ControllerState(integ, prev, mode, acc)
-
-    tick.state = snapshot
-    return tick
-
-
 def control_step(
     p_cmd: float,
     p_meas: float,
@@ -182,12 +105,55 @@ def control_step(
     vent_coeff: float,
     state: ControllerState,
 ) -> tuple[ActuatorCommand, ControllerState]:
-    """One fixed-period control update; returns the command and the next state.
+    """One fixed-period control update: the reference statement of the law.
 
     Called at cfg.control_rate with cmd_rate_hint the command signal's current
-    time-derivative (0 for steps). One tick of a ``control_kernel`` seeded
-    with ``state``, its valve commands as a new ``ActuatorCommand``.
+    time-derivative (0 for steps); returns the command and the next state.
+    ``vent_coeff`` is the network's ``passive_vent_coeff``: passive venting
+    deflates at ``vent_coeff * p_meas``. ``sim._closed_loop`` runs the same
+    statements inline, with the state in loop locals, and the tests compare the
+    two bit for bit. The boundary |error| == error_cutoff belongs to the PID
+    branch. Each clamp is written as the comparison ``min``/``max`` would make
+    (the first argument wins unless the other is strictly smaller or larger), so
+    -0.0 and NaN come out as theirs.
     """
-    tick = control_kernel(cfg, vent_coeff, state)
-    u_inflate, u_motive, solenoid_open, _mode = tick(p_cmd, p_meas, cmd_rate_hint)
-    return ActuatorCommand(u_inflate, u_motive, solenoid_open), tick.state()
+    for name, value in (("p_cmd", p_cmd), ("p_meas", p_meas), ("cmd_rate_hint", cmd_rate_hint)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
+
+    e = p_cmd - p_meas
+    integ, prev, mode, acc = state.integrator, state.prev_error, state.mode, state.duty_acc
+
+    if e > cfg.error_cutoff:
+        cmd = ActuatorCommand(1.0, 0.0, False)
+        mode, acc = Mode.ON_OFF_INFLATE, 0.0
+    elif e < -cfg.error_cutoff:
+        required = required_deflation_rate(e, cmd_rate_hint, cfg)
+        capability = vent_coeff * (p_meas if p_meas > 0.0 else 0.0)
+        threshold = cfg.active_deflation_rate_threshold
+        active = required > (threshold if threshold > capability else capability)
+        cmd = ActuatorCommand(0.0, 1.0 if active else 0.0, True)
+        mode, acc = Mode.ACTIVE_DEFLATE if active else Mode.VENT, 0.0
+    else:
+        # PID band; integrator restarts whenever the band is re-entered
+        if mode is not Mode.PID:
+            integ, prev, acc = 0.0, e, 0.0
+        dt = 1.0 / cfg.control_rate
+        limit = cfg.integrator_limit
+        integ += e * dt
+        if integ < -limit:
+            integ = -limit
+        if integ > limit:
+            integ = limit
+        u = cfg.kp * e + cfg.ki * integ + cfg.kd * (e - prev) / dt
+        mode = Mode.PID
+        if u >= 0.0:
+            cmd, acc = ActuatorCommand(1.0 if u > 1.0 else u, 0.0, False), 0.0
+        else:
+            # negative output: vent through the binary solenoid at an equivalent duty
+            acc += 1.0 if -u > 1.0 else -u
+            open_now = acc >= 1.0
+            if open_now:
+                acc -= 1.0
+            cmd = ActuatorCommand(0.0, 0.0, open_now)
+    return cmd, ControllerState(integ, e, mode, acc)

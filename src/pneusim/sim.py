@@ -19,10 +19,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-# perfbench/tracer.py patches the names marked noqa here by name; the flow
-# helpers are not called in this module, propagator states their laws
+# perfbench/tracer.py patches control_step and the names marked noqa here by name;
+# the flow helpers are not called in this module, propagator states their laws
 from .components import (
-    NOISE_CHUNK,
     PneumaticNetwork,
     deflation_flow,  # noqa: F401
     proportional_valve_flow,  # noqa: F401
@@ -35,8 +34,7 @@ from .control import (
     ControllerConfig,
     ControllerState,
     Mode,
-    control_kernel,
-    control_step,  # noqa: F401
+    control_step,
     passive_vent_coeff,
 )
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
@@ -52,6 +50,10 @@ if TYPE_CHECKING:
 MAX_ROWS = 2**24
 # Integration steps one run may take: over an hour and a half of compute at a few us a step.
 MAX_STEPS = 2**31
+# Sensor-noise values the closed loop draws at a time. numpy's Generator.normal gives
+# the same values one at a time or many at once, so each reading equals sensor_read's
+# one draw.
+NOISE_CHUNK = 512
 
 
 @record(target_kpa=("level", "target_kPa"), start_s=("nonneg", "start_s"))
@@ -470,8 +472,7 @@ def propagator(
     by the comparisons the ``components`` flow helpers make. Its code is 2*motive
     + exhaust: motive is 0 without motive flow, 2 with the Venturi saturated and a
     solenoid to feel it, else 1; exhaust is 1 while the exhaust flows. The held
-    command's pieces are kept by code, so rows and spans read the same piece; an
-    on/off command's (each fraction 0 or 1) are kept for the whole run.
+    command's pieces are kept by code, so rows and spans read the same piece.
     ``inflation(f_in)`` is ``(c_in, a11, a12, a21, a22)`` of inflation alone (no
     motive flow, solenoid shut): the coefficients of its one piece, code 0, which
     has no kink and b = 0.
@@ -502,7 +503,6 @@ def propagator(
     floor = net.venturi.p_vac_floor
     q_rated = net.venturi.q_motive_rated
     new_piece = tuple.__new__  # a Piece from its 11 fields, without NamedTuple's Python __new__
-    on_off = {}  # the pieces of each on/off command (each fraction 0 or 1, 8 at most), for the run
     pieces = [None] * 6  # by region code, for the command (held_in, held_mot, held_sol)
     held_in = held_mot = held_sol = None
     last = last_h = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
@@ -539,10 +539,7 @@ def propagator(
         nonlocal held_in, held_mot, held_sol, pieces
         if f_in != held_in or f_mot != held_mot or sol != held_sol:
             held_in, held_mot, held_sol = f_in, f_mot, sol
-            if f_in in (0.0, 1.0) and f_mot in (0.0, 1.0):
-                pieces = on_off.setdefault((f_in, f_mot, sol), [None] * 6)
-            else:
-                pieces = [None] * 6
+            pieces = [None] * 6
         code = 0
         if f_mot or sol:
             # motive flow by the motive clamp's own kink, p_r > 0: the flow
@@ -742,7 +739,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
 
     Each period starts at a tick: the sensor reading (one noise draw, clamped to
     the sensor's range), the control law and the valve fractions run inline, in
-    the statements of ``components.sensor_reader`` and ``control.control_kernel``,
+    the statements of ``components.sensor_read`` and ``control.control_step``,
     which the tests run as the reference. Then each event up to the next tick (a
     sample row, the end) writes its row, and each span between events maps the
     state; the tick's command picks the map. Inflation alone (no motive flow,
@@ -805,7 +802,8 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         if p_meas > hi:
             p_meas = hi
         if p_cmd * 0.0 + p_meas * 0.0 + rate * 0.0 != 0.0:  # an input is infinite or NaN
-            control_kernel(cfg, vent_coeff)(p_cmd, p_meas, rate)  # raises the law's ValueError
+            control_step(p_cmd, p_meas, rate, cfg, vent_coeff,  # raises the law's ValueError
+                         ControllerState(integ, prev, mode, acc))
         e = p_cmd - p_meas
         if e > cutoff:
             new_in, new_mot, new_sol = 1.0, 0.0, False

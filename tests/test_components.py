@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pneusim import components as cp
 from pneusim import gasmodel as gm
+from pneusim import sim
 
 
 class TestSpecsValidation:
@@ -155,23 +156,24 @@ class TestSensorRead:
         assert a[0] == a[1] == a[2]
 
     def test_chunked_reader_equals_one_draw_per_read(self):
-        # scalar reference: one rng.normal draw a reading, then the clamp
-        spec = cp.SensorSpec(range_max=207.0, noise_std=0.7, seed=3)
-        n = 10_000
-        assert n > 2 * cp.NOISE_CHUNK
-        p_true = [(-101.0, 0.0, 50.0, 206.8)[i % 4] for i in range(n)]
+        # the closed loop draws its noise NOISE_CHUNK values at a time; numpy gives the same
+        # values as that many scalar draws, so each reading equals sensor_read's one draw
         rng = np.random.default_rng(11)
-        expected = [min(max(p + rng.normal(0.0, 0.7), -101.325), 207.0) for p in p_true]
-        read = cp.sensor_reader(spec, np.random.default_rng(11))
-        assert [read(p).hex() for p in p_true] == [float(x).hex() for x in expected]
+        chunks = [x for _ in range(3) for x in rng.normal(0.0, 0.7, size=sim.NOISE_CHUNK).tolist()]
         rng = np.random.default_rng(11)
-        assert [cp.sensor_read(p, spec, rng) for p in p_true[:50]] == expected[:50]
+        draws = [float(rng.normal(0.0, 0.7)) for _ in chunks]
+        assert [x.hex() for x in chunks] == [x.hex() for x in draws]
+        spec, rng = cp.SensorSpec(range_max=207.0, noise_std=0.7), np.random.default_rng(11)
+        p_true = [(-101.0, 0.0, 50.0, 206.8)[i % 4] for i in range(len(chunks))]
+        expected = [min(max(p + x, -101.325), 207.0).hex() for p, x in zip(p_true, chunks)]
+        assert [cp.sensor_read(p, spec, rng).hex() for p in p_true] == expected
 
     def test_noise_free_reader_draws_nothing(self):
-        rng = np.random.default_rng(0)
-        read = cp.sensor_reader(cp.SensorSpec(range_max=207.0), rng)
-        assert (read(-0.0).hex(), read(300.0), read(-200.0)) == ((-0.0).hex(), 207.0, -101.325)
+        rng, spec = np.random.default_rng(0), cp.SensorSpec(range_max=207.0)
+        readings = [cp.sensor_read(p, spec, rng) for p in (-0.0, 300.0, -200.0)]
+        assert [x.hex() for x in readings] == [(-0.0).hex(), (207.0).hex(), (-101.325).hex()]
         assert rng.random() == np.random.default_rng(0).random()
+        assert cp.sensor_read(50.0, spec, None) == 50.0
 
 
 ALL_FLOATS = st.floats() | st.sampled_from(
@@ -189,9 +191,8 @@ ALL_FLOATS = st.floats() | st.sampled_from(
 @example(value=math.nan, range_max=207.0, noise_std=0.7)
 @example(value=-101.325, range_max=math.inf, noise_std=0.0)
 def test_reader_clamp_equals_min_max(value, range_max, noise_std):
-    # the reader's clamp, written as comparisons, against the builtins it replaces
+    # sensor_read's clamp, written as comparisons, against the builtins it replaces
     spec = cp.SensorSpec(range_max=range_max, noise_std=noise_std)
-    read = cp.sensor_reader(spec, np.random.default_rng(5))
     noisy = value + np.random.default_rng(5).normal(0.0, noise_std) if noise_std else value
     expected = min(max(noisy, gm.PERFECT_VACUUM_KPA), range_max)
-    assert read(value).hex() == expected.hex()
+    assert cp.sensor_read(value, spec, np.random.default_rng(5)).hex() == expected.hex()

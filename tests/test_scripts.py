@@ -1,11 +1,13 @@
 """The README's experiments: the two scripts, each over its three shipped paper conditions,
-and the `pneusim sweep` and `pneusim size` commands shown beside them; and the benchmark's
-hooks into pneusim."""
+and the `pneusim sweep` and `pneusim size` commands shown beside them; the benchmark's
+hooks into pneusim; and the pneusim names the README documents."""
 
 import hashlib
+import importlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -185,3 +187,17 @@ def test_benchmark_setup_probe_prints_one_float():
                               env=env, cwd=ROOT, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert math.isfinite(float(proc.stdout)) and proc.stdout.count("\n") == 1, proc.stdout
+
+
+def test_readme_names_resolve():
+    # every backticked `module.name` of a pneusim module names an attribute of it, so a
+    # deleted or renamed function cannot stay documented; `scenario.` is left out, as the
+    # README writes input-file paths such as `scenario.run` the same way, and so are file
+    # names such as `cli.py`
+    modules = "analysis|cli|components|control|gasmodel|schema|sim|sizing"
+    text = (ROOT / "README.md").read_text()
+    names = set(re.findall(rf"`({modules})\.(?!py\b)([A-Za-z_]\w*)", text))
+    assert names
+    missing = [f"{module}.{name}" for module, name in sorted(names)
+               if not hasattr(importlib.import_module(f"pneusim.{module}"), name)]
+    assert missing == []

@@ -583,13 +583,13 @@ class TestExactSpan:
         net_kw = {"v_r": v_r, "v_cv": v_cv, "r_open": r_open, "q_rated": q_rated, "floor": floor}
         self._check(net_kw, hold, p_r, p_cv, u_in, u_mot, sol, steps * 5e-4)
 
-    def test_on_off_pieces_are_kept_for_the_run(self):
-        # a repeated on/off command (each fraction 0 or 1) reads the same piece after a PID
-        # command; a PID command's pieces are built anew
+    def test_held_command_pieces_are_kept(self):
+        # the rows and spans of one held command read the same piece of a region; a changed
+        # command's pieces are built anew
         prop = sim.propagator(cp.default_network(), gm.DEFAULT_GAS, True)
-        inflate = prop.region(689.0, 20.0, 1.0, 0.0, False)
         pid = prop.region(689.0, 20.0, 0.3, 0.0, False)
         assert prop.region(689.0, 21.0, 0.3, 0.0, False) is pid
+        inflate = prop.region(689.0, 21.0, 1.0, 0.0, False)
         assert prop.region(689.0, 22.0, 1.0, 0.0, False) is inflate
         assert prop.region(689.0, 22.0, 0.3, 0.0, False) is not pid
 
