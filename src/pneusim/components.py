@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING
 
 from .gasmodel import PERFECT_VACUUM_KPA, VALVE_RATED_INLET_KPA, record
 
-if TYPE_CHECKING:  # for annotations only: `pneusim size` imports this module without numpy
+if TYPE_CHECKING:  # numpy appears in this module's annotations only
     import numpy as np
 
 # Catalog-derived minimum flow resistances (kPa*s per std L): rated maximum

@@ -47,9 +47,6 @@ class ActuatorCommand:
             )
 
 
-IDLE_COMMAND = ActuatorCommand(0.0, 0.0, False)
-
-
 @record(
     kp=("nonneg", "kp_per_kPa"), ki=("nonneg", "ki_per_kPa_s"), kd=("nonneg", "kd_s_per_kPa"),
     error_cutoff=("pos", "error_cutoff_kPa"), control_rate=("pos", "control_rate_Hz"),

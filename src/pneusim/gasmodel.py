@@ -56,7 +56,8 @@ class FieldError(ValueError):
 
 
 class SimulationDivergence(RuntimeError):
-    """A non-finite state during integration, or rows whose rates overflow; ``sim`` raises it."""
+    """A non-finite state during integration, or rows whose rates overflow; ``sim`` raises it,
+    and it lives here so that ``cli.main`` catches it without loading the simulator."""
 
     def __init__(self, message: str, t: float):
         super().__init__(f"{message} at t={t:.6g} s")
@@ -123,7 +124,8 @@ def record(**fields):
     input file. Every record shares one ``__init__``, which takes the fields by
     position or keyword; a field left None is absent and not checked. After the
     bounds, the class's own ``rule`` method, if it has one, checks the rules
-    between its fields. Records compare and hash by type and field values.
+    between its fields. Records compare and hash by type and field values. No record is a
+    dataclass, so building the classes generates no code at import.
     ``KINDS`` keeps each declared kind and ``KEYS`` each declared key, in field
     order, for the command line to read.
     """

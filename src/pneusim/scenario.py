@@ -77,7 +77,8 @@ def _resolve_knots(knots: list) -> list:
 
 def resolve(raw: dict) -> tuple[Scenario, dict]:
     """The Scenario of a document and the resolved document; each record is built once, as
-    its section resolves, and a record's rule names the field by its path."""
+    its section resolves, so its rules run where its values are read and name each field by
+    its path."""
     top = require_obj(raw, "scenario")
     check_schema_version(top, "scenario")
     gas = resolve_object(top.pop("gas", {}), "scenario.gas", GAS)

@@ -19,8 +19,9 @@ from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from typing import TYPE_CHECKING, NamedTuple
 
-# perfbench/tracer.py patches control_step and the names marked noqa here by name;
-# the flow helpers are not called in this module, propagator states their laws
+# perfbench/tracer.py patches control_step and the names marked noqa here by name; the
+# flow helpers are not called in this module: propagator states their laws, and the tests
+# check its pieces against them
 from .components import (
     PneumaticNetwork,
     deflation_flow,  # noqa: F401
@@ -40,8 +41,8 @@ from .control import (
 from .gasmodel import DEFAULT_GAS, GasConstants, PERFECT_VACUUM_KPA, alpha
 from .gasmodel import FieldError, SimulationDivergence, check, record
 
-# numpy is imported inside the functions that use it, so `pneusim size`, which
-# imports this module for its records, never loads it
+# numpy is imported inside the functions that use it, so a scenario load, which builds
+# this module's records, stays numpy-free (see also cli.cmd_sweep on import order)
 if TYPE_CHECKING:
     import numpy as np
 
@@ -183,6 +184,8 @@ class PiecewiseCommand:
         return np.zeros(len(t))
 
 
+# A run reads a command by array (values, rates); the scalar value and rate are the reference
+# the tests hold the arrays to, and perfbench/tracer.py patches them
 CommandSignal = StepCommand | SineCommand | PiecewiseCommand
 
 
@@ -667,7 +670,8 @@ def simulate(scn: Scenario) -> TimeSeries:
 
 def pressure_response(scn: Scenario) -> np.ndarray:
     """``simulate(scn).p_cv`` to the bit; where ``simulate`` raises, the same error.
-    A closed-loop run stores only p_cv and p_r."""
+    A closed-loop run stores only p_cv and p_r; an open-loop run's segments fill every
+    column at once, so it stores them all."""
     return _run(scn, ("p_cv", "p_r") if scn.closed_loop else TimeSeries.FIELDS)["p_cv"]
 
 
@@ -694,7 +698,8 @@ def _check_rates(scn: Scenario, columns: dict) -> None:
     """``SimulationDivergence`` where ``rates_overflow`` holds at the largest p_r or p_cv of the
     rows, at the row of that pressure. Rows are at least ``PERFECT_VACUUM_KPA`` (``span`` and
     ``segment`` accept no other), so where it passes every flow is finite; the records' rules
-    and the valve range checks keep the rest of each row finite, and its time increasing."""
+    and the valve range checks keep the rest of each row finite, and its time increasing.
+    It bounds overflow only: rounding may still put a row a little above the initial pressures."""
     peaks = {name: float(columns[name].max()) for name in ("p_r", "p_cv")}  # no n-row temporary
     if rates_overflow(scn.network, scn.gas, scn.hold_reservoir, *peaks.values()):
         name = max(peaks, key=peaks.get)

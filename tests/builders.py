@@ -10,6 +10,8 @@ from pneusim.control import ActuatorCommand, ControllerConfig
 from pneusim.gasmodel import replace
 from pneusim.sim import Scenario, StepCommand
 
+IDLE_COMMAND = ActuatorCommand(0.0, 0.0, False)  # both valves and the solenoid shut
+
 
 def step_scenario(
     target_kpa: float,

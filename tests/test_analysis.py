@@ -6,11 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from builders import step_scenario
+from builders import IDLE_COMMAND, step_scenario
 from pneusim import analysis as an
 from pneusim import gasmodel as gm
 from pneusim.components import default_network
-from pneusim.control import IDLE_COMMAND
 from pneusim.sim import (
     MAX_STEPS,
     Scenario,

@@ -939,6 +939,21 @@ def test_size_does_not_import_numpy(tmp_path, argv, output, unloaded):
     assert (tmp_path / output).is_file()
 
 
+def test_scenario_load_does_not_import_numpy():
+    # perfbench/setup_probe.py times cli.load_scenario as setup_s; sim imports numpy only
+    # inside the functions that use it, so building its records leaves numpy unloaded
+    code = (
+        "import sys\n"
+        "from pathlib import Path\n"
+        "from pneusim import cli\n"
+        "for path in sys.argv[1:]:\n"
+        "    cli.load_scenario(Path(path))\n"
+        "    assert 'numpy' not in sys.modules, f'loading {path} imported numpy'\n"
+    )
+    proc = _run_python(code, *SHIPPED_SCENARIOS)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_noisy_sensor_imports_numpy_random(tmp_path):
     # the noise is drawn from numpy's generator, which only a noisy sensor builds
     doc = json.loads((SCENARIOS / "step_69kpa_half_liter.json").read_text())

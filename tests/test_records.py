@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from builders import IDLE_COMMAND
 from pneusim import components as cp
 from pneusim import control, gasmodel as gm, sim, sizing
 
@@ -100,7 +101,7 @@ OUT_OF_RANGE = [
     (sim.Scenario, "duration", {"duration": 1e5}),  # 2e8 sample rows
     # open loop and two sample rows, so only the step count is beyond its limit
     (sim.Scenario, "duration", {"duration": 2.0**31 + 1.0, "dt": 1.0, "sample_rate": 2.0**-31,
-                                "open_loop_command": control.IDLE_COMMAND}),
+                                "open_loop_command": IDLE_COMMAND}),
     (sim.Scenario, "dt", {"dt": 2e-3, "sample_rate": 500.0}),  # above 1/(2*control_rate)
     (sizing.DesignRequirements, "v_cv", {"v_cv": 0.0}),
     (sizing.DesignRequirements, "dp_cv", {"dp_cv": -20.7}),

@@ -1,7 +1,8 @@
 """The README's experiments: the two scripts, each over its three shipped paper conditions,
 and the `pneusim sweep` and `pneusim size` commands shown beside them; the benchmark's
-hooks into pneusim; and the pneusim names the README documents."""
+hooks into pneusim; and the pneusim names and repo paths the README documents."""
 
+import ast
 import hashlib
 import importlib
 import json
@@ -200,4 +201,31 @@ def test_readme_names_resolve():
     assert names
     missing = [f"{module}.{name}" for module, name in sorted(names)
                if not hasattr(importlib.import_module(f"pneusim.{module}"), name)]
+    assert missing == []
+
+
+def _top_level_names(path: Path) -> set:
+    """The classes, functions and plainly assigned names at a Python file's top level."""
+    names = set()
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Assign):
+            names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_readme_paths_resolve():
+    # every backticked repo path outside the code blocks, a glob such as `scenarios/*.json`
+    # included, matches a file or directory, and the Name of `file.py::Name` is bound at that
+    # file's top level, so a moved file or a renamed test cannot stay documented
+    text = re.sub(r"(?ms)^```.*?^```", "", (ROOT / "README.md").read_text())
+    refs = set(re.findall(r"`((?:src|tests|scripts|scenarios)/[^`\s]*)`", text))
+    assert refs
+    missing = []
+    for ref in sorted(refs):
+        path, _, name = ref.partition("::")
+        found = sorted(ROOT.glob(path.rstrip("/")))
+        if not found or (name and name not in _top_level_names(found[0])):
+            missing.append(ref)
     assert missing == []

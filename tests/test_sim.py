@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
 
-from builders import discharge_scenario, step_scenario
+from builders import IDLE_COMMAND, discharge_scenario, step_scenario
 from pneusim import analysis as an
 from pneusim import components as cp
 from pneusim import gasmodel as gm
@@ -13,7 +13,7 @@ from pneusim.gasmodel import replace
 from pneusim import sim
 from pneusim.cli import load_scenario
 from pneusim.control import (
-    ActuatorCommand, ControllerConfig, ControllerState, IDLE_COMMAND, Mode, control_step,
+    ActuatorCommand, ControllerConfig, ControllerState, Mode, control_step,
     passive_vent_coeff,
 )
 from pneusim.sim import (
