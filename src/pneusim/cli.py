@@ -197,12 +197,9 @@ def _sha256_config(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".9g")
-
-
-# the fields of one time-series row: the solenoid as 0/1 and the mode by name; every other as _fmt
-_CSV_FIELDS = ("%.9g",) * 6 + ("%d",) + ("%.9g",) * 3 + ("%s",)
+_FLOAT = "%.9g"  # every float a CSV holds, to 9 significant digits
+# the fields of one time-series row: the solenoid as 0/1 and the mode by name; every other a _FLOAT
+_CSV_FIELDS = (_FLOAT,) * 6 + ("%d",) + (_FLOAT,) * 3 + ("%s",)
 _CSV_BLOCK_ROWS = 512  # rows formatted and written at a time; larger blocks raise peak memory
 
 
@@ -453,7 +450,7 @@ def cmd_sweep(args) -> int:
     lines = ["omega_Hz,gain,n_periods,error"]
     for p in sorted(points, key=lambda p: p.omega):
         err = (p.error or "").replace(",", ";")
-        lines.append(f"{_fmt(p.omega)},{_fmt(p.gain)},{p.n_periods},{err}")
+        lines.append(f"{_FLOAT % p.omega},{_FLOAT % p.gain},{p.n_periods},{err}")
     table_path = run.output("sweep.csv")
     table_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 

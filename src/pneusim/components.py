@@ -158,8 +158,8 @@ def sensor_read(p_true: float, spec: SensorSpec, rng: np.random.Generator) -> fl
     draw, clamped to the sensor's range; the reference statement of the reading.
 
     A noiseless sensor draws nothing, so ``rng`` may then be None. ``sim._closed_loop``
-    runs the same statements inline, with its noise drawn ``NOISE_CHUNK`` values at a
-    time, and the tests compare the two bit for bit.
+    runs the same statements inline, with its noise drawn a block of ticks at a time
+    beside the command, and the tests compare the two bit for bit.
     """
     value = p_true
     if spec.noise_std > 0.0:

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import namedtuple
+from itertools import repeat
 from typing import TYPE_CHECKING, NamedTuple
 
 # perfbench/tracer.py patches control_step and the names marked noqa here by name; the
@@ -51,10 +52,6 @@ if TYPE_CHECKING:
 MAX_ROWS = 2**24
 # Integration steps one run may take: over an hour and a half of compute at a few us a step.
 MAX_STEPS = 2**31
-# Sensor-noise values the closed loop draws at a time. numpy's Generator.normal gives
-# the same values one at a time or many at once, so each reading equals sensor_read's
-# one draw.
-NOISE_CHUNK = 512
 
 
 @record(target_kpa=("level", "target_kPa"), start_s=("nonneg", "start_s"))
@@ -316,7 +313,7 @@ _TAYLOR_MAX = 0.5  # a larger spectral radius goes to the eigenvalue forms
 # are continuous across every kink.
 _ROUNDING = 2.0**-50
 SEGMENT_ROWS = 2**14  # open-loop rows computed at a time, which bounds the temporaries
-COMMAND_BLOCK = 512  # closed-loop ticks, and rows of any run, whose command is read at a time
+COMMAND_BLOCK = 512  # ticks whose command and noise, and rows whose command, are read at a time
 
 
 def _spectrum(a11: float, a12: float, a21: float, a22: float) -> tuple:
@@ -742,8 +739,8 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
 def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     """Fill the columns of a closed-loop run, one control period at a time.
 
-    Each period starts at a tick: the sensor reading (one noise draw, clamped to
-    the sensor's range), the control law and the valve fractions run inline, in
+    Each period starts at a tick: the sensor reading (the tick's noise draw, clamped
+    to the sensor's range), the control law and the valve fractions run inline, in
     the statements of ``components.sensor_read`` and ``control.control_step``,
     which the tests run as the reference. Then each event up to the next tick (a
     sample row, the end) writes its row, and each span between events maps the
@@ -755,31 +752,27 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     span that test rejects calls ``region``, which sets the held command ``cross``
     goes on from, then ``cross``. Every other command calls ``region`` at each
     event and ``span`` or ``cross`` for each span. A row's flows are ``flows`` of
-    the piece that holds the state. A fraction is recomputed, and so
+    the piece that holds the state. The law commands the motive valve only 0.0 or
+    1.0, which ``valve_fraction`` maps to themselves at any deadband below 1, so it
+    writes that fraction directly; the inflation fraction is recomputed, and so
     range-checked, only when its command changes.
 
     ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r; ``t`` and ``p_cmd``
     are left to ``_run``. The command is read by array, never per tick: the ticks' values and
-    rates ``COMMAND_BLOCK`` ticks at a time. Each time is the product ``(k * stride) * dt`` the
-    loop would form, so both match the scalar ``value`` and ``rate`` to the bit wherever
-    numpy's sine and cosine match ``math``'s.
+    rates, with their noise draws, ``COMMAND_BLOCK`` ticks at a time. Each time is the product
+    ``(k * stride) * dt`` the loop would form, so both match the scalar ``value`` and ``rate``
+    to the bit wherever numpy's sine and cosine match ``math``'s.
     """
-    import numpy as np
-
     net, dt, cfg = scn.network, scn.dt, scn.controller
     n, ss, cs = scn.n_steps(), scn.sample_stride(), scn.control_stride()
-    evp, dvp = net.inflation_valve, net.motive_valve
+    evp = net.inflation_valve
     p_cv_col, p_r_col = memoryview(columns["p_cv"]), memoryview(columns["p_r"])
     full = "mode" in columns  # else p_cv and p_r alone
     if full:
         (u_in_col, u_mot_col, sol_col, q_in_col, q_out_col, q_mot_col,
          mode_col) = (memoryview(columns[name]) for name in TimeSeries.FIELDS[4:])
-    sensor = net.cv_sensor
     vacuum, inf = PERFECT_VACUUM_KPA, math.inf
-    lo, hi, std = vacuum, sensor.range_max, sensor.noise_std
-    # a noiseless sensor draws nothing: its run builds no generator, nor imports numpy.random
-    rng = np.random.default_rng([scn.seed, sensor.seed]) if std > 0.0 else None
-    noise: list[float] = []
+    lo, hi = vacuum, net.cv_sensor.range_max
     vent_coeff = passive_vent_coeff(net.solenoid.r_open, net.control_volume.v_cv, scn.gas)
     cutoff, tick_dt = cfg.error_cutoff, 1.0 / cfg.control_rate
     kp, ki, kd, limit = cfg.kp, cfg.ki, cfg.kd, cfg.integrator_limit
@@ -791,17 +784,11 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     region, inflation, flows = prop.region, prop.inflation, prop.flows
     span, cross = prop.span, prop.cross
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
-    u_in = u_mot = None  # no command yet: the first tick computes both fractions
-    sol = False
+    u_in = None  # no command yet: the first tick computes the inflation fraction
     alone_f = alone_h = None  # the inflation fraction and span length of the inline map
     k = row = next_row = 0
-    for p_cmd, rate in _tick_commands(scn.command, n // cs + 1, cs, dt):
-        p_meas = p_cv
-        if rng is not None:
-            if not noise:
-                noise = rng.normal(0.0, std, size=NOISE_CHUNK).tolist()
-                noise.reverse()
-            p_meas += noise.pop()
+    for p_cmd, rate, noise in _tick_commands(scn):
+        p_meas = p_cv if noise is None else p_cv + noise  # + 0.0 would turn -0.0 into +0.0
         if p_meas < lo:
             p_meas = lo
         if p_meas > hi:
@@ -811,13 +798,13 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
                          ControllerState(integ, prev, mode, acc))
         e = p_cmd - p_meas
         if e > cutoff:
-            new_in, new_mot, new_sol = 1.0, 0.0, False
+            new_in, f_mot, sol = 1.0, 0.0, False
             prev, mode, acc = e, inflate, 0.0
         elif e < -cutoff:
             required = abs(rate) + abs(e) / horizon  # control.required_deflation_rate
             capability = vent_coeff * (p_meas if p_meas > 0.0 else 0.0)
             active = required > (threshold if threshold > capability else capability)
-            new_in, new_mot, new_sol = 0.0, 1.0 if active else 0.0, True
+            new_in, f_mot, sol = 0.0, 1.0 if active else 0.0, True
             prev, mode, acc = e, deflate if active else vent, 0.0
         else:
             if mode is not pid:
@@ -828,22 +815,19 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
             if integ > limit:
                 integ = limit
             u = kp * e + ki * integ + kd * (e - prev) / tick_dt
-            prev, mode = e, pid
-            new_mot = 0.0
+            prev, mode, f_mot = e, pid, 0.0
             if u >= 0.0:
                 acc = 0.0
-                new_in, new_sol = 1.0 if u > 1.0 else u, False
+                new_in, sol = 1.0 if u > 1.0 else u, False
             else:
                 acc += 1.0 if -u > 1.0 else -u
-                new_sol = acc >= 1.0
-                if new_sol:
+                sol = acc >= 1.0
+                if sol:
                     acc -= 1.0
                 new_in = 0.0
         if new_in != u_in:
             f_in = valve_fraction(new_in, evp)
-        if new_mot != u_mot:
-            f_mot = valve_fraction(new_mot, dvp)
-        u_in, u_mot, sol = new_in, new_mot, new_sol  # the columns keep each tick's own value
+        u_in = new_in  # the column keeps each tick's own command
         if f_mot or sol:
             pc = region(p_r, p_cv, f_in, f_mot, sol)
         else:  # inflation alone, mapped inline
@@ -863,7 +847,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
                     q_in, q_out, q_motive = flows(pc or region(p_r, p_cv, f_in, f_mot, sol),
                                                   p_r, p_cv)
                     u_in_col[row] = u_in
-                    u_mot_col[row] = u_mot
+                    u_mot_col[row] = f_mot
                     sol_col[row] = 1.0 if sol else 0.0
                     q_in_col[row] = q_in
                     q_out_col[row] = q_out
@@ -894,11 +878,20 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
                 pc = region(p_r, p_cv, f_in, f_mot, sol)
 
 
-def _tick_commands(command: CommandSignal, n_ticks: int, cs: int, dt: float):
-    """(value, rate) of the command at each of the first n_ticks ticks, every cs steps of dt."""
+def _tick_commands(scn: Scenario):
+    """(value, rate, noise) at each control tick of a closed-loop run, a block at a time: the
+    command's value and rate, and the CV sensor's noise draw, or None from a noiseless sensor,
+    which draws nothing, so its run builds no generator, nor imports numpy.random. numpy draws
+    the same normal values a block or one at a time, so each equals ``sensor_read``'s draw."""
+    import numpy as np
+
+    command, sensor, cs = scn.command, scn.network.cv_sensor, scn.control_stride()
+    n_ticks, std = scn.n_steps() // cs + 1, sensor.noise_std
+    rng = np.random.default_rng([scn.seed, sensor.seed]) if std > 0.0 else None
     for start in range(0, n_ticks, COMMAND_BLOCK):
-        tt = _event_times(start, min(start + COMMAND_BLOCK, n_ticks), cs, dt)
-        yield from zip(command.values(tt).tolist(), command.rates(tt).tolist())
+        tt = _event_times(start, min(start + COMMAND_BLOCK, n_ticks), cs, scn.dt)
+        noise = repeat(None) if rng is None else rng.normal(0.0, std, size=len(tt)).tolist()
+        yield from zip(command.values(tt).tolist(), command.rates(tt).tolist(), noise)
 
 
 def _event_times(start: int, end: int, stride: int, dt: float) -> np.ndarray:

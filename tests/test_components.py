@@ -67,6 +67,14 @@ class TestProportionalValveFlow:
         with pytest.raises(ValueError):
             cp.proportional_valve_flow(-0.01, 10.0, spec)
 
+    @given(u0=st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    @example(u0=1 - 2**-53)
+    def test_shut_and_full_commands_are_their_own_fractions(self, u0):
+        # the closed loop writes the motive valve's 0.0 or 1.0 command as its fraction
+        spec = cp.ProportionalValveSpec(u0=u0)
+        assert cp.valve_fraction(1.0, spec) == 1.0
+        assert cp.valve_fraction(0.0, spec) == 0.0
+
     @given(
         u1=st.floats(min_value=0.0, max_value=1.0),
         u2=st.floats(min_value=0.0, max_value=1.0),
@@ -156,10 +164,11 @@ class TestSensorRead:
         assert a[0] == a[1] == a[2]
 
     def test_chunked_reader_equals_one_draw_per_read(self):
-        # the closed loop draws its noise NOISE_CHUNK values at a time; numpy gives the same
-        # values as that many scalar draws, so each reading equals sensor_read's one draw
-        rng = np.random.default_rng(11)
-        chunks = [x for _ in range(3) for x in rng.normal(0.0, 0.7, size=sim.NOISE_CHUNK).tolist()]
+        # the closed loop draws its noise a block of COMMAND_BLOCK ticks at a time, and the
+        # rest in its last block; numpy gives the same values as that many scalar draws, so
+        # each reading equals sensor_read's one draw
+        rng, sizes = np.random.default_rng(11), (sim.COMMAND_BLOCK, sim.COMMAND_BLOCK, 99)
+        chunks = [x for size in sizes for x in rng.normal(0.0, 0.7, size=size).tolist()]
         rng = np.random.default_rng(11)
         draws = [float(rng.normal(0.0, 0.7)) for _ in chunks]
         assert [x.hex() for x in chunks] == [x.hex() for x in draws]

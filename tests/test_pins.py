@@ -156,7 +156,7 @@ def test_every_shipped_input_is_pinned():
 
 def test_noisy_closed_loop_pin(tmp_path):
     # No shipped scenario has sensor noise. 12 s at 1 kHz is 12 001 noisy CV
-    # readings, so the noise is drawn across several of simulate's chunks.
+    # readings, so the noise is drawn across several of the closed loop's blocks.
     doc = json.loads((SCENARIOS / "step_69kpa_half_liter.json").read_text())
     doc["network"]["cv_sensor"] = {"noise_std_kPa": 0.5, "seed": 5}
     scn_file = tmp_path / "noisy_step.json"

@@ -1038,10 +1038,12 @@ class TestCommandBlocks:
     """A run reads its command by array: the closed loop a block of ticks at a time, and both
     loops' rows their t and p_cmd a block of rows at a time."""
 
-    def scenario(self, command, closed):
+    def scenario(self, command, closed, noise_std=0.0):
         # 3 blocks plus 100 of ticks (closed) or rows (open): 1636, every 2 steps
         duration = (3 * sim.COMMAND_BLOCK + 99) * 2 * 5e-4
-        scn = Scenario(network=cp.default_network(), command=command, duration=duration,
+        net = cp.default_network()
+        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=noise_std))
+        scn = Scenario(network=net, command=command, duration=duration,
                        sample_rate=2000.0 if closed else 1000.0, hold_reservoir=True,
                        open_loop_command=None if closed else ActuatorCommand(0.3, 0.0, False))
         n, cs = scn.n_steps(), scn.control_stride()
@@ -1084,6 +1086,19 @@ class TestCommandBlocks:
         got = simulate(scn)
         for name in sim.TimeSeries.FIELDS:
             assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+
+    @pytest.mark.parametrize("kind", sorted(BLOCK_COMMANDS))
+    def test_noisy_run_equals_reference(self, kind, closed):
+        # the closed loop draws its noise with each block of ticks, so across the blocks' edges
+        # and in the short last block: each draw must equal sensor_read's one draw a tick. The
+        # open loop reads no sensor, so its noisy run equals its noiseless one
+        command = BLOCK_COMMANDS[kind]
+        noisy = self.scenario(command, closed, noise_std=0.5)
+        if closed:
+            want = _columns(_closed_loop_reference, noisy)
+        else:
+            want = _columns(simulate, self.scenario(command, closed))
+        assert isinstance(want, list) and _columns(simulate, noisy) == want
 
 
 def _outcome(run, scn):
