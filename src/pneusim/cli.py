@@ -25,6 +25,7 @@ from typing import TYPE_CHECKING
 from . import __version__
 from .gasmodel import VALVE_RATED_INLET_KPA, FieldError, SimulationDivergence
 from .schema import (
+    FLOW_RATING,
     ConfigError,
     build,
     check_schema_version,
@@ -72,17 +73,17 @@ VENTURI_OPTION = field_table(VenturiOption)
 
 
 # ------------------------------------------------------------ scenario schema
+#
+# ``scenario`` and ``sim`` are imported on first use: they load ``control`` and
+# ``components``, which ``size`` never runs.
 
 
-def _scenario_schema():
-    """``scenario``, imported on the first scenario load: it loads ``sim``, ``control`` and
-    ``components``, which ``size`` never runs. The run commands call ``simulate`` as a global
-    of this module; it is bound here unless a caller has already replaced it."""
-    from . import scenario
-    from .sim import simulate as sim_simulate
+def simulate(scn: Scenario) -> TimeSeries:
+    """``sim.simulate``, which the run commands call by this name (``perfbench/tracer.py``
+    replaces it here)."""
+    from . import sim
 
-    globals().setdefault("simulate", sim_simulate)
-    return scenario
+    return sim.simulate(scn)
 
 
 def resolve_scenario(raw: dict) -> dict:
@@ -91,7 +92,9 @@ def resolve_scenario(raw: dict) -> dict:
     Resolution is idempotent: resolving the resolved document returns it
     unchanged, which is what makes manifests round-trip exactly.
     """
-    return _scenario_schema().resolve(raw)[1]
+    from .scenario import resolve
+
+    return resolve(raw)[1]
 
 
 def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, dict]:
@@ -99,16 +102,14 @@ def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, 
     raw = _load_json(path)
     if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
         raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
-    return _scenario_schema().resolve(raw)
+    from .scenario import resolve
+
+    return resolve(raw)
 
 
 def __getattr__(name: str):
-    """``simulate`` and ``asdict`` on first access, so that a command loads neither the
-    simulator nor ``dataclasses`` until it needs them (``perfbench/tracer.py`` replaces both
-    here by name; nothing here calls ``asdict``)."""
-    if name == "simulate":
-        _scenario_schema()
-        return globals()["simulate"]
+    """``asdict`` on first access, so that no command loads ``dataclasses``
+    (``perfbench/tracer.py`` replaces it here by name; nothing here calls it)."""
     if name == "asdict":
         from dataclasses import asdict
 
@@ -520,11 +521,8 @@ def cmd_size(args) -> int:
     # the report is strict JSON, which has no Infinity (and none of these can be NaN)
     if not all(max(e.pdot_demand, e.min_p_r, e.cutoff_hz_floor, e.cutoff_hz_full, e.n_cycles,
                    e.total_mass_g) < math.inf for e in report.entries):
-        raise overflow_error(
-            "a number of the design report (a flow rating gives R_vmin_kPa_s_per_L = "
-            "P_inlet_max_kPa / (flow_max_slpm / 60))",
-            requirements=req_resolved, catalog=cat_resolved,
-        )
+        raise overflow_error(f"a number of the design report {FLOW_RATING}",
+                             requirements=req_resolved, catalog=cat_resolved)
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -18,6 +18,7 @@ from .components import (
 from .control import ActuatorCommand, ControllerConfig
 from .gasmodel import DEFAULT_GAS, VALVE_RATED_INLET_KPA
 from .schema import (
+    FLOW_RATING,
     ConfigError,
     build,
     check_schema_version,
@@ -123,9 +124,7 @@ def resolve(raw: dict) -> tuple[Scenario, dict]:
     if rates_overflow(net, gc, run["hold_reservoir"], net.reservoir.p_r0,
                       net.control_volume.p_cv):
         raise overflow_error("a rate constant alpha / V times a conductance 1 / R, times a "
-                             "pressure (a flow rating gives R_vmin_kPa_s_per_L = "
-                             "P_inlet_max_kPa / (flow_max_slpm / 60))",
-                             scenario={"gas": gas, "network": network})
+                             f"pressure {FLOW_RATING}", scenario={"gas": gas, "network": network})
     if run["mode"] not in ("closed_loop", "open_loop"):
         raise ConfigError(f"{run_path}.mode: expected 'closed_loop' or 'open_loop'")
     olc_path, olc = f"{run_path}.open_loop_command", None

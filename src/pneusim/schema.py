@@ -150,6 +150,10 @@ def check_schema_version(obj: dict, path: str) -> None:
         raise ConfigError(f"{path}.schema_version: unsupported version {version}")
 
 
+# resolve_valve's rating, for the errors of a number that a valve's R_vmin_kPa_s_per_L enters
+FLOW_RATING = "(a flow rating gives R_vmin_kPa_s_per_L = P_inlet_max_kPa / (flow_max_slpm / 60))"
+
+
 def resolve_valve(raw, path: str, table: tuple) -> dict:
     """The rows of a valve table (scenario.VALVE, cli.VALVE_OPTION), then R_vmin_kPa_s_per_L or
     flow_max_slpm rated at P_inlet_max_kPa."""

@@ -486,11 +486,12 @@ def propagator(
     region (to within ``_ROUNDING``) and no kink functional's slope has turned
     from falling to rising since the state before; after ``oscillates``, that is
     the one shape that can hide a minimum. The map of the last piece and h is
-    kept until one of them changes. ``cross(pc, p_r, p_cv, h, t)`` is the state
-    after h across kinks: it maps the piece to the first length ``span``
-    rejects, found by bisection, just past a kink, then goes on from the
-    region there. ``t`` is the time at the start, for the
-    ``SimulationDivergence`` of a non-finite state.
+    kept until one of them changes. ``cross(p_r, p_cv, f_in, f_mot, sol, h, t)``
+    is the state after h across kinks under the held command: from the piece
+    ``region`` gives the state, it maps to the first length ``span`` rejects,
+    found by bisection, just past a kink, then goes on from the region there.
+    ``t`` is the time at the start, for the ``SimulationDivergence`` of a
+    non-finite state.
     """
     import numpy as np
 
@@ -502,7 +503,6 @@ def propagator(
     r_open = net.solenoid.r_open
     floor = net.venturi.p_vac_floor
     q_rated = net.venturi.q_motive_rated
-    new_piece = tuple.__new__  # a Piece from its 11 fields, without NamedTuple's Python __new__
     pieces = [None] * 6  # by region code, for the command (held_in, held_mot, held_sol)
     held_in = held_mot = held_sol = None
     last = last_h = a11 = a12 = a21 = a22 = b2 = kinks = coeffs = gain = None
@@ -514,7 +514,7 @@ def propagator(
     def piece(code: int, f_in: float, f_mot: float, sol: bool) -> Piece:
         c_in, *alone = inflation(f_in)
         if not (f_mot or sol):  # inflation alone: no kink
-            return new_piece(Piece, (c_in, 0.0, 0.0, 0.0, False, *alone, 0.0, ()))
+            return Piece(c_in, 0.0, 0.0, 0.0, False, *alone, 0.0, ())
         motive, exhaust = divmod(code, 2)
         c_mot = f_mot / r_mot if motive else 0.0
         n_r = floor * c_mot / q_rated if motive == 1 and sol else 0.0
@@ -528,12 +528,12 @@ def propagator(
             kinks.append((-n_r, 1.0, -n_0) if exhaust else (n_r, -1.0, n_0))
         # q_out = o_r*p_r + o_cv*p_cv + o_0
         o_r, o_cv, o_0 = (-n_r / r_open, 1.0 / r_open, -n_0 / r_open) if exhaust else (0.0,) * 3
-        return new_piece(Piece, (
+        return Piece(
             c_in, c_mot, n_r, n_0, bool(exhaust),
             -(c_in + c_mot) * inv_vr, c_in * inv_vr,
             (c_in - o_r) * inv_vcv, -(c_in + o_cv) * inv_vcv, -o_0 * inv_vcv,
             tuple(kinks),
-        ))
+        )
 
     def region(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool) -> Piece:
         nonlocal held_in, held_mot, held_sol, pieces
@@ -606,8 +606,10 @@ def propagator(
                     return None
         return e_r, e_cv
 
-    def cross(pc: Piece, p_r: float, p_cv: float, h: float, t: float) -> tuple:
+    def cross(p_r: float, p_cv: float, f_in: float, f_mot: float, sol: bool, h: float,
+              t: float) -> tuple:
         while True:
+            pc = region(p_r, p_cv, f_in, f_mot, sol)
             lo, hi = 0.0, h
             for _ in range(60):  # to a 2**-60 part of the span
                 mid = 0.5 * (lo + hi)
@@ -621,7 +623,6 @@ def propagator(
                 return end
             p_r, p_cv = end
             t, h = t + hi, h - hi
-            pc = region(p_r, p_cv, held_in, held_mot, held_sol)
 
     def segment(p: Piece, p_r: float, p_cv: float, t: np.ndarray):
         ea, eb, fa, fb = _exp_phi1_grid(p.a11, p.a12, p.a21, p.a22, t)
@@ -731,8 +732,7 @@ def _open_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
         if row == n_rows - 1:
             break
         if got < m:  # the next row is in another region: hand over one span
-            pc = region(p_r, p_cv, f_in, f_mot, sol)
-            p_r, p_cv = cross(pc, p_r, p_cv, ss * dt, row * ss * dt)
+            p_r, p_cv = cross(p_r, p_cv, f_in, f_mot, sol, ss * dt, row * ss * dt)
             row += 1
 
 
@@ -747,15 +747,14 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     state; the tick's command picks the map. Inflation alone (no motive flow,
     solenoid shut) has one kinkless piece, whose A is singular with b = 0: its
     spans take ``span``'s held singular map and bounds test inline, from the
-    coefficients of ``inflation``, got only when the fraction changes, and a gain
-    formed only when they or the span's length change; no ``region``, no piece. A
-    span that test rejects calls ``region``, which sets the held command ``cross``
-    goes on from, then ``cross``. Every other command calls ``region`` at each
-    event and ``span`` or ``cross`` for each span. A row's flows are ``flows`` of
-    the piece that holds the state. The law commands the motive valve only 0.0 or
-    1.0, which ``valve_fraction`` maps to themselves at any deadband below 1, so it
-    writes that fraction directly; the inflation fraction is recomputed, and so
-    range-checked, only when its command changes.
+    coefficients of ``inflation``, and a gain formed only when they or the span's
+    length change; no ``region``, no piece. A span that test rejects goes to
+    ``cross``. Every other command calls ``region`` at each event and ``span`` or
+    ``cross`` for each span. A row's flows are ``flows`` of the piece that holds
+    the state. The law commands the motive valve only 0.0 or 1.0, which
+    ``valve_fraction`` maps to themselves at any deadband below 1, so it writes
+    that fraction directly; the inflation fraction, so range-checked, and the
+    inline coefficients are recomputed only when the inflation command changes.
 
     ``columns`` holds every ``TimeSeries`` column, or only p_cv and p_r; ``t`` and ``p_cmd``
     are left to ``_run``. The command is read by array, never per tick: the ticks' values and
@@ -785,7 +784,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
     span, cross = prop.span, prop.cross
     p_r, p_cv = net.reservoir.p_r0, net.control_volume.p_cv
     u_in = None  # no command yet: the first tick computes the inflation fraction
-    alone_f = alone_h = None  # the inflation fraction and span length of the inline map
+    alone_h = None  # the span length of the inline map's gain
     k = row = next_row = 0
     for p_cmd, rate, noise in _tick_commands(scn):
         p_meas = p_cv if noise is None else p_cv + noise  # + 0.0 would turn -0.0 into +0.0
@@ -825,16 +824,12 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
                 if sol:
                     acc -= 1.0
                 new_in = 0.0
-        if new_in != u_in:
+        if new_in != u_in:  # the inflation fraction and the inline map's coefficients
             f_in = valve_fraction(new_in, evp)
+            _, a11, a12, a21, a22 = inflation(f_in)
+            alone_h = None
         u_in = new_in  # the column keeps each tick's own command
-        if f_mot or sol:
-            pc = region(p_r, p_cv, f_in, f_mot, sol)
-        else:  # inflation alone, mapped inline
-            pc = None
-            if f_in != alone_f:
-                _, a11, a12, a21, a22 = inflation(f_in)
-                alone_f, alone_h = f_in, None
+        pc = region(p_r, p_cv, f_in, f_mot, sol) if f_mot or sol else None  # None: inline
         end = k + cs
         last = end > n  # the last period, which takes the event at n
         if last:
@@ -860,7 +855,8 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
             nxt = next_row if next_row < end else end
             h = (nxt - k) * dt
             if pc is not None:
-                p_r, p_cv = span(pc, p_r, p_cv, h) or cross(pc, p_r, p_cv, h, k * dt)
+                p_r, p_cv = (span(pc, p_r, p_cv, h)
+                             or cross(p_r, p_cv, f_in, f_mot, sol, h, k * dt))
             else:  # span's held singular map and bounds, b = 0
                 if h != alone_h:
                     alone_h, gain = h, _held_gain(a11, a12, a21, a22, 0.0, h)
@@ -870,7 +866,7 @@ def _closed_loop(scn: Scenario, columns: dict, prop: Propagator) -> None:
                 if vacuum <= e_r < inf and vacuum <= e_cv < inf:
                     p_r, p_cv = e_r, e_cv
                 else:
-                    p_r, p_cv = cross(region(p_r, p_cv, f_in, f_mot, sol), p_r, p_cv, h, k * dt)
+                    p_r, p_cv = cross(p_r, p_cv, f_in, f_mot, sol, h, k * dt)
             k = nxt
             if k == end and not last:
                 break  # the next tick's event

@@ -342,8 +342,11 @@ class TestSimulateCommand:
         raw[outer] = {inner: {key: value}} if inner else {key: value}
         scn_file = write_json(tmp_path / "scn.json", raw)
         assert cli.main(["simulate", str(scn_file), "--out", str(tmp_path / "out")]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: scenario.{section}.{key}: too small: ") and err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: scenario.{section}.{key}: too small: a rate constant alpha / V times a "
+            "conductance 1 / R, times a pressure (a flow rating gives R_vmin_kPa_s_per_L = "
+            "P_inlet_max_kPa / (flow_max_slpm / 60)) overflows\n"
+        )
 
     @pytest.mark.parametrize(
         "part, field, value",
@@ -743,7 +746,10 @@ class TestSizeCommand:
         req_file = write_json(tmp_path / "req.json", req)
         cat = str(SCENARIOS / "reference_catalog.json")
         assert cli.main(["size", str(req_file), cat, "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err.startswith(f"error: {message}: ")
+        assert capsys.readouterr().err == (
+            f"error: {message}: a number of the design report (a flow rating gives "
+            "R_vmin_kPa_s_per_L = P_inlet_max_kPa / (flow_max_slpm / 60)) overflows\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_single_entry_catalog_single_row(self, tmp_path):

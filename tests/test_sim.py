@@ -428,9 +428,9 @@ def _counting_crossings(monkeypatch) -> list:
     def counted(*args):
         prop = build(*args)
 
-        def cross(pc, p_r, p_cv, h, t):
+        def cross(p_r, p_cv, f_in, f_mot, sol, h, t):
             crossings.append(h)
-            return prop.cross(pc, p_r, p_cv, h, t)
+            return prop.cross(p_r, p_cv, f_in, f_mot, sol, h, t)
 
         return prop._replace(cross=cross)
 
@@ -593,6 +593,42 @@ class TestExactSpan:
         assert prop.region(689.0, 22.0, 1.0, 0.0, False) is inflate
         assert prop.region(689.0, 22.0, 0.3, 0.0, False) is not pid
 
+    HELD = st.tuples(st.sampled_from([0.0, 0.5, 1.0]), st.sampled_from([0.0, 0.6, 1.0]),
+                     st.booleans())
+    CALL = st.tuples(st.sampled_from(["region", "span", "cross"]), HELD,
+                     st.floats(-100.0, 900.0), st.floats(-100.0, 300.0),
+                     st.sampled_from([1e-3, 0.05, 0.5]))
+
+    @staticmethod
+    def _call(prop, name, held, p_r, p_cv, h) -> str:
+        """The repr (exact for floats) of one call, or of what it raises; only span takes
+        a piece, so only span is led by region."""
+        try:
+            if name == "cross":
+                return repr(prop.cross(p_r, p_cv, *held, h, 0.0))
+            pc = prop.region(p_r, p_cv, *held)
+            return repr(pc if name == "region" else prop.span(pc, p_r, p_cv, h))
+        except Exception as exc:
+            return repr(exc)
+
+    @settings(max_examples=200, deadline=None)
+    @given(hold=st.booleans(), calls=st.lists(CALL, min_size=2, max_size=8))
+    # a saturated Venturi, then an inflation-alone cross through the same state
+    @example(False, [("region", (0.0, 1.0, True), 800.0, 50.0, 0.5),
+                     ("cross", (1.0, 0.0, False), 800.0, 50.0, 0.5)])
+    def test_calls_read_only_their_arguments(self, hold, calls):
+        # one propagator through calls under different held commands, against a fresh one
+        # for each call: no command, piece or map may carry over from one call to the next
+        net = _network(v_r=0.1)
+        shared = sim.propagator(net, gm.DEFAULT_GAS, hold)
+        for name, (u_in, u_mot, sol), p_r, p_cv, h in calls:
+            held = (cp.valve_fraction(u_in, net.inflation_valve),
+                    cp.valve_fraction(u_mot, net.motive_valve), sol)
+            fresh = sim.propagator(net, gm.DEFAULT_GAS, hold)
+            event(name)
+            assert (self._call(shared, name, held, p_r, p_cv, h)
+                    == self._call(fresh, name, held, p_r, p_cv, h))
+
     @settings(max_examples=200, deadline=None)
     @given(f_in=st.floats(0.0, 1.0, exclude_min=True), r_in=st.floats(1.0, 1e4),
            v_r=st.floats(0.01, 10.0), v_cv=st.floats(0.01, 10.0), hold=st.booleans(),
@@ -613,14 +649,16 @@ class TestExactSpan:
         assert pc.exhaust is False and pc.kinks == ()
         assert sim._held_gain(pc.a11, pc.a12, pc.a21, pc.a22, pc.b2, h) is not None
 
-    def test_kinkless_copy_takes_its_own_map(self):
+    def test_kinkless_copy_takes_its_own_map(self, monkeypatch):
         # A kinked piece whose complex pair (-1 +- 10i) turns by pi over h, the shortest such
         # h: span rejects it. Every shorter length is inside (its one kink never binds), so
         # cross's bisection ends at h itself, and its kinkless copy must take its own map
-        # there, not the kinked piece's rejection kept for the same length.
-        prop = sim.propagator(cp.default_network())
+        # there, not the kinked piece's rejection kept for the same length. region builds
+        # this piece for every state and command.
         pc = sim.Piece(0.0, 0.0, 0.0, 0.0, False, -1.0, 10.0, -10.0, -1.0, 0.0,
                        ((0.0, 0.0, 1.0),))
+        monkeypatch.setattr(sim, "Piece", lambda *fields: pc)
+        prop = sim.propagator(cp.default_network())
         h = math.pi / 10.0
         while 10.0 * h < math.pi:
             h = math.nextafter(h, 1.0)
@@ -628,7 +666,7 @@ class TestExactSpan:
             h = math.nextafter(h, 0.0)
         assert prop.span(pc, 1.0, 1.0, h) is None
         want = prop.span(pc._replace(kinks=()), 1.0, 1.0, h)
-        assert want is not None and prop.cross(pc, 1.0, 1.0, h, 0.0) == want
+        assert want is not None and prop.cross(1.0, 1.0, 0.0, 1.0, True, h, 0.0) == want
 
     def test_span_across_a_kink_is_rejected(self):
         # saturated at 700 kPa, the reservoir falls below saturation (689 kPa) within 0.5 s
@@ -850,9 +888,8 @@ class TestSimulateBasics:
         net = cp.default_network()
         net = replace(net, inflation_valve=replace(net.inflation_valve, r_vmin=1e-310))
         prop = sim.propagator(net)
-        pc = prop.region(689.0, 0.0, 1.0, 0.0, False)
         with pytest.raises(SimulationDivergence, match=r"^non-finite state at t=0 s$"):
-            prop.cross(pc, 689.0, 0.0, 1e-3, 0.0)
+            prop.cross(689.0, 0.0, 1.0, 0.0, False, 1e-3, 0.0)
 
     @pytest.mark.parametrize("p_cv0", [30.0, 60.0, 100.0])
     def test_stiff_vent_settles_at_atmosphere(self, p_cv0):
@@ -1328,17 +1365,17 @@ def _closed_loop_reference(scn: Scenario) -> sim.TimeSeries:
             p_meas = cp.sensor_read(p_cv, net.cv_sensor, rng)
             act, state = control_step(cmd.value(t), p_meas, cmd.rate(t), scn.controller, vent,
                                       state)
-        f_in = cp.valve_fraction(act.u_inflate, net.inflation_valve)
-        f_mot = cp.valve_fraction(act.u_motive, net.motive_valve)
+        held = (cp.valve_fraction(act.u_inflate, net.inflation_valve),
+                cp.valve_fraction(act.u_motive, net.motive_valve), act.solenoid_open)
         prop = sim.propagator(net, scn.gas, scn.hold_reservoir)
-        pc = prop.region(p_r, p_cv, f_in, f_mot, act.solenoid_open)
+        pc = prop.region(p_r, p_cv, *held)
         if k % ss == 0:
             rows.append((t, cmd.value(t), p_cv, p_r, act.u_inflate, act.u_motive,
                          1.0 if act.solenoid_open else 0.0, *prop.flows(pc, p_r, p_cv),
                          state.mode))
         if nxt is not None:
             h = (nxt - k) * dt
-            p_r, p_cv = prop.span(pc, p_r, p_cv, h) or prop.cross(pc, p_r, p_cv, h, t)
+            p_r, p_cv = prop.span(pc, p_r, p_cv, h) or prop.cross(p_r, p_cv, *held, h, t)
     return sim.TimeSeries(**{
         name: np.array(col, dtype=np.uint8 if name == "mode" else float)
         for name, col in zip(sim.TimeSeries.FIELDS, zip(*rows))
@@ -1425,37 +1462,38 @@ class TestClosedLoopReference:
             assert _columns(simulate, scn) == want
         event("crosses a kink" if crossings else "crosses no kink")
 
-    def test_inline_held_singular_map_rejects_as_span_does(self):
+    def test_inline_held_singular_map_rejects_as_span_does(self, monkeypatch):
         # Inflation alone whose coefficients are a held singular drain (p_r held, p_cv falling
         # at 689 kPa/s), so that the state passes below perfect vacuum mid-run. Every tick of
         # the step inflates, so the loop maps each span inline from them; with OVERFLOWING
         # coefficients the inline test rejects every span, and cross maps it by the drain
-        # piece, through span. Both runs must fill the same rows and raise the same error at
-        # the same time, and the inline run calls region only at its rejection.
+        # piece, which region builds for every command, through span. Both runs must fill the
+        # same rows and raise the same error at the same time, and the inline run calls cross
+        # only at its rejection.
         scn = Scenario(network=cp.default_network(p_cv0=20.0), command=StepCommand(40.0),
                        duration=0.3)
         drain = sim.Piece(0.0, 0.0, 0.0, 0.0, False, 0.0, 0.0, -1.0, 0.0, 0.0, ())
-        runs, regions = [], []
+        monkeypatch.setattr(sim, "Piece", lambda *fields: drain)
+        runs, crosses = [], []
         for coeffs in ((drain.c_in, *drain[5:9]), OVERFLOWING):
-            prop = sim.propagator(scn.network, scn.gas, scn.hold_reservoir)
+            base = sim.propagator(scn.network, scn.gas, scn.hold_reservoir)
             calls = []
-            prop = prop._replace(inflation=lambda f_in: coeffs,
-                                 region=lambda *state: calls.append(state[2:]) or drain)
+            prop = base._replace(inflation=lambda f_in: coeffs,
+                                 cross=lambda *span: calls.append(span[2:5]) or base.cross(*span))
             columns = {name: np.zeros(scn.n_rows()) for name in ("p_cv", "p_r")}
             with pytest.raises(SimulationDivergence) as err:
                 sim._closed_loop(scn, columns, prop)
             runs.append((err.value.t, str(err.value), [col.tobytes() for col in columns.values()]))
-            regions.append(calls)
+            crosses.append(calls)
         assert runs[0] == runs[1] and 0.1 < runs[0][0] < 0.2
-        assert len(regions[0]) == 1 and len(regions[1]) > 100
-        assert {state for calls in regions for state in calls} == {(1.0, 0.0, False)}
+        assert len(crosses[0]) == 1 and len(crosses[1]) > 100
+        assert {command for calls in crosses for command in calls} == {(1.0, 0.0, False)}
 
     def test_inline_rejection_after_a_kinked_tick_crosses_by_its_command(self, monkeypatch):
         # The sweep's layout, where PID ticks (inflation alone) follow active deflation ticks
         # (kinked) from 0.34 s on. With OVERFLOWING coefficients the inline test rejects every
-        # inflation-alone span, so each goes to region and then to cross, which must map it by
-        # that command's own piece, not by the kinked command region held last: the run
-        # equals the unpatched one.
+        # inflation-alone span, so each goes to cross, which must map it by that command's own
+        # piece, not by the kinked command region held last: the run equals the unpatched one.
         net = cp.default_network()
         net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=0.5))
         scn = Scenario(network=net, command=SineCommand(21.0, 1.35, 21.0), duration=0.5,
@@ -1470,18 +1508,18 @@ class TestClosedLoopReference:
                 trail.append("kinked" if f_mot or sol else "alone")
                 return prop.region(p_r, p_cv, f_in, f_mot, sol)
 
-            def cross(*span):
-                trail.append("cross")
-                return prop.cross(*span)
+            def cross(p_r, p_cv, f_in, f_mot, sol, h, t):
+                trail.append((f_mot, sol))
+                return prop.cross(p_r, p_cv, f_in, f_mot, sol, h, t)
 
             return prop._replace(inflation=lambda f_in: OVERFLOWING, region=region, cross=cross)
 
         monkeypatch.setattr(sim, "propagator", patched)
         got = _columns(simulate, scn), sim.pressure_response(scn).tobytes()
         assert isinstance(want[0], list) and got == want
-        # pressure_response calls region for no row: there a rejection's region call comes
-        # right after the last kinked tick's
-        assert "kinked alone cross" in " ".join(trail)
+        # pressure_response calls region for no row: there a rejection's cross call comes
+        # right after the last kinked tick's region call, and takes the inflation-alone command
+        assert ("kinked", (0.0, False)) in zip(trail, trail[1:])
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("method, name", [("rates", "cmd_rate_hint"), ("values", "p_cmd")])
