@@ -1468,25 +1468,28 @@ class TestClosedLoopReference:
         # the step inflates, so the loop maps each span inline from them; with OVERFLOWING
         # coefficients the inline test rejects every span, and cross maps it by the drain
         # piece, which region builds for every command, through span. Both runs must fill the
-        # same rows and raise the same error at the same time, and the inline run calls cross
-        # only at its rejection.
+        # same rows and raise the same error at the same time. The inline run calls cross only
+        # at its rejection, and neither run calls region itself: cross regions on its own.
         scn = Scenario(network=cp.default_network(p_cv0=20.0), command=StepCommand(40.0),
                        duration=0.3)
         drain = sim.Piece(0.0, 0.0, 0.0, 0.0, False, 0.0, 0.0, -1.0, 0.0, 0.0, ())
         monkeypatch.setattr(sim, "Piece", lambda *fields: drain)
-        runs, crosses = [], []
+        runs, crosses, regions = [], [], []
         for coeffs in ((drain.c_in, *drain[5:9]), OVERFLOWING):
             base = sim.propagator(scn.network, scn.gas, scn.hold_reservoir)
-            calls = []
+            calls, states = [], []
             prop = base._replace(inflation=lambda f_in: coeffs,
+                                 region=lambda *state: states.append(state) or base.region(*state),
                                  cross=lambda *span: calls.append(span[2:5]) or base.cross(*span))
             columns = {name: np.zeros(scn.n_rows()) for name in ("p_cv", "p_r")}
             with pytest.raises(SimulationDivergence) as err:
                 sim._closed_loop(scn, columns, prop)
             runs.append((err.value.t, str(err.value), [col.tobytes() for col in columns.values()]))
             crosses.append(calls)
+            regions.append(states)
         assert runs[0] == runs[1] and 0.1 < runs[0][0] < 0.2
         assert len(crosses[0]) == 1 and len(crosses[1]) > 100
+        assert regions == [[], []]
         assert {command for calls in crosses for command in calls} == {(1.0, 0.0, False)}
 
     def test_inline_rejection_after_a_kinked_tick_crosses_by_its_command(self, monkeypatch):
