@@ -120,11 +120,7 @@ def _windowed_gain(
     response: np.ndarray, omega: float, amplitude: float, sample_rate: float
 ) -> tuple[float, int]:
     """Tracking gain, the Fourier magnitude at the command frequency over amplitude, and the
-    whole periods it spans after the first."""
-    if not omega > 0.0:
-        raise ValueError("omega must be strictly positive")
-    if not amplitude > 0.0:
-        raise ValueError("amplitude must be strictly positive")
+    whole periods it spans after the first; ``frequency_sweep`` checks omega and amplitude."""
     if not sample_rate > 10.0 * omega:
         raise ValueError("sample_rate must exceed 10x the command frequency")
     response = np.asarray(response, dtype=float)

@@ -225,7 +225,7 @@ def write_timeseries_csv(ts: TimeSeries, path: Path) -> None:
                 if raw[width:] == raw[:-width]:  # every value equals the first, sign bit too
                     value = block[0].item()
                     text = spec % (mode_names[value] if spec == "%s" else value)
-                    fields.append(text.replace("%", "%%"))
+                    fields.append(text)
                 else:
                     values = block.tolist()
                     varying.append([mode_names[c] for c in values] if spec == "%s" else values)

@@ -13,9 +13,10 @@ generator that reaches -80 kPa at rated motive flow.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING
 
-from .gasmodel import PERFECT_VACUUM_KPA, VALVE_RATED_INLET_KPA, record
+from .gasmodel import FieldError, PERFECT_VACUUM_KPA, VALVE_RATED_INLET_KPA, record
 
 if TYPE_CHECKING:  # numpy appears in this module's annotations only
     import numpy as np
@@ -75,6 +76,10 @@ class SensorSpec:
     range_max: float = 207.0
     noise_std: float = 0.0
     seed: int = 0
+
+    def rule(self) -> None:
+        if not math.isfinite(self.noise_std):  # an infinite draw would saturate the sensor
+            raise FieldError(self, "noise_std", "must be finite")
 
 
 @record()

@@ -16,6 +16,7 @@ exact pressure-difference-driven flows and uses these closed forms as oracles.
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 # Gauge pressure of a perfect vacuum; no gauge pressure may fall below this.
 PERFECT_VACUUM_KPA = -101.325
@@ -30,7 +31,8 @@ BOUNDS = {
     "pos": ((lambda v: v > 0.0, "> 0"),),
     "nonneg": (_AT_LEAST_0,),
     "level": (_AT_LEAST_0, (math.isfinite, "finite")),  # a command level
-    "int": (_AT_LEAST_0,),  # a count or seed, an integer in a file
+    "int": ((lambda v: isinstance(v, Integral) and not isinstance(v, bool), "an integer"),
+            _AT_LEAST_0),  # a count or seed; numpy's integers are Integral too, a bool is not
     "gauge": ((lambda v: v >= PERFECT_VACUUM_KPA, f">= {PERFECT_VACUUM_KPA} (perfect vacuum)"),),
     "floor": ((lambda v: PERFECT_VACUUM_KPA < v < 0.0, f"in ({PERFECT_VACUUM_KPA}, 0)"),),
     "unit": (_AT_LEAST_0, (lambda v: v <= 1.0, "<= 1")),  # a valve command
@@ -170,13 +172,6 @@ DEFAULT_GAS = GasConstants()
 def alpha(gc: GasConstants) -> float:
     """Lumped flow-to-pressure-rate coefficient rho*R_u*T/M in kPa."""
     return gc.rho * gc.R_u * gc.T / gc.M / 1000.0
-
-
-def pressure_rate_from_flow(q: float, v_cv: float, gc: GasConstants = DEFAULT_GAS) -> float:
-    """Pressure rate (kPa/s) of a rigid volume v_cv (L) fed with flow q (std L/s)."""
-    if not v_cv > 0.0:
-        raise ValueError("v_cv must be strictly positive")
-    return alpha(gc) * q / v_cv
 
 
 def flow_from_ohm(dp: float, r_v: float) -> float:

@@ -50,7 +50,8 @@ if TYPE_CHECKING:
 
 # Sample rows one run may hold: 11 columns, 81 bytes a row, about 1.3 GiB at most.
 MAX_ROWS = 2**24
-# Integration steps one run may take: over an hour and a half of compute at a few us a step.
+# Integration steps one run may take. A run costs per tick and row, not per step; a closed
+# loop ticks at most every other step: 2**30 ticks, half an hour at a sweep's 1.5-2 us a tick.
 MAX_STEPS = 2**31
 
 
@@ -148,7 +149,6 @@ class PiecewiseCommand:
             if i and not t > knots[i - 1][0]:
                 raise FieldError(self, f"knots[{i}]", "knot times must be strictly increasing")
         object.__setattr__(self, "knots", knots)
-        object.__setattr__(self, "_times", tuple(t for t, _ in knots))
 
     def peak(self) -> tuple[tuple[str, ...], float]:
         """The fields whose sum is the highest level (its first highest knot), and that level."""
@@ -160,7 +160,7 @@ class PiecewiseCommand:
         """The value of the last knot at or before t; the first knot's before t=0 (and at NaN)."""
         if not t >= 0.0:
             return self.knots[0][1]
-        return self.knots[bisect_right(self._times, t) - 1][1]
+        return self.knots[bisect_right(self.knots, t, key=lambda knot: knot[0]) - 1][1]
 
     def values(self, t: np.ndarray) -> np.ndarray:
         """``value`` at each time of an array: each later knot overwrites from its time on."""

@@ -155,6 +155,20 @@ class TestCsvRoundTrip:
             cli.read_timeseries_csv(path)
         assert str(err.value) == f"{path}: line 3: {message}"
 
+    @pytest.mark.parametrize("text", ["", "t_s,P_cmd_kPa\n0,0\n"], ids=["empty", "other_header"])
+    def test_unexpected_header(self, tmp_path, text):
+        path = tmp_path / "trace.csv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(cli.ConfigError) as err:
+            cli.read_timeseries_csv(path)
+        assert str(err.value) == f"{path}: unexpected CSV header"
+
+    def test_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        row = "0.001,0,0,689,0,0,0,0,0,0,IDLE"
+        path.write_text(f"{cli.CSV_HEADER}\n\n{row}\n\n{row}\n", encoding="utf-8")
+        assert cli.read_timeseries_csv(path).p_r.tolist() == [689.0, 689.0]
+
 
 def _reference_csv(ts: TimeSeries, path: Path) -> None:
     """The writer before constant columns were formatted once: each row through the full template."""
@@ -618,6 +632,63 @@ class TestSweepCommand:
         )
         with pytest.raises(ValueError, match=r"^n_repeat: the sweep would take more than "):
             analysis.frequency_sweep(scn, map(float, omegas.split(",")), n_repeat=repeats)
+
+    def test_repeats_average_the_gains_of_consecutive_seeds(self, tmp_path):
+        # a noisy sensor at one short point: repeat r runs at the template's seed + r, and the
+        # sweep returns and writes the mean of the repeats' gains
+        from pneusim import analysis
+
+        raw = json.loads((SCENARIOS / "sweep_21kpa_half_liter.json").read_text())
+        raw["network"]["cv_sensor"] = {"noise_std_kPa": 0.5}
+        raw["run"]["seed"] = 5
+        scn_file = write_json(tmp_path / "noisy.json", raw)
+        scn, _ = cli.load_scenario(scn_file)
+        g0, g1 = (analysis.frequency_sweep(gasmodel.replace(scn, seed=seed), [6.75])[0].gain
+                  for seed in (5, 6))
+        want = float(np.mean([g0, g1]))
+        assert g0 != g1 and analysis.frequency_sweep(scn, [6.75], n_repeat=2)[0].gain == want
+        out = tmp_path / "out"
+        argv = ["sweep", str(scn_file), "--omegas", "6.75", "--repeats", "2", "--out", str(out)]
+        assert cli.main(argv) == 0
+        rows = (out / "noisy_sweep.csv").read_text().splitlines()
+        assert rows[1].split(",")[:2] == ["6.75", "%.9g" % want]
+        manifest = json.loads((out / "noisy_manifest.json").read_text())
+        assert manifest["cli_overrides"]["repeats"] == 2
+
+
+def _scenario_text(edit) -> str:
+    """``minimal_scenario`` after ``edit``, as a file's text."""
+    raw = minimal_scenario()
+    edit(raw)
+    return json.dumps(raw)
+
+
+_IDLE = {"u_evp": 0.0, "u_dvp": 0.0, "solenoid_open": False}
+_SWEEP_TEXT = (SCENARIOS / "sweep_21kpa_half_liter.json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("text, argv, code, message", [
+    ("{", ["simulate"], 2,
+     "{path}: invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+    (_scenario_text(lambda raw: raw["command"].update(kind="ramp")), ["simulate"], 2,
+     "scenario.command.kind: unknown kind 'ramp'"),
+    (_scenario_text(lambda raw: raw["run"].update(mode="hybrid")), ["simulate"], 2,
+     "scenario.run.mode: expected 'closed_loop' or 'open_loop'"),
+    (_scenario_text(lambda raw: raw["run"].update(open_loop_command=_IDLE)), ["simulate"], 2,
+     "scenario.run.open_loop_command: only valid with mode 'open_loop'"),
+    (_scenario_text(lambda raw: raw.update(schema_version=2)), ["simulate"], 2,
+     "scenario.schema_version: unsupported version 2"),
+    (_SWEEP_TEXT, ["sweep", "--omegas", "1.35,x"], 2,
+     "--omegas: expected comma-separated numbers"),
+    (_SWEEP_TEXT, ["sweep", "--omegas", "1000"], 3, "every sweep point failed"),
+], ids=["invalid_json", "unknown_kind", "unknown_mode", "open_loop_command_in_closed_loop",
+        "schema_version", "omegas_not_numbers", "every_point_failed"])
+def test_error_exit_code_and_line(tmp_path, capsys, text, argv, code, message):
+    path = tmp_path / "scn.json"
+    path.write_text(text, encoding="utf-8")
+    command, *flags = argv
+    assert cli.main([command, str(path), *flags, "--out", str(tmp_path / "out")]) == code
+    assert capsys.readouterr().err == f"error: {message.format(path=path)}\n"
 
 
 class TestDischargeCommand:

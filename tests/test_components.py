@@ -32,6 +32,12 @@ class TestSpecsValidation:
         with pytest.raises(ValueError):
             cp.VenturiSpec(p_vac_floor=-150.0)
 
+    def test_sensor_noise_must_be_finite(self):
+        # an infinite draw would saturate every reading; a file already refuses it
+        with pytest.raises(gm.FieldError, match=r"^SensorSpec\.noise_std: must be finite$") as err:
+            cp.SensorSpec(noise_std=math.inf)
+        assert err.value.field == "noise_std"
+
 
 class TestProportionalValveFlow:
     def test_closed_valve(self):

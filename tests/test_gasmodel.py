@@ -38,27 +38,6 @@ class TestAlpha:
             gm.GasConstants(T=-1.0)
 
 
-class TestPressureRateFromFlow:
-    def test_zero_flow(self):
-        assert gm.pressure_rate_from_flow(0.0, 0.5) == 0.0
-
-    def test_rated_valve_flow_into_half_liter(self):
-        # alpha * 0.3917 / 0.5 with the default constants
-        assert gm.pressure_rate_from_flow(0.3917, 0.5) == pytest.approx(79.373, abs=0.005)
-
-    def test_halving_volume_doubles_rate(self):
-        assert gm.pressure_rate_from_flow(0.2, 0.25) == pytest.approx(
-            2 * gm.pressure_rate_from_flow(0.2, 0.5), rel=1e-12
-        )
-
-    def test_sign_follows_flow(self):
-        assert gm.pressure_rate_from_flow(-0.1, 1.0) < 0.0
-
-    def test_rejects_non_positive_volume(self):
-        with pytest.raises(ValueError):
-            gm.pressure_rate_from_flow(0.1, 0.0)
-
-
 class TestFlowFromOhm:
     def test_zero_difference(self):
         assert gm.flow_from_ohm(0.0, 5.0) == 0.0

@@ -219,6 +219,27 @@ class TestScenarioValidation:
         with pytest.raises(gm.FieldError, match=f"^{message}$"):
             make()
 
+    @pytest.mark.parametrize("seed", [1.5, 2.0, True, "3"])
+    @pytest.mark.parametrize("make", [lambda seed: replace(step_scenario(69.0), seed=seed),
+                                      lambda seed: cp.SensorSpec(seed=seed)],
+                             ids=["Scenario", "SensorSpec"])
+    def test_seed_must_be_an_integer(self, make, seed):
+        # else a noisy run would fail at its first draw, in numpy's own words
+        with pytest.raises(gm.FieldError, match=r"^\w+\.seed: must be an integer$") as err:
+            make(seed)
+        assert err.value.field == "seed"
+
+    def test_numpy_integer_seed_is_its_value(self):
+        net = cp.default_network()
+
+        def noisy(run_seed, sensor_seed) -> bytes:
+            sensor = replace(net.cv_sensor, noise_std=0.5, seed=sensor_seed)
+            scn = replace(step_scenario(0.5, duration=0.05),  # in band: PID on noise
+                          network=replace(net, cv_sensor=sensor), seed=run_seed)
+            return simulate(scn).p_cv.tobytes()
+
+        assert noisy(np.int64(3), np.uint8(2)) == noisy(3, 2) != noisy(3, 0)
+
 
 RATE_KEYS = ("dp_r", "dp_cv", "q_in", "q_out", "q_motive")
 
@@ -688,6 +709,20 @@ class TestExactSpan:
         assert _rk4_reference(net, False, p_r, p_cv, 1.0, 1.0, True, h, steps=4000)[0] < -1.0
         assert _span(net, p_r, p_cv, 1.0, 1.0, True, h) is None
         assert _span(net, p_r, p_cv, 1.0, 1.0, True, 1e-3) is not None
+
+    def test_segment_over_a_turn_a_row_keeps_only_its_start(self):
+        # A kinked piece whose complex pair (-1 +- 10i) turns by 2 pi each row: between rows
+        # p_r swings to -0.73, across its kink at p_r = -0.5, and back, while the rows and the
+        # kink's slopes there (all falling) look inside. Only the oscillation rule stops
+        # segment at its start row.
+        pc = sim.Piece(0.0, 0.0, 0.0, 0.0, False, -1.0, 10.0, -10.0, -1.0, 0.0,
+                       ((1.0, 0.0, 0.5),))
+        prop = sim.propagator(cp.default_network())
+        h = 2.0 * math.pi / 10.0
+        free = pc._replace(kinks=())  # across the kink at half a turn, inside at the row
+        assert prop.span(free, 1.0, 0.0, h / 2.0)[0] < -0.5 < prop.span(free, 1.0, 0.0, h)[0]
+        p_r, p_cv, *_ = prop.segment(pc, 1.0, 0.0, np.array([0.0, h, 2.0 * h]))
+        assert (p_r.tolist(), p_cv.tolist()) == ([1.0], [0.0])
 
     @staticmethod
     def _peaking():
@@ -1523,6 +1558,26 @@ class TestClosedLoopReference:
         # pressure_response calls region for no row: there a rejection's cross call comes
         # right after the last kinked tick's region call, and takes the inflation-alone command
         assert ("kinked", (0.0, False)) in zip(trail, trail[1:])
+
+    def test_inline_integrator_clamps_at_both_limits(self, monkeypatch):
+        # A noisy sensor at a small step: in band, its errors drive the integrator past both
+        # ends of a small limit, where the loop's inline clamps must hold it as control_step's
+        net = cp.default_network()
+        net = replace(net, cv_sensor=replace(net.cv_sensor, noise_std=0.5))
+        limit = 1e-4
+        scn = Scenario(network=net, command=StepCommand(20.0), duration=0.5, seed=1,
+                       controller=ControllerConfig(integrator_limit=limit))
+        law, integrators = control_step, []
+
+        def recording(*args, **kwargs):
+            act, state = law(*args, **kwargs)
+            integrators.append(state.integrator)
+            return act, state
+
+        monkeypatch.setitem(globals(), "control_step", recording)  # the reference's law
+        want = _columns(_closed_loop_reference, scn)
+        assert isinstance(want, list) and _columns(simulate, scn) == want
+        assert integrators.count(-limit) > 10 and integrators.count(limit) > 10
 
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
     @pytest.mark.parametrize("method, name", [("rates", "cmd_rate_hint"), ("values", "p_cmd")])
