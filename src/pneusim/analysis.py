@@ -251,19 +251,18 @@ def fit_rolloff_knee(omegas, gains) -> float:
 
 
 def first_crossing_3db(omegas, gains) -> float:
-    """First frequency where the gain falls to 1/sqrt(2), log-log interpolated."""
+    """First frequency where the gain falls to 1/sqrt(2), log-log interpolated; nan when
+    no finite positive point falls that far."""
     level = 1.0 / math.sqrt(2.0)
     pairs = sorted(
         (w, g)
         for w, g in zip(omegas, gains)
         if math.isfinite(g) and g > 0.0 and math.isfinite(w) and w > 0.0
     )
-    if not pairs:
-        return math.nan
-    prev_w, prev_g = None, None
+    prev_w, prev_g = None, None  # prev_g only ever holds a gain above the level
     for w, g in pairs:
         if g <= level:
-            if prev_w is None or prev_g <= level:
+            if prev_w is None:
                 return float(w)
             frac = (math.log(level) - math.log(prev_g)) / (math.log(g) - math.log(prev_g))
             return float(math.exp(math.log(prev_w) + frac * (math.log(w) - math.log(prev_w))))

@@ -7,8 +7,14 @@ Input files are strict JSON: a required "schema_version": 1, unit-suffixed
 key names, and unknown keys rejected. Flow rates given in SLPM are converted
 to std L/s on ingestion. Every run writes a manifest with the sha256 of the
 raw input and of the fully resolved configuration; identical manifests imply
-byte-identical outputs. Exit codes: 0 ok, 2 validation error, 3 simulation
-failure, 4 empty feasible set.
+byte-identical outputs. Exit codes: 0 ok, 2 validation error (a stdout that
+cannot take the closing notice included), 3 simulation failure, 4 empty
+feasible set.
+
+``main`` returns the exit code and may be called in-process. ``entry`` (the
+``pneusim`` script and ``python -m pneusim.cli``) ends the process by
+``os._exit`` once ``main`` has returned and stdout and stderr are flushed: no
+interpreter teardown, so no ``atexit`` handler runs.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
@@ -420,7 +427,7 @@ def cmd_simulate(args) -> int:
     csv_path = run.output("timeseries.csv")
     write_timeseries_csv(simulate(run.scn), csv_path)
     run.write_manifest("simulate", [csv_path])
-    print(f"wrote {csv_path}")
+    _wrote(csv_path)
     return EXIT_OK
 
 
@@ -470,7 +477,7 @@ def cmd_sweep(args) -> int:
     fit_path = run.output("sweep_fit.json")
     _write_json(fit_path, fit)
     run.write_manifest("sweep", [table_path, fit_path], omegas_Hz=omegas, repeats=args.repeats)
-    print(f"wrote {table_path}")
+    _wrote(table_path)
     if not ok:
         print("error: every sweep point failed", file=sys.stderr)
         return EXIT_SIMULATION
@@ -505,7 +512,7 @@ def cmd_discharge(args) -> int:
     fit_path = run.output("discharge_fit.json")
     _write_json(fit_path, report)
     run.write_manifest("discharge", [csv_path, fit_path])
-    print(f"wrote {csv_path}")
+    _wrote(csv_path)
     return EXIT_OK
 
 
@@ -539,7 +546,7 @@ def cmd_size(args) -> int:
         {},
         [report_path.name],
     )
-    print(f"wrote {report_path}")
+    _wrote(report_path)
     if not report.feasible:
         print("error: no feasible configuration", file=sys.stderr)
         return EXIT_NO_FEASIBLE
@@ -582,6 +589,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+class StdoutError(OSError):
+    """stdout cannot take the notice that ends a command: a closed pipe, say."""
+
+
+def _wrote(path: Path) -> None:
+    """Print the notice that ends a command. Every output file is closed by then, so an
+    error here is stdout's, not ``--out``'s."""
+    try:
+        print(f"wrote {path}")
+    except OSError as exc:  # raised here when stdout is unbuffered; else by entry's flush
+        raise StdoutError(exc.errno, exc.strerror) from None
+
+
+def _stdout_failed(exc: OSError) -> int:
+    print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
+    return EXIT_VALIDATION
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -590,6 +615,8 @@ def main(argv=None) -> int:
     except ValueError as exc:  # ConfigError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    except StdoutError as exc:
+        return _stdout_failed(exc)
     except OSError as exc:  # _load_json names an input it cannot read, so this is an output
         path = args.out if exc.filename is None else exc.filename
         print(f"error: --out: {path}: {exc.strerror or exc}", file=sys.stderr)
@@ -600,7 +627,23 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The ``pneusim`` script and ``python -m pneusim.cli``: ``main``, then ``os._exit``.
+
+    Every output file is closed when ``main`` returns, and pneusim registers no ``atexit``
+    handler and starts no thread. So once stdout and stderr are flushed, the process ends
+    without the interpreter's teardown (module cleanup, the last collection, numpy's
+    deallocation). A flush that fails is ``main``'s stdout error: exit 2. An exception
+    that escapes ``main`` and argparse's exits (usage errors, ``--help``) end the normal way.
+    """
+    code = main()
+    try:
+        if sys.stdout is not None:  # None when the process started with fd 1 closed
+            sys.stdout.flush()
+    except OSError as exc:
+        code = _stdout_failed(exc)
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

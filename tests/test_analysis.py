@@ -97,6 +97,22 @@ class TestStepMetrics:
         assert m.settled
         assert m.settling_time == pytest.approx(1.501, abs=2e-3)
 
+    def test_in_band_from_the_first_commanded_sample(self):
+        t = np.arange(0, 1, 1e-3)
+        ts = make_trace(t, np.full_like(t, 69.5), p_cmd=np.full_like(t, 69.0))
+        m = an.step_metrics(ts, 69.0, model_rate=70.0)
+        assert m.reached_target and m.settled and m.settling_time == 0.0
+        assert math.isnan(m.avg_rise_rate)  # no rise: the band is reached at the step itself
+
+    def test_band_reached_at_the_step_then_left(self):
+        # the crossing is the step's own sample, whatever the trace does after it
+        t = np.arange(0, 2, 1e-3)
+        p_cmd = np.where(t >= 0.5, 69.0, 0.0)
+        ts = make_trace(t, np.where(t < 1.0, 69.0, 60.0), p_cmd=p_cmd)
+        m = an.step_metrics(ts, 69.0, model_rate=70.0)
+        assert m.reached_target and math.isnan(m.avg_rise_rate)
+        assert not m.settled and math.isnan(m.settling_time)
+
 
 class TestSingleBinGain:
     def test_pure_tone_with_offset(self):
@@ -176,6 +192,16 @@ class TestKneeFit:
 
     def test_3db_never_crossed(self):
         assert math.isnan(an.first_crossing_3db([0.1, 0.2], [1.0, 0.99]))
+
+    def test_3db_without_a_finite_positive_point(self):
+        omegas = [0.1, 0.2, math.inf, -1.0, 0.0, math.nan]
+        gains = [math.nan, 0.0, 0.5, 0.5, 0.5, 0.5]
+        assert math.isnan(an.first_crossing_3db(omegas, gains))
+
+    def test_3db_below_at_the_first_point(self):
+        # nothing below the first frequency to interpolate from; gains are sorted by frequency
+        assert an.first_crossing_3db([2.0, 0.5, 1.0], [0.1, 0.7, 0.4]) == 0.5
+        assert an.first_crossing_3db([0.5, 1.0], [1.0 / math.sqrt(2.0), 0.1]) == 0.5
 
 
 class TestDischargeFit:

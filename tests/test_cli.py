@@ -1,3 +1,5 @@
+import errno
+import io
 import json
 import math
 import os
@@ -755,6 +757,16 @@ class TestDischargeCommand:
         assert (tmp_path / "below_timeseries.csv").read_bytes() == want
 
 
+# no catalog design lasts a million cycles
+IMPOSSIBLE_REQUIREMENTS = {
+    "schema_version": 1,
+    "V_cv_L": 0.1,
+    "dP_cv_kPa": 20.7,
+    "Pdot_d_kPa_s": 35.8,
+    "min_cycles": 1e6,
+}
+
+
 class TestSizeCommand:
     def test_demo_requirements(self, tmp_path):
         rc = cli.main(
@@ -783,14 +795,7 @@ class TestSizeCommand:
         assert capsys.readouterr().err == "error: catalog.valves[0]: unknown key(s): deadband\n"
 
     def test_impossible_requirements_exit_4(self, tmp_path):
-        req = {
-            "schema_version": 1,
-            "V_cv_L": 0.1,
-            "dP_cv_kPa": 20.7,
-            "Pdot_d_kPa_s": 35.8,
-            "min_cycles": 1e6,
-        }
-        req_file = write_json(tmp_path / "req.json", req)
+        req_file = write_json(tmp_path / "req.json", IMPOSSIBLE_REQUIREMENTS)
         rc = cli.main(
             [
                 "size",
@@ -893,6 +898,141 @@ class TestOutputErrors:
         assert f"error: --out: {out}: " in capsys.readouterr().err
 
 
+# ------------------------------------------------------------- process exit
+#
+# ``entry`` ends the process with ``os._exit`` once stdout and stderr are flushed. The
+# cases by exit code: the argv without --out ({tmp} is tmp_path), then stdout and stderr
+# ({out} is the --out directory).
+
+SIZE_ARGV = ["size", SCENARIOS / "demo_requirements.json", SCENARIOS / "reference_catalog.json"]
+SWEEP_SCENARIO = SCENARIOS / "sweep_21kpa_half_liter.json"
+EXIT_CASES = {
+    0: SIZE_ARGV,
+    2: ["sweep", SWEEP_SCENARIO, "--omegas", "x"],
+    3: ["sweep", SWEEP_SCENARIO, "--omegas", "1000"],
+    4: ["size", "{tmp}/req.json", SCENARIOS / "reference_catalog.json"],
+}
+EXIT_STREAMS = {
+    0: ("wrote {out}/demo_requirements_design_report.json\n", ""),
+    2: ("", "error: --omegas: expected comma-separated numbers\n"),
+    3: ("wrote {out}/sweep_21kpa_half_liter_sweep.csv\n", "error: every sweep point failed\n"),
+    4: ("wrote {out}/req_design_report.json\n", "error: no feasible configuration\n"),
+}
+
+
+def _exit_argv(tmp_path: Path, code: int) -> list[str]:
+    write_json(tmp_path / "req.json", IMPOSSIBLE_REQUIREMENTS)
+    argv = [str(a).format(tmp=tmp_path) for a in EXIT_CASES[code]]
+    return [*argv, "--out", str(tmp_path / "out")]
+
+
+class _Exit(Exception):
+    """Raised by the stand-in for ``os._exit``; its argument is the exit code."""
+
+
+class _ClosedPipe(io.RawIOBase):
+    """A stdout whose reader is gone: every write fails as a closed pipe's does."""
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, data) -> int:
+        raise BrokenPipeError(errno.EPIPE, os.strerror(errno.EPIPE))
+
+
+class TestEntry:
+    """``entry`` in-process, with ``os._exit`` replaced by one that raises ``_Exit``."""
+
+    @staticmethod
+    def run(monkeypatch, argv, on_exit=lambda code: None) -> int:
+        def fake_exit(code):
+            on_exit(code)
+            raise _Exit(code)
+
+        monkeypatch.setattr(os, "_exit", fake_exit)
+        monkeypatch.setattr(sys, "argv", ["pneusim", *argv])
+        with pytest.raises(_Exit) as info:
+            cli.entry()
+        return info.value.args[0]
+
+    @pytest.mark.parametrize("code", [0, 2, 4])
+    def test_exit_code_reaches_os_exit(self, tmp_path, capsys, monkeypatch, code):
+        assert self.run(monkeypatch, _exit_argv(tmp_path, code)) == code
+        stdout, stderr = EXIT_STREAMS[code]
+        assert capsys.readouterr() == (stdout.format(out=tmp_path / "out"), stderr)
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)])
+    def test_argparse_exits_the_normal_way(self, capsys, monkeypatch, argv, code):
+        with pytest.raises(SystemExit) as info:
+            self.run(monkeypatch, argv)
+        assert info.value.code == code
+
+    def test_escaping_exception_exits_the_normal_way(self, monkeypatch):
+        def fail(argv=None):
+            raise RuntimeError("not a pneusim error")
+
+        monkeypatch.setattr(cli, "main", fail)
+        with pytest.raises(RuntimeError, match="not a pneusim error"):
+            self.run(monkeypatch, [])
+
+    def test_buffered_notice_flushed_before_exit(self, tmp_path, monkeypatch):
+        written = io.BytesIO()
+        monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(written, encoding="utf-8"))
+        at_exit = []
+        code = self.run(monkeypatch, _exit_argv(tmp_path, 0),
+                        on_exit=lambda code: at_exit.append(written.getvalue()))
+        report = tmp_path / "out" / "demo_requirements_design_report.json"
+        assert code == 0 and at_exit == [f"wrote {report}\n".encode()]
+
+    @pytest.mark.parametrize("write_through", [True, False], ids=["unbuffered", "buffered"])
+    def test_closed_stdout(self, tmp_path, capsys, monkeypatch, write_through):
+        # unbuffered, the notice fails in main; buffered, in entry's flush: one error either way
+        stdout = io.TextIOWrapper(_ClosedPipe(), encoding="utf-8", write_through=write_through)
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert self.run(monkeypatch, _exit_argv(tmp_path, 0)) == 2
+        assert capsys.readouterr().err == "error: stdout: Broken pipe\n"
+        assert (tmp_path / "out" / "demo_requirements_manifest.json").is_file()
+
+
+def _child_env() -> dict:
+    """This process's environment, with this tree's ``src`` first on PYTHONPATH."""
+    paths = [p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p]
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+
+
+def _run_cli(argv, unbuffered: bool, **kwargs) -> subprocess.CompletedProcess:
+    """``python -m pneusim.cli argv`` from this tree, with PYTHONUNBUFFERED set or unset."""
+    env = _child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run([sys.executable, "-m", "pneusim.cli", *map(str, argv)], env=env,
+                          stderr=subprocess.PIPE, text=True, timeout=60, **kwargs)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("code", [0, 2, 3, 4])
+def test_process_streams_and_exit_code(tmp_path, code, unbuffered):
+    proc = _run_cli(_exit_argv(tmp_path, code), unbuffered, stdout=subprocess.PIPE)
+    stdout, stderr = EXIT_STREAMS[code]
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        code, stdout.format(out=tmp_path / "out"), stderr)
+
+
+@pytest.mark.parametrize("unbuffered", [True, False], ids=["unbuffered", "buffered"])
+def test_process_closed_stdout(tmp_path, unbuffered):
+    """A closed stdout is its own exit-2 error, not --out's; every output is written."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = _run_cli(_exit_argv(tmp_path, 0), unbuffered, stdout=write_end)
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (2, "error: stdout: Broken pipe\n")
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "demo_requirements_design_report.json", "demo_requirements_manifest.json"]
+
+
 # ------------------------------------------------------- design report writer
 
 REPORT_FLOATS = st.floats() | st.sampled_from(
@@ -974,13 +1114,10 @@ def test_design_report_json_keeps_equal_numbers_apart():
 
 def _run_python(code: str, *argv) -> subprocess.CompletedProcess:
     """``code`` in a fresh interpreter that imports pneusim from this tree."""
-    paths = [p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
-    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=env,
+    return subprocess.run([sys.executable, "-c", code, *map(str, argv)], env=_child_env(),
                           capture_output=True, text=True)
 
 
-SIZE_ARGV = ["size", SCENARIOS / "demo_requirements.json", SCENARIOS / "reference_catalog.json"]
 RUN_MODULES = ("pneusim.sim", "pneusim.control", "pneusim.components", "pneusim.analysis")
 
 
@@ -1122,10 +1259,8 @@ def test_underflowing_motive_flow_finishes(tmp_path, command, doc, duration):
     # the motive flow (f_mot * p_r) / r_mot underflows to 0 while p_r > 0; a state classified
     # by that flow broke its region's motive kink, and every span was rejected without end
     scn_file = write_json(tmp_path / "scn.json", doc)
-    paths = [p for p in (str(SRC), os.environ.get("PYTHONPATH")) if p]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
     argv = [command, str(scn_file), "--duration", duration, "--out", str(tmp_path / "out")]
-    proc = subprocess.run([sys.executable, "-m", "pneusim.cli", *argv], env=env,
+    proc = subprocess.run([sys.executable, "-m", "pneusim.cli", *argv], env=_child_env(),
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0 and proc.stderr == "", proc.stderr
 
