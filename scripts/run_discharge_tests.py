@@ -31,7 +31,7 @@ def main() -> None:
 
     print(f"{'condition':<24} {'tau model (s)':>13} {'tau fit (s)':>12} {'nRMSE':>9}")
     for stem in CONDITIONS:
-        scn, _ = load_scenario(PAPER / f"{stem}.json")
+        scn, _, _ = load_scenario(PAPER / f"{stem}.json")
         p_r0, v_r = scn.network.reservoir.p_r0, scn.network.reservoir.v_r
         tau = gasmodel.discharge_time_constant(scn.network.motive_valve.r_vmin, v_r, scn.gas)
         ts = simulate(scn)

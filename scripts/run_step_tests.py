@@ -30,7 +30,7 @@ def main() -> None:
     header = f"{'condition':<28} {'model kPa/s':>11} {'avg kPa/s':>10} {'nRMSE %':>8} {'overshoot':>10} {'settle s':>9}"
     print(header)
     for stem in CONDITIONS:
-        scn, _ = load_scenario(PAPER / f"{stem}.json")
+        scn, _, _ = load_scenario(PAPER / f"{stem}.json")
         net, target = scn.network, scn.command.target_kpa
         model_rate = gasmodel.inflation_rate(
             net.reservoir.p_r0, net.inflation_valve.r_vmin, net.control_volume.v_cv, scn.gas

@@ -5,10 +5,11 @@ Subcommands: simulate (time series), sweep (frequency response), discharge
 
 Input files are strict JSON: a required "schema_version": 1, unit-suffixed
 key names, and unknown keys rejected. Flow rates given in SLPM are converted
-to std L/s on ingestion. Every run writes a manifest with the sha256 of the
-raw input and of the fully resolved configuration; identical manifests imply
-byte-identical outputs. Exit codes: 0 ok, 2 validation error (a stdout that
-cannot take the closing notice included), 3 simulation failure, 4 empty
+to std L/s on ingestion. Each input file is read once. Every run writes a
+manifest with the sha256 of each input's bytes as parsed (so a pipe, ``<(...)``,
+records its own) and of the fully resolved configuration; identical manifests
+imply byte-identical outputs. Exit codes: 0 ok, 2 validation error (a stdout
+that cannot take the closing notice included), 3 simulation failure, 4 empty
 feasible set.
 
 ``main`` returns the exit code and may be called in-process. ``entry`` (the
@@ -104,14 +105,15 @@ def resolve_scenario(raw: dict) -> dict:
     return resolve(raw)[1]
 
 
-def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, dict]:
-    """Scenario and resolved document; overrides replace keys of the run section."""
-    raw = _load_json(path)
+def load_scenario(path: Path, overrides: dict | None = None) -> tuple[Scenario, dict, str]:
+    """Scenario, resolved document and the file's sha256, from one read of ``path``;
+    overrides replace keys of the run section."""
+    raw, sha256 = _read_json(path)
     if overrides and isinstance(raw, dict) and isinstance(raw.get("run", {}), dict):
         raw = {**raw, "run": {**raw.get("run", {}), **overrides}}
     from .scenario import resolve
 
-    return resolve(raw)
+    return (*resolve(raw), sha256)
 
 
 def __getattr__(name: str):
@@ -170,18 +172,24 @@ def check_valve_ratings(req: DesignRequirements, catalog: ComponentCatalog) -> N
         if not valve.r_vmin * req.v_cv > 0.0:
             raise ConfigError(
                 f"catalog.valves[{i}].R_vmin_kPa_s_per_L: too small for requirements.V_cv_L "
-                "(a flow rating gives P_inlet_max_kPa / (flow_max_slpm / 60))"
+                + FLOW_RATING
             )
 
 
 # ------------------------------------------------------------- files and hash
 
 
-def _load_json(path: Path) -> dict:
+def _read_json(path: Path) -> tuple[dict, str]:
+    """An input file's JSON document and the sha256 of the bytes parsed, from one read. The
+    bytes are decoded as ``read_text`` decodes them: UTF-8 with universal newlines."""
     try:
-        text = path.read_text(encoding="utf-8")
+        data = path.read_bytes()
     except OSError as exc:
         raise ConfigError(f"{path}: {exc.strerror or exc}")
+    try:
+        text = data.decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
     def unique(pairs: list) -> dict:
         obj = dict(pairs)
@@ -191,13 +199,20 @@ def _load_json(path: Path) -> dict:
         return obj
 
     try:
-        return json.loads(text, object_pairs_hook=unique)
+        return json.loads(text, object_pairs_hook=unique), _sha256_file(data)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno}: {exc.msg}")
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+def _load_json(path: Path) -> dict:
+    """``_read_json``'s document alone. No command calls it: ``perfbench/setup_probe.py``
+    does, and ``perfbench/tracer.py`` times it here by name."""
+    return _read_json(path)[0]
+
+
+def _sha256_file(data: bytes) -> str:
+    """The sha256 of an input file's bytes, as ``_read_json`` read them."""
+    return hashlib.sha256(data).hexdigest()
 
 
 def _sha256_config(config: dict) -> str:
@@ -370,64 +385,75 @@ def design_report_json(report: DesignReport, input_sha256: dict[str, str]) -> st
 
 
 def _write_manifest(
-    out_dir: Path,
-    stem: str,
-    command: str,
-    input_paths: dict[str, Path],
-    resolved: dict,
-    overrides: dict,
-    outputs: list[str],
-) -> Path:
-    manifest = {
+    path: Path, command: str, inputs: dict, resolved: dict, overrides: dict, outputs: list[str]
+) -> None:
+    _write_json(path, {
         "schema_version": 1,
         "tool": "pneusim",
         "tool_version": __version__,
         "command": command,
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256_file(p)} for name, p in input_paths.items()
-        },
+        "inputs": {name: {"path": str(p), "sha256": digest}
+                   for name, (p, digest) in inputs.items()},
         "cli_overrides": overrides,
         "resolved": resolved,
         "resolved_sha256": _sha256_config(resolved),
         "outputs": outputs,
-    }
-    path = out_dir / f"{stem}_manifest.json"
-    _write_json(path, manifest)
-    return path
+    })
 
 
 # ------------------------------------------------------------------- commands
 
 
-class _Run:
-    """A run subcommand's scenario, its resolved document, the run flags given and its outputs."""
+class StdoutError(OSError):
+    """stdout cannot take the notice that ends a command: a closed pipe, say."""
 
-    def __init__(self, args):
-        self.path = Path(args.scenario)
-        flags = {"dt_s": args.dt, "duration_s": args.duration,
-                 "sample_rate_Hz": args.sample_rate, "seed": args.seed}
-        self.overrides = {key: value for key, value in flags.items() if value is not None}
-        self.scn, self.resolved = load_scenario(self.path, self.overrides)
-        self.out_dir = Path(args.out)
 
-    def output(self, suffix: str) -> Path:
-        """``<out>/<scenario stem>_<suffix>``; makes the output directory."""
-        self.out_dir.mkdir(parents=True, exist_ok=True)
-        return self.out_dir / f"{self.path.stem}_{suffix}"
+class _Outputs:
+    """A command's output files, ``<out>/<first input's stem>_<suffix>``, and the manifest
+    that ends it. ``inputs`` maps each input's name to its path and sha256 (``_read_json``)."""
 
-    def write_manifest(self, command: str, outputs: list[Path], **extra_overrides) -> None:
+    def __init__(self, args, inputs: dict[str, tuple[Path, str]], resolved: dict, overrides: dict):
+        self.command, self.out_dir = args.command, Path(args.out)
+        self.inputs, self.resolved, self.overrides = inputs, resolved, overrides
+        self.input_sha256 = {name: sha256 for name, (_, sha256) in inputs.items()}
+        self.stem = next(iter(inputs.values()))[0].stem
+        self.paths: list[Path] = []
+
+    def path(self, suffix: str) -> Path:
+        """The output ``suffix`` names, listed in the manifest; the first call makes ``--out``."""
+        if not self.paths:
+            self.out_dir.mkdir(parents=True, exist_ok=True)
+        self.paths.append(self.out_dir / f"{self.stem}_{suffix}")
+        return self.paths[-1]
+
+    def finish(self, **extra_overrides) -> None:
+        """Write the manifest, then the notice that names the first output. Every output file
+        is closed by then, so an error in the notice is stdout's, not ``--out``'s."""
         _write_manifest(
-            self.out_dir, self.path.stem, command, {"scenario": self.path}, self.resolved,
-            {**self.overrides, **extra_overrides}, [p.name for p in outputs],
+            self.out_dir / f"{self.stem}_manifest.json", self.command, self.inputs, self.resolved,
+            {**self.overrides, **extra_overrides}, [p.name for p in self.paths],
         )
+        try:
+            print(f"wrote {self.paths[0]}")
+        except OSError as exc:  # raised here when stdout is unbuffered; else by entry's flush
+            raise StdoutError(exc.errno, exc.strerror) from None
+
+
+def _load_run(args) -> tuple[Scenario, _Outputs]:
+    """A run command's scenario and outputs; the run flags given replace the file's keys."""
+    path = Path(args.scenario)
+    flags = {"dt_s": args.dt, "duration_s": args.duration,
+             "sample_rate_Hz": args.sample_rate, "seed": args.seed}
+    overrides = {key: value for key, value in flags.items() if value is not None}
+    scn, resolved, sha256 = load_scenario(path, overrides)
+    return scn, _Outputs(args, {"scenario": (path, sha256)}, resolved, overrides)
 
 
 def cmd_simulate(args) -> int:
-    run = _Run(args)
-    csv_path = run.output("timeseries.csv")
-    write_timeseries_csv(simulate(run.scn), csv_path)
-    run.write_manifest("simulate", [csv_path])
-    _wrote(csv_path)
+    scn, out = _load_run(args)
+    csv_path = out.path("timeseries.csv")
+    write_timeseries_csv(simulate(scn), csv_path)
+    out.finish()
     return EXIT_OK
 
 
@@ -440,7 +466,7 @@ _SWEEP_INPUTS = {"command": "scenario.command.kind", "open_loop_command": "scena
 def cmd_sweep(args) -> int:
     if args.duration is not None:
         raise ConfigError("--duration: sweep sets each point's duration from its frequency")
-    run = _Run(args)
+    scn, out = _load_run(args)
     # analysis imports numpy. It comes after the scenario, which compiles sim: compiled
     # after numpy, sim raised the peak RSS of sweep and discharge by 1.1 to 1.8 MiB
     from . import analysis
@@ -450,7 +476,7 @@ def cmd_sweep(args) -> int:
     except ValueError:
         raise ConfigError("--omegas: expected comma-separated numbers")
     try:
-        points = analysis.frequency_sweep(run.scn, omegas, n_repeat=args.repeats)
+        points = analysis.frequency_sweep(scn, omegas, n_repeat=args.repeats)
     except FieldError as exc:  # a precondition of the sweep, raised before any point runs
         raise ConfigError(f"{_SWEEP_INPUTS[exc.field]}: {exc.text}") from None
     ok = [p for p in points if p.error is None]
@@ -459,12 +485,11 @@ def cmd_sweep(args) -> int:
     for p in sorted(points, key=lambda p: p.omega):
         err = (p.error or "").replace(",", ";")
         lines.append(f"{_FLOAT % p.omega},{_FLOAT % p.gain},{p.n_periods},{err}")
-    table_path = run.output("sweep.csv")
-    table_path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    out.path("sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
 
     fit: dict = {
         "schema_version": 1,
-        "input_sha256": _sha256_file(run.path),
+        "input_sha256": out.input_sha256["scenario"],
         "n_points": len(points),
         "n_failed": len(points) - len(ok),
     }
@@ -474,10 +499,8 @@ def cmd_sweep(args) -> int:
         )
         f3db = analysis.first_crossing_3db([p.omega for p in ok], [p.gain for p in ok])
         fit["first_3db_crossing_Hz"] = None if math.isnan(f3db) else f3db
-    fit_path = run.output("sweep_fit.json")
-    _write_json(fit_path, fit)
-    run.write_manifest("sweep", [table_path, fit_path], omegas_Hz=omegas, repeats=args.repeats)
-    _wrote(table_path)
+    _write_json(out.path("sweep_fit.json"), fit)
+    out.finish(omegas_Hz=omegas, repeats=args.repeats)
     if not ok:
         print("error: every sweep point failed", file=sys.stderr)
         return EXIT_SIMULATION
@@ -485,18 +508,18 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_discharge(args) -> int:
-    run = _Run(args)
+    scn, out = _load_run(args)
     from . import analysis  # see cmd_sweep
 
-    if run.scn.closed_loop:
+    if scn.closed_loop:
         raise ConfigError("scenario.run.mode: discharge needs an open_loop scenario")
-    csv_path = run.output("timeseries.csv")
-    ts = simulate(run.scn)
+    csv_path = out.path("timeseries.csv")
+    ts = simulate(scn)
     write_timeseries_csv(ts, csv_path)
     t, p_r = ts.t, ts.p_r
     del ts  # the fit reads 2 of the trace's 11 columns; the other 9 are freed before it runs
 
-    report: dict = {"schema_version": 1, "input_sha256": _sha256_file(run.path)}
+    report: dict = {"schema_version": 1, "input_sha256": out.input_sha256["scenario"]}
     try:
         fit = analysis.fit_discharge_tau(t, p_r)
         report.update(
@@ -509,18 +532,17 @@ def cmd_discharge(args) -> int:
         )
     except ValueError as exc:
         report.update({"degenerate": True, "tau_s": None, "reason": str(exc)})
-    fit_path = run.output("discharge_fit.json")
-    _write_json(fit_path, report)
-    run.write_manifest("discharge", [csv_path, fit_path])
-    _wrote(csv_path)
+    _write_json(out.path("discharge_fit.json"), report)
+    out.finish()
     return EXIT_OK
 
 
 def cmd_size(args) -> int:
-    req_path = Path(args.requirements)
-    cat_path = Path(args.catalog)
-    req_resolved = resolve_requirements(_load_json(req_path))
-    cat_resolved = resolve_catalog(_load_json(cat_path))
+    req_path, cat_path = Path(args.requirements), Path(args.catalog)
+    req_raw, req_sha256 = _read_json(req_path)
+    req_resolved = resolve_requirements(req_raw)
+    cat_raw, cat_sha256 = _read_json(cat_path)
+    cat_resolved = resolve_catalog(cat_raw)
     req = requirements_from_resolved(req_resolved)
     catalog = catalog_from_resolved(cat_resolved)
     check_valve_ratings(req, catalog)
@@ -531,22 +553,12 @@ def cmd_size(args) -> int:
         raise overflow_error(f"a number of the design report {FLOW_RATING}",
                              requirements=req_resolved, catalog=cat_resolved)
 
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    stem = req_path.stem
-    input_sha256 = {"requirements": _sha256_file(req_path), "catalog": _sha256_file(cat_path)}
-    report_path = out_dir / f"{stem}_design_report.json"
-    report_path.write_text(design_report_json(report, input_sha256), encoding="utf-8")
-    _write_manifest(
-        out_dir,
-        stem,
-        "size",
-        {"requirements": req_path, "catalog": cat_path},
-        {"requirements": req_resolved, "catalog": cat_resolved},
-        {},
-        [report_path.name],
+    inputs = {"requirements": (req_path, req_sha256), "catalog": (cat_path, cat_sha256)}
+    out = _Outputs(args, inputs, {"requirements": req_resolved, "catalog": cat_resolved}, {})
+    out.path("design_report.json").write_text(
+        design_report_json(report, out.input_sha256), encoding="utf-8"
     )
-    _wrote(report_path)
+    out.finish()
     if not report.feasible:
         print("error: no feasible configuration", file=sys.stderr)
         return EXIT_NO_FEASIBLE
@@ -589,19 +601,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-class StdoutError(OSError):
-    """stdout cannot take the notice that ends a command: a closed pipe, say."""
-
-
-def _wrote(path: Path) -> None:
-    """Print the notice that ends a command. Every output file is closed by then, so an
-    error here is stdout's, not ``--out``'s."""
-    try:
-        print(f"wrote {path}")
-    except OSError as exc:  # raised here when stdout is unbuffered; else by entry's flush
-        raise StdoutError(exc.errno, exc.strerror) from None
-
-
 def _stdout_failed(exc: OSError) -> int:
     print(f"error: stdout: {exc.strerror or exc}", file=sys.stderr)
     return EXIT_VALIDATION
@@ -617,7 +616,7 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except StdoutError as exc:
         return _stdout_failed(exc)
-    except OSError as exc:  # _load_json names an input it cannot read, so this is an output
+    except OSError as exc:  # _read_json names an input it cannot read, so this is an output
         path = args.out if exc.filename is None else exc.filename
         print(f"error: --out: {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_VALIDATION

@@ -43,7 +43,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def step_run():
-    scn, _ = cli.load_scenario(SCENARIOS / "step_69kpa_half_liter.json")
+    scn, _, _ = cli.load_scenario(SCENARIOS / "step_69kpa_half_liter.json")
     start = time.monotonic()
     ts = simulate(scn)
     return scn, ts, time.monotonic() - start
@@ -51,7 +51,7 @@ def step_run():
 
 @pytest.fixture(scope="module")
 def sweep_run():
-    scn, _ = cli.load_scenario(SCENARIOS / "sweep_21kpa_half_liter.json")
+    scn, _, _ = cli.load_scenario(SCENARIOS / "sweep_21kpa_half_liter.json")
     start = time.monotonic()
     points = an.frequency_sweep(scn, SWEEP_OMEGAS)
     return scn, points, time.monotonic() - start

@@ -383,3 +383,21 @@ class TestFrequencySweep:
         assert points[0].error is None
         assert points[1].error is not None
         assert math.isnan(points[1].gain)
+
+
+_COMMANDED = make_trace([0.0, 1.0], [0.0, 69.0], p_cmd=[69.0, 69.0])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: an.step_metrics(_COMMANDED, 0.0, model_rate=70.0), "target must be strictly positive"),
+    (lambda: an.step_metrics(_COMMANDED, 69.0, model_rate=math.nan),
+     "model_rate must be strictly positive"),
+    (lambda: an.step_metrics(make_trace([0.0, 1.0], [0.0, 0.0], p_cmd=[0.0, 68.9]), 69.0, 70.0),
+     "trace never commands the target"),
+    (lambda: an.fit_rolloff_knee([1.0, 2.0, 3.0], [1.0, 0.0, math.nan]),
+     "knee fit needs at least two finite positive gains"),
+    (lambda: an.fit_discharge_tau([0.0], [300.0]), "discharge fit needs at least two samples"),
+], ids=["target", "model_rate", "never_commanded", "knee_one_gain", "discharge_one_sample"])
+def test_argument_guard_message(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()

@@ -1,4 +1,5 @@
 import errno
+import hashlib
 import io
 import json
 import math
@@ -9,6 +10,7 @@ import sys
 import tempfile
 import tracemalloc
 import warnings
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -103,7 +105,7 @@ class TestResolveScenario:
 
     @pytest.mark.parametrize("path", SHIPPED_SCENARIOS, ids=lambda p: p.stem)
     def test_shipped_scenarios_resolve(self, path):
-        scn, resolved = cli.load_scenario(path)
+        scn, resolved, _ = cli.load_scenario(path)
         assert cli.resolve_scenario(json.loads(json.dumps(resolved))) == resolved
 
     def test_load_scenario_builds_each_record_once(self, monkeypatch):
@@ -116,7 +118,7 @@ class TestResolveScenario:
                         original(self, *args, **kwargs)
 
                     monkeypatch.setattr(cls, "__init__", init)
-        scn, _ = cli.load_scenario(SCENARIOS / "discharge_2l_bottle.json")
+        scn, _, _ = cli.load_scenario(SCENARIOS / "discharge_2l_bottle.json")
         parts = [getattr(scn.network, name) for name in scn.network.FIELDS]
         records = [scn, scn.gas, scn.controller, scn.command, scn.open_loop_command, scn.network,
                    *parts]
@@ -616,7 +618,7 @@ class TestSweepCommand:
 
         monkeypatch.setattr(analysis, "pressure_response", simulated)
         path = SCENARIOS / "sweep_21kpa_half_liter.json"
-        scn, _ = cli.load_scenario(path)
+        scn, _, _ = cli.load_scenario(path)
         per_point = {"1.35": 7409, "2.7": 3706}  # round(((1 + 4) / omega + 2 / 2000 Hz) / 0.5 ms)
         steps = analysis.sweep_steps(scn, map(float, omegas.split(",")))
         assert steps == sum(per_point.get(w, 0) for w in omegas.split(","))
@@ -644,7 +646,7 @@ class TestSweepCommand:
         raw["network"]["cv_sensor"] = {"noise_std_kPa": 0.5}
         raw["run"]["seed"] = 5
         scn_file = write_json(tmp_path / "noisy.json", raw)
-        scn, _ = cli.load_scenario(scn_file)
+        scn, _, _ = cli.load_scenario(scn_file)
         g0, g1 = (analysis.frequency_sweep(gasmodel.replace(scn, seed=seed), [6.75])[0].gain
                   for seed in (5, 6))
         want = float(np.mean([g0, g1]))
@@ -672,6 +674,11 @@ _SWEEP_TEXT = (SCENARIOS / "sweep_21kpa_half_liter.json").read_text(encoding="ut
 @pytest.mark.parametrize("text, argv, code, message", [
     ("{", ["simulate"], 2,
      "{path}: invalid JSON at line 1: Expecting property name enclosed in double quotes"),
+    # a line ends at LF, CRLF or a lone CR, as read_text's universal newlines have it
+    ('{\r\n\r\n"schema_version" 1}', ["simulate"], 2,
+     "{path}: invalid JSON at line 3: Expecting ':' delimiter"),
+    ('{\r\r"schema_version" 1}', ["simulate"], 2,
+     "{path}: invalid JSON at line 3: Expecting ':' delimiter"),
     (_scenario_text(lambda raw: raw["command"].update(kind="ramp")), ["simulate"], 2,
      "scenario.command.kind: unknown kind 'ramp'"),
     (_scenario_text(lambda raw: raw["run"].update(mode="hybrid")), ["simulate"], 2,
@@ -683,8 +690,9 @@ _SWEEP_TEXT = (SCENARIOS / "sweep_21kpa_half_liter.json").read_text(encoding="ut
     (_SWEEP_TEXT, ["sweep", "--omegas", "1.35,x"], 2,
      "--omegas: expected comma-separated numbers"),
     (_SWEEP_TEXT, ["sweep", "--omegas", "1000"], 3, "every sweep point failed"),
-], ids=["invalid_json", "unknown_kind", "unknown_mode", "open_loop_command_in_closed_loop",
-        "schema_version", "omegas_not_numbers", "every_point_failed"])
+], ids=["invalid_json", "crlf_line_ends", "cr_line_ends", "unknown_kind", "unknown_mode",
+        "open_loop_command_in_closed_loop", "schema_version", "omegas_not_numbers",
+        "every_point_failed"])
 def test_error_exit_code_and_line(tmp_path, capsys, text, argv, code, message):
     path = tmp_path / "scn.json"
     path.write_text(text, encoding="utf-8")
@@ -1031,6 +1039,120 @@ def test_process_closed_stdout(tmp_path, unbuffered):
     assert (proc.returncode, proc.stderr) == (2, "error: stdout: Broken pipe\n")
     assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
         "demo_requirements_design_report.json", "demo_requirements_manifest.json"]
+
+
+# ------------------------------------------------------------------- inputs
+#
+# Each command reads each input file once, and every digest it records is of the bytes
+# it parsed. The argv of each command without --out, on shipped inputs, kept short.
+
+INPUT_ARGVS = {
+    "simulate": ["simulate", SCENARIOS / "step_69kpa_half_liter.json", "--duration", "0.05"],
+    "sweep": ["sweep", SWEEP_SCENARIO, "--omegas", "6.75"],
+    "discharge": ["discharge", SCENARIOS / "discharge_2l_bottle.json", "--duration", "0.05"],
+    "size": SIZE_ARGV,
+}
+# the output that records the input digests beside the manifest
+DIGEST_OUTPUT = {"sweep": "sweep_fit.json", "discharge": "discharge_fit.json",
+                 "size": "design_report.json"}
+
+
+def _counting_reads(monkeypatch) -> Counter:
+    """Reads of each path through ``Path.read_bytes``, ``read_text`` and ``open``; a read
+    inside another (``read_bytes`` opens the file) is part of it."""
+    reads, depth = Counter(), [0]
+
+    def counting(read):
+        def counted(self, *args, **kwargs):
+            reads[self] += depth[0] == 0
+            depth[0] += 1
+            try:
+                return read(self, *args, **kwargs)
+            finally:
+                depth[0] -= 1
+        return counted
+
+    for name in ("read_bytes", "read_text", "open"):
+        monkeypatch.setattr(Path, name, counting(getattr(Path, name)))
+    return reads
+
+
+@pytest.mark.parametrize("command", INPUT_ARGVS)
+def test_each_input_read_once(tmp_path, monkeypatch, command):
+    argv = [str(arg) for arg in INPUT_ARGVS[command]]
+    inputs = [Path(arg) for arg in argv if arg.endswith(".json")]
+    reads = _counting_reads(monkeypatch)
+    assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    assert [reads[path] for path in inputs] == [1] * len(inputs)
+
+
+@pytest.mark.parametrize("command", DIGEST_OUTPUT)
+def test_piped_input_records_its_own_digest(tmp_path, command):
+    argv, read_ends, digests = [], [], {}
+    try:
+        for arg in map(str, INPUT_ARGVS[command]):
+            if arg.endswith(".json"):
+                data = Path(arg).read_bytes()
+                read_end, write_end = os.pipe()
+                read_ends.append(read_end)
+                os.write(write_end, data)
+                os.close(write_end)
+                arg = f"/dev/fd/{read_end}"
+                digests[arg] = hashlib.sha256(data).hexdigest()
+            argv.append(arg)
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+    finally:
+        for read_end in read_ends:
+            os.close(read_end)
+    stem = read_ends[0]
+    inputs = json.loads((tmp_path / f"{stem}_manifest.json").read_text())["inputs"]
+    assert {entry["path"]: entry["sha256"] for entry in inputs.values()} == digests
+    recorded = json.loads((tmp_path / f"{stem}_{DIGEST_OUTPUT[command]}").read_text())
+    recorded = recorded["input_sha256"]
+    if isinstance(recorded, str):  # a fit's, of its one scenario
+        recorded = {"scenario": recorded}
+    assert recorded == {name: entry["sha256"] for name, entry in inputs.items()}
+
+
+def test_read_json_returns_the_document_and_its_digest():
+    # _load_json, the document alone, is what perfbench/setup_probe.py calls
+    path = SCENARIOS / "reference_catalog.json"
+    data = path.read_bytes()
+    assert cli._read_json(path) == (json.loads(data), hashlib.sha256(data).hexdigest())
+    assert cli._load_json(path) == json.loads(data)
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "{bad}"],
+    ["size", "{bad}", SCENARIOS / "reference_catalog.json"],
+    ["size", SCENARIOS / "demo_requirements.json", "{bad}"],
+], ids=["scenario", "requirements", "catalog"])
+def test_non_utf8_input_names_the_file(tmp_path, capsys, argv):
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff{}")
+    argv = [str(arg).format(bad=bad) for arg in argv]
+    assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_asdict_loaded_on_first_access():
+    import dataclasses
+
+    assert cli.asdict is dataclasses.asdict
+    with pytest.raises(AttributeError, match="^module 'pneusim.cli' has no attribute 'bogus'$"):
+        cli.bogus
+
+
+def test_discharge_of_one_row_reports_the_fit_reason(tmp_path):
+    argv = ["discharge", str(SCENARIOS / "discharge_2l_bottle.json"), "--sample-rate", "10",
+            "--duration", "0.002", "--out", str(tmp_path)]
+    assert cli.main(argv) == 0
+    fit = json.loads((tmp_path / "discharge_2l_bottle_discharge_fit.json").read_text())
+    assert (fit["degenerate"], fit["tau_s"], fit["reason"]) == (
+        True, None, "discharge fit needs at least two samples")
 
 
 # ------------------------------------------------------- design report writer

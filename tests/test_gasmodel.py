@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -244,3 +245,53 @@ class TestNCycles:
             gm.n_cycles(689.0, 0.0, 1759.2, 35.8, 2.0, 20.7)
         with pytest.raises(ValueError):
             gm.n_cycles(689.0, 0.1, 1759.2, 35.8, 2.0, 0.0)
+
+
+# each closed form's valid arguments; a row of GUARDS makes one of them invalid
+VALID = {
+    gm.flow_from_ohm: {"dp": 1.0, "r_v": 1.0},
+    gm.discharge_time_constant: {"r_v": 1.0, "v_r": 1.0},
+    gm.discharge_pressure: {"t": 1.0, "p_r0": 689.0, "r_v": 1.0, "v_r": 1.0},
+    gm.inflation_rate: {"p_r": 689.0, "r_v": 1.0, "v_cv": 1.0},
+    gm.max_command_rate: {"amplitude": 1.0, "freq_hz": 1.0},
+    gm.cutoff_frequency: {"pdot_max": 1.0, "amplitude": 1.0},
+    gm.frequency_gain: {"freq_hz": 1.0, "cutoff_hz": 1.0},
+    gm.min_reservoir_pressure: {"pdot_d": 1.0, "r_v": 1.0, "v_cv": 1.0},
+    gm.n_cycles: {"p_r0": 689.0, "v_cv": 1.0, "r_vmin": 1.0, "pdot_d": 1.0, "v_r": 1.0,
+                  "dp_cv": 1.0},
+}
+GUARDS = [
+    (gm.flow_from_ohm, {"r_v": 0.0}, "r_v must be strictly positive"),
+    (gm.discharge_time_constant, {"r_v": 0.0}, "r_v must be strictly positive"),
+    (gm.discharge_time_constant, {"v_r": math.nan}, "v_r must be strictly positive"),
+    (gm.discharge_pressure, {"t": -1.0}, "t must be non-negative"),
+    (gm.inflation_rate, {"v_cv": 0.0}, "v_cv must be strictly positive"),
+    (gm.inflation_rate, {"r_v": -1.0}, "r_v must be strictly positive"),
+    (gm.inflation_rate, {"r_v": 1e-200, "v_cv": 1e-200}, "r_v * v_cv must be strictly positive"),
+    (gm.max_command_rate, {"amplitude": -1.0}, "amplitude must be non-negative"),
+    (gm.max_command_rate, {"freq_hz": -1.0}, "freq_hz must be non-negative"),
+    (gm.cutoff_frequency, {"amplitude": 0.0}, "amplitude must be strictly positive"),
+    (gm.cutoff_frequency, {"pdot_max": -1.0}, "pdot_max must be non-negative"),
+    (gm.frequency_gain, {"freq_hz": 0.0}, "freq_hz must be strictly positive"),
+    (gm.frequency_gain, {"cutoff_hz": -1.0}, "cutoff_hz must be non-negative"),
+    (gm.min_reservoir_pressure, {"pdot_d": -1.0}, "pdot_d must be non-negative"),
+    (gm.min_reservoir_pressure, {"r_v": 0.0}, "r_v must be strictly positive"),
+    (gm.min_reservoir_pressure, {"v_cv": 0.0}, "v_cv must be strictly positive"),
+    (gm.n_cycles, {"v_cv": 0.0}, "v_cv must be strictly positive"),
+    (gm.n_cycles, {"v_r": 0.0}, "v_r must be strictly positive"),
+    (gm.n_cycles, {"dp_cv": 0.0}, "dp_cv must be strictly positive"),
+    (gm.n_cycles, {"r_vmin": 0.0}, "r_vmin must be strictly positive"),
+    (gm.n_cycles, {"pdot_d": -1.0}, "pdot_d must be non-negative"),
+]
+
+
+@pytest.mark.parametrize("fn", VALID, ids=lambda fn: fn.__name__)
+def test_valid_arguments_pass_every_guard(fn):
+    assert math.isfinite(fn(**VALID[fn]))
+
+
+@pytest.mark.parametrize("fn, bad, message", GUARDS,
+                         ids=[f"{fn.__name__}-{'-'.join(bad)}" for fn, bad, _ in GUARDS])
+def test_argument_guard_message(fn, bad, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(**{**VALID[fn], **bad})

@@ -284,7 +284,7 @@ def test_workload_pins_at_more_seeds(name, seed, tmp_path, monkeypatch):
 def test_cli_defaults_equal_python_defaults(tmp_path):
     raw = {"schema_version": 1, "command": {"kind": "step", "target_kPa": 69.0}}
     (tmp_path / "step.json").write_text(json.dumps(raw))
-    scn, _ = cli.load_scenario(tmp_path / "step.json")
+    scn, _, _ = cli.load_scenario(tmp_path / "step.json")
     ref = step_scenario(69.0)
     for name in Scenario.FIELDS:
         assert getattr(scn, name) == getattr(ref, name), name

@@ -61,7 +61,7 @@ PAPER_CONDITIONS = {
 @pytest.mark.parametrize("stem", PAPER_CONDITIONS)
 def test_paper_scenario_is_its_condition(stem):
     build, *args = PAPER_CONDITIONS[stem]
-    scn, _ = cli.load_scenario(SCENARIOS / "paper" / f"{stem}.json")
+    scn, _, _ = cli.load_scenario(SCENARIOS / "paper" / f"{stem}.json")
     assert scn == build(*args)
 
 
@@ -139,8 +139,31 @@ def test_size_reports_an_underflowing_rating(tmp_path, capsys):
     assert _size(tmp_path, tmp_path / "req.json", tmp_path / "cat.json") == 2
     assert capsys.readouterr() == ("", (
         "error: catalog.valves[0].R_vmin_kPa_s_per_L: too small for requirements.V_cv_L "
-        "(a flow rating gives P_inlet_max_kPa / (flow_max_slpm / 60))\n"
+        "(a flow rating gives R_vmin_kPa_s_per_L = P_inlet_max_kPa / (flow_max_slpm / 60))\n"
     ))
+
+
+def _line_of(module: str, text: str) -> str:
+    """``scripts/line_trace.py``'s line for the one line of ``src/pneusim/<module>.py`` that
+    reads ``text``."""
+    path = f"src/pneusim/{module}.py"
+    lines = [line.strip() for line in (ROOT / path).read_text().splitlines()]
+    assert lines.count(text) == 1
+    return f"{path}:{lines.index(text) + 1}: {text}"
+
+
+def test_line_trace_reports_lines_a_module_cannot_reach():
+    # the flow_from_ohm tests import gasmodel alone: they run its body, and no line of cli
+    proc = run_script("line_trace.py", "tests/test_gasmodel.py", "-k", "TestFlowFromOhm",
+                      "-q", "-p", "no:cacheprovider")
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    unrun = proc.stdout.splitlines()
+    no_size = """print("error: no feasible configuration", file=sys.stderr)"""
+    assert _line_of("cli", no_size) in unrun
+    assert _line_of("gasmodel", "return dp / r_v") not in unrun
+    allowed = "  [allowed: TYPE_CHECKING import, for annotations only]"
+    assert _line_of("cli", "from .sim import Scenario, TimeSeries") + allowed in unrun
+    assert re.fullmatch(r"\d+ of \d+ executable lines never ran; \d+ not allowed", unrun[-1])
 
 
 def test_benchmark_tracer_installs():

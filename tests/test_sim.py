@@ -102,7 +102,7 @@ class TestCommandSignals:
     def test_sine_values_equal_value_at_sweep_times(self, monkeypatch):
         # the closed loop reads its command by array, so numpy's sine and cosine
         # must give math's to the bit at every tick and row time of the shipped sweep
-        template, _ = load_scenario(ROOT / "scenarios" / "sweep_21kpa_half_liter.json")
+        template, _, _ = load_scenario(ROOT / "scenarios" / "sweep_21kpa_half_liter.json")
         points = []
 
         def capture(scn):
@@ -1305,7 +1305,7 @@ class TestPressureResponse:
     def test_reads_the_command_at_ticks_only(self, monkeypatch):
         # the records' rules keep every row time and level finite, so no row's t or p_cmd is
         # formed to be checked, and simulate does not run
-        scn, _ = load_scenario(ROOT / "scenarios" / "sweep_21kpa_half_liter.json")
+        scn, _, _ = load_scenario(ROOT / "scenarios" / "sweep_21kpa_half_liter.json")
         scn = replace(scn, duration=0.1)
         lengths, values = [], SineCommand.values
 
@@ -1324,7 +1324,7 @@ class TestPressureResponse:
 
     @pytest.mark.parametrize("name", ["step_69kpa_half_liter", "sweep_21kpa_half_liter"])
     def test_shipped_scenarios(self, name):
-        scn, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        scn, _, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
         want, got = _both_outcomes(scn)
         assert isinstance(want, bytes) and got == want
 
@@ -1611,13 +1611,21 @@ class TestClosedLoopReference:
 
     @pytest.mark.parametrize("name", ["step_69kpa_half_liter", "sweep_21kpa_half_liter"])
     def test_shipped_scenarios(self, name):
-        scn, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
+        scn, _, _ = load_scenario(ROOT / "scenarios" / f"{name}.json")
         assert scn.closed_loop
         want = _columns(_closed_loop_reference, scn)
         assert isinstance(want, list) and _columns(simulate, scn) == want
 
 
 class TestMassBalance:
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_fewer_than_two_rows_refused(self, rows):
+        scn = step_scenario(69.0, duration=0.01)
+        ts = simulate(scn)
+        ts = sim.TimeSeries(**{name: getattr(ts, name)[:rows] for name in sim.TimeSeries.FIELDS})
+        with pytest.raises(ValueError, match="^mass_balance needs at least two samples$"):
+            mass_balance(ts, scn)
+
     def test_sealed_scenario_balances_exactly(self):
         net = cp.default_network(v_cv=0.5, p_cv0=50.0)
         scn = Scenario(
