@@ -48,6 +48,7 @@ from .schema import (
 )
 from .sizing import (
     ComponentCatalog,
+    DesignEntry,
     DesignReport,
     DesignRequirements,
     ReservoirOption,
@@ -296,27 +297,32 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 # The design report, laid out as _write_json lays out a payload. json.dumps encodes
-# in pure Python when it indents; with _asdict that costs several times this template.
+# in pure Python when it indents; with _asdict that costs several times this layout.
+# design_report_json lays out a block of entries a column at a time: each field's
+# values are looked up in a table of their texts, and _ENTRY_LAYOUT puts in front
+# of each text the fixed text that precedes that field in every entry.
 _REPORT = (
     '{\n  "feasible": %s,\n  "infeasible": %s,\n  "input_sha256": {\n'
     '    "catalog": %s,\n    "requirements": %s\n  },\n  "schema_version": 1\n}\n'
 )
-_ENTRY = (  # one DesignEntry, its fields in sorted order
-    "{\n"
-    '      "cutoff_hz_floor": %s,\n'
-    '      "cutoff_hz_full": %s,\n'
-    '      "feasible": %s,\n'
-    '      "limiting": %s,\n'
-    '      "min_p_r": %s,\n'
-    '      "n_cycles": %s,\n'
-    '      "p_r0": %s,\n'
-    '      "pdot_demand": %s,\n'
-    '      "pressure_derated": %s,\n'
-    '      "reservoir": %s,\n'
-    '      "total_mass_g": %s,\n'
-    '      "valve": %s\n'
-    "    }"
+_ENTRY_LAYOUT = (  # one DesignEntry: (field, the text before its value), fields in sorted order
+    ("cutoff_hz_floor", '{\n      "cutoff_hz_floor": '),
+    ("cutoff_hz_full", ',\n      "cutoff_hz_full": '),
+    ("feasible", ',\n      "feasible": '),
+    ("limiting", ',\n      "limiting": '),
+    ("min_p_r", ',\n      "min_p_r": '),
+    ("n_cycles", ',\n      "n_cycles": '),
+    ("p_r0", ',\n      "p_r0": '),
+    ("pdot_demand", ',\n      "pdot_demand": '),
+    ("pressure_derated", ',\n      "pressure_derated": '),
+    ("reservoir", ',\n      "reservoir": '),
+    ("total_mass_g", ',\n      "total_mass_g": '),
+    ("valve", ',\n      "valve": '),
 )
+_FLOAT_FIELDS = ("p_r0", "pdot_demand", "min_p_r", "cutoff_hz_full", "cutoff_hz_floor",
+                 "n_cycles", "total_mass_g")
+_NAME_FIELDS = ("valve", "reservoir")
+_JSON_BOOL = {False: "false", True: "true"}
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}  # as json.dumps spells them
 
 
@@ -336,49 +342,53 @@ def _json_list(items: list[str], indent: str) -> str:
 def design_report_json(report: DesignReport, input_sha256: dict[str, str]) -> str:
     """The design report, as ``_write_json`` writes it from ``_asdict`` of each entry.
 
-    ``input_sha256`` maps "catalog" and "requirements" to their digests. Each
-    distinct number, name and ``limiting`` tuple is laid out once a call.
+    ``input_sha256`` maps "catalog" and "requirements" to their digests. No
+    Python runs per entry. Each block is transposed into columns once, and each
+    column is mapped through its field's table of texts: floats, names,
+    ``limiting`` tuples or booleans, each distinct value laid out once a call.
+    The float table comes from one ``repr`` of the distinct floats of both
+    blocks. It holds no zero, since 0.0 == -0.0 and they print apart, so the
+    zeros of a column are formatted one at a time. A block's texts go after the
+    fixed texts of ``_ENTRY_LAYOUT`` into one list, which is joined once.
     """
-    nums: dict = {}  # never holds a zero: 0.0 == -0.0, and they print differently
-    names: dict = {}
-    lists: dict = {}
+    blocks = [dict(zip(DesignEntry._fields, zip(*entries)))  # field -> column; {} if empty
+              for entries in (report.feasible, report.infeasible)]
 
-    def num(x: float) -> str:
-        text = _json_float(x)
-        if x:
-            nums[x] = text
-        return text
+    def distinct(fields: tuple[str, ...]) -> set:
+        return set().union(*[block[field] for block in blocks if block for field in fields])
 
-    def enc(name: str) -> str:
-        names[name] = text = encode_basestring_ascii(name)
-        return text
+    floats = [*distinct(_FLOAT_FIELDS) - {0.0}]
+    reprs = repr(floats)[1:-1].split(", ")
+    names = distinct(_NAME_FIELDS)
+    tables = {
+        **dict.fromkeys(_FLOAT_FIELDS, dict(zip(floats, map(_NON_FINITE.get, reprs, reprs)))),
+        **dict.fromkeys(_NAME_FIELDS, dict(zip(names, map(encode_basestring_ascii, names)))),
+        "feasible": _JSON_BOOL,
+        "pressure_derated": _JSON_BOOL,
+        "limiting": {limiting: _json_list([*map(encode_basestring_ascii, limiting)], "      ")
+                     for limiting in distinct(("limiting",))},
+    }
+    stride = 2 * len(_ENTRY_LAYOUT) + 1  # each field's fixed text and value, then the entry's end
+    entry = [text for _, before in _ENTRY_LAYOUT for text in (before, "")] + ["\n    },\n    "]
 
-    def limits(limiting: tuple) -> str:
-        lists[limiting] = text = _json_list([enc(reason) for reason in limiting], "      ")
-        return text
-
-    get_num, get_name = nums.get, names.get
-
-    def entry(e) -> str:
-        valve, reservoir, p_r0, derated, pdot, min_p_r, full, floor, cycles, mass, ok, limiting = e
-        return _ENTRY % (
-            get_num(floor) or num(floor),
-            get_num(full) or num(full),
-            "true" if ok else "false",
-            lists.get(limiting) or limits(limiting),
-            get_num(min_p_r) or num(min_p_r),
-            get_num(cycles) or num(cycles),
-            get_num(p_r0) or num(p_r0),
-            get_num(pdot) or num(pdot),
-            "true" if derated else "false",
-            get_name(reservoir) or enc(reservoir),
-            get_num(mass) or num(mass),
-            get_name(valve) or enc(valve),
-        )
+    def block_json(columns: dict[str, tuple]) -> str:
+        if not columns:
+            return "[]"
+        flat = entry * len(columns["valve"])
+        for slot, (field, _) in enumerate(_ENTRY_LAYOUT):
+            column = columns[field]
+            texts = [*map(tables[field].get, column)]
+            if field in _FLOAT_FIELDS:
+                i = -1
+                for _ in range(column.count(0.0)):
+                    i = column.index(0.0, i + 1)
+                    texts[i] = _json_float(column[i])
+            flat[2 * slot + 1 :: stride] = texts
+        flat[0], flat[-1] = "[\n    " + flat[0], "\n    }\n  ]"
+        return "".join(flat)
 
     return _REPORT % (
-        _json_list([entry(e) for e in report.feasible], "  "),
-        _json_list([entry(e) for e in report.infeasible], "  "),
+        *map(block_json, blocks),
         encode_basestring_ascii(input_sha256["catalog"]),
         encode_basestring_ascii(input_sha256["requirements"]),
     )

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -88,6 +89,12 @@ class TestResolveScenario:
         raw = minimal_scenario()
         del raw["schema_version"]
         with pytest.raises(cli.ConfigError, match="schema_version"):
+            cli.resolve_scenario(raw)
+
+    def test_command_required(self):
+        raw = minimal_scenario()
+        del raw["command"]
+        with pytest.raises(cli.ConfigError, match=r"^scenario\.command: required$"):
             cli.resolve_scenario(raw)
 
     def test_both_resistance_forms_rejected(self):
@@ -802,6 +809,16 @@ class TestSizeCommand:
         assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
         assert capsys.readouterr().err == "error: catalog.valves[0]: unknown key(s): deadband\n"
 
+    def test_catalog_valve_without_resistance_rejected(self, tmp_path, capsys):
+        cat = json.loads((SCENARIOS / "reference_catalog.json").read_text())
+        del cat["valves"][1]["flow_max_slpm"]
+        cat_file = write_json(tmp_path / "catalog.json", cat)
+        argv = ["size", str(SCENARIOS / "demo_requirements.json"), str(cat_file)]
+        assert cli.main([*argv, "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            "error: catalog.valves[1]: R_vmin_kPa_s_per_L or flow_max_slpm required\n"
+        )
+
     def test_impossible_requirements_exit_4(self, tmp_path):
         req_file = write_json(tmp_path / "req.json", IMPOSSIBLE_REQUIREMENTS)
         rc = cli.main(
@@ -1232,6 +1249,35 @@ def test_design_report_json_keeps_equal_numbers_apart():
                     limiting=())
     sha = {"catalog": "V", "requirements": "R"}
     _assert_report_equals_json_dumps([c, a, b], [b, a, c], sha)
+
+
+def test_design_report_json_of_a_generated_catalog():
+    """A real report of 300 designs: both blocks long, cycle counts clamped to zero, and
+    floats that repeat across columns (a total mass equal to the demanded rate) and blocks."""
+    rng = random.Random(4)
+
+    def log_uniform(lo: float, hi: float) -> float:
+        return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+    valves = tuple(
+        sizing.ValveOption(f"V{i:02d}", r_vmin=689.0 * 60.0 / log_uniform(1.0, 120.0),
+                           mass_g=float(rng.randrange(30, 200, 10)),
+                           p_inlet_max=rng.choice((517.0, 689.0, 1000.0)))
+        for i in range(20)
+    )
+    reservoirs = tuple(
+        sizing.ReservoirOption(f"R{i:02d}", v_r=log_uniform(0.05, 4.0),
+                               mass_g=float(rng.randrange(20, 200, 10)),
+                               p_max=rng.choice((400.0, 689.0, 827.0)))
+        for i in range(15)
+    )
+    req = sizing.DesignRequirements(v_cv=0.1, dp_cv=20.7, pdot_d=150.0, min_cycles=30)
+    report = sizing.enumerate_catalog(req, sizing.ComponentCatalog(valves, reservoirs))
+    assert len(report.feasible) > 20 and len(report.infeasible) > 20
+    assert any(e.n_cycles == 0.0 for e in report.infeasible)
+    assert {e.total_mass_g for e in report.entries} >= {e.pdot_demand for e in report.entries}
+    _assert_report_equals_json_dumps(report.feasible, report.infeasible,
+                                     {"catalog": "c" * 64, "requirements": "r" * 64})
 
 
 def _run_python(code: str, *argv) -> subprocess.CompletedProcess:
